@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatchError
+
 
 @dataclass
 class SsomConfig:
@@ -43,11 +45,25 @@ class SsomConfig:
 
 @dataclass
 class EncodedInput:
-    """Spike times of one presented vector, plus the source vector itself."""
+    """Spike times of one presented vector (or of a stack of them, one per row)."""
 
     spike_times: np.ndarray
     t_max: float
-    source: np.ndarray
+
+
+@dataclass
+class EncodedFrames:
+    """A sequence's frames coded once for every presentation: the normalized
+    values, their spike times, and the values decoded back from those times.
+
+    The decoded values can differ from the normalized ones in the last bits;
+    the spiking map matches against the decoded ones, the recurrent maps
+    update their state from the normalized ones.
+    """
+
+    normalized: np.ndarray
+    spike_times: np.ndarray
+    decoded: np.ndarray
 
 
 def normalize(x, lo, hi) -> np.ndarray:
@@ -68,19 +84,31 @@ def normalize(x, lo, hi) -> np.ndarray:
 
 def encode_latency(x, lo, hi, t_max: float) -> EncodedInput:
     """Time-to-first-spike code: component at the range max fires at 0,
-    at the range min fires at t_max."""
+    at the range min fires at t_max.  x is one vector or a stack of them."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot encode non-finite input")
     if np.any(np.asarray(lo) > np.asarray(hi)):
         raise ValueError("lo must be <= hi per component")
     v = normalize(x, lo, hi)
-    return EncodedInput(spike_times=t_max * (1.0 - v), t_max=t_max, source=x.copy())
+    return EncodedInput(spike_times=t_max * (1.0 - v), t_max=t_max)
 
 
 def decode_latency(e: EncodedInput) -> np.ndarray:
     """Recover the normalized vector from spike times: v = 1 - t/t_max."""
     return 1.0 - e.spike_times / e.t_max
+
+
+def encode_frames(frames, lo, hi, t_max: float, dim: int) -> EncodedFrames:
+    """Code a (n_frames, dim) sequence in whole-array calls.
+
+    Makes the checks that per-vector encoding and winner selection make
+    (finite input, lo <= hi, feature dimension) once over the whole array.
+    """
+    e = encode_latency(frames, lo, hi, t_max)
+    if e.spike_times.ndim != 2 or e.spike_times.shape[-1] != dim:
+        raise DimensionMismatchError(dim, e.spike_times.shape[-1])
+    return EncodedFrames(normalize(frames, lo, hi), e.spike_times, decode_latency(e))
 
 
 def psp_trace(spike_time: float, t: float, tau_psp: float) -> float:

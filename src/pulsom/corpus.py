@@ -322,7 +322,13 @@ def read_dataset_csv(path) -> list[SequenceSample]:
             if len(parts) != 3 + frames * dim:
                 raise CorpusFormatError(path, f"expected {3 + frames * dim} columns, "
                                               f"got {len(parts)}", line=lineno)
-            arr = np.array([float(x) for x in parts[3:]]).reshape(frames, dim)
+            arr = np.array([float(x) for x in parts[3:]])
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                k = bad[0]
+                raise CorpusFormatError(path, f"non-finite feature {feature_cols[k]} = "
+                                              f"{parts[3 + k]}", line=lineno)
+            arr = arr.reshape(frames, dim)
             samples.append(SequenceSample(arr, parts[1], parts[2] or None, parts[0]))
     return samples
 

@@ -8,23 +8,14 @@ most-excited unit is the one with the best recent cumulative match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import SsomConfig, encode_latency, normalize
+from .coding import SsomConfig
 from .errors import DimensionMismatchError
-from .som import (
-    EpochStats,
-    Lattice,
-    Schedule,
-    TrainingLog,
-    UnitIndex,
-    check_finite,
-    linear_decay,
-    quantization_error,
-)
-from .ssom import FiringRecord, LateralKernel, apply_lateral, feature_ranges, frames_of, ssom_learn
+from .som import Lattice, Schedule, TrainingLog, UnitIndex
+from .ssom import FiringRecord, LateralKernel, stdp_step, train_spiking
 from .stdp import StdpRule
 
 
@@ -110,40 +101,17 @@ def train_lin(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
 
     Potentials reset at sequence boundaries; each frame updates them, the
     most-excited unit wins (gated by t_ref through its latency), and the
-    gated units take an STDP step toward the current frame.
+    gated units take an STDP step toward the current frame (see
+    ``train_spiking``).
     """
-    if kernel is None:
-        kernel = LateralKernel()
-    sequences = [frames_of(s) for s in data]
-    if not sequences:
-        raise ValueError("training data must be non-empty")
-    if lo is None or hi is None:
-        lo, hi = feature_ranges(sequences)
-    all_frames = np.concatenate(sequences, axis=0)
-    span = hi - lo
     state = PotentialState.zeros(lattice, lam, scale_input_by_lambda)
-    rng = np.random.default_rng(seed)
-    log = TrainingLog(model="LIN")
-    for t in range(schedule.epochs):
-        lr, radius = linear_decay(t, schedule)
-        cfg_t = replace(cfg, s_radius=radius)
-        kernel_t = kernel if kernel.excite_radius is not None else replace(kernel, excite_radius=radius)
-        skipped = 0
-        for si in rng.permutation(len(sequences)):
-            reset_potentials(state)
-            for frame in sequences[si]:
-                e = encode_latency(frame, lo, hi, cfg.t_max)
-                v = normalize(frame, lo, hi)
-                update_potential(v, lattice, state)
-                rec = potential_record(state, lattice, cfg_t)
-                if rec.winner is None:
-                    skipped += 1
-                    continue
-                rec = apply_lateral(rec, kernel_t, lattice, cfg_t)
-                ssom_learn(e, lattice, rec, cfg_t, rule, lr)
-        check_finite(lattice, t)
-        decoded = Lattice(lattice.rows, lattice.cols,
-                          lo + np.clip(lattice.weights, 0.0, 1.0) * span, lattice.rng_seed)
-        log.rows.append(EpochStats(t, lr, radius, quantization_error(all_frames, decoded),
-                                   skipped))
-    return log
+
+    def fire(seq, i):
+        update_potential(seq.normalized[i], lattice, state)
+        return potential_record(state, lattice, cfg)
+
+    def learn(seq, i, record, spatial, h, lr):
+        stdp_step(seq.decoded[i], seq.spike_times[i], lattice, record, spatial, h, cfg, rule, lr)
+
+    return train_spiking("LIN", data, lattice, schedule, cfg, kernel, lo, hi, seed,
+                         lambda: reset_potentials(state), fire, learn)

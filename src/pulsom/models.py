@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .coding import SsomConfig, encode_latency, normalize
-from .lin import PotentialState, potential_record, reset_potentials, update_potential
-from .rssom import DifferenceState, difference_record, reset_state, update_difference
+from .coding import EncodedFrames, SsomConfig, encode_frames
+from .lin import PotentialState, potential_record, update_potential
+from .rssom import DifferenceState, difference_record, update_difference
 from .som import Lattice, UnitIndex, find_bmu
-from .ssom import compute_firing_times, LateralKernel
+from .ssom import LateralKernel, firing_record, frames_of
 from .stdp import StdpRule, StdpWindow
 
 MAGIC = "PULSOM1"
@@ -52,7 +52,7 @@ class SomModel:
     kind: str = field(default="SOM", init=False)
 
     def frame_winners(self, sample) -> list[UnitIndex | None]:
-        frames = _frames(sample)
+        frames = frames_of(sample)
         if self.concat:
             return [find_bmu(frames.ravel(), self.lattice)]
         return [find_bmu(x, self.lattice) for x in frames]
@@ -73,12 +73,14 @@ class SsomModel:
     rule: StdpRule = field(default_factory=StdpRule)
     kind: str = field(default="SSOM", init=False)
 
+    def encode(self, sample) -> EncodedFrames:
+        """The sample's frames coded in the model's ranges, as in training."""
+        return encode_frames(frames_of(sample), self.lo, self.hi, self.cfg.t_max,
+                             self.lattice.dim)
+
     def frame_winners(self, sample) -> list[UnitIndex | None]:
-        out = []
-        for x in _frames(sample):
-            e = encode_latency(x, self.lo, self.hi, self.cfg.t_max)
-            out.append(compute_firing_times(e, self.lattice, self.cfg).winner)
-        return out
+        return [firing_record(v, self.lattice, self.cfg).winner
+                for v in self.encode(sample).decoded]
 
     def sequence_winner(self, sample) -> UnitIndex | None:
         return self.frame_winners(sample)[-1]
@@ -95,10 +97,9 @@ class RssomModel(SsomModel):
 
     def frame_winners(self, sample) -> list[UnitIndex | None]:
         state = DifferenceState.zeros(self.lattice, self.alpha)
-        reset_state(state)
         out = []
-        for x in _frames(sample):
-            update_difference(normalize(x, self.lo, self.hi), self.lattice, state)
+        for v in self.encode(sample).normalized:
+            update_difference(v, self.lattice, state)
             out.append(difference_record(state, self.lattice, self.cfg).winner)
         return out
 
@@ -115,16 +116,11 @@ class LinModel(SsomModel):
 
     def frame_winners(self, sample) -> list[UnitIndex | None]:
         state = PotentialState.zeros(self.lattice, self.lam, self.scale_input_by_lambda)
-        reset_potentials(state)
         out = []
-        for x in _frames(sample):
-            update_potential(normalize(x, self.lo, self.hi), self.lattice, state)
+        for v in self.encode(sample).normalized:
+            update_potential(v, self.lattice, state)
             out.append(potential_record(state, self.lattice, self.cfg).winner)
         return out
-
-
-def _frames(sample) -> np.ndarray:
-    return np.asarray(getattr(sample, "frames", sample), dtype=np.float64)
 
 
 def _fmt_bool(b: bool) -> str:

@@ -8,24 +8,14 @@ mismatch, so the map becomes sensitive to the order of recent frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import SsomConfig, encode_latency, normalize
+from .coding import SsomConfig
 from .errors import DimensionMismatchError
-from .som import (
-    EpochStats,
-    Lattice,
-    Schedule,
-    TrainingLog,
-    UnitIndex,
-    check_finite,
-    linear_decay,
-    neighborhood_array,
-    quantization_error,
-)
-from .ssom import FiringRecord, LateralKernel, apply_lateral, feature_ranges, frames_of
+from .som import Lattice, Schedule, TrainingLog, UnitIndex, neighborhood_array
+from .ssom import FiringRecord, LateralKernel, gate_tables, learning_gate, train_spiking
 from .stdp import StdpRule, window_value_array
 
 
@@ -99,6 +89,20 @@ def difference_record(state: DifferenceState, lattice: Lattice,
     return FiringRecord(times, silent, winner)
 
 
+def window_step(t_spike: np.ndarray, lattice: Lattice, state: DifferenceState,
+                record: FiringRecord, spatial: np.ndarray, h: np.ndarray,
+                cfg: SsomConfig, rule: StdpRule, lr_scale: float) -> None:
+    """``rssom_learn`` given the winner's rows of ``gate_tables``."""
+    idx = learning_gate(record, spatial, cfg)
+    if idx.size == 0:
+        return
+    gain = (rule.eta * lr_scale * h[idx])[:, None]
+    dt = t_spike[None, :] - record.times[idx][:, None]
+    scale = np.abs(window_value_array(dt, rule.window))
+    stepped = lattice.weights[idx] + gain * scale * state.y[idx]
+    lattice.weights[idx] = np.clip(stepped, 0.0, rule.w_max)
+
+
 def rssom_learn(e_spike_times: np.ndarray, lattice: Lattice, state: DifferenceState,
                 record: FiringRecord, cfg: SsomConfig, rule: StdpRule,
                 lr_scale: float) -> None:
@@ -112,17 +116,8 @@ def rssom_learn(e_spike_times: np.ndarray, lattice: Lattice, state: DifferenceSt
     """
     if record.winner is None or lr_scale == 0.0:
         return
-    d = lattice.grid_distances(record.winner)
-    gate = (~record.silent) & (record.times <= cfg.t_ref) & (d <= cfg.s_radius)
-    if not np.any(gate):
-        return
-    idx = np.flatnonzero(gate)
-    h = neighborhood_array(d[idx], cfg.s_radius)
-    gain = (rule.eta * lr_scale * h)[:, None]
-    dt = e_spike_times[None, :] - record.times[idx][:, None]
-    scale = np.abs(window_value_array(dt, rule.window))
-    stepped = lattice.weights[idx] + gain * scale * state.y[idx]
-    lattice.weights[idx] = np.clip(stepped, 0.0, rule.w_max)
+    spatial, h = gate_tables(lattice.grid_distances(record.winner), cfg.s_radius)
+    window_step(e_spike_times, lattice, state, record, spatial, h, cfg, rule, lr_scale)
 
 
 def train_rssom(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
@@ -135,40 +130,16 @@ def train_rssom(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
     State resets at every sequence boundary; each frame updates the
     difference vectors, selects the winner from their magnitudes, applies
     the lateral kernel and takes a window-scaled step along y_i.  All-silent
-    frames skip learning and are counted.
+    frames skip learning and are counted (see ``train_spiking``).
     """
-    if kernel is None:
-        kernel = LateralKernel()
-    sequences = [frames_of(s) for s in data]
-    if not sequences:
-        raise ValueError("training data must be non-empty")
-    if lo is None or hi is None:
-        lo, hi = feature_ranges(sequences)
-    all_frames = np.concatenate(sequences, axis=0)
-    span = hi - lo
     state = DifferenceState.zeros(lattice, alpha)
-    rng = np.random.default_rng(seed)
-    log = TrainingLog(model="RSSOM")
-    for t in range(schedule.epochs):
-        lr, radius = linear_decay(t, schedule)
-        cfg_t = replace(cfg, s_radius=radius)
-        kernel_t = kernel if kernel.excite_radius is not None else replace(kernel, excite_radius=radius)
-        skipped = 0
-        for si in rng.permutation(len(sequences)):
-            reset_state(state)
-            for frame in sequences[si]:
-                e = encode_latency(frame, lo, hi, cfg.t_max)
-                v = normalize(frame, lo, hi)
-                update_difference(v, lattice, state)
-                rec = difference_record(state, lattice, cfg_t)
-                if rec.winner is None:
-                    skipped += 1
-                    continue
-                rec = apply_lateral(rec, kernel_t, lattice, cfg_t)
-                rssom_learn(e.spike_times, lattice, state, rec, cfg_t, rule, lr)
-        check_finite(lattice, t)
-        decoded = Lattice(lattice.rows, lattice.cols,
-                          lo + np.clip(lattice.weights, 0.0, 1.0) * span, lattice.rng_seed)
-        log.rows.append(EpochStats(t, lr, radius, quantization_error(all_frames, decoded),
-                                   skipped))
-    return log
+
+    def fire(seq, i):
+        update_difference(seq.normalized[i], lattice, state)
+        return difference_record(state, lattice, cfg)
+
+    def learn(seq, i, record, spatial, h, lr):
+        window_step(seq.spike_times[i], lattice, state, record, spatial, h, cfg, rule, lr)
+
+    return train_spiking("RSSOM", data, lattice, schedule, cfg, kernel, lo, hi, seed,
+                         lambda: reset_state(state), fire, learn)

@@ -18,6 +18,10 @@ from .errors import DimensionMismatchError, DivergenceError
 # Neighborhood influence is treated as zero beyond this many radii.
 NEIGHBORHOOD_CUTOFF_SIGMA = 3.0
 
+# Largest (samples x units x dim) difference block that quantization_error
+# builds at once; it bounds the memory the per-epoch error adds to training.
+QE_CHUNK_ELEMENTS = 32_768
+
 
 @dataclass
 class UnitIndex:
@@ -89,6 +93,7 @@ class Lattice:
         # Grid coordinates of every unit, for lattice-distance computations.
         rr, cc = np.divmod(np.arange(rows * cols), cols)
         self.coords = np.stack([rr, cc], axis=1).astype(np.float64)
+        self._distances = None
 
     @property
     def n_units(self) -> int:
@@ -97,10 +102,21 @@ class Lattice:
     def unit(self, flat: int) -> UnitIndex:
         return UnitIndex.from_flat(flat, self.cols)
 
+    def distance_table(self) -> np.ndarray:
+        """Read-only (n_units, n_units) lattice distances; row i holds the
+        Euclidean distance in lattice coordinates from unit i to every unit.
+        Built on first use and kept (n_units² floats)."""
+        if self._distances is None:
+            delta = self.coords[None, :, :] - self.coords[:, None, :]
+            table = np.sqrt(np.sum(delta * delta, axis=2))
+            table.setflags(write=False)
+            self._distances = table
+        return self._distances
+
     def grid_distances(self, unit: UnitIndex) -> np.ndarray:
-        """Euclidean distance in lattice coordinates from ``unit`` to all units."""
-        delta = self.coords - np.array([unit.row, unit.col], dtype=np.float64)
-        return np.sqrt(np.sum(delta * delta, axis=1))
+        """Euclidean distance in lattice coordinates from ``unit`` to all
+        units: a read-only row of ``distance_table``."""
+        return self.distance_table()[unit.flat]
 
     def copy(self) -> "Lattice":
         return Lattice(self.rows, self.cols, self.weights.copy(), self.rng_seed)
@@ -215,11 +231,17 @@ def quantization_error(data, lattice: Lattice) -> float:
         raise ValueError("data must be a non-empty (n, dim) array")
     if data.shape[1] != lattice.dim:
         raise DimensionMismatchError(lattice.dim, data.shape[1])
+    w = lattice.weights
+    rows = max(1, QE_CHUNK_ELEMENTS // w.size)
     total = 0.0
-    for x in data:
-        delta = lattice.weights - x
-        d2 = np.einsum("ij,ij->i", delta, delta)
-        total += math.sqrt(float(np.min(d2)))
+    for start in range(0, data.shape[0], rows):
+        block = data[start:start + rows]
+        delta = (w[None, :, :] - block[:, None, :]).reshape(-1, lattice.dim)
+        d2 = np.einsum("ij,ij->i", delta, delta).reshape(block.shape[0], -1)
+        # Added one sample at a time, left to right: the same rounding as a
+        # per-sample loop, so logged errors keep their bits.
+        for dist in np.sqrt(d2.min(axis=1)).tolist():
+            total += dist
     return total / data.shape[0]
 
 

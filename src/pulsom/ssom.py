@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding import EncodedInput, SsomConfig, decode_latency, encode_latency, normalize
+from .coding import EncodedInput, SsomConfig, decode_latency, encode_frames, normalize
 from .errors import DimensionMismatchError
 from .som import (
     EpochStats,
@@ -87,16 +87,13 @@ def mismatch_latencies(v: np.ndarray, lattice: Lattice, t_max: float) -> np.ndar
     return t_max * msd
 
 
-def compute_firing_times(e: EncodedInput, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:
-    """Latency-based winner selection over the whole lattice.
+def firing_record(v: np.ndarray, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:
+    """Earliest-firing winner for a normalized input vector.
 
     Units whose candidate firing time exceeds t_ref stay silent; the winner
     is the earliest firing unit (lowest flat index on ties), or None if the
     entire map is silent.
     """
-    if e.spike_times.shape[0] != lattice.dim:
-        raise DimensionMismatchError(lattice.dim, e.spike_times.shape[0])
-    v = decode_latency(e)
     times = mismatch_latencies(v, lattice, cfg.t_max)
     silent = times > cfg.t_ref
     if np.all(silent):
@@ -104,6 +101,51 @@ def compute_firing_times(e: EncodedInput, lattice: Lattice, cfg: SsomConfig) -> 
     masked = np.where(silent, np.inf, times)
     winner = lattice.unit(int(np.argmin(masked)))
     return FiringRecord(times, silent, winner)
+
+
+def compute_firing_times(e: EncodedInput, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:
+    """Latency-based winner selection over the whole lattice: ``firing_record``
+    on the vector decoded from the spike times."""
+    if e.spike_times.shape[0] != lattice.dim:
+        raise DimensionMismatchError(lattice.dim, e.spike_times.shape[0])
+    return firing_record(decode_latency(e), lattice, cfg)
+
+
+def lateral_tables(d: np.ndarray, kernel: LateralKernel,
+                   sim_step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lateral kernel by lattice distance d to the winner: the mask of
+    units within the excitation radius, their pull factor toward the
+    winner's firing time, and the delay of the units beyond it.
+
+    d is one winner's distance row, or the whole distance table (row w
+    then serves winner w).
+    """
+    r = kernel.excite_radius
+    near = d <= r
+    factor = np.clip(kernel.excite_gain * np.exp(-(d * d) / (2.0 * r * r)), 0.0, 1.0)
+    delay = kernel.inhibit_gain * (d - r) * sim_step
+    return near, factor, delay
+
+
+def gate_tables(d: np.ndarray, s_radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The spatial learning gate by lattice distance d to the winner (row or
+    whole table, as in ``lateral_tables``) and the neighborhood kernel that
+    scales the learning rate inside it."""
+    return d <= s_radius, neighborhood_array(d, s_radius)
+
+
+def lateral_step(record: FiringRecord, near: np.ndarray, factor: np.ndarray,
+                 delay: np.ndarray, cfg: SsomConfig) -> FiringRecord:
+    """``apply_lateral`` given the winner's rows of ``lateral_tables``."""
+    w = record.winner.flat
+    times, silent = record.times, record.silent
+    active = ~silent
+    active[w] = False
+    pull = active & near
+    push = active & ~near
+    times = np.where(pull, times + factor * (times[w] - times), times)
+    times = np.where(push, np.minimum(times + delay, cfg.t_max), times)
+    return FiringRecord(times, silent | (push & (times > cfg.t_ref)), record.winner)
 
 
 def apply_lateral(record: FiringRecord, kernel: LateralKernel, lattice: Lattice,
@@ -117,24 +159,28 @@ def apply_lateral(record: FiringRecord, kernel: LateralKernel, lattice: Lattice,
         raise ValueError("apply_lateral requires a record with a winner")
     if kernel.excite_radius is None:
         raise ValueError("excite_radius must be resolved before applying the kernel")
-    r = kernel.excite_radius
-    times = record.times.copy()
-    silent = record.silent.copy()
     d = lattice.grid_distances(record.winner)
-    t_win = times[record.winner.flat]
+    return lateral_step(record, *lateral_tables(d, kernel, cfg.sim_step), cfg)
 
-    active = ~silent
-    active[record.winner.flat] = False
 
-    near = active & (d <= r)
-    factor = np.clip(kernel.excite_gain * np.exp(-(d * d) / (2.0 * r * r)), 0.0, 1.0)
-    times[near] += factor[near] * (t_win - times[near])
+def learning_gate(record: FiringRecord, spatial: np.ndarray, cfg: SsomConfig) -> np.ndarray:
+    """Flat indices of the units that learn: firing within t_ref and inside
+    the winner's spatial area (``spatial``, its row of ``gate_tables``)."""
+    return np.flatnonzero((~record.silent) & (record.times <= cfg.t_ref) & spatial)
 
-    far = active & (d > r)
-    times[far] = np.minimum(times[far] + kernel.inhibit_gain * (d[far] - r) * cfg.sim_step,
-                            cfg.t_max)
-    silent |= far & (times > cfg.t_ref)
-    return FiringRecord(times, silent, record.winner)
+
+def stdp_step(v: np.ndarray, t_spike: np.ndarray, lattice: Lattice, record: FiringRecord,
+              spatial: np.ndarray, h: np.ndarray, cfg: SsomConfig, rule: StdpRule,
+              lr_scale: float) -> None:
+    """``ssom_learn`` given the normalized input v, its spike times and the
+    winner's rows of ``gate_tables``."""
+    idx = learning_gate(record, spatial, cfg)
+    if idx.size == 0:
+        return
+    gain = (lr_scale * h[idx])[:, None]
+    dt = t_spike[None, :] - record.times[idx][:, None]
+    w = lattice.weights[idx]
+    lattice.weights[idx] = apply_rule_array(w, v[None, :], dt, rule, gain)
 
 
 def ssom_learn(e: EncodedInput, lattice: Lattice, record: FiringRecord,
@@ -146,34 +192,24 @@ def ssom_learn(e: EncodedInput, lattice: Lattice, record: FiringRecord,
     the effective learning rate is scaled by the neighborhood kernel around
     the winner.
     """
-    if record.winner is None:
+    if record.winner is None or lr_scale == 0.0:
         return
-    if lr_scale == 0.0:
-        return
-    v = decode_latency(e)
-    t_spike = e.spike_times
-    d = lattice.grid_distances(record.winner)
-    gate = (~record.silent) & (record.times <= cfg.t_ref) & (d <= cfg.s_radius)
-    if not np.any(gate):
-        return
-    idx = np.flatnonzero(gate)
-    h = neighborhood_array(d[idx], cfg.s_radius)
-    gain = (lr_scale * h)[:, None]
-    dt = t_spike[None, :] - record.times[idx][:, None]
-    w = lattice.weights[idx]
-    lattice.weights[idx] = apply_rule_array(w, v[None, :], dt, rule, gain)
+    spatial, h = gate_tables(lattice.grid_distances(record.winner), cfg.s_radius)
+    stdp_step(decode_latency(e), e.spike_times, lattice, record, spatial, h, cfg, rule, lr_scale)
 
 
-def train_ssom(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
-               rule: StdpRule, seed: int,
-               kernel: LateralKernel | None = None,
-               lo: np.ndarray | None = None,
-               hi: np.ndarray | None = None) -> TrainingLog:
-    """Train the spiking map on sequence samples, frame by frame.
+def train_spiking(model: str, data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
+                  kernel: LateralKernel | None, lo: np.ndarray | None, hi: np.ndarray | None,
+                  seed: int, reset, fire, learn) -> TrainingLog:
+    """The epoch loop of the spiking trainers.
 
-    Frames are presented one at a time in sequence order with no state kept
-    between them; sequence order is reshuffled each epoch from the seed.
-    Presentations where every unit stays silent are skipped and counted.
+    Every frame is coded once per run and the lateral and gate tables are
+    built once per epoch.  Sequence order is reshuffled each epoch from the
+    seed; reset() runs at each sequence start, fire(codes, i) presents frame
+    i of a sequence's ``EncodedFrames`` and returns its ``FiringRecord``.
+    Presentations where every unit stays silent are skipped and counted;
+    otherwise the lateral kernel is applied and learn(codes, i, record,
+    spatial, h, lr) takes the learning step with the winner's gate rows.
     Quantization error is logged per epoch on the decoded (de-normalized)
     weights against the raw frames.
     """
@@ -184,27 +220,53 @@ def train_ssom(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
         raise ValueError("training data must be non-empty")
     if lo is None or hi is None:
         lo, hi = feature_ranges(sequences)
+    codes = [encode_frames(s, lo, hi, cfg.t_max, lattice.dim) for s in sequences]
     all_frames = np.concatenate(sequences, axis=0)
     span = hi - lo
+    dist = lattice.distance_table()
     rng = np.random.default_rng(seed)
-    log = TrainingLog(model="SSOM")
+    log = TrainingLog(model=model)
     for t in range(schedule.epochs):
         lr, radius = linear_decay(t, schedule)
-        cfg_t = replace(cfg, s_radius=radius)
         kernel_t = kernel if kernel.excite_radius is not None else replace(kernel, excite_radius=radius)
+        near, factor, delay = lateral_tables(dist, kernel_t, cfg.sim_step)
+        spatial, h = gate_tables(dist, radius)
         skipped = 0
         for si in rng.permutation(len(sequences)):
-            for frame in sequences[si]:
-                e = encode_latency(frame, lo, hi, cfg.t_max)
-                rec = compute_firing_times(e, lattice, cfg_t)
+            reset()
+            seq = codes[si]
+            for i in range(seq.spike_times.shape[0]):
+                rec = fire(seq, i)
                 if rec.winner is None:
                     skipped += 1
                     continue
-                rec = apply_lateral(rec, kernel_t, lattice, cfg_t)
-                ssom_learn(e, lattice, rec, cfg_t, rule, lr)
+                w = rec.winner.flat
+                rec = lateral_step(rec, near[w], factor[w], delay[w], cfg)
+                learn(seq, i, rec, spatial[w], h[w], lr)
         check_finite(lattice, t)
         decoded = Lattice(lattice.rows, lattice.cols,
                           lo + np.clip(lattice.weights, 0.0, 1.0) * span, lattice.rng_seed)
         log.rows.append(EpochStats(t, lr, radius, quantization_error(all_frames, decoded),
                                    skipped))
     return log
+
+
+def train_ssom(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
+               rule: StdpRule, seed: int,
+               kernel: LateralKernel | None = None,
+               lo: np.ndarray | None = None,
+               hi: np.ndarray | None = None) -> TrainingLog:
+    """Train the spiking map on sequence samples, frame by frame.
+
+    Frames are presented one at a time in sequence order with no state kept
+    between them (see ``train_spiking`` for the epoch loop).
+    """
+
+    def fire(seq, i):
+        return firing_record(seq.decoded[i], lattice, cfg)
+
+    def learn(seq, i, record, spatial, h, lr):
+        stdp_step(seq.decoded[i], seq.spike_times[i], lattice, record, spatial, h, cfg, rule, lr)
+
+    return train_spiking("SSOM", data, lattice, schedule, cfg, kernel, lo, hi, seed,
+                         lambda: None, fire, learn)

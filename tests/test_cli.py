@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from pulsom.cli import main
-from pulsom.corpus import read_dataset_csv
+from pulsom.corpus import read_dataset_csv, synth_generate, write_dataset_csv
 from test_corpus import make_fixture_corpus
 
 
@@ -120,6 +121,16 @@ class TestTrainCommand:
         cfg = train_cfg(tmp_path, tmp_path / "missing.csv")
         assert main(["train", "--config", cfg]) == 3
 
+    def test_non_finite_feature_exits_4(self, tmp_path, dataset, capsys):
+        lines = dataset.read_text().splitlines()
+        row = lines[2].split(",")
+        row[5] = "nan"
+        lines[2] = ",".join(row)
+        dataset.write_text("\n".join(lines) + "\n")
+        cfg = train_cfg(tmp_path, dataset, model="ssom")
+        assert main(["train", "--config", cfg]) == 4
+        assert f"{dataset}:3:" in capsys.readouterr().err
+
     def test_divergence_exits_5(self, tmp_path, dataset, monkeypatch, capsys):
         import pulsom.cli
         from pulsom.errors import DivergenceError
@@ -131,6 +142,42 @@ class TestTrainCommand:
         cfg = train_cfg(tmp_path, dataset)
         assert main(["train", "--config", cfg]) == 5
         assert "epoch 3" in capsys.readouterr().err
+
+
+class TestModelBytes:
+    """Trained model files and logs are pinned to recorded SHA-256 digests,
+    so a speed-up that changes a single bit of any trainer's result fails.
+    The digests were recorded with numpy 2.4 on x86-64; a numpy build whose
+    exp differs in the last bit changes them too."""
+
+    DIGESTS = {
+        "som": ("0b118d3664e803701e8e99f59e7f023cac167d86bfa3e53829254a2d0c1ec8db",
+                "7ed0075c87eaee2278ccd85fc5ae9dab2e7af2328f6282048a90ced234c2b740"),
+        "ssom": ("17d5a10fa0332016883cfc4b0f77aa22f4d20c328dd41c6d906f4be6364bb4e1",
+                 "e123cf69413c94b625208173d0cf8a2786c57efd6fff7f1e4edcb70e042252cd"),
+        "rssom": ("ae22a5eb37aa2fe5c6f6d7a6972f365392ca6938645736cb6f18c505865a67e9",
+                  "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
+        "lin": ("ac3619978e96f400231be5344af7f3c95fc2ef31b1a456a8cd1ee8f2b1c800a7",
+                "d51467825d3820c63bcdecc48c0e110f2961718aa978d47f60b352e432c7265c"),
+    }
+
+    @pytest.mark.parametrize("model", ["som", "ssom", "rssom", "lin"])
+    def test_trained_bytes_match_recorded_digests(self, tmp_path, model):
+        data = tmp_path / "train.csv"
+        write_dataset_csv(synth_generate(2, 10, 6, 5, 2.0, True, 11), data)
+        cfg = write_cfg(tmp_path / f"{model}.cfg", f"""
+run.model = {model}
+run.seed = 3
+run.outdir = {tmp_path / model}
+lattice.rows = 5
+lattice.cols = 5
+schedule.epochs = 2
+data.train_csv = {data}
+""")
+        assert main(["train", "--config", cfg]) == 0
+        got = tuple(hashlib.sha256((tmp_path / model / name).read_bytes()).hexdigest()
+                    for name in ("model.txt", "training-log.csv"))
+        assert got == self.DIGESTS[model]
 
 
 class TestEvalCommand:

@@ -6,10 +6,12 @@ import pytest
 from pulsom.coding import (
     SsomConfig,
     decode_latency,
+    encode_frames,
     encode_latency,
     normalize,
     psp_trace,
 )
+from pulsom.errors import DimensionMismatchError
 
 
 class TestEncodeLatency:
@@ -74,6 +76,33 @@ class TestDecodeLatency:
         e = encode_latency([1.0, 0.5, 0.0], [0.0] * 3, [1.0] * 3, t_max=20.0)
         assert np.allclose(e.spike_times, [0.0, 10.0, 20.0])
         assert np.allclose(decode_latency(e), [1.0, 0.5, 0.0], atol=1e-12)
+
+
+class TestEncodeFrames:
+    def test_rows_equal_per_frame_coding(self):
+        rng = np.random.default_rng(3)
+        frames = rng.normal(size=(9, 4)) * 2.0
+        lo, hi = frames.min(axis=0) + 0.3, frames.max(axis=0) - 0.3
+        codes = encode_frames(frames, lo, hi, 20.0, 4)
+        for i, x in enumerate(frames):
+            e = encode_latency(x, lo, hi, 20.0)
+            assert np.array_equal(codes.spike_times[i], e.spike_times)
+            assert np.array_equal(codes.decoded[i], decode_latency(e))
+            assert np.array_equal(codes.normalized[i], normalize(x, lo, hi))
+
+    def test_non_finite_frame_rejected(self):
+        frames = np.zeros((3, 2))
+        frames[2, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            encode_frames(frames, np.zeros(2), np.ones(2), 20.0, 2)
+
+    def test_bad_range_rejected(self):
+        with pytest.raises(ValueError, match="lo must be <= hi"):
+            encode_frames(np.zeros((3, 2)), np.ones(2), np.zeros(2), 20.0, 2)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            encode_frames(np.zeros((3, 2)), np.zeros(2), np.ones(2), 20.0, 3)
 
 
 class TestNormalize:

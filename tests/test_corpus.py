@@ -253,6 +253,21 @@ class TestDatasetCsv:
         with pytest.raises(CorpusFormatError):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "d.csv"
+        write_dataset_csv(self.samples(), path)
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[7] = value
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            read_dataset_csv(path)
+        assert exc.value.line == 4
+        assert f"{path}:4" in str(exc.value)
+        assert "f1c1" in str(exc.value)
+
 
 def make_fixture_corpus(root, n_utts=2):
     """Tiny TIMIT-layout corpus: one dialect, one speaker, two utterances

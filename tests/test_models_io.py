@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pulsom.coding import SsomConfig
+from pulsom.coding import SsomConfig, encode_latency, normalize
+from pulsom.lin import PotentialState, potential_record, update_potential
 from pulsom.models import (
     LinModel,
     RssomModel,
@@ -10,8 +11,9 @@ from pulsom.models import (
     load_model,
     save_model,
 )
+from pulsom.rssom import DifferenceState, difference_record, update_difference
 from pulsom.som import Lattice
-from pulsom.ssom import LateralKernel
+from pulsom.ssom import LateralKernel, compute_firing_times
 from pulsom.stdp import StdpRule, StdpWindow
 
 
@@ -139,3 +141,28 @@ class TestWinnerRules:
         model = SomModel(lat)
         sample = rng.uniform(size=(5, 3))
         assert model.sequence_winner(sample).flat == model.frame_winners(sample)[-1].flat
+
+    def test_spiking_winners_equal_per_frame_coding(self):
+        # Reference: each frame encoded (spiking map) or normalized
+        # (recurrent maps) on its own, then one winner step per frame.
+        rng = np.random.default_rng(9)
+        lo, hi, cfg, kernel, rule = spiking_parts()
+        lat = random_lattice(seed=4, rows=3, cols=3)
+        sample = rng.uniform(-1.5, 3.5, size=(12, 4))
+        ssom = SsomModel(lat, lo, hi, cfg, kernel, rule)
+        rssom = RssomModel(lat, lo, hi, cfg, kernel, rule, alpha=0.4)
+        lin = LinModel(lat, lo, hi, cfg, kernel, rule, lam=0.6)
+        want_ssom, want_rssom, want_lin = [], [], []
+        dstate = DifferenceState.zeros(lat, 0.4)
+        pstate = PotentialState.zeros(lat, 0.6)
+        for x in sample:
+            e = encode_latency(x, lo, hi, cfg.t_max)
+            want_ssom.append(compute_firing_times(e, lat, cfg).winner)
+            update_difference(normalize(x, lo, hi), lat, dstate)
+            want_rssom.append(difference_record(dstate, lat, cfg).winner)
+            update_potential(normalize(x, lo, hi), lat, pstate)
+            want_lin.append(potential_record(pstate, lat, cfg).winner)
+        assert ssom.frame_winners(sample) == want_ssom
+        assert rssom.frame_winners(sample) == want_rssom
+        assert lin.frame_winners(sample) == want_lin
+        assert any(w is not None for w in want_ssom + want_rssom + want_lin)

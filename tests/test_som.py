@@ -5,6 +5,7 @@ import pytest
 
 from pulsom.errors import DimensionMismatchError
 from pulsom.som import (
+    QE_CHUNK_ELEMENTS,
     Lattice,
     Schedule,
     UnitIndex,
@@ -192,6 +193,42 @@ class TestQuantizationError:
         lat = lattice_from([[0.0, 0.0]])
         with pytest.raises(DimensionMismatchError):
             quantization_error([[1.0, 2.0, 3.0]], lat)
+
+    @pytest.mark.parametrize("rows,cols,dim,n", [
+        (8, 8, 12, 1),
+        (8, 8, 12, QE_CHUNK_ELEMENTS // (64 * 12)),
+        (8, 8, 12, QE_CHUNK_ELEMENTS // (64 * 12) + 1),
+        (8, 8, 12, 1350),
+        (16, 16, 108, 5),
+        (3, 2, 5, 700),
+    ])
+    def test_chunked_sum_equals_scalar_loop(self, rows, cols, dim, n):
+        rng = np.random.default_rng(rows * 1000 + n)
+        lat = Lattice(rows, cols, rng.normal(size=(rows * cols, dim)))
+        data = 3.0 * rng.normal(size=(n, dim))
+        total = 0.0
+        for x in data:
+            delta = lat.weights - x
+            total += math.sqrt(float(np.min(np.einsum("ij,ij->i", delta, delta))))
+        assert quantization_error(data, lat) == total / n
+
+
+class TestGridDistances:
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (3, 7), (8, 8), (12, 12)])
+    def test_table_rows_equal_direct_formula(self, rows, cols):
+        lat = Lattice(rows, cols, np.zeros((rows * cols, 1)))
+        for flat in range(lat.n_units):
+            unit = lat.unit(flat)
+            delta = lat.coords - np.array([unit.row, unit.col], dtype=np.float64)
+            direct = np.sqrt(np.sum(delta * delta, axis=1))
+            assert np.array_equal(lat.distance_table()[flat], direct)
+            assert np.array_equal(lat.grid_distances(unit), direct)
+
+    def test_rows_are_read_only(self):
+        lat = Lattice(2, 2, np.zeros((4, 1)))
+        row = lat.grid_distances(lat.unit(0))
+        with pytest.raises(ValueError):
+            row[1] = 0.0
 
 
 class TestTrainSom:

@@ -100,13 +100,14 @@ def decode_latency(e: EncodedInput) -> np.ndarray:
 
 
 def encode_frames(frames, lo, hi, t_max: float, dim: int) -> EncodedFrames:
-    """Code a (n_frames, dim) sequence in whole-array calls.
+    """Code a (n_frames, dim) sequence, or a stack of equal-shape sequences
+    (..., n_frames, dim), in whole-array calls.
 
     Makes the checks that per-vector encoding and winner selection make
     (finite input, lo <= hi, feature dimension) once over the whole array.
     """
     e = encode_latency(frames, lo, hi, t_max)
-    if e.spike_times.ndim != 2 or e.spike_times.shape[-1] != dim:
+    if e.spike_times.ndim < 2 or e.spike_times.shape[-1] != dim:
         raise DimensionMismatchError(dim, e.spike_times.shape[-1])
     return EncodedFrames(normalize(frames, lo, hi), e.spike_times, decode_latency(e))
 

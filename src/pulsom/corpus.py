@@ -6,6 +6,7 @@ synthetic sequence generator, and the dataset cache CSV.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -311,8 +312,12 @@ def read_dataset_csv(path) -> list[SequenceSample]:
         if header[:3] != ["utt_id", "label", "macro_class"]:
             raise CorpusFormatError(path, "not a dataset cache CSV (bad header)", line=1)
         feature_cols = header[3:]
-        frames = max(int(c.split("c")[0][1:]) for c in feature_cols) + 1
-        dim = len(feature_cols) // frames
+        last = re.fullmatch(r"f(\d+)c(\d+)", header[-1])
+        frames, dim = (int(last[1]) + 1, int(last[2])) if last else (0, 0)
+        if (frames * dim == 0 or frames * dim != len(feature_cols)
+                or header != dataset_header(frames, dim)):
+            raise CorpusFormatError(path, "bad feature columns: expected f0c1 .. f<F-1>c<D> "
+                                          "in frame-major order", line=1)
         samples = []
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
@@ -322,7 +327,12 @@ def read_dataset_csv(path) -> list[SequenceSample]:
             if len(parts) != 3 + frames * dim:
                 raise CorpusFormatError(path, f"expected {3 + frames * dim} columns, "
                                               f"got {len(parts)}", line=lineno)
-            arr = np.array([float(x) for x in parts[3:]])
+            try:
+                arr = np.array(parts[3:], dtype=np.float64)
+            except ValueError:
+                k = next(k for k, cell in enumerate(parts[3:]) if not _is_float(cell))
+                raise CorpusFormatError(path, f"non-numeric feature {feature_cols[k]} = "
+                                              f"{parts[3 + k]!r}", line=lineno) from None
             bad = np.flatnonzero(~np.isfinite(arr))
             if bad.size:
                 k = bad[0]
@@ -331,6 +341,14 @@ def read_dataset_csv(path) -> list[SequenceSample]:
             arr = arr.reshape(frames, dim)
             samples.append(SequenceSample(arr, parts[1], parts[2] or None, parts[0]))
     return samples
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def iter_utterances(root, dialects=None, speakers=None):

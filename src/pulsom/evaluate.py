@@ -18,10 +18,27 @@ class UnitLabelMap:
 
     labels: list
     histograms: list
+    _resolved: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def any_labeled(self) -> bool:
         return any(lbl is not None for lbl in self.labels)
+
+    def resolved(self, lattice) -> list:
+        """The label each unit's win predicts: its own label, else that of
+        the nearest labeled unit in lattice distance (first in flat order
+        on ties), else None when no unit is labeled.  Resolved on first use
+        and kept with the map."""
+        if self._resolved is None:
+            labeled = [u for u, lbl in enumerate(self.labels) if lbl is not None]
+            table = list(self.labels)
+            if labeled:
+                for u in range(len(table)):
+                    if table[u] is None:
+                        d2 = np.sum((lattice.coords[labeled] - lattice.coords[u]) ** 2, axis=1)
+                        table[u] = self.labels[labeled[int(np.argmin(d2))]]
+            self._resolved = table
+        return self._resolved
 
 
 @dataclass
@@ -62,28 +79,32 @@ def calibrate(model, train_data, frame_vote: bool = False) -> UnitLabelMap:
     train_data = list(train_data)
     if not train_data:
         raise ValueError("calibration data must be non-empty")
+    table = model.winner_table(train_data)
+    if not frame_vote:
+        table = table[:, -1:]
     hists = [Counter() for _ in range(model.lattice.n_units)]
-    for sample in train_data:
-        if frame_vote:
-            winners = model.frame_winners(sample)
-        else:
-            winners = [model.sequence_winner(sample)]
+    for sample, winners in zip(train_data, table.tolist()):
         for w in winners:
-            if w is not None:
-                hists[w.flat][sample.label] += 1
+            if w >= 0:
+                hists[w][sample.label] += 1
     labels = [_mode_label(h) if h else None for h in hists]
     return UnitLabelMap(labels, hists)
 
 
-def _nearest_labeled(flat: int, labels: UnitLabelMap, lattice) -> str | None:
-    if labels.labels[flat] is not None:
-        return labels.labels[flat]
-    labeled = [u for u, lbl in enumerate(labels.labels) if lbl is not None]
-    if not labeled:
-        return None
-    pos = lattice.coords[flat]
-    d2 = np.sum((lattice.coords[labeled] - pos) ** 2, axis=1)
-    return labels.labels[labeled[int(np.argmin(d2))]]
+def _predictions(model, labels: UnitLabelMap, data, frame_vote: bool) -> list[str]:
+    """Predicted label of every sample, from one winner table and the map's
+    resolved unit labels."""
+    table = model.winner_table(data)
+    unit_label = labels.resolved(model.lattice)
+    if not frame_vote:
+        return [unit_label[w] if w >= 0 and unit_label[w] is not None else REJECTED
+                for w in table[:, -1].tolist()]
+    preds = []
+    for winners in table.tolist():
+        votes = Counter(unit_label[w] for w in winners
+                        if w >= 0 and unit_label[w] is not None)
+        preds.append(_mode_label(votes) if votes else REJECTED)
+    return preds
 
 
 def classify(model, labels: UnitLabelMap, sample, frame_vote: bool = False) -> str:
@@ -93,32 +114,17 @@ def classify(model, labels: UnitLabelMap, sample, frame_vote: bool = False) -> s
     distance.  With frame_vote the per-frame labels are majority-voted
     (ties to the lexicographically smallest label).
     """
-    if frame_vote:
-        votes = Counter()
-        for w in model.frame_winners(sample):
-            if w is None:
-                continue
-            lbl = _nearest_labeled(w.flat, labels, model.lattice)
-            if lbl is not None:
-                votes[lbl] += 1
-        if not votes:
-            return REJECTED
-        return _mode_label(votes)
-    w = model.sequence_winner(sample)
-    if w is None:
-        return REJECTED
-    lbl = _nearest_labeled(w.flat, labels, model.lattice)
-    return lbl if lbl is not None else REJECTED
+    return _predictions(model, labels, [sample], frame_vote)[0]
 
 
 def report(model, labels: UnitLabelMap, data, class_of=None,
            frame_vote: bool = False, expected_classes=None) -> tuple[EvalReport, Counter]:
     """Evaluate a dataset and build the per-class rate table.
 
-    class_of maps a label to its reporting class (identity by default).
-    Returns the report plus a (true, predicted) confusion counter.  Classes
-    from expected_classes that received no samples are listed separately
-    and excluded from the average.
+    Every sample is classified as by ``classify``.  class_of maps a label to
+    its reporting class (identity by default).  Returns the report plus a
+    (true, predicted) confusion counter.  Classes from expected_classes that
+    received no samples are listed separately and excluded from the average.
     """
     data = list(data)
     if not data:
@@ -128,9 +134,8 @@ def report(model, labels: UnitLabelMap, data, class_of=None,
     correct = Counter()
     total = Counter()
     confusion = Counter()
-    for sample in data:
+    for sample, pred in zip(data, _predictions(model, labels, data, frame_vote)):
         true_class = class_of(sample.label)
-        pred = classify(model, labels, sample, frame_vote=frame_vote)
         pred_class = class_of(pred) if pred != REJECTED else REJECTED
         total[true_class] += 1
         if pred_class == true_class:

@@ -14,14 +14,15 @@ import numpy as np
 
 from .coding import SsomConfig
 from .errors import DimensionMismatchError
-from .som import Lattice, Schedule, TrainingLog, UnitIndex
+from .som import Lattice, Schedule, TrainingLog, UnitIndex, mark_no_winner, squared_distances
 from .ssom import FiringRecord, LateralKernel, stdp_step, train_spiking
 from .stdp import StdpRule
 
 
 @dataclass
 class PotentialState:
-    """Per-unit potentials (always <= 0) and the memory depth constant.
+    """Per-unit potentials (always <= 0), shape (n_units,) or (batch,
+    n_units), and the memory depth constant.
 
     lam is the discrete counterpart of a continuous exponential leak: a
     membrane decaying at rate r < 0 sampled every dt corresponds to
@@ -44,14 +45,15 @@ class PotentialState:
 def update_potential(x, lattice: Lattice, state: PotentialState) -> None:
     """a_i <- lambda * a_i - (1/2) * ||x - w_i||^2 for every unit.
 
-    With scale_input_by_lambda the matching term is multiplied by lambda as
-    well (an alternative reading of the recurrence; off by default).
+    x is one vector, or a stack of them, shape (batch, dim), that steps
+    potentials of shape (batch, n_units).  With scale_input_by_lambda the
+    matching term is multiplied by lambda as well (an alternative reading
+    of the recurrence; off by default).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (lattice.dim,):
+    if x.shape[-1:] != (lattice.dim,):
         raise DimensionMismatchError(lattice.dim, x.shape[0] if x.ndim == 1 else x.shape)
-    delta = lattice.weights - x
-    penalty = 0.5 * np.einsum("ij,ij->i", delta, delta)
+    penalty = 0.5 * squared_distances(x, lattice.weights)
     if state.scale_input_by_lambda:
         penalty = state.lam * penalty
     state.a *= state.lam
@@ -79,16 +81,25 @@ def potential_latencies(state: PotentialState, dim: int, t_max: float) -> np.nda
     return t_max * np.clip(eff / (dim / 2.0), 0.0, 1.0)
 
 
+def potential_winners(state: PotentialState, lattice: Lattice,
+                      cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latencies, silent masks and winners over potentials for every leading
+    batch row: the winner is the most-excited unit (lowest flat index on
+    ties) provided it fires within t_ref, otherwise -1.
+
+    Latency falls monotonically as potential rises, so the most-excited
+    unit fires first: it is silent exactly when every unit is.
+    """
+    times = potential_latencies(state, lattice.dim, cfg.t_max)
+    silent = times > cfg.t_ref
+    return times, silent, mark_no_winner(state.a.argmax(axis=-1), silent.all(axis=-1))
+
+
 def potential_record(state: PotentialState, lattice: Lattice,
                      cfg: SsomConfig) -> FiringRecord:
-    """Latency record over potentials; the winner is the most-excited unit
-    provided it fires within t_ref."""
-    times = potential_latencies(state, lattice.dim, cfg.t_max)
-    winner = lin_bmu(state, lattice)
-    silent = times > cfg.t_ref
-    if silent[winner.flat]:
-        return FiringRecord(times, silent, None)
-    return FiringRecord(times, silent, winner)
+    """``potential_winners`` of unbatched potentials, as a record whose
+    winner is None when the most-excited unit is silent."""
+    return FiringRecord.of(lattice, *potential_winners(state, lattice, cfg))
 
 
 def train_lin(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,

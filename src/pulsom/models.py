@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .coding import EncodedFrames, SsomConfig, encode_frames
-from .lin import PotentialState, potential_record, update_potential
-from .rssom import DifferenceState, difference_record, update_difference
-from .som import Lattice, UnitIndex, find_bmu
-from .ssom import LateralKernel, firing_record, frames_of
+from .lin import PotentialState, potential_winners, update_potential
+from .rssom import DifferenceState, difference_winners, update_difference
+from .som import QE_CHUNK_ELEMENTS, Lattice, UnitIndex, find_bmus
+from .ssom import LateralKernel, firing_winners, frames_of
 from .stdp import StdpRule, StdpWindow
 
 MAGIC = "PULSOM1"
@@ -32,37 +32,73 @@ def save_lattice(lattice: Lattice, f) -> None:
 
 def load_lattice(lines: list[str]) -> tuple[Lattice, int]:
     """Parse a lattice from text lines; returns it and the next line index."""
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if len(head) != 5 or head[0] != MAGIC:
         raise ValueError(f"not a {MAGIC} model file")
     rows, cols, dim, seed = (int(x) for x in head[1:])
     n = rows * cols
+    if len(lines) < 1 + n:
+        raise ValueError(f"truncated: line {len(lines) + 1} (weight row {len(lines)} "
+                         f"of {n}) is missing")
     weights = np.array([[float(x) for x in lines[1 + i].split()] for i in range(n)])
     if weights.shape != (n, dim):
         raise ValueError(f"expected {n}x{dim} weights, got {weights.shape}")
     return Lattice(rows, cols, weights, seed), 1 + n
 
 
+class _Inference:
+    """Winner tables over blocks of samples, shared by every model kind.
+
+    A kind provides ``_block_winners(frames)``: the winner table of a
+    (block, n_frames, dim) stack of samples, stepped one frame at a time
+    through the winner functions its trainer calls.  Each kind binds
+    ``frame_winners`` in its own class body, so per-class profiles and
+    traces (perfbench/layers.py) count the kinds apart.
+    """
+
+    def winner_table(self, samples) -> np.ndarray:
+        """Flat index of every frame's winning unit, -1 where no unit wins:
+        shape (n_samples, n_frames), or (n_samples, 1) for the
+        concatenating SOM.
+
+        Samples must share one (n_frames, dim) shape.  They are coded and
+        stepped a block at a time, with each numpy pass building at most
+        QE_CHUNK_ELEMENTS differences (block x units x dim).
+        """
+        frames = [frames_of(s) for s in samples]
+        rows = max(1, QE_CHUNK_ELEMENTS // self.lattice.weights.size)
+        return np.concatenate([self._block_winners(np.array(frames[i:i + rows]))
+                               for i in range(0, len(frames), rows)])
+
+    def frame_winners(self, sample) -> list[UnitIndex | None]:
+        """Winner of every frame of one sample (None where no unit wins)."""
+        return [self.lattice.winner(w) for w in self.winner_table([sample])[0].tolist()]
+
+    def sequence_winner(self, sample) -> UnitIndex | None:
+        return self.lattice.winner(self.winner_table([sample])[0, -1])
+
+
 @dataclass
-class SomModel:
+class SomModel(_Inference):
     """Plain map operating in raw feature space."""
 
     lattice: Lattice
     concat: bool = False
     kind: str = field(default="SOM", init=False)
 
-    def frame_winners(self, sample) -> list[UnitIndex | None]:
-        frames = frames_of(sample)
-        if self.concat:
-            return [find_bmu(frames.ravel(), self.lattice)]
-        return [find_bmu(x, self.lattice) for x in frames]
+    frame_winners = _Inference.frame_winners
 
-    def sequence_winner(self, sample) -> UnitIndex | None:
-        return self.frame_winners(sample)[-1]
+    def _block_winners(self, frames: np.ndarray) -> np.ndarray:
+        if self.concat:
+            return find_bmus(frames.reshape(frames.shape[0], 1, -1), self.lattice)
+        out = np.empty(frames.shape[:2], dtype=np.intp)
+        for i in range(frames.shape[1]):
+            out[:, i] = find_bmus(frames[:, i], self.lattice)
+        return out
 
 
 @dataclass
-class SsomModel:
+class SsomModel(_Inference):
     """Spiking map: weights in normalized space plus the encoding ranges."""
 
     lattice: Lattice
@@ -73,17 +109,20 @@ class SsomModel:
     rule: StdpRule = field(default_factory=StdpRule)
     kind: str = field(default="SSOM", init=False)
 
+    frame_winners = _Inference.frame_winners
+
     def encode(self, sample) -> EncodedFrames:
-        """The sample's frames coded in the model's ranges, as in training."""
+        """The sample's frames (or a stack of samples) coded in the model's
+        ranges, as in training."""
         return encode_frames(frames_of(sample), self.lo, self.hi, self.cfg.t_max,
                              self.lattice.dim)
 
-    def frame_winners(self, sample) -> list[UnitIndex | None]:
-        return [firing_record(v, self.lattice, self.cfg).winner
-                for v in self.encode(sample).decoded]
-
-    def sequence_winner(self, sample) -> UnitIndex | None:
-        return self.frame_winners(sample)[-1]
+    def _block_winners(self, frames: np.ndarray) -> np.ndarray:
+        decoded = self.encode(frames).decoded
+        out = np.empty(frames.shape[:2], dtype=np.intp)
+        for i in range(frames.shape[1]):
+            out[:, i] = firing_winners(decoded[:, i], self.lattice, self.cfg)[2]
+        return out
 
 
 @dataclass
@@ -95,12 +134,16 @@ class RssomModel(SsomModel):
     def __post_init__(self):
         self.kind = "RSSOM"
 
-    def frame_winners(self, sample) -> list[UnitIndex | None]:
-        state = DifferenceState.zeros(self.lattice, self.alpha)
-        out = []
-        for v in self.encode(sample).normalized:
-            update_difference(v, self.lattice, state)
-            out.append(difference_record(state, self.lattice, self.cfg).winner)
+    frame_winners = _Inference.frame_winners
+
+    def _block_winners(self, frames: np.ndarray) -> np.ndarray:
+        x = self.encode(frames).normalized
+        state = DifferenceState(np.zeros((x.shape[0],) + self.lattice.weights.shape),
+                                self.alpha)
+        out = np.empty(frames.shape[:2], dtype=np.intp)
+        for i in range(frames.shape[1]):
+            update_difference(x[:, i], self.lattice, state)
+            out[:, i] = difference_winners(state, self.lattice, self.cfg)[2]
         return out
 
 
@@ -114,12 +157,16 @@ class LinModel(SsomModel):
     def __post_init__(self):
         self.kind = "LIN"
 
-    def frame_winners(self, sample) -> list[UnitIndex | None]:
-        state = PotentialState.zeros(self.lattice, self.lam, self.scale_input_by_lambda)
-        out = []
-        for v in self.encode(sample).normalized:
-            update_potential(v, self.lattice, state)
-            out.append(potential_record(state, self.lattice, self.cfg).winner)
+    frame_winners = _Inference.frame_winners
+
+    def _block_winners(self, frames: np.ndarray) -> np.ndarray:
+        x = self.encode(frames).normalized
+        state = PotentialState(np.zeros((x.shape[0], self.lattice.n_units)), self.lam,
+                               self.scale_input_by_lambda)
+        out = np.empty(frames.shape[:2], dtype=np.intp)
+        for i in range(frames.shape[1]):
+            update_potential(x[:, i], self.lattice, state)
+            out[:, i] = potential_winners(state, self.lattice, self.cfg)[2]
         return out
 
 
@@ -166,10 +213,25 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """Read a model file; any malformed content raises ValueError naming
+    the path."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        return _parse_model(path.read_text().splitlines())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+class _Params(dict):
+    """The `key value` lines of a model file; a missing key is a ValueError."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing '{key}' line")
+
+
+def _parse_model(lines: list[str]):
     lattice, next_line = load_lattice(lines)
-    kv: dict[str, str] = {}
+    kv = _Params()
     kind = None
     for line in lines[next_line:]:
         if not line.strip():
@@ -184,8 +246,10 @@ def load_model(path):
     if kind == "SOM":
         return SomModel(lattice, concat=kv.get("concat", "false") == "true")
 
-    lo = np.array([float(x) for x in kv["lo"].split()])
-    hi = np.array([float(x) for x in kv["hi"].split()])
+    lo, hi = (np.array([float(x) for x in kv[key].split()]) for key in ("lo", "hi"))
+    for key, v in (("lo", lo), ("hi", hi)):
+        if v.shape != (lattice.dim,):
+            raise ValueError(f"'{key}' line has {v.size} values, expected {lattice.dim}")
     cfg = SsomConfig(
         t_max=float(kv["t_max_ms"]),
         t_ref=float(kv["t_ref_ms"]),

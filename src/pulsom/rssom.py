@@ -14,14 +14,22 @@ import numpy as np
 
 from .coding import SsomConfig
 from .errors import DimensionMismatchError
-from .som import Lattice, Schedule, TrainingLog, UnitIndex, neighborhood_array
+from .som import (
+    Lattice,
+    Schedule,
+    TrainingLog,
+    UnitIndex,
+    mark_no_winner,
+    neighborhood_array,
+)
 from .ssom import FiringRecord, LateralKernel, gate_tables, learning_gate, train_spiking
 from .stdp import StdpRule, window_value_array
 
 
 @dataclass
 class DifferenceState:
-    """Per-unit leaked difference vectors y_i and the leaking coefficient."""
+    """Per-unit leaked difference vectors y_i, shape (n_units, dim) or
+    (batch, n_units, dim), and the leaking coefficient."""
 
     y: np.ndarray
     alpha: float
@@ -36,19 +44,29 @@ class DifferenceState:
 
 
 def update_difference(x, lattice: Lattice, state: DifferenceState) -> None:
-    """y_i <- (1 - alpha) * y_i + alpha * (x - m_i) for every unit."""
+    """y_i <- (1 - alpha) * y_i + alpha * (x - m_i) for every unit.
+
+    x is one vector, or a stack of them, shape (batch, dim), that steps a
+    state of shape (batch, n_units, dim).
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (lattice.dim,):
+    if x.shape[-1:] != (lattice.dim,):
         raise DimensionMismatchError(lattice.dim, x.shape[0] if x.ndim == 1 else x.shape)
     a = state.alpha
     state.y *= 1.0 - a
-    state.y += a * (x - lattice.weights)
+    state.y += a * (x[..., None, :] - lattice.weights)
+
+
+def _squared_norms(y: np.ndarray) -> np.ndarray:
+    """Squared norm of each unit's difference vector, over any leading
+    batch axes; one einsum over the flat block, as in ``squared_distances``."""
+    flat = y.reshape(-1, y.shape[-1])
+    return np.einsum("ij,ij->i", flat, flat).reshape(y.shape[:-1])
 
 
 def rsom_bmu(state: DifferenceState, lattice: Lattice) -> UnitIndex:
     """Unit with the smallest difference-vector norm; ties to lowest flat index."""
-    n2 = np.einsum("ij,ij->i", state.y, state.y)
-    return lattice.unit(int(np.argmin(n2)))
+    return lattice.unit(int(np.argmin(_squared_norms(state.y))))
 
 
 def rsom_update(lattice: Lattice, state: DifferenceState, bmu: UnitIndex,
@@ -70,23 +88,33 @@ def reset_state(state: DifferenceState) -> None:
     state.y[:] = 0.0
 
 
+def _latencies(n2: np.ndarray, dim: int, t_max: float) -> np.ndarray:
+    return t_max * np.minimum(n2 / dim, 1.0)
+
+
 def difference_latencies(state: DifferenceState, dim: int, t_max: float) -> np.ndarray:
     """Firing latencies from difference magnitudes, scaled like the spiking
     map's mismatch latencies (normalized data keeps them within t_max)."""
-    n2 = np.einsum("ij,ij->i", state.y, state.y)
-    return t_max * np.minimum(n2 / dim, 1.0)
+    return _latencies(_squared_norms(state.y), dim, t_max)
+
+
+def difference_winners(state: DifferenceState, lattice: Lattice,
+                       cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latencies, silent masks and winners over y_i for every leading batch
+    row: the winner is the smallest-norm unit (lowest flat index on ties)
+    if it fires within t_ref, otherwise -1 and the whole map counts as
+    silent."""
+    n2 = _squared_norms(state.y)
+    times = _latencies(n2, lattice.dim, cfg.t_max)
+    silent = times > cfg.t_ref
+    return times, silent, mark_no_winner(n2.argmin(axis=-1), silent.all(axis=-1))
 
 
 def difference_record(state: DifferenceState, lattice: Lattice,
                       cfg: SsomConfig) -> FiringRecord:
-    """Latency record over y_i; winner is the smallest-norm unit if it fires
-    within t_ref, otherwise the whole map counts as silent."""
-    times = difference_latencies(state, lattice.dim, cfg.t_max)
-    silent = times > cfg.t_ref
-    if np.all(silent):
-        return FiringRecord(times, silent, None)
-    winner = rsom_bmu(state, lattice)
-    return FiringRecord(times, silent, winner)
+    """``difference_winners`` of an unbatched state, as a record whose
+    winner is None when the whole map is silent."""
+    return FiringRecord.of(lattice, *difference_winners(state, lattice, cfg))
 
 
 def window_step(t_spike: np.ndarray, lattice: Lattice, state: DifferenceState,

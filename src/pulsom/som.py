@@ -102,6 +102,10 @@ class Lattice:
     def unit(self, flat: int) -> UnitIndex:
         return UnitIndex.from_flat(flat, self.cols)
 
+    def winner(self, flat: int) -> UnitIndex | None:
+        """The unit at a winner-table entry: None for -1 (no winner)."""
+        return None if flat < 0 else self.unit(int(flat))
+
     def distance_table(self) -> np.ndarray:
         """Read-only (n_units, n_units) lattice distances; row i holds the
         Euclidean distance in lattice coordinates from unit i to every unit.
@@ -171,6 +175,40 @@ def _check_vector(x, dim: int) -> np.ndarray:
     return x
 
 
+def mark_no_winner(best, none):
+    """Winner indices: ``best`` where a unit wins, -1 where ``none`` is set.
+
+    Arithmetic rather than np.where, so that the one-presentation case of
+    the winner rules stays a cheap numpy scalar.
+    """
+    return best - (best + 1) * none
+
+
+def squared_distances(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from each vector of x, shape (..., dim),
+    to every weight row: shape x.shape[:-1] + (n_units,).
+
+    One einsum over the flattened (vectors x units, dim) block gives every
+    distance the same bits whatever the number of leading vectors.
+    """
+    delta = weights - x[..., None, :]
+    if delta.ndim == 2:     # one vector: the block is (n_units, dim) already
+        return np.einsum("ij,ij->i", delta, delta)
+    flat = delta.reshape(-1, weights.shape[1])
+    return np.einsum("ij,ij->i", flat, flat).reshape(delta.shape[:-1])
+
+
+def find_bmus(x, lattice: Lattice) -> np.ndarray:
+    """Flat index of the best-matching unit of each vector of x, shape
+    (..., dim); the batched ``find_bmu``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] != lattice.dim:
+        raise DimensionMismatchError(lattice.dim, x.shape[-1] if x.ndim else x.shape)
+    if not np.isfinite(x).all():
+        raise ValueError("input vector must be finite")
+    return squared_distances(x, lattice.weights).argmin(axis=-1)
+
+
 def find_bmu(x, lattice: Lattice) -> UnitIndex:
     """Best-matching unit: smallest squared Euclidean distance to x.
 
@@ -178,9 +216,7 @@ def find_bmu(x, lattice: Lattice) -> UnitIndex:
     minimum).
     """
     x = _check_vector(x, lattice.dim)
-    delta = lattice.weights - x
-    d2 = np.einsum("ij,ij->i", delta, delta)
-    return lattice.unit(int(np.argmin(d2)))
+    return lattice.unit(int(squared_distances(x, lattice.weights).argmin()))
 
 
 def neighborhood(grid_dist: float, radius: float) -> float:
@@ -235,9 +271,7 @@ def quantization_error(data, lattice: Lattice) -> float:
     rows = max(1, QE_CHUNK_ELEMENTS // w.size)
     total = 0.0
     for start in range(0, data.shape[0], rows):
-        block = data[start:start + rows]
-        delta = (w[None, :, :] - block[:, None, :]).reshape(-1, lattice.dim)
-        d2 = np.einsum("ij,ij->i", delta, delta).reshape(block.shape[0], -1)
+        d2 = squared_distances(data[start:start + rows], w)
         # Added one sample at a time, left to right: the same rounding as a
         # per-sample loop, so logged errors keep their bits.
         for dist in np.sqrt(d2.min(axis=1)).tolist():

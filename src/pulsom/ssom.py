@@ -24,8 +24,10 @@ from .som import (
     UnitIndex,
     check_finite,
     linear_decay,
+    mark_no_winner,
     neighborhood_array,
     quantization_error,
+    squared_distances,
 )
 from .stdp import StdpRule, apply_rule_array
 
@@ -58,6 +60,13 @@ class FiringRecord:
     silent: np.ndarray
     winner: UnitIndex | None
 
+    @staticmethod
+    def of(lattice: Lattice, times: np.ndarray, silent: np.ndarray,
+           winner) -> "FiringRecord":
+        """The record of one presentation from a winner rule's output
+        (flat winner index, -1 for none)."""
+        return FiringRecord(times, silent, lattice.winner(winner))
+
 
 def frames_of(sample) -> np.ndarray:
     """Frames of a sequence sample (or a bare (n_frames, dim) array)."""
@@ -80,27 +89,35 @@ def normalized_init(rows: int, cols: int, sequences, seed: int) -> Lattice:
 
 def mismatch_latencies(v: np.ndarray, lattice: Lattice, t_max: float) -> np.ndarray:
     """Candidate firing times: t_max times the per-dimension mean squared
-    mismatch between the normalized input and the (clamped) weights."""
+    mismatch between the normalized input and the (clamped) weights.
+
+    v is one vector or a stack of them, shape (..., dim); the times have
+    shape v.shape[:-1] + (n_units,).
+    """
     w = np.clip(lattice.weights, 0.0, 1.0)
-    delta = w - v
-    msd = np.einsum("ij,ij->i", delta, delta) / lattice.dim
+    msd = squared_distances(np.asarray(v, dtype=np.float64), w) / lattice.dim
     return t_max * msd
 
 
-def firing_record(v: np.ndarray, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:
-    """Earliest-firing winner for a normalized input vector.
+def firing_winners(v: np.ndarray, lattice: Lattice,
+                   cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Firing times, silent masks and earliest-firing winners of normalized
+    inputs v, shape (..., dim).
 
     Units whose candidate firing time exceeds t_ref stay silent; the winner
-    is the earliest firing unit (lowest flat index on ties), or None if the
-    entire map is silent.
+    is the earliest firing unit (lowest flat index on ties), or -1 where the
+    entire map is silent.  The earliest unit fires unless every unit is
+    silent, so it is the earliest of all candidate times.
     """
     times = mismatch_latencies(v, lattice, cfg.t_max)
     silent = times > cfg.t_ref
-    if np.all(silent):
-        return FiringRecord(times, silent, None)
-    masked = np.where(silent, np.inf, times)
-    winner = lattice.unit(int(np.argmin(masked)))
-    return FiringRecord(times, silent, winner)
+    return times, silent, mark_no_winner(times.argmin(axis=-1), silent.all(axis=-1))
+
+
+def firing_record(v: np.ndarray, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:
+    """``firing_winners`` of one normalized input vector, as a record whose
+    winner is None when the entire map is silent."""
+    return FiringRecord.of(lattice, *firing_winners(v, lattice, cfg))
 
 
 def compute_firing_times(e: EncodedInput, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:

@@ -131,6 +131,22 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg]) == 4
         assert f"{dataset}:3:" in capsys.readouterr().err
 
+    def test_non_numeric_feature_exits_4(self, tmp_path, dataset, capsys):
+        lines = dataset.read_text().splitlines()
+        row = lines[2].split(",")
+        row[5] = "abc"
+        lines[2] = ",".join(row)
+        dataset.write_text("\n".join(lines) + "\n")
+        cfg = train_cfg(tmp_path, dataset, model="ssom")
+        assert main(["train", "--config", cfg]) == 4
+        assert f"{dataset}:3:" in capsys.readouterr().err
+
+    def test_header_without_features_exits_4(self, tmp_path, dataset, capsys):
+        dataset.write_text("utt_id,label,macro_class\nu0,a,\n")
+        cfg = train_cfg(tmp_path, dataset)
+        assert main(["train", "--config", cfg]) == 4
+        assert f"{dataset}:1:" in capsys.readouterr().err
+
     def test_divergence_exits_5(self, tmp_path, dataset, monkeypatch, capsys):
         import pulsom.cli
         from pulsom.errors import DivergenceError
@@ -180,6 +196,59 @@ data.train_csv = {data}
         assert got == self.DIGESTS[model]
 
 
+class TestEvalBytes:
+    """Eval reports are pinned to SHA-256 digests recorded before inference
+    was batched, for every model kind, with the terminal winner and with
+    per-frame votes.  Calibration on 9 sequences leaves most of the 25
+    units unlabeled, so the nearest-labeled-unit fallback is exercised.
+    (Same numpy caveat as TestModelBytes.)"""
+
+    DIGESTS = {
+        "som": ("4a354ea959e6bf74a1e51a026545e25418e6a89d393eb861a0131421227e3cba",
+                "3832fa9eac5ecbdb5e0d4b0461686e2cdcdfdb18f0ab0e3af1d5b87ca6ea3fc0",
+                "2481dcbdc7a528f17387a64d03925562c9acaed5a574d4d166868d0499cef38f",
+                "c5f7a2557b282db41a827694349362f1c3190f2a5473787ec75303bb2019130d"),
+        "ssom": ("9beb26c0a432247423181bf47dcdc84de63a36c8462add73f1eca1840eee7fe1",
+                 "a3fded63b26e0c5a7f309f2904aa166da71bedfb94b6fe3602a3c85b9e417b92",
+                 "e22af9d56667a7a0d4a0539e3da110f448de175b8aebdf3fb26e5a72d592de9b",
+                 "1d51f9a83ab8d0b0610c872b74ddfb978cc3fec17d843d8c3719da53cd4869d4"),
+        "rssom": ("b190b391fe71183c06401b121d28023ad7870bedea1ce6e663a7030be64f8669",
+                  "568918d4160961aed1266993e8de23ec09aea382eb1280a37cece868864ebff0",
+                  "3808a6848719b09851f2cf6e8fc3713a9e436f384cafcb5b2db6c7d6ed26b23a",
+                  "1bec368c8d1e3e3c0df60b94c64f975d3db38235acaa04afec56f19658f64c50"),
+        "lin": ("49aff04a076d5c2190a0498986c026e51c5d5e876c7dce2385b6a18465af9b90",
+                "9ff7be83bc52a26b035d6c8fbe6e71ad644028ee7cd9253d17e86411d8e5e51f",
+                "2481dcbdc7a528f17387a64d03925562c9acaed5a574d4d166868d0499cef38f",
+                "c5f7a2557b282db41a827694349362f1c3190f2a5473787ec75303bb2019130d"),
+    }
+
+    @pytest.mark.parametrize("model", ["som", "ssom", "rssom", "lin"])
+    def test_report_bytes_match_recorded_digests(self, tmp_path, model):
+        samples = synth_generate(3, 14, 6, 5, 0.4, False, 21)
+        write_dataset_csv(samples[::5], tmp_path / "train.csv")
+        write_dataset_csv([s for i, s in enumerate(samples) if i % 5], tmp_path / "test.csv")
+        base = f"""
+run.model = {model}
+run.seed = 3
+lattice.rows = 5
+lattice.cols = 5
+schedule.epochs = 2
+data.train_csv = {tmp_path / 'train.csv'}
+data.test_csv = {tmp_path / 'test.csv'}
+"""
+        cfg = write_cfg(tmp_path / "train.cfg", base + f"run.outdir = {tmp_path / 'model'}\n")
+        assert main(["train", "--config", cfg]) == 0
+        got = []
+        for vote in ("false", "true"):
+            cfg = write_cfg(tmp_path / "eval.cfg", base + f"run.outdir = {tmp_path / vote}\n"
+                                                          f"eval.frame_vote = {vote}\n")
+            assert main(["eval", "--config", cfg,
+                         "--model", str(tmp_path / "model" / "model.txt")]) == 0
+            got += [hashlib.sha256((tmp_path / vote / name).read_bytes()).hexdigest()
+                    for name in ("report.csv", "confusion.csv")]
+        assert tuple(got) == self.DIGESTS[model]
+
+
 class TestEvalCommand:
     @pytest.fixture()
     def trained(self, tmp_path):
@@ -215,6 +284,32 @@ data.test_csv = {dataset}
         dataset, model_path = trained
         cfg = self.eval_cfg(tmp_path, dataset, model="lin")
         assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
+
+    @pytest.mark.parametrize("damage", ["truncate", "drop_lo"])
+    def test_malformed_model_file_exits_2(self, tmp_path, trained, capsys, damage):
+        dataset, model_path = trained
+        cfg = write_cfg(tmp_path / "ssom.cfg", f"""
+run.model = ssom
+run.seed = 5
+run.outdir = {tmp_path / 'ssom-out'}
+lattice.rows = 4
+lattice.cols = 4
+schedule.epochs = 1
+data.train_csv = {dataset}
+data.test_csv = {dataset}
+""")
+        assert main(["train", "--config", cfg]) == 0
+        model_path = tmp_path / "ssom-out" / "model.txt"
+        lines = model_path.read_text().splitlines()
+        if damage == "truncate":
+            lines = lines[:6]
+        else:
+            lines = [line for line in lines if not line.startswith("lo ")]
+        model_path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(model_path) in err
+        assert ("line 7" if damage == "truncate" else "'lo'") in err
 
     def test_missing_model_exits_3(self, tmp_path, trained):
         dataset, _ = trained

@@ -253,6 +253,30 @@ class TestDatasetCsv:
         with pytest.raises(CorpusFormatError):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("feature_cols", ["", ",f0c1,f1c1,f0c2,f1c2", ",f0c1,f0c2,fXc1",
+                                              ",f0c0"])
+    def test_bad_feature_header_rejected_at_line_1(self, tmp_path, feature_cols):
+        path = tmp_path / "d.csv"
+        path.write_text(f"utt_id,label,macro_class{feature_cols}\nu,a,,1.0\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            read_dataset_csv(path)
+        assert exc.value.line == 1
+        assert f"{path}:1" in str(exc.value)
+
+    def test_non_numeric_feature_rejected_with_line_and_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dataset_csv(self.samples(), path)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[8] = "abc"
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            read_dataset_csv(path)
+        assert exc.value.line == 3
+        assert f"{path}:3" in str(exc.value)
+        assert "f1c2" in str(exc.value) and "abc" in str(exc.value)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_feature_rejected_with_line(self, tmp_path, value):
         path = tmp_path / "d.csv"

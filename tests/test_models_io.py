@@ -124,6 +124,39 @@ class TestErrors:
         with pytest.raises(ValueError, match="model tag"):
             load_model(path)
 
+    def test_truncated_weights_name_path_and_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(SomModel(random_lattice()), path)
+        path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
+        with pytest.raises(ValueError, match=r"m\.txt: truncated: line 5 \(weight row 4 of 6\)"):
+            load_model(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("")
+        with pytest.raises(ValueError, match="PULSOM1"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["lo", "t_ref_ms", "stdp_variant", "alpha"])
+    def test_missing_parameter_line_named(self, tmp_path, key):
+        lo, hi, cfg, kernel, rule = spiking_parts()
+        path = tmp_path / "m.txt"
+        save_model(RssomModel(random_lattice(), lo, hi, cfg, kernel, rule, alpha=0.5), path)
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(key + " ")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"m\.txt: missing '{key}' line"):
+            load_model(path)
+
+    def test_range_line_of_wrong_length_named(self, tmp_path):
+        lo, hi, cfg, kernel, rule = spiking_parts()
+        path = tmp_path / "m.txt"
+        save_model(SsomModel(random_lattice(), lo, hi, cfg, kernel, rule), path)
+        lines = [" ".join(ln.split()[:-1]) if ln.startswith("hi ") else ln
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"m\.txt: 'hi' line has 3 values, expected 4"):
+            load_model(path)
+
 
 class TestWinnerRules:
     def test_som_concat_uses_whole_sequence(self):

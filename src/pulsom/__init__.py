@@ -4,7 +4,7 @@ spike-timing plasticity rules, an MFCC speech front-end, corpus ingestion,
 and an evaluation harness.
 """
 
-from .coding import EncodedInput, SsomConfig, decode_latency, encode_latency, psp_trace
+from .coding import EncodedInput, SsomConfig, decode_latency, encode_latency
 from .corpus import (
     MACRO_CLASSES,
     Segment,
@@ -25,7 +25,7 @@ from .errors import (
     PulsomError,
 )
 from .evaluate import EvalReport, UnitLabelMap, calibrate, classify, mean_rate, report
-from .lin import PotentialState, lin_bmu, reset_potentials, train_lin, update_potential
+from .lin import PotentialState, train_lin, update_potential
 from .mfcc import (
     AudioBuffer,
     MfccConfig,
@@ -40,14 +40,7 @@ from .mfcc import (
     preemphasis,
 )
 from .models import LinModel, RssomModel, SomModel, SsomModel, load_model, save_model
-from .rssom import (
-    DifferenceState,
-    reset_state,
-    rsom_bmu,
-    rsom_update,
-    train_rssom,
-    update_difference,
-)
+from .rssom import DifferenceState, train_rssom, update_difference
 from .som import (
     Lattice,
     Schedule,
@@ -69,7 +62,6 @@ from .ssom import (
     train_ssom,
 )
 from .stdp import (
-    SpikePair,
     StdpRule,
     StdpWindow,
     additive_update,

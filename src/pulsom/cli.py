@@ -75,7 +75,7 @@ def cmd_features(cfg: RunConfig) -> int:
     corpus_mod.write_dataset_csv(samples, out)
     frames_out = outdir / "frames.csv"
     write_frames_csv(stats["utterance_frames"], frames_out)
-    print(f"utterances: {stats['utterances']}")
+    print(f"utterances: {stats['utterances']} ({stats['skipped_utterances']} skipped)")
     print(f"segments: {stats['segments']} ({stats['skipped_segments']} skipped)")
     print(f"wrote {out}")
     _finalize(cfg, outdir, [out, frames_out])

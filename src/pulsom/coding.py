@@ -2,13 +2,11 @@
 
 Each feature component is normalized against corpus-wide per-dimension
 ranges and mapped to a time-to-first-spike: the larger the value, the
-earlier the spike.  A causal exponential trace models the postsynaptic
-potential a spike induces downstream.
+earlier the spike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,9 @@ class SsomConfig:
 
     t_max is the encoding horizon; t_ref the reference time bounding the
     temporal learning window; s_radius the spatial learning radius in
-    lattice units; sim_step the simulation step; tau_psp the trace decay.
+    lattice units; sim_step the simulation step.  tau_psp, a postsynaptic
+    trace decay, is carried in config and model files and affects no
+    result.
     """
 
     t_max: float = 20.0
@@ -111,11 +111,3 @@ def encode_frames(frames, lo, hi, t_max: float, dim: int) -> EncodedFrames:
         raise DimensionMismatchError(dim, e.spike_times.shape[-1])
     return EncodedFrames(normalize(frames, lo, hi), e.spike_times, decode_latency(e))
 
-
-def psp_trace(spike_time: float, t: float, tau_psp: float) -> float:
-    """Causal decaying trace of a spike: 0 before it, exp decay after."""
-    if tau_psp <= 0:
-        raise ValueError(f"tau_psp must be positive, got {tau_psp}")
-    if t < spike_time:
-        return 0.0
-    return math.exp(-(t - spike_time) / tau_psp)

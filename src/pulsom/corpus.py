@@ -98,11 +98,13 @@ def read_sphere(path) -> AudioBuffer:
         if len(parts) == 3:
             fields[parts[0]] = parts[2]
 
-    sample_rate = int(fields.get("sample_rate", 16000))
-    channels = int(fields.get("channel_count", 1))
-    n_bytes = int(fields.get("sample_n_bytes", 2))
+    sample_rate = _header_int(path, fields, "sample_rate", 16000)
+    channels = _header_int(path, fields, "channel_count", 1)
+    n_bytes = _header_int(path, fields, "sample_n_bytes", 2)
     byte_format = fields.get("sample_byte_format", "01")
     coding = fields.get("sample_coding", "pcm")
+    if sample_rate <= 0:
+        raise CorpusFormatError(path, f"sample_rate must be positive, got {sample_rate}")
     if channels != 1:
         raise CorpusFormatError(path, f"unsupported channel_count {channels}")
     if n_bytes != 2:
@@ -118,7 +120,7 @@ def read_sphere(path) -> AudioBuffer:
 
     payload = raw[header_size:]
     if "sample_count" in fields:
-        expected = int(fields["sample_count"]) * 2
+        expected = _header_int(path, fields, "sample_count", 0) * 2
         if len(payload) < expected:
             raise CorpusFormatError(
                 path, f"truncated data: expected {expected} bytes, found {len(payload)}"
@@ -128,6 +130,15 @@ def read_sphere(path) -> AudioBuffer:
         payload = payload[:-1]
     samples = np.frombuffer(payload, dtype=dtype).astype(np.float64) / 32768.0
     return AudioBuffer(samples, sample_rate)
+
+
+def _header_int(path, fields: dict[str, str], key: str, default: int) -> int:
+    """An integer SPHERE header field, or the default when it is absent."""
+    value = fields.get(key, default)
+    try:
+        return int(value)
+    except ValueError:
+        raise CorpusFormatError(path, f"header field {key} is not an integer: {value!r}") from None
 
 
 def write_sphere(path, samples: np.ndarray, sample_rate: int = 16000) -> None:
@@ -372,7 +383,8 @@ def build_corpus_dataset(root, mfcc_cfg: MfccConfig | None = None, unit: str = "
                          collect_frames: bool = False):
     """Extract one SequenceSample per labeled segment under a corpus root.
 
-    Returns (samples, stats) where stats counts utterances, segments and
+    Returns (samples, stats) where stats counts utterances, utterances
+    skipped for being shorter than one analysis frame, segments and
     segments skipped for overlapping no whole frame.  With collect_frames
     the per-utterance coefficient matrices come back in
     stats["utterance_frames"] as (utt_id, matrix) pairs.
@@ -382,7 +394,8 @@ def build_corpus_dataset(root, mfcc_cfg: MfccConfig | None = None, unit: str = "
     dialects = {d.lower() for d in dialects} if dialects else None
     speakers = {s.lower() for s in speakers} if speakers else None
     samples: list[SequenceSample] = []
-    stats = {"utterances": 0, "segments": 0, "skipped_segments": 0}
+    stats = {"utterances": 0, "skipped_utterances": 0, "segments": 0,
+             "skipped_segments": 0}
     if collect_frames:
         stats["utterance_frames"] = []
     for stem, _dialect, _speaker in iter_utterances(root, dialects, speakers):
@@ -391,8 +404,11 @@ def build_corpus_dataset(root, mfcc_cfg: MfccConfig | None = None, unit: str = "
         if ali is None:
             continue
         buf = read_sphere(wav)
-        feats = mfcc_pipeline(buf, mfcc_cfg)
         stats["utterances"] += 1
+        if buf.samples.shape[0] < mfcc_cfg.frame_len:
+            stats["skipped_utterances"] += 1
+            continue
+        feats = mfcc_pipeline(buf, mfcc_cfg)
         utt_id = f"{stem.parent.name}/{stem.name}"
         if collect_frames:
             stats["utterance_frames"].append((utt_id, feats))

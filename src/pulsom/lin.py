@@ -12,17 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import SsomConfig
+from .coding import EncodedFrames, SsomConfig
 from .errors import DimensionMismatchError
-from .som import Lattice, Schedule, TrainingLog, UnitIndex, mark_no_winner, squared_distances
-from .ssom import FiringRecord, LateralKernel, stdp_step, train_spiking
+from .som import Lattice, Schedule, TrainingLog, mark_no_winner, squared_distances
+from .ssom import FiringRecord, FiringStep, LateralKernel, train_spiking
 from .stdp import StdpRule
 
 
 @dataclass
 class PotentialState:
-    """Per-unit potentials (always <= 0), shape (n_units,) or (batch,
-    n_units), and the memory depth constant.
+    """The leaky-integrator map's step object (see ``ssom.FiringStep``):
+    per-unit potentials (always <= 0), shape batch + (n_units,), and the
+    memory depth constant.
 
     lam is the discrete counterpart of a continuous exponential leak: a
     membrane decaying at rate r < 0 sampled every dt corresponds to
@@ -38,8 +39,22 @@ class PotentialState:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
 
     @staticmethod
-    def zeros(lattice: Lattice, lam: float, scale_input_by_lambda: bool = False) -> "PotentialState":
-        return PotentialState(np.zeros(lattice.n_units), lam, scale_input_by_lambda)
+    def zeros(lattice: Lattice, lam: float, scale_input_by_lambda: bool = False,
+              batch: tuple = ()) -> "PotentialState":
+        return PotentialState(np.zeros(tuple(batch) + (lattice.n_units,)), lam,
+                              scale_input_by_lambda)
+
+    def reset(self) -> None:
+        """Zero all potentials (sequence boundary); idempotent."""
+        self.a[...] = 0.0
+
+    def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
+        """Step the potentials with the normalized values of frame i
+        (``[..., i, :]``) and return ``potential_winners``."""
+        update_potential(codes.normalized[..., i, :], lattice, self)
+        return potential_winners(self, lattice, cfg)
+
+    learn = FiringStep.learn    # the spiking map's STDP step toward the frame
 
 
 def update_potential(x, lattice: Lattice, state: PotentialState) -> None:
@@ -58,16 +73,6 @@ def update_potential(x, lattice: Lattice, state: PotentialState) -> None:
         penalty = state.lam * penalty
     state.a *= state.lam
     state.a -= penalty
-
-
-def lin_bmu(state: PotentialState, lattice: Lattice) -> UnitIndex:
-    """Most-excited unit (largest potential); ties to lowest flat index."""
-    return lattice.unit(int(np.argmax(state.a)))
-
-
-def reset_potentials(state: PotentialState) -> None:
-    """Zero all potentials (sequence boundary); idempotent."""
-    state.a[:] = 0.0
 
 
 def potential_latencies(state: PotentialState, dim: int, t_max: float) -> np.ndarray:
@@ -115,14 +120,5 @@ def train_lin(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
     gated units take an STDP step toward the current frame (see
     ``train_spiking``).
     """
-    state = PotentialState.zeros(lattice, lam, scale_input_by_lambda)
-
-    def fire(seq, i):
-        update_potential(seq.normalized[i], lattice, state)
-        return potential_record(state, lattice, cfg)
-
-    def learn(seq, i, record, spatial, h, lr):
-        stdp_step(seq.decoded[i], seq.spike_times[i], lattice, record, spatial, h, cfg, rule, lr)
-
     return train_spiking("LIN", data, lattice, schedule, cfg, kernel, lo, hi, seed,
-                         lambda: reset_potentials(state), fire, learn)
+                         PotentialState.zeros(lattice, lam, scale_input_by_lambda), rule)

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .coding import EncodedFrames, SsomConfig, encode_frames
-from .lin import PotentialState, potential_winners, update_potential
-from .rssom import DifferenceState, difference_winners, update_difference
+from .coding import SsomConfig, encode_frames
+from .lin import PotentialState
+from .rssom import DifferenceState
 from .som import QE_CHUNK_ELEMENTS, Lattice, UnitIndex, find_bmus
-from .ssom import LateralKernel, firing_winners, frames_of
+from .ssom import FiringStep, LateralKernel, frames_of
 from .stdp import StdpRule, StdpWindow
 
 MAGIC = "PULSOM1"
@@ -50,10 +50,11 @@ class _Inference:
     """Winner tables over blocks of samples, shared by every model kind.
 
     A kind provides ``_block_winners(frames)``: the winner table of a
-    (block, n_frames, dim) stack of samples, stepped one frame at a time
-    through the winner functions its trainer calls.  Each kind binds
-    ``frame_winners`` in its own class body, so per-class profiles and
-    traces (perfbench/layers.py) count the kinds apart.
+    (block, n_frames, dim) stack of samples.  The spiking kinds step the
+    step object their trainer drives (``state(batch)``) one frame at a
+    time.  Each kind binds ``frame_winners`` in its own class body, so
+    per-class profiles and traces (perfbench/layers.py) count the kinds
+    apart.
     """
 
     def winner_table(self, samples) -> np.ndarray:
@@ -111,17 +112,17 @@ class SsomModel(_Inference):
 
     frame_winners = _Inference.frame_winners
 
-    def encode(self, sample) -> EncodedFrames:
-        """The sample's frames (or a stack of samples) coded in the model's
-        ranges, as in training."""
-        return encode_frames(frames_of(sample), self.lo, self.hi, self.cfg.t_max,
-                             self.lattice.dim)
+    def state(self, batch: tuple) -> FiringStep:
+        """A cleared step object for a block of samples of batch shape
+        ``batch`` (``ssom.FiringStep`` keeps no state)."""
+        return FiringStep()
 
     def _block_winners(self, frames: np.ndarray) -> np.ndarray:
-        decoded = self.encode(frames).decoded
+        codes = encode_frames(frames, self.lo, self.hi, self.cfg.t_max, self.lattice.dim)
+        state = self.state(frames.shape[:1])
         out = np.empty(frames.shape[:2], dtype=np.intp)
         for i in range(frames.shape[1]):
-            out[:, i] = firing_winners(decoded[:, i], self.lattice, self.cfg)[2]
+            out[:, i] = state.present(codes, i, self.lattice, self.cfg)[2]
         return out
 
 
@@ -136,15 +137,8 @@ class RssomModel(SsomModel):
 
     frame_winners = _Inference.frame_winners
 
-    def _block_winners(self, frames: np.ndarray) -> np.ndarray:
-        x = self.encode(frames).normalized
-        state = DifferenceState(np.zeros((x.shape[0],) + self.lattice.weights.shape),
-                                self.alpha)
-        out = np.empty(frames.shape[:2], dtype=np.intp)
-        for i in range(frames.shape[1]):
-            update_difference(x[:, i], self.lattice, state)
-            out[:, i] = difference_winners(state, self.lattice, self.cfg)[2]
-        return out
+    def state(self, batch: tuple) -> DifferenceState:
+        return DifferenceState.zeros(self.lattice, self.alpha, batch)
 
 
 @dataclass
@@ -159,15 +153,8 @@ class LinModel(SsomModel):
 
     frame_winners = _Inference.frame_winners
 
-    def _block_winners(self, frames: np.ndarray) -> np.ndarray:
-        x = self.encode(frames).normalized
-        state = PotentialState(np.zeros((x.shape[0], self.lattice.n_units)), self.lam,
-                               self.scale_input_by_lambda)
-        out = np.empty(frames.shape[:2], dtype=np.intp)
-        for i in range(frames.shape[1]):
-            update_potential(x[:, i], self.lattice, state)
-            out[:, i] = potential_winners(state, self.lattice, self.cfg)[2]
-        return out
+    def state(self, batch: tuple) -> PotentialState:
+        return PotentialState.zeros(self.lattice, self.lam, self.scale_input_by_lambda, batch)
 
 
 def _fmt_bool(b: bool) -> str:

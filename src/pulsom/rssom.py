@@ -12,24 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import SsomConfig
+from .coding import EncodedFrames, SsomConfig
 from .errors import DimensionMismatchError
-from .som import (
-    Lattice,
-    Schedule,
-    TrainingLog,
-    UnitIndex,
-    mark_no_winner,
-    neighborhood_array,
-)
+from .som import Lattice, Schedule, TrainingLog, mark_no_winner
 from .ssom import FiringRecord, LateralKernel, gate_tables, learning_gate, train_spiking
 from .stdp import StdpRule, window_value_array
 
 
 @dataclass
 class DifferenceState:
-    """Per-unit leaked difference vectors y_i, shape (n_units, dim) or
-    (batch, n_units, dim), and the leaking coefficient."""
+    """The recurrent map's step object (see ``ssom.FiringStep``): per-unit
+    leaked difference vectors y_i, shape batch + (n_units, dim), and the
+    leaking coefficient."""
 
     y: np.ndarray
     alpha: float
@@ -39,8 +33,25 @@ class DifferenceState:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
 
     @staticmethod
-    def zeros(lattice: Lattice, alpha: float) -> "DifferenceState":
-        return DifferenceState(np.zeros_like(lattice.weights), alpha)
+    def zeros(lattice: Lattice, alpha: float, batch: tuple = ()) -> "DifferenceState":
+        return DifferenceState(np.zeros(tuple(batch) + lattice.weights.shape), alpha)
+
+    def reset(self) -> None:
+        """Clear all difference vectors (sequence boundary)."""
+        self.y[...] = 0.0
+
+    def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
+        """Step y_i with the normalized values of frame i (``[..., i, :]``)
+        and return ``difference_winners``."""
+        update_difference(codes.normalized[..., i, :], lattice, self)
+        return difference_winners(self, lattice, cfg)
+
+    def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, record: FiringRecord,
+              spatial: np.ndarray, h: np.ndarray, cfg: SsomConfig, rule: StdpRule,
+              lr_scale: float) -> None:
+        """``window_step`` with the spike times of frame i of one sequence."""
+        window_step(codes.spike_times[i], lattice, self, record, spatial, h, cfg, rule,
+                    lr_scale)
 
 
 def update_difference(x, lattice: Lattice, state: DifferenceState) -> None:
@@ -57,55 +68,17 @@ def update_difference(x, lattice: Lattice, state: DifferenceState) -> None:
     state.y += a * (x[..., None, :] - lattice.weights)
 
 
-def _squared_norms(y: np.ndarray) -> np.ndarray:
-    """Squared norm of each unit's difference vector, over any leading
-    batch axes; one einsum over the flat block, as in ``squared_distances``."""
-    flat = y.reshape(-1, y.shape[-1])
-    return np.einsum("ij,ij->i", flat, flat).reshape(y.shape[:-1])
-
-
-def rsom_bmu(state: DifferenceState, lattice: Lattice) -> UnitIndex:
-    """Unit with the smallest difference-vector norm; ties to lowest flat index."""
-    return lattice.unit(int(np.argmin(_squared_norms(state.y))))
-
-
-def rsom_update(lattice: Lattice, state: DifferenceState, bmu: UnitIndex,
-                lr: float, radius: float) -> None:
-    """Move each weight along its own difference vector, gated by the
-    neighborhood of the BMU."""
-    if not (0.0 <= lr <= 1.0):
-        raise ValueError(f"lr must be in [0, 1], got {lr}")
-    if state.y.shape != lattice.weights.shape:
-        raise DimensionMismatchError(lattice.weights.shape, state.y.shape)
-    if lr == 0.0:
-        return
-    h = neighborhood_array(lattice.grid_distances(bmu), radius)
-    lattice.weights += (lr * h)[:, None] * state.y
-
-
-def reset_state(state: DifferenceState) -> None:
-    """Clear all difference vectors (sequence boundary)."""
-    state.y[:] = 0.0
-
-
-def _latencies(n2: np.ndarray, dim: int, t_max: float) -> np.ndarray:
-    return t_max * np.minimum(n2 / dim, 1.0)
-
-
-def difference_latencies(state: DifferenceState, dim: int, t_max: float) -> np.ndarray:
-    """Firing latencies from difference magnitudes, scaled like the spiking
-    map's mismatch latencies (normalized data keeps them within t_max)."""
-    return _latencies(_squared_norms(state.y), dim, t_max)
-
-
 def difference_winners(state: DifferenceState, lattice: Lattice,
                        cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Latencies, silent masks and winners over y_i for every leading batch
     row: the winner is the smallest-norm unit (lowest flat index on ties)
     if it fires within t_ref, otherwise -1 and the whole map counts as
-    silent."""
-    n2 = _squared_norms(state.y)
-    times = _latencies(n2, lattice.dim, cfg.t_max)
+    silent.  Latencies scale the squared difference norms (one einsum over
+    the flat block, as in ``squared_distances``) like the spiking map's
+    mismatch latencies (normalized data keeps them within t_max)."""
+    flat = state.y.reshape(-1, state.y.shape[-1])
+    n2 = np.einsum("ij,ij->i", flat, flat).reshape(state.y.shape[:-1])
+    times = cfg.t_max * np.minimum(n2 / lattice.dim, 1.0)
     silent = times > cfg.t_ref
     return times, silent, mark_no_winner(n2.argmin(axis=-1), silent.all(axis=-1))
 
@@ -160,14 +133,5 @@ def train_rssom(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
     the lateral kernel and takes a window-scaled step along y_i.  All-silent
     frames skip learning and are counted (see ``train_spiking``).
     """
-    state = DifferenceState.zeros(lattice, alpha)
-
-    def fire(seq, i):
-        update_difference(seq.normalized[i], lattice, state)
-        return difference_record(state, lattice, cfg)
-
-    def learn(seq, i, record, spatial, h, lr):
-        window_step(seq.spike_times[i], lattice, state, record, spatial, h, cfg, rule, lr)
-
     return train_spiking("RSSOM", data, lattice, schedule, cfg, kernel, lo, hi, seed,
-                         lambda: reset_state(state), fire, learn)
+                         DifferenceState.zeros(lattice, alpha), rule)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding import EncodedInput, SsomConfig, decode_latency, encode_frames, normalize
+from .coding import (EncodedFrames, EncodedInput, SsomConfig, decode_latency, encode_frames,
+                     normalize)
 from .errors import DimensionMismatchError
 from .som import (
     EpochStats,
@@ -114,18 +115,12 @@ def firing_winners(v: np.ndarray, lattice: Lattice,
     return times, silent, mark_no_winner(times.argmin(axis=-1), silent.all(axis=-1))
 
 
-def firing_record(v: np.ndarray, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:
-    """``firing_winners`` of one normalized input vector, as a record whose
-    winner is None when the entire map is silent."""
-    return FiringRecord.of(lattice, *firing_winners(v, lattice, cfg))
-
-
 def compute_firing_times(e: EncodedInput, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:
-    """Latency-based winner selection over the whole lattice: ``firing_record``
-    on the vector decoded from the spike times."""
+    """Latency-based winner selection over the whole lattice: the
+    ``FiringRecord`` of the vector decoded from the spike times."""
     if e.spike_times.shape[0] != lattice.dim:
         raise DimensionMismatchError(lattice.dim, e.spike_times.shape[0])
-    return firing_record(decode_latency(e), lattice, cfg)
+    return FiringRecord.of(lattice, *firing_winners(decode_latency(e), lattice, cfg))
 
 
 def lateral_tables(d: np.ndarray, kernel: LateralKernel,
@@ -215,18 +210,44 @@ def ssom_learn(e: EncodedInput, lattice: Lattice, record: FiringRecord,
     stdp_step(decode_latency(e), e.spike_times, lattice, record, spatial, h, cfg, rule, lr_scale)
 
 
+class FiringStep:
+    """The spiking map's step object, which keeps no state between frames.
+
+    A step object is what ``train_spiking`` and the models' winner tables
+    drive: reset() at each sequence start, present(codes, i, lattice, cfg)
+    to step frame i of one sequence's ``EncodedFrames`` (or of a stacked
+    block, through ``[..., i, :]``) to (times, silent, winners), and
+    learn(...) for the learning step.  ``rssom.DifferenceState`` and
+    ``lin.PotentialState`` are the recurrent maps' step objects.
+    """
+
+    def reset(self) -> None:
+        """Sequence boundary: nothing to clear."""
+
+    def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
+        """``firing_winners`` of the decoded values of frame i."""
+        return firing_winners(codes.decoded[..., i, :], lattice, cfg)
+
+    def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, record: FiringRecord,
+              spatial: np.ndarray, h: np.ndarray, cfg: SsomConfig, rule: StdpRule,
+              lr_scale: float) -> None:
+        """``stdp_step`` toward frame i of one sequence's codes."""
+        stdp_step(codes.decoded[i], codes.spike_times[i], lattice, record, spatial, h, cfg,
+                  rule, lr_scale)
+
+
 def train_spiking(model: str, data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
                   kernel: LateralKernel | None, lo: np.ndarray | None, hi: np.ndarray | None,
-                  seed: int, reset, fire, learn) -> TrainingLog:
-    """The epoch loop of the spiking trainers.
+                  seed: int, state, rule: StdpRule) -> TrainingLog:
+    """The epoch loop of the spiking trainers, driving one step object
+    (see ``FiringStep``).
 
     Every frame is coded once per run and the lateral and gate tables are
     built once per epoch.  Sequence order is reshuffled each epoch from the
-    seed; reset() runs at each sequence start, fire(codes, i) presents frame
-    i of a sequence's ``EncodedFrames`` and returns its ``FiringRecord``.
-    Presentations where every unit stays silent are skipped and counted;
-    otherwise the lateral kernel is applied and learn(codes, i, record,
-    spatial, h, lr) takes the learning step with the winner's gate rows.
+    seed, and the state is reset at each sequence start.  Presentations
+    where every unit stays silent are skipped and counted; otherwise the
+    lateral kernel is applied and the state learns with the winner's gate
+    rows.
     Quantization error is logged per epoch on the decoded (de-normalized)
     weights against the raw frames.
     """
@@ -250,16 +271,16 @@ def train_spiking(model: str, data, lattice: Lattice, schedule: Schedule, cfg: S
         spatial, h = gate_tables(dist, radius)
         skipped = 0
         for si in rng.permutation(len(sequences)):
-            reset()
+            state.reset()
             seq = codes[si]
             for i in range(seq.spike_times.shape[0]):
-                rec = fire(seq, i)
+                rec = FiringRecord.of(lattice, *state.present(seq, i, lattice, cfg))
                 if rec.winner is None:
                     skipped += 1
                     continue
                 w = rec.winner.flat
                 rec = lateral_step(rec, near[w], factor[w], delay[w], cfg)
-                learn(seq, i, rec, spatial[w], h[w], lr)
+                state.learn(seq, i, lattice, rec, spatial[w], h[w], cfg, rule, lr)
         check_finite(lattice, t)
         decoded = Lattice(lattice.rows, lattice.cols,
                           lo + np.clip(lattice.weights, 0.0, 1.0) * span, lattice.rng_seed)
@@ -278,12 +299,5 @@ def train_ssom(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
     Frames are presented one at a time in sequence order with no state kept
     between them (see ``train_spiking`` for the epoch loop).
     """
-
-    def fire(seq, i):
-        return firing_record(seq.decoded[i], lattice, cfg)
-
-    def learn(seq, i, record, spatial, h, lr):
-        stdp_step(seq.decoded[i], seq.spike_times[i], lattice, record, spatial, h, cfg, rule, lr)
-
     return train_spiking("SSOM", data, lattice, schedule, cfg, kernel, lo, hi, seed,
-                         lambda: None, fire, learn)
+                         FiringStep(), rule)

@@ -64,18 +64,6 @@ class StdpRule:
             self.window = StdpWindow()
 
 
-@dataclass
-class SpikePair:
-    """A pre/post spike time pair; delta_t = t_pre - t_post."""
-
-    t_pre: float
-    t_post: float
-
-    @property
-    def delta_t(self) -> float:
-        return self.t_pre - self.t_post
-
-
 def window_value(delta_t: float, window: StdpWindow) -> float:
     """Signed plasticity amount for a spike-time difference.
 

@@ -16,7 +16,7 @@ from pulsom.cli import main
 from pulsom.coding import SsomConfig, decode_latency, encode_latency
 from pulsom.corpus import read_dataset_csv, synth_generate
 from pulsom.evaluate import calibrate, classify, mean_rate
-from pulsom.lin import PotentialState, lin_bmu, train_lin, update_potential
+from pulsom.lin import PotentialState, potential_record, train_lin, update_potential
 from pulsom.mfcc import (
     dct_coeffs,
     hamming_window,
@@ -25,13 +25,7 @@ from pulsom.mfcc import (
     AudioBuffer,
 )
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel
-from pulsom.rssom import (
-    DifferenceState,
-    difference_record,
-    reset_state,
-    train_rssom,
-    update_difference,
-)
+from pulsom.rssom import DifferenceState, difference_record, train_rssom, update_difference
 from pulsom.som import Lattice, Schedule, find_bmu, train_som
 from pulsom.ssom import compute_firing_times, feature_ranges, normalized_init, train_ssom
 from pulsom.stdp import (
@@ -92,13 +86,13 @@ def test_criterion_02_reductions_select_the_som_winner():
         want = find_bmu(x, lat).flat
 
         state = DifferenceState.zeros(lat, alpha=1.0)
-        reset_state(state)
+        state.reset()
         update_difference(x, lat, state)
         assert difference_record(state, lat, cfg).winner.flat == want
 
         pstate = PotentialState.zeros(lat, lam=0.0)
         update_potential(x, lat, pstate)
-        assert lin_bmu(pstate, lat).flat == want
+        assert potential_record(pstate, lat, cfg).winner.flat == want
 
         e = encode_latency(x, np.zeros(dim), np.ones(dim), cfg.t_max)
         assert compute_firing_times(e, lat, cfg).winner.flat == want

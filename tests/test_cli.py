@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pulsom.cli import main
-from pulsom.corpus import read_dataset_csv, synth_generate, write_dataset_csv
+from pulsom.corpus import read_dataset_csv, synth_generate, write_dataset_csv, write_sphere
 from test_corpus import make_fixture_corpus
 
 
@@ -356,6 +356,35 @@ class TestFeaturesCommand:
         assert len(samples) == 2
         assert all(s.label == "she" for s in samples)
         assert all(s.macro_class is None for s in samples)
+
+    def test_short_utterance_is_skipped(self, tmp_path, capsys):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        outs = []
+        for name in ("full", "short"):
+            if name == "short":
+                speaker = root / "dr1" / "spk1"
+                write_sphere(speaker / "utt05.wav", np.zeros(100, dtype=np.int16))
+                (speaker / "utt05.phn").write_text("0 100 h#\n")
+            cfg = write_cfg(tmp_path / f"{name}.cfg",
+                            f"run.outdir = {tmp_path / name}\ncorpus.root = {root}\n")
+            assert main(["features", "--config", cfg]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "utterances: 2 (0 skipped)" in outs[0]
+        assert "utterances: 3 (1 skipped)" in outs[1]
+        for csv in ("dataset.csv", "frames.csv"):
+            want = (tmp_path / "full" / csv).read_bytes()
+            assert (tmp_path / "short" / csv).read_bytes() == want
+
+    def test_bad_sphere_header_integer_exits_4(self, tmp_path, capsys):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        wav = root / "dr1" / "spk1" / "utt0.wav"
+        wav.write_bytes(wav.read_bytes().replace(b"sample_rate -i 16000",
+                                                 b"sample_rate -i 16k00"))
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        assert main(["features", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert str(wav) in err and "sample_rate" in err
 
     def test_missing_root_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path / "f.cfg",

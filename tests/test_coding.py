@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from pulsom.coding import (
     encode_frames,
     encode_latency,
     normalize,
-    psp_trace,
 )
 from pulsom.errors import DimensionMismatchError
 
@@ -113,29 +110,6 @@ class TestNormalize:
     def test_degenerate_components(self):
         out = normalize([5.0], [5.0], [5.0])
         assert out[0] == 0.5
-
-
-class TestPspTrace:
-    def test_causal(self):
-        assert psp_trace(5.0, 4.0, tau_psp=5.0) == 0.0
-
-    def test_peak_at_spike(self):
-        assert psp_trace(5.0, 5.0, tau_psp=5.0) == 1.0
-
-    def test_one_tau_later(self):
-        assert psp_trace(5.0, 10.0, tau_psp=5.0) == pytest.approx(
-            0.36787944117144233, abs=1e-15)
-
-    def test_bounded_and_non_increasing(self):
-        ts = np.linspace(0, 40, 200)
-        vals = [psp_trace(3.0, t, tau_psp=4.0) for t in ts]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        after = [v for t, v in zip(ts, vals) if t >= 3.0]
-        assert all(a >= b for a, b in zip(after, after[1:]))
-
-    def test_bad_tau(self):
-        with pytest.raises(ValueError):
-            psp_trace(0.0, 1.0, tau_psp=0.0)
 
 
 class TestSsomConfig:

@@ -58,6 +58,28 @@ class TestReadSphere:
         with pytest.raises(CorpusFormatError, match="channel_count"):
             read_sphere(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sample_rate", b"16k00"), ("channel_count", b"one"),
+        ("sample_n_bytes", b"2.0"), ("sample_count", b"4x")])
+    def test_non_integer_header_field(self, tmp_path, field, value):
+        path = tmp_path / "h.wav"
+        write_sphere(path, np.zeros(4, dtype=np.int16))
+        raw = path.read_bytes()
+        line = next(x for x in raw.split(b"\n") if x.startswith(field.encode()))
+        path.write_bytes(raw.replace(line, field.encode() + b" -i " + value))
+        with pytest.raises(CorpusFormatError, match=f"{field} is not an integer") as exc:
+            read_sphere(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("rate", [b"0", b"-8000"])
+    def test_non_positive_sample_rate(self, tmp_path, rate):
+        path = tmp_path / "r.wav"
+        write_sphere(path, np.zeros(4, dtype=np.int16))
+        path.write_bytes(path.read_bytes().replace(b"sample_rate -i 16000",
+                                                   b"sample_rate -i " + rate))
+        with pytest.raises(CorpusFormatError, match="sample_rate must be positive"):
+            read_sphere(path)
+
     def test_big_endian_payload(self, tmp_path):
         path = tmp_path / "be.wav"
         write_sphere(path, np.array([1000, -1000], dtype=np.int16))
@@ -323,6 +345,19 @@ class TestBuildCorpusDataset:
         for s in samples:
             assert s.frames.shape == (9, 12)
             assert s.macro_class is not None
+
+    def test_utterance_shorter_than_a_frame_is_skipped_and_counted(self, tmp_path):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        want, _ = build_corpus_dataset(root)
+        speaker = root / "dr1" / "spk1"
+        write_sphere(speaker / "utt05.wav", np.zeros(100, dtype=np.int16))
+        (speaker / "utt05.phn").write_text("0 100 h#\n")
+        samples, stats = build_corpus_dataset(root)
+        assert stats["utterances"] == 3
+        assert stats["skipped_utterances"] == 1
+        assert stats["segments"] == 8
+        assert [(s.utt_id, s.label) for s in samples] == [(s.utt_id, s.label) for s in want]
+        assert all(np.array_equal(a.frames, b.frames) for a, b in zip(samples, want))
 
     def test_dialect_filter(self, tmp_path):
         root = make_fixture_corpus(tmp_path / "corpus")

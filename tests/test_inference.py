@@ -231,3 +231,46 @@ class TestLabelsAndReports:
         lat = Lattice(2, 2, np.zeros((4, 2)))
         labels = UnitLabelMap([None] * 4, [Counter() for _ in range(4)])
         assert labels.resolved(lat) == [None] * 4
+
+
+class TestStepObjects:
+    """Training steps one sequence (state batch shape ()) and inference a
+    block of samples through the same step object, so every batch shape
+    must step the same bits."""
+
+    @staticmethod
+    def codes(model, frames):
+        return encode_frames(frames, model.lo, model.hi, model.cfg.t_max, model.lattice.dim)
+
+    @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
+    def test_batch_shapes_step_the_same_bits(self, kind):
+        model = make_model(kind)
+        lat, cfg = model.lattice, model.cfg
+        block = np.stack([s.frames for s in make_samples(3, seed=4)])
+        one, one_codes = model.state(()), self.codes(model, block[1])
+        batched = [(model.state((1,)), self.codes(model, block[1:2]), 0),
+                   (model.state((3,)), self.codes(model, block), 1)]
+        winners = []
+        for i in range(N_FRAMES):
+            want = [np.asarray(a) for a in one.present(one_codes, i, lat, cfg)]
+            for state, codes, row in batched:
+                got = state.present(codes, i, lat, cfg)
+                for w, g in zip(want, got):
+                    assert g[row].dtype == w.dtype and g[row].tobytes() == w.tobytes()
+            winners.append(int(want[2]))
+        assert -1 in winners and max(winners) >= 0    # silent and firing frames
+
+    @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
+    def test_reset_zeroes_every_batch_shape(self, kind):
+        model = make_model(kind)
+        lat, cfg = model.lattice, model.cfg
+        block = np.stack([s.frames for s in make_samples(3, seed=5)])
+        for batch, frames in [((), block[0]), ((3,), block)]:
+            state, codes = model.state(batch), self.codes(model, frames)
+            first = state.present(codes, 0, lat, cfg)
+            state.present(codes, 1, lat, cfg)
+            state.reset()
+            for a in (v for v in vars(state).values() if isinstance(v, np.ndarray)):
+                assert a.shape[:len(batch)] == batch and not a.any()
+            again = state.present(codes, 0, lat, cfg)
+            assert all(np.array_equal(a, b) for a, b in zip(first, again))

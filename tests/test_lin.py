@@ -3,14 +3,7 @@ import pytest
 
 from pulsom.coding import SsomConfig
 from pulsom.errors import DimensionMismatchError
-from pulsom.lin import (
-    PotentialState,
-    lin_bmu,
-    potential_record,
-    reset_potentials,
-    train_lin,
-    update_potential,
-)
+from pulsom.lin import PotentialState, potential_record, train_lin, update_potential
 from pulsom.som import Lattice, Schedule, find_bmu
 from pulsom.ssom import normalized_init
 from pulsom.stdp import StdpRule, StdpWindow
@@ -23,6 +16,14 @@ def make_lattice(weights):
 
 def make_rule():
     return StdpRule("input", 0.1, 1.0, StdpWindow(), flip_branches=True)
+
+
+# t_ref = t_max: no unit is ever silent, so the winner is the most-excited unit.
+NEVER_SILENT = SsomConfig(t_max=20.0, t_ref=20.0)
+
+
+def lin_winner(state, lat):
+    return potential_record(state, lat, NEVER_SILENT).winner.flat
 
 
 def leaky_oracle(penalties, lam):
@@ -108,29 +109,29 @@ class TestLinBmu:
             x = rng.normal(size=dim)
             state = PotentialState.zeros(lat, lam=0.0)
             update_potential(x, lat, state)
-            assert lin_bmu(state, lat).flat == find_bmu(x, lat).flat
+            assert lin_winner(state, lat) == find_bmu(x, lat).flat
 
     def test_argmax_of_potentials(self):
         lat = make_lattice([[0.0], [0.0], [0.0]])
         state = PotentialState(np.array([-3.0, -1.0, -2.0]), lam=0.5)
-        assert lin_bmu(state, lat).flat == 1
+        assert lin_winner(state, lat) == 1
 
     def test_tie_breaks_to_lowest_flat(self):
         lat = make_lattice([[0.0], [0.0], [0.0]])
         state = PotentialState(np.array([-1.0, -1.0, -1.0]), lam=0.5)
-        assert lin_bmu(state, lat).flat == 0
+        assert lin_winner(state, lat) == 0
 
 
 class TestResetPotentials:
     def test_zeroes(self):
         state = PotentialState(np.array([-1.0, -2.0]), lam=0.5)
-        reset_potentials(state)
+        state.reset()
         assert np.array_equal(state.a, np.zeros(2))
 
     def test_idempotent(self):
         state = PotentialState(np.array([-1.0, -2.0]), lam=0.5)
-        reset_potentials(state)
-        reset_potentials(state)
+        state.reset()
+        state.reset()
         assert np.array_equal(state.a, np.zeros(2))
 
     def test_first_frame_after_reset_matches_find_bmu_for_any_lambda(self):
@@ -139,9 +140,9 @@ class TestResetPotentials:
         x = rng.uniform(size=3)
         for lam in (0.0, 0.3, 0.99, 1.0):
             state = PotentialState(rng.normal(size=4) - 5.0, lam=lam)
-            reset_potentials(state)
+            state.reset()
             update_potential(x, lat, state)
-            assert lin_bmu(state, lat).flat == find_bmu(x, lat).flat
+            assert lin_winner(state, lat) == find_bmu(x, lat).flat
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):

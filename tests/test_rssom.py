@@ -3,15 +3,7 @@ import pytest
 
 from pulsom.coding import SsomConfig
 from pulsom.errors import DimensionMismatchError
-from pulsom.rssom import (
-    DifferenceState,
-    difference_record,
-    reset_state,
-    rsom_bmu,
-    rsom_update,
-    train_rssom,
-    update_difference,
-)
+from pulsom.rssom import DifferenceState, difference_record, train_rssom, update_difference
 from pulsom.som import Lattice, Schedule, find_bmu
 from pulsom.ssom import normalized_init
 from pulsom.stdp import StdpRule, StdpWindow
@@ -24,6 +16,14 @@ def make_lattice(weights):
 
 def make_rule():
     return StdpRule("input", 0.1, 1.0, StdpWindow(), flip_branches=True)
+
+
+# t_ref = t_max: no unit is ever silent, so the winner is the smallest-norm unit.
+NEVER_SILENT = SsomConfig(t_max=20.0, t_ref=20.0)
+
+
+def rsom_winner(state, lat):
+    return difference_record(state, lat, NEVER_SILENT).winner.flat
 
 
 class TestUpdateDifference:
@@ -88,7 +88,7 @@ class TestRsomBmu:
     def test_zero_difference_wins(self):
         lat = make_lattice([[0.0], [1.0], [2.0]])
         state = DifferenceState(np.array([[0.4], [0.0], [0.3]]), alpha=0.5)
-        assert rsom_bmu(state, lat).flat == 1
+        assert rsom_winner(state, lat) == 1
 
     def test_full_leak_matches_find_bmu(self):
         rng = np.random.default_rng(2)
@@ -100,48 +100,25 @@ class TestRsomBmu:
             x = rng.normal(size=dim)
             state = DifferenceState.zeros(lat, alpha=1.0)
             update_difference(x, lat, state)
-            assert rsom_bmu(state, lat).flat == find_bmu(x, lat).flat
+            assert rsom_winner(state, lat) == find_bmu(x, lat).flat
 
     def test_argmin_of_norms(self):
         lat = make_lattice([[0.0], [0.0], [0.0]])
         state = DifferenceState(np.array([[0.3], [0.1], [0.2]]), alpha=0.5)
-        assert rsom_bmu(state, lat).flat == 1
-
-
-class TestRsomUpdate:
-    def test_full_step_reduces_to_som(self):
-        lat = make_lattice([[1.0, 1.0]])
-        state = DifferenceState.zeros(lat, alpha=1.0)
-        x = np.array([3.0, -1.0])
-        update_difference(x, lat, state)
-        rsom_update(lat, state, lat.unit(0), lr=1.0, radius=1.0)
-        assert np.allclose(lat.weights[0], x, atol=1e-15)
-
-    def test_zero_lr_identity(self):
-        lat = make_lattice([[1.0, 1.0]])
-        state = DifferenceState(np.array([[0.5, 0.5]]), alpha=0.5)
-        before = lat.weights.copy()
-        rsom_update(lat, state, lat.unit(0), lr=0.0, radius=1.0)
-        assert np.array_equal(lat.weights, before)
-
-    def test_step_along_difference(self):
-        lat = make_lattice([[0.0, 0.0]])
-        state = DifferenceState(np.array([[1.0, 0.0]]), alpha=0.5)
-        rsom_update(lat, state, lat.unit(0), lr=0.5, radius=1.0)
-        assert np.allclose(lat.weights[0], [0.5, 0.0], atol=1e-15)
+        assert rsom_winner(state, lat) == 1
 
 
 class TestResetState:
     def test_zeroes_everything(self):
         state = DifferenceState(np.ones((4, 3)), alpha=0.5)
-        reset_state(state)
+        state.reset()
         assert np.array_equal(state.y, np.zeros((4, 3)))
 
     def test_idempotent(self):
         state = DifferenceState(np.ones((4, 3)), alpha=0.5)
-        reset_state(state)
+        state.reset()
         snapshot = state.y.copy()
-        reset_state(state)
+        state.reset()
         assert np.array_equal(state.y, snapshot)
 
     def test_first_frame_after_reset_matches_find_bmu(self):
@@ -151,9 +128,9 @@ class TestResetState:
         lat = Lattice(2, 2, rng.uniform(size=(4, 3)))
         x = rng.uniform(size=3)
         state = DifferenceState(rng.normal(size=(4, 3)), alpha=0.25)
-        reset_state(state)
+        state.reset()
         update_difference(x, lat, state)
-        assert rsom_bmu(state, lat).flat == find_bmu(x, lat).flat
+        assert rsom_winner(state, lat) == find_bmu(x, lat).flat
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pulsom.stdp import (
-    SpikePair,
     StdpRule,
     StdpWindow,
     additive_update,
@@ -77,11 +76,6 @@ class TestWindow:
             StdpWindow(a_plus=0.0)
         with pytest.raises(ValueError):
             StdpWindow(tau_minus=-1.0)
-
-
-class TestSpikePair:
-    def test_delta_is_pre_minus_post(self):
-        assert SpikePair(t_pre=3.0, t_post=5.0).delta_t == -2.0
 
 
 class TestAdditive:

@@ -19,28 +19,20 @@ class SsomConfig:
     """Timing parameters of the spiking winner mechanism.
 
     t_max is the encoding horizon; t_ref the reference time bounding the
-    temporal learning window; s_radius the spatial learning radius in
-    lattice units; sim_step the simulation step.  tau_psp, a postsynaptic
-    trace decay, is carried in config and model files and affects no
-    result.
+    temporal learning window (units whose firing time exceeds it stay
+    silent); s_radius the spatial learning radius in lattice units.  All
+    times are in ms.
     """
 
     t_max: float = 20.0
     t_ref: float = 15.0
     s_radius: float = 1.0
-    sim_step: float = 1.0
-    tau_psp: float = 5.0
 
     def __post_init__(self):
-        if not (0 < self.sim_step <= self.t_ref <= self.t_max):
-            raise ValueError(
-                f"need 0 < sim_step <= t_ref <= t_max, got "
-                f"{self.sim_step}, {self.t_ref}, {self.t_max}"
-            )
+        if not (0 < self.t_ref <= self.t_max):
+            raise ValueError(f"need 0 < t_ref <= t_max, got {self.t_ref}, {self.t_max}")
         if self.s_radius <= 0:
             raise ValueError(f"s_radius must be positive, got {self.s_radius}")
-        if self.tau_psp <= 0:
-            raise ValueError(f"tau_psp must be positive, got {self.tau_psp}")
 
 
 @dataclass

@@ -54,12 +54,11 @@ REGISTRY = [
     Key("ssom.t_ref_ms", "float", 15.0, "reference time bounding learning"),
     Key("ssom.s_radius", "float", 1.0,
         "spatial learning radius outside training (training follows the schedule)"),
-    Key("ssom.sim_step_ms", "float", 1.0, "simulation step"),
-    Key("ssom.tau_psp_ms", "float", 5.0, "postsynaptic trace time constant"),
     Key("lateral.excite_radius", "float_or_auto", AUTO,
         "excitatory lateral radius; auto = track the decayed schedule radius"),
     Key("lateral.excite_gain", "float", 0.5, "pull toward the winner's firing time"),
-    Key("lateral.inhibit_gain", "float", 0.1, "delay per lattice unit beyond the radius"),
+    Key("lateral.inhibit_gain", "float", 0.1,
+        "delay of remote units, in ms per lattice unit beyond the radius"),
     Key("rssom.alpha", "float", 0.5, "leaking coefficient of the difference vectors"),
     Key("lin.lambda", "float", 0.5, "memory depth of the integrator potentials"),
     Key("lin.scale_input_by_lambda", "bool", False,
@@ -67,8 +66,7 @@ REGISTRY = [
     Key("som.concat", "bool", False,
         "plain SOM on concatenated whole-sequence vectors instead of frames"),
     Key("mfcc.preemph_a", "float", 0.95, "pre-emphasis coefficient"),
-    Key("mfcc.frame_len", "int", 256, "frame length in samples"),
-    Key("mfcc.hop", "int", 128, "hop in samples (frame_len/2)"),
+    Key("mfcc.frame_len", "int", 256, "frame length in samples (frames overlap by half)"),
     Key("mfcc.n_filters", "int", 26, "mel filterbank size"),
     Key("mfcc.n_coeffs", "int", 12, "cepstral coefficients per frame"),
     Key("mfcc.fft_size", "int", 256, "FFT size"),
@@ -192,8 +190,7 @@ class RunConfig:
     def ssom_config(self) -> SsomConfig:
         try:
             return SsomConfig(self["ssom.t_max_ms"], self["ssom.t_ref_ms"],
-                              self["ssom.s_radius"], self["ssom.sim_step_ms"],
-                              self["ssom.tau_psp_ms"])
+                              self["ssom.s_radius"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -209,9 +206,8 @@ class RunConfig:
     def mfcc_config(self) -> MfccConfig:
         try:
             return MfccConfig(self["mfcc.preemph_a"], self["mfcc.frame_len"],
-                              self["mfcc.hop"], self["mfcc.n_filters"],
-                              self["mfcc.n_coeffs"], self["mfcc.fft_size"],
-                              self["mfcc.use_power"])
+                              self["mfcc.n_filters"], self["mfcc.n_coeffs"],
+                              self["mfcc.fft_size"], self["mfcc.use_power"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

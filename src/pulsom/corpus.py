@@ -120,7 +120,10 @@ def read_sphere(path) -> AudioBuffer:
 
     payload = raw[header_size:]
     if "sample_count" in fields:
-        expected = _header_int(path, fields, "sample_count", 0) * 2
+        count = _header_int(path, fields, "sample_count", 0)
+        if count < 0:
+            raise CorpusFormatError(path, f"sample_count must be non-negative, got {count}")
+        expected = count * 2
         if len(payload) < expected:
             raise CorpusFormatError(
                 path, f"truncated data: expected {expected} bytes, found {len(payload)}"

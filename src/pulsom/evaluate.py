@@ -20,10 +20,6 @@ class UnitLabelMap:
     histograms: list
     _resolved: list | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def any_labeled(self) -> bool:
-        return any(lbl is not None for lbl in self.labels)
-
     def resolved(self, lattice) -> list:
         """The label each unit's win predicts: its own label, else that of
         the nearest labeled unit in lattice distance (first in flat order

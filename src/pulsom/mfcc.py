@@ -33,9 +33,16 @@ class AudioBuffer:
 
 @dataclass
 class MfccConfig:
+    """Front-end settings: the pre-emphasis coefficient, the frame length and
+    FFT size in samples, the mel filter count, the cepstral coefficients
+    kept per frame, and power (else magnitude) spectra into the filterbank.
+
+    Frames always overlap by 50%, so ``hop`` is half the frame length and
+    not a setting of its own.
+    """
+
     preemph_a: float = 0.95
     frame_len: int = 256
-    hop: int = 128
     n_filters: int = 26
     n_coeffs: int = 12
     fft_size: int = 256
@@ -44,12 +51,15 @@ class MfccConfig:
     def __post_init__(self):
         if not (0.9 <= self.preemph_a <= 1.0):
             raise ValueError(f"preemph_a must be in [0.9, 1.0], got {self.preemph_a}")
-        if self.hop != self.frame_len // 2:
-            raise ValueError(f"hop must be frame_len/2, got {self.hop} vs {self.frame_len}")
         if self.n_coeffs > self.n_filters:
             raise ValueError("n_coeffs cannot exceed n_filters")
         if self.fft_size < self.frame_len:
             raise ValueError("fft_size must be >= frame_len")
+
+    @property
+    def hop(self) -> int:
+        """Samples between frame starts: half the frame length."""
+        return self.frame_len // 2
 
 
 def preemphasis(buf: AudioBuffer, a: float) -> AudioBuffer:

@@ -178,8 +178,6 @@ def save_model(model, path) -> None:
         f.write(f"t_max_ms {cfg.t_max!r}\n")
         f.write(f"t_ref_ms {cfg.t_ref!r}\n")
         f.write(f"s_radius {cfg.s_radius!r}\n")
-        f.write(f"sim_step_ms {cfg.sim_step!r}\n")
-        f.write(f"tau_psp_ms {cfg.tau_psp!r}\n")
         radius = "auto" if kernel.excite_radius is None else repr(kernel.excite_radius)
         f.write(f"excite_radius {radius}\n")
         f.write(f"excite_gain {kernel.excite_gain!r}\n")
@@ -241,8 +239,6 @@ def _parse_model(lines: list[str]):
         t_max=float(kv["t_max_ms"]),
         t_ref=float(kv["t_ref_ms"]),
         s_radius=float(kv["s_radius"]),
-        sim_step=float(kv["sim_step_ms"]),
-        tau_psp=float(kv["tau_psp_ms"]),
     )
     radius = kv.get("excite_radius", "auto")
     kernel = LateralKernel(

@@ -38,8 +38,9 @@ class LateralKernel:
     """Mexican-hat lateral interaction on firing times.
 
     Units within excite_radius of the winner are pulled toward its firing
-    time; units beyond it are delayed.  excite_radius=None tracks the
-    decayed schedule radius during training.
+    time; units beyond it are delayed by inhibit_gain ms per lattice unit
+    beyond the radius.  excite_radius=None tracks the decayed schedule
+    radius during training.
     """
 
     excite_radius: float | None = None
@@ -123,8 +124,8 @@ def compute_firing_times(e: EncodedInput, lattice: Lattice, cfg: SsomConfig) -> 
     return FiringRecord.of(lattice, *firing_winners(decode_latency(e), lattice, cfg))
 
 
-def lateral_tables(d: np.ndarray, kernel: LateralKernel,
-                   sim_step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lateral_tables(d: np.ndarray,
+                   kernel: LateralKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lateral kernel by lattice distance d to the winner: the mask of
     units within the excitation radius, their pull factor toward the
     winner's firing time, and the delay of the units beyond it.
@@ -135,7 +136,7 @@ def lateral_tables(d: np.ndarray, kernel: LateralKernel,
     r = kernel.excite_radius
     near = d <= r
     factor = np.clip(kernel.excite_gain * np.exp(-(d * d) / (2.0 * r * r)), 0.0, 1.0)
-    delay = kernel.inhibit_gain * (d - r) * sim_step
+    delay = kernel.inhibit_gain * (d - r)
     return near, factor, delay
 
 
@@ -172,7 +173,7 @@ def apply_lateral(record: FiringRecord, kernel: LateralKernel, lattice: Lattice,
     if kernel.excite_radius is None:
         raise ValueError("excite_radius must be resolved before applying the kernel")
     d = lattice.grid_distances(record.winner)
-    return lateral_step(record, *lateral_tables(d, kernel, cfg.sim_step), cfg)
+    return lateral_step(record, *lateral_tables(d, kernel), cfg)
 
 
 def learning_gate(record: FiringRecord, spatial: np.ndarray, cfg: SsomConfig) -> np.ndarray:
@@ -267,7 +268,7 @@ def train_spiking(model: str, data, lattice: Lattice, schedule: Schedule, cfg: S
     for t in range(schedule.epochs):
         lr, radius = linear_decay(t, schedule)
         kernel_t = kernel if kernel.excite_radius is not None else replace(kernel, excite_radius=radius)
-        near, factor, delay = lateral_tables(dist, kernel_t, cfg.sim_step)
+        near, factor, delay = lateral_tables(dist, kernel_t)
         spatial, h = gate_tables(dist, radius)
         skipped = 0
         for si in rng.permutation(len(sequences)):

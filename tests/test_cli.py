@@ -78,6 +78,14 @@ synth.samples_per_class = 50
         assert main(["synth", "--config", cfg]) == 2
         assert "run.mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["ssom.tau_psp_ms = 5.0", "ssom.sim_step_ms = 1.0",
+                                      "mfcc.hop = 128"])
+    def test_retired_key_exits_2_with_file_and_line(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path / "old.cfg", f"run.outdir = {tmp_path / 'o'}\n{line}\n")
+        assert main(["synth", "--config", cfg]) == 2
+        key = line.split(" = ")[0]
+        assert f"{cfg}:2: unknown config key '{key}'" in capsys.readouterr().err
+
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.cfg")]) == 3
 
@@ -169,11 +177,11 @@ class TestModelBytes:
     DIGESTS = {
         "som": ("0b118d3664e803701e8e99f59e7f023cac167d86bfa3e53829254a2d0c1ec8db",
                 "7ed0075c87eaee2278ccd85fc5ae9dab2e7af2328f6282048a90ced234c2b740"),
-        "ssom": ("17d5a10fa0332016883cfc4b0f77aa22f4d20c328dd41c6d906f4be6364bb4e1",
+        "ssom": ("fc4e8ebb46e8402ae710cad501144b3add89c225b7b04fbb8173aa5b448adb4c",
                  "e123cf69413c94b625208173d0cf8a2786c57efd6fff7f1e4edcb70e042252cd"),
-        "rssom": ("ae22a5eb37aa2fe5c6f6d7a6972f365392ca6938645736cb6f18c505865a67e9",
+        "rssom": ("6c6d97988e0aa9bfc7a1e17f30d4f740344496529bfcb6620475a2a4e9d401ba",
                   "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
-        "lin": ("ac3619978e96f400231be5344af7f3c95fc2ef31b1a456a8cd1ee8f2b1c800a7",
+        "lin": ("a88bff29881587fda791c50d2647c636f5bf30233e3f623d12c635201cde399a",
                 "d51467825d3820c63bcdecc48c0e110f2961718aa978d47f60b352e432c7265c"),
     }
 
@@ -385,6 +393,17 @@ class TestFeaturesCommand:
         assert main(["features", "--config", cfg]) == 4
         err = capsys.readouterr().err
         assert str(wav) in err and "sample_rate" in err
+
+    def test_negative_sample_count_exits_4(self, tmp_path, capsys):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        wav = root / "dr1" / "spk1" / "utt1.wav"
+        wav.write_bytes(wav.read_bytes().replace(b"sample_count -i 6400",
+                                                 b"sample_count -i -4"))
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        assert main(["features", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert str(wav) in err and "sample_count" in err
 
     def test_missing_root_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path / "f.cfg",

@@ -115,12 +115,12 @@ class TestNormalize:
 class TestSsomConfig:
     def test_valid_defaults(self):
         cfg = SsomConfig()
-        assert cfg.sim_step <= cfg.t_ref <= cfg.t_max
+        assert 0 < cfg.t_ref <= cfg.t_max
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             SsomConfig(t_max=10.0, t_ref=15.0)
         with pytest.raises(ValueError):
-            SsomConfig(sim_step=0.0)
+            SsomConfig(t_ref=0.0)
         with pytest.raises(ValueError):
             SsomConfig(s_radius=0.0)

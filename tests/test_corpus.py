@@ -80,6 +80,16 @@ class TestReadSphere:
         with pytest.raises(CorpusFormatError, match="sample_rate must be positive"):
             read_sphere(path)
 
+    def test_negative_sample_count(self, tmp_path):
+        path = tmp_path / "n.wav"
+        write_sphere(path, np.zeros(10, dtype=np.int16))
+        path.write_bytes(path.read_bytes().replace(b"sample_count -i 10",
+                                                   b"sample_count -i -4"))
+        with pytest.raises(CorpusFormatError,
+                           match="sample_count must be non-negative, got -4") as exc:
+            read_sphere(path)
+        assert str(path) in str(exc.value)
+
     def test_big_endian_payload(self, tmp_path):
         path = tmp_path / "be.wav"
         write_sphere(path, np.array([1000, -1000], dtype=np.int16))

@@ -117,12 +117,12 @@ def make_model(kind, rows=12, cols=12, dim=12, seed=0):
     lo, hi = np.full(dim, -1.0), np.full(dim, 2.0)
     kernel, rule = LateralKernel(), StdpRule()
     if kind == "ssom":
-        return SsomModel(lat, lo, hi, SsomConfig(t_max=20.0, t_ref=1.4, sim_step=0.5),
+        return SsomModel(lat, lo, hi, SsomConfig(t_max=20.0, t_ref=1.4),
                          kernel, rule)
     if kind == "rssom":
-        return RssomModel(lat, lo, hi, SsomConfig(t_max=20.0, t_ref=0.55, sim_step=0.5),
+        return RssomModel(lat, lo, hi, SsomConfig(t_max=20.0, t_ref=0.55),
                           kernel, rule, alpha=0.4)
-    return LinModel(lat, lo, hi, SsomConfig(t_max=20.0, t_ref=1.9, sim_step=0.5),
+    return LinModel(lat, lo, hi, SsomConfig(t_max=20.0, t_ref=1.9),
                     kernel, rule, lam=0.6, scale_input_by_lambda=kind == "lin-scaled")
 
 
@@ -160,7 +160,7 @@ class TestWinnerTable:
     def test_silent_lin_winner_is_minus_one(self):
         # the most-excited unit is silent: no winner, as in training
         model = make_model("lin", rows=2, cols=2, dim=2)
-        model.cfg = SsomConfig(t_max=20.0, t_ref=0.5, sim_step=0.5)
+        model.cfg = SsomConfig(t_max=20.0, t_ref=0.5)
         sample = np.array([[0.5, 0.5], [2.0, 2.0]])
         assert oracle_frame_winners(model, sample)[-1] == -1
         assert model.winner_table([sample])[0, -1] == -1

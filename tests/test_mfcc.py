@@ -305,9 +305,9 @@ class TestFramesCsv:
 
 
 class TestConfigValidation:
-    def test_hop_must_be_half_frame(self):
-        with pytest.raises(ValueError):
-            MfccConfig(frame_len=256, hop=100)
+    def test_hop_is_half_frame(self):
+        for n in (256, 400, 511):
+            assert MfccConfig(frame_len=n, fft_size=512).hop == n // 2
 
     def test_preemph_range(self):
         with pytest.raises(ValueError):

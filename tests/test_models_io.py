@@ -25,7 +25,7 @@ def random_lattice(seed=0, rows=2, cols=3, dim=4):
 def spiking_parts(dim=4):
     lo = np.linspace(-1.0, 0.0, dim)
     hi = np.linspace(1.0, 3.0, dim)
-    cfg = SsomConfig(t_max=18.0, t_ref=13.0, s_radius=2.0, sim_step=0.5, tau_psp=4.5)
+    cfg = SsomConfig(t_max=18.0, t_ref=13.0, s_radius=2.0)
     kernel = LateralKernel(excite_radius=None, excite_gain=0.7, inhibit_gain=0.2)
     rule = StdpRule("panchev", 0.25, 1.0, StdpWindow(0.9, 1.1, 8.0, 12.0), True)
     return lo, hi, cfg, kernel, rule
@@ -199,3 +199,30 @@ class TestWinnerRules:
         assert rssom.frame_winners(sample) == want_rssom
         assert lin.frame_winners(sample) == want_lin
         assert any(w is not None for w in want_ssom + want_rssom + want_lin)
+
+
+class TestRetiredParameterLines:
+    """Spiking model files once carried `sim_step_ms` and `tau_psp_ms` lines,
+    which no result depended on.  They are no longer written; files that
+    still carry them load to the same model."""
+
+    @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
+    def test_old_file_gives_the_same_winner_table(self, tmp_path, kind):
+        lo, hi, cfg, kernel, rule = spiking_parts()
+        lat = random_lattice(seed=4, rows=3, cols=3)
+        model = {"ssom": lambda: SsomModel(lat, lo, hi, cfg, kernel, rule),
+                 "rssom": lambda: RssomModel(lat, lo, hi, cfg, kernel, rule, alpha=0.4),
+                 "lin": lambda: LinModel(lat, lo, hi, cfg, kernel, rule, lam=0.6)}[kind]()
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        save_model(model, new)
+        lines = new.read_text().splitlines()
+        assert not any(ln.startswith(("sim_step_ms ", "tau_psp_ms ")) for ln in lines)
+        at = lines.index(f"s_radius {cfg.s_radius!r}") + 1
+        old.write_text("\n".join(lines[:at] + ["sim_step_ms 0.5", "tau_psp_ms 4.5"]
+                                 + lines[at:]) + "\n")
+        samples = np.random.default_rng(9).uniform(-1.5, 3.5, size=(6, 12, 4))
+        want, got = load_model(new), load_model(old)
+        assert (got.cfg, got.kernel, got.rule) == (want.cfg, want.kernel, want.rule)
+        table = got.winner_table(samples)
+        assert np.array_equal(table, want.winner_table(samples))
+        assert (table >= 0).any()

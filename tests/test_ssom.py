@@ -72,7 +72,7 @@ class TestComputeFiringTimes:
 class TestApplyLateral:
     def setup_method(self):
         self.lat = Lattice(1, 5, np.tile(np.array([[0.5, 0.5]]), (5, 1)))
-        self.cfg = SsomConfig(t_max=20.0, t_ref=15.0, sim_step=1.0)
+        self.cfg = SsomConfig(t_max=20.0, t_ref=15.0)
 
     def record(self, times, t_ref=15.0):
         times = np.asarray(times, dtype=np.float64)

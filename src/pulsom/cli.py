@@ -99,40 +99,38 @@ def cmd_synth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _spiking_model(cfg: RunConfig, kind: str, data):
+    """The untrained spiking model of the configured kind."""
+    lattice = normalized_init(cfg["lattice.rows"], cfg["lattice.cols"], data, cfg["run.seed"])
+    parts = (lattice, *feature_ranges(data), cfg.ssom_config(), cfg.lateral_kernel(),
+             cfg.stdp_rule())
+    if kind == "ssom":
+        return SsomModel(*parts)
+    if kind == "rssom":
+        return RssomModel(*parts, alpha=cfg["rssom.alpha"])
+    return LinModel(*parts, lam=cfg["lin.lambda"],
+                    scale_input_by_lambda=cfg["lin.scale_input_by_lambda"])
+
+
 def _build_and_train(cfg: RunConfig, data):
     kind = cfg.require("run.model")
     seed = cfg["run.seed"]
-    rows, cols = cfg["lattice.rows"], cfg["lattice.cols"]
     schedule = cfg.schedule()
-    if kind == "som":
-        if cfg["som.concat"]:
-            vectors = np.stack([s.frames.ravel() for s in data])
+    try:
+        if kind == "som":
+            concat = cfg["som.concat"]
+            vectors = (np.stack([s.frames.ravel() for s in data]) if concat
+                       else np.concatenate([s.frames for s in data], axis=0))
+            lattice = Lattice.random_init(cfg["lattice.rows"], cfg["lattice.cols"], vectors, seed)
+            model = SomModel(lattice, concat=concat)
         else:
-            vectors = np.concatenate([s.frames for s in data], axis=0)
-        lattice = Lattice.random_init(rows, cols, vectors, seed)
-        log = train_som(vectors, lattice, schedule, seed)
-        return SomModel(lattice, concat=cfg["som.concat"]), log
-
-    ssom_cfg = cfg.ssom_config()
-    kernel = cfg.lateral_kernel()
-    rule = cfg.stdp_rule()
-    lo, hi = feature_ranges(data)
-    lattice = normalized_init(rows, cols, data, seed)
-    if kind == "ssom":
-        log = train_ssom(data, lattice, schedule, ssom_cfg, rule, seed,
-                         kernel=kernel, lo=lo, hi=hi)
-        return SsomModel(lattice, lo, hi, ssom_cfg, kernel, rule), log
-    if kind == "rssom":
-        alpha = cfg["rssom.alpha"]
-        log = train_rssom(data, lattice, schedule, ssom_cfg, rule, alpha, seed,
-                          kernel=kernel, lo=lo, hi=hi)
-        return RssomModel(lattice, lo, hi, ssom_cfg, kernel, rule, alpha=alpha), log
-    lam = cfg["lin.lambda"]
-    scale = cfg["lin.scale_input_by_lambda"]
-    log = train_lin(data, lattice, schedule, ssom_cfg, rule, lam, seed,
-                    kernel=kernel, lo=lo, hi=hi, scale_input_by_lambda=scale)
-    return LinModel(lattice, lo, hi, ssom_cfg, kernel, rule, lam=lam,
-                    scale_input_by_lambda=scale), log
+            model = _spiking_model(cfg, kind, data)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if kind == "som":
+        return model, train_som(vectors, model.lattice, schedule, seed)
+    trainer = {"ssom": train_ssom, "rssom": train_rssom, "lin": train_lin}[kind]
+    return model, trainer(data, model, schedule, seed)
 
 
 def cmd_train(cfg: RunConfig) -> int:

@@ -354,6 +354,8 @@ def read_dataset_csv(path) -> list[SequenceSample]:
                                               f"{parts[3 + k]}", line=lineno)
             arr = arr.reshape(frames, dim)
             samples.append(SequenceSample(arr, parts[1], parts[2] or None, parts[0]))
+    if not samples:
+        raise CorpusFormatError(path, "no sample rows after the header", line=2)
     return samples
 
 

@@ -15,8 +15,7 @@ import numpy as np
 from .coding import EncodedFrames, SsomConfig
 from .errors import DimensionMismatchError
 from .som import Lattice, Schedule, TrainingLog, mark_no_winner, squared_distances
-from .ssom import FiringRecord, FiringStep, LateralKernel, train_spiking
-from .stdp import StdpRule
+from .ssom import FiringRecord, FiringStep, train_spiking
 
 
 @dataclass
@@ -107,18 +106,12 @@ def potential_record(state: PotentialState, lattice: Lattice,
     return FiringRecord.of(lattice, *potential_winners(state, lattice, cfg))
 
 
-def train_lin(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
-              rule: StdpRule, lam: float, seed: int,
-              kernel: LateralKernel | None = None,
-              lo: np.ndarray | None = None,
-              hi: np.ndarray | None = None,
-              scale_input_by_lambda: bool = False) -> TrainingLog:
-    """Train the leaky-integrator map on labeled sequences.
+def train_lin(data, model, schedule: Schedule, seed: int) -> TrainingLog:
+    """Train a ``models.LinModel`` on labeled sequences.
 
     Potentials reset at sequence boundaries; each frame updates them, the
     most-excited unit wins (gated by t_ref through its latency), and the
     gated units take an STDP step toward the current frame (see
     ``train_spiking``).
     """
-    return train_spiking("LIN", data, lattice, schedule, cfg, kernel, lo, hi, seed,
-                         PotentialState.zeros(lattice, lam, scale_input_by_lambda), rule)
+    return train_spiking(data, model, schedule, seed)

@@ -112,6 +112,9 @@ class SsomModel(_Inference):
 
     frame_winners = _Inference.frame_winners
 
+    def __post_init__(self):
+        self.state(())  # the step object checks the variant's own values (alpha, lambda)
+
     def state(self, batch: tuple) -> FiringStep:
         """A cleared step object for a block of samples of batch shape
         ``batch`` (``ssom.FiringStep`` keeps no state)."""
@@ -131,9 +134,7 @@ class RssomModel(SsomModel):
     """Recurrent spiking map; winners come from the leaky difference vectors."""
 
     alpha: float = 0.5
-
-    def __post_init__(self):
-        self.kind = "RSSOM"
+    kind: str = field(default="RSSOM", init=False)
 
     frame_winners = _Inference.frame_winners
 
@@ -147,9 +148,7 @@ class LinModel(SsomModel):
 
     lam: float = 0.5
     scale_input_by_lambda: bool = False
-
-    def __post_init__(self):
-        self.kind = "LIN"
+    kind: str = field(default="LIN", init=False)
 
     frame_winners = _Inference.frame_winners
 

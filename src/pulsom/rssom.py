@@ -15,7 +15,7 @@ import numpy as np
 from .coding import EncodedFrames, SsomConfig
 from .errors import DimensionMismatchError
 from .som import Lattice, Schedule, TrainingLog, mark_no_winner
-from .ssom import FiringRecord, LateralKernel, gate_tables, learning_gate, train_spiking
+from .ssom import FiringRecord, gate_tables, learning_gate, train_spiking
 from .stdp import StdpRule, window_value_array
 
 
@@ -121,17 +121,12 @@ def rssom_learn(e_spike_times: np.ndarray, lattice: Lattice, state: DifferenceSt
     window_step(e_spike_times, lattice, state, record, spatial, h, cfg, rule, lr_scale)
 
 
-def train_rssom(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
-                rule: StdpRule, alpha: float, seed: int,
-                kernel: LateralKernel | None = None,
-                lo: np.ndarray | None = None,
-                hi: np.ndarray | None = None) -> TrainingLog:
-    """Train the recurrent spiking map on labeled sequences.
+def train_rssom(data, model, schedule: Schedule, seed: int) -> TrainingLog:
+    """Train a ``models.RssomModel`` on labeled sequences.
 
     State resets at every sequence boundary; each frame updates the
     difference vectors, selects the winner from their magnitudes, applies
     the lateral kernel and takes a window-scaled step along y_i.  All-silent
     frames skip learning and are counted (see ``train_spiking``).
     """
-    return train_spiking("RSSOM", data, lattice, schedule, cfg, kernel, lo, hi, seed,
-                         DifferenceState.zeros(lattice, alpha), rule)
+    return train_spiking(data, model, schedule, seed)

@@ -134,7 +134,8 @@ class Lattice:
         lo = data.min(axis=0)
         hi = data.max(axis=0)
         rng = np.random.default_rng(seed)
-        w = lo + (hi - lo) * rng.random((rows * cols, data.shape[1]))
+        # a non-positive shape draws nothing, so that Lattice rejects it by name
+        w = lo + (hi - lo) * rng.random((max(rows * cols, 0), data.shape[1]))
         return Lattice(rows, cols, w, rng_seed=seed)
 
 

@@ -237,11 +237,11 @@ class FiringStep:
                   rule, lr_scale)
 
 
-def train_spiking(model: str, data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
-                  kernel: LateralKernel | None, lo: np.ndarray | None, hi: np.ndarray | None,
-                  seed: int, state, rule: StdpRule) -> TrainingLog:
-    """The epoch loop of the spiking trainers, driving one step object
-    (see ``FiringStep``).
+def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
+    """Train a spiking model in place: the epoch loop of the spiking
+    trainers, driving the model's step object ``model.state(())`` (see
+    ``FiringStep``) with the model's lattice, encoding ranges, cfg, lateral
+    kernel and STDP rule.
 
     Every frame is coded once per run and the lateral and gate tables are
     built once per epoch.  Sequence order is reshuffled each epoch from the
@@ -252,19 +252,18 @@ def train_spiking(model: str, data, lattice: Lattice, schedule: Schedule, cfg: S
     Quantization error is logged per epoch on the decoded (de-normalized)
     weights against the raw frames.
     """
-    if kernel is None:
-        kernel = LateralKernel()
+    lattice, lo, hi = model.lattice, model.lo, model.hi
+    cfg, kernel, rule = model.cfg, model.kernel, model.rule
+    state = model.state(())
     sequences = [frames_of(s) for s in data]
     if not sequences:
         raise ValueError("training data must be non-empty")
-    if lo is None or hi is None:
-        lo, hi = feature_ranges(sequences)
     codes = [encode_frames(s, lo, hi, cfg.t_max, lattice.dim) for s in sequences]
     all_frames = np.concatenate(sequences, axis=0)
     span = hi - lo
     dist = lattice.distance_table()
     rng = np.random.default_rng(seed)
-    log = TrainingLog(model=model)
+    log = TrainingLog(model=model.kind)
     for t in range(schedule.epochs):
         lr, radius = linear_decay(t, schedule)
         kernel_t = kernel if kernel.excite_radius is not None else replace(kernel, excite_radius=radius)
@@ -290,15 +289,10 @@ def train_spiking(model: str, data, lattice: Lattice, schedule: Schedule, cfg: S
     return log
 
 
-def train_ssom(data, lattice: Lattice, schedule: Schedule, cfg: SsomConfig,
-               rule: StdpRule, seed: int,
-               kernel: LateralKernel | None = None,
-               lo: np.ndarray | None = None,
-               hi: np.ndarray | None = None) -> TrainingLog:
-    """Train the spiking map on sequence samples, frame by frame.
+def train_ssom(data, model, schedule: Schedule, seed: int) -> TrainingLog:
+    """Train a ``models.SsomModel`` on sequence samples, frame by frame.
 
     Frames are presented one at a time in sequence order with no state kept
     between them (see ``train_spiking`` for the epoch loop).
     """
-    return train_spiking("SSOM", data, lattice, schedule, cfg, kernel, lo, hi, seed,
-                         FiringStep(), rule)
+    return train_spiking(data, model, schedule, seed)

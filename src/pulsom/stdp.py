@@ -80,11 +80,14 @@ def window_value(delta_t: float, window: StdpWindow) -> float:
 
 
 def window_value_array(delta_t: np.ndarray, window: StdpWindow) -> np.ndarray:
-    """Vectorized ``window_value``."""
+    """Vectorized ``window_value``: one exp(-|delta_t| / tau), with tau and
+    the signed amplitude picked per side (0 at coincidence and for NaN)."""
     dt = np.asarray(delta_t, dtype=np.float64)
-    pos = window.a_plus * np.exp(np.minimum(dt, 0.0) / window.tau_plus)
-    neg = -window.a_minus * np.exp(-np.maximum(dt, 0.0) / window.tau_minus)
-    return np.where(dt < 0, pos, np.where(dt > 0, neg, 0.0))
+    lead = dt < 0
+    tau = np.where(lead, window.tau_plus, window.tau_minus)
+    amp = np.where(lead, window.a_plus, -window.a_minus)
+    lag = np.abs(dt)
+    return np.where(lag > 0, amp * np.exp(-lag / tau), 0.0)
 
 
 def _on_potentiating_branch(delta_t: float, rule: StdpRule) -> bool:

@@ -225,17 +225,17 @@ def test_criterion_07_separable_synthetic_task_all_models():
     train_som(frames, lat, sched, seed=1)
     scores["SOM"] = train_accuracy(SomModel(lat), data)
 
-    lat = normalized_init(8, 8, data, seed=1)
-    train_ssom(data, lat, sched, cfg, rule, seed=1, lo=lo, hi=hi)
-    scores["SSOM"] = train_accuracy(SsomModel(lat, lo, hi, cfg), data)
+    model = SsomModel(normalized_init(8, 8, data, seed=1), lo, hi, cfg, rule=rule)
+    train_ssom(data, model, sched, seed=1)
+    scores["SSOM"] = train_accuracy(model, data)
 
-    lat = normalized_init(8, 8, data, seed=1)
-    train_rssom(data, lat, sched, cfg, rule, 0.5, seed=1, lo=lo, hi=hi)
-    scores["RSSOM"] = train_accuracy(RssomModel(lat, lo, hi, cfg, alpha=0.5), data)
+    model = RssomModel(normalized_init(8, 8, data, seed=1), lo, hi, cfg, rule=rule, alpha=0.5)
+    train_rssom(data, model, sched, seed=1)
+    scores["RSSOM"] = train_accuracy(model, data)
 
-    lat = normalized_init(8, 8, data, seed=1)
-    train_lin(data, lat, sched, cfg, rule, 0.5, seed=1, lo=lo, hi=hi)
-    scores["LIN"] = train_accuracy(LinModel(lat, lo, hi, cfg, lam=0.5), data)
+    model = LinModel(normalized_init(8, 8, data, seed=1), lo, hi, cfg, rule=rule, lam=0.5)
+    train_lin(data, model, sched, seed=1)
+    scores["LIN"] = train_accuracy(model, data)
 
     elapsed = time.perf_counter() - start
     for name, acc in scores.items():
@@ -260,14 +260,14 @@ def test_criterion_08_temporal_order_discrimination():
         train_som(frames, lat, sched, seed=k)
         som_accs.append(train_accuracy(SomModel(lat), data, frame_vote=True))
 
-        lat = normalized_init(8, 8, data, seed=k)
-        train_rssom(data, lat, sched, cfg, rule, 0.5, seed=k, lo=lo, hi=hi)
-        rssom_accs.append(
-            train_accuracy(RssomModel(lat, lo, hi, cfg, alpha=0.5), data))
+        model = RssomModel(normalized_init(8, 8, data, seed=k), lo, hi, cfg, rule=rule,
+                           alpha=0.5)
+        train_rssom(data, model, sched, seed=k)
+        rssom_accs.append(train_accuracy(model, data))
 
-        lat = normalized_init(8, 8, data, seed=k)
-        train_lin(data, lat, sched, cfg, rule, 0.4, seed=k, lo=lo, hi=hi)
-        lin_accs.append(train_accuracy(LinModel(lat, lo, hi, cfg, lam=0.4), data))
+        model = LinModel(normalized_init(8, 8, data, seed=k), lo, hi, cfg, rule=rule, lam=0.4)
+        train_lin(data, model, sched, seed=k)
+        lin_accs.append(train_accuracy(model, data))
 
     som_med = statistics.median(som_accs)
     rssom_med = statistics.median(rssom_accs)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from pulsom.cli import main
+from pulsom.coding import SsomConfig
 from pulsom.corpus import read_dataset_csv, synth_generate, write_dataset_csv, write_sphere
+from pulsom.lin import train_lin
+from pulsom.models import LinModel, RssomModel, SsomModel, save_model
+from pulsom.rssom import train_rssom
+from pulsom.som import Schedule
+from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
+from pulsom.stdp import StdpRule, StdpWindow
 from test_corpus import make_fixture_corpus
 
 
@@ -155,6 +162,36 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg]) == 4
         assert f"{dataset}:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, cols", [(0, 4), (4, -2)])
+    @pytest.mark.parametrize("model", ["som", "ssom", "rssom", "lin"])
+    def test_non_positive_lattice_shape_exits_2(self, tmp_path, dataset, capsys, model,
+                                                rows, cols):
+        cfg = write_cfg(tmp_path / "shape.cfg",
+                        f"run.model = {model}\nrun.outdir = {tmp_path / 'o'}\n"
+                        f"lattice.rows = {rows}\nlattice.cols = {cols}\n"
+                        f"data.train_csv = {dataset}\n")
+        assert main(["train", "--config", cfg]) == 2
+        assert f"lattice shape must be positive, got {rows}x{cols}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, line, message", [
+        ("rssom", "rssom.alpha = 2.0", "alpha must be in (0, 1], got 2.0"),
+        ("lin", "lin.lambda = 1.5", "lambda must be in [0, 1], got 1.5"),
+        ("lin", "lin.lambda = -0.1", "lambda must be in [0, 1], got -0.1"),
+    ])
+    def test_out_of_range_map_value_exits_2(self, tmp_path, dataset, capsys, model, line,
+                                            message):
+        cfg = train_cfg(tmp_path, dataset, model=model, extra=line)
+        assert main(["train", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "train-out").exists()
+
+    @pytest.mark.parametrize("model", ["som", "ssom", "rssom", "lin"])
+    def test_header_without_rows_exits_4(self, tmp_path, dataset, capsys, model):
+        dataset.write_text(dataset.read_text().splitlines()[0] + "\n")
+        cfg = train_cfg(tmp_path, dataset, model=model)
+        assert main(["train", "--config", cfg]) == 4
+        assert f"{dataset}:2: no sample rows" in capsys.readouterr().err
+
     def test_divergence_exits_5(self, tmp_path, dataset, monkeypatch, capsys):
         import pulsom.cli
         from pulsom.errors import DivergenceError
@@ -202,6 +239,53 @@ data.train_csv = {data}
         got = tuple(hashlib.sha256((tmp_path / model / name).read_bytes()).hexdigest()
                     for name in ("model.txt", "training-log.csv"))
         assert got == self.DIGESTS[model]
+
+
+class TestLibraryMatchesCli:
+    """A spiking model built from the values of a `pulsom train` config,
+    trained by the library and saved, has the CLI's model.txt bytes: the
+    model owns the values its trainer reads, so what is saved is what was
+    trained."""
+
+    CONFIG = """
+run.seed = 4
+lattice.rows = 4
+lattice.cols = 5
+schedule.epochs = 3
+stdp.variant = panchev
+stdp.eta = 0.2
+stdp.tau_minus_ms = 14.0
+ssom.t_ref_ms = 12.0
+lateral.excite_radius = 1.5
+lateral.inhibit_gain = 0.2
+rssom.alpha = 0.3
+lin.lambda = 0.7
+lin.scale_input_by_lambda = true
+"""
+
+    @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
+    def test_library_model_bytes_equal_cli(self, tmp_path, kind):
+        data_path = tmp_path / "train.csv"
+        write_dataset_csv(synth_generate(2, 6, 4, 5, 2.0, True, 8), data_path)
+        cfg = write_cfg(tmp_path / "train.cfg", self.CONFIG + f"run.model = {kind}\n"
+                        f"run.outdir = {tmp_path / 'cli'}\ndata.train_csv = {data_path}\n")
+        assert main(["train", "--config", cfg]) == 0
+
+        data = read_dataset_csv(data_path)
+        parts = (normalized_init(4, 5, data, seed=4), *feature_ranges(data),
+                 SsomConfig(t_ref=12.0), LateralKernel(excite_radius=1.5, inhibit_gain=0.2),
+                 StdpRule("panchev", eta=0.2, window=StdpWindow(tau_minus=14.0),
+                          flip_branches=True))
+        if kind == "ssom":
+            model, train = SsomModel(*parts), train_ssom
+        elif kind == "rssom":
+            model, train = RssomModel(*parts, alpha=0.3), train_rssom
+        else:
+            model, train = LinModel(*parts, lam=0.7, scale_input_by_lambda=True), train_lin
+        train(data, model, Schedule.for_lattice(4, 5, epochs=3), seed=4)
+        save_model(model, tmp_path / "library.txt")
+        assert ((tmp_path / "library.txt").read_bytes()
+                == (tmp_path / "cli" / "model.txt").read_bytes())
 
 
 class TestEvalBytes:
@@ -318,6 +402,32 @@ data.test_csv = {dataset}
         err = capsys.readouterr().err
         assert str(model_path) in err
         assert ("line 7" if damage == "truncate" else "'lo'") in err
+
+    def test_out_of_range_alpha_in_model_file_exits_2(self, tmp_path, trained, capsys):
+        dataset, _ = trained
+        cfg = train_cfg(tmp_path, dataset, model="rssom", outdir="rssom-out")
+        assert main(["train", "--config", cfg]) == 0
+        model_path = tmp_path / "rssom-out" / "model.txt"
+        text = model_path.read_text()
+        assert "\nalpha 0.5\n" in text
+        model_path.write_text(text.replace("\nalpha 0.5\n", "\nalpha 2.0\n"))
+        cfg = self.eval_cfg(tmp_path, dataset, model="rssom")
+        assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{model_path}: alpha must be in (0, 1], got 2.0" in err
+
+    def test_calibration_csv_without_rows_exits_4(self, tmp_path, trained, capsys):
+        dataset, model_path = trained
+        empty = tmp_path / "empty.csv"
+        empty.write_text(dataset.read_text().splitlines()[0] + "\n")
+        cfg = write_cfg(tmp_path / "eval.cfg", f"""
+run.model = som
+run.outdir = {tmp_path / 'eval-out'}
+data.train_csv = {empty}
+data.test_csv = {dataset}
+""")
+        assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 4
+        assert f"{empty}:2: no sample rows" in capsys.readouterr().err
 
     def test_missing_model_exits_3(self, tmp_path, trained):
         dataset, _ = trained

@@ -285,6 +285,16 @@ class TestDatasetCsv:
         with pytest.raises(CorpusFormatError):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("tail", ["", "\n", "\n\n"])
+    def test_header_without_rows_rejected_at_line_2(self, tmp_path, tail):
+        path = tmp_path / "d.csv"
+        write_dataset_csv(self.samples(), path)
+        path.write_text(path.read_text().splitlines()[0] + tail)
+        with pytest.raises(CorpusFormatError, match="no sample rows") as exc:
+            read_dataset_csv(path)
+        assert exc.value.line == 2
+        assert f"{path}:2" in str(exc.value)
+
     @pytest.mark.parametrize("feature_cols", ["", ",f0c1,f1c1,f0c2,f1c2", ",f0c1,f0c2,fXc1",
                                               ",f0c0"])
     def test_bad_feature_header_rejected_at_line_1(self, tmp_path, feature_cols):

@@ -4,8 +4,9 @@ import pytest
 from pulsom.coding import SsomConfig
 from pulsom.errors import DimensionMismatchError
 from pulsom.lin import PotentialState, potential_record, train_lin, update_potential
+from pulsom.models import LinModel
 from pulsom.som import Lattice, Schedule, find_bmu
-from pulsom.ssom import normalized_init
+from pulsom.ssom import feature_ranges, normalized_init
 from pulsom.stdp import StdpRule, StdpWindow
 
 
@@ -186,8 +187,8 @@ class TestTrainLin:
         outs = []
         for _ in range(2):
             lat = normalized_init(3, 3, data, seed=6)
-            train_lin(data, lat, Schedule.for_lattice(3, 3, epochs=5),
-                      SsomConfig(), make_rule(), 0.5, seed=6)
+            model = LinModel(lat, *feature_ranges(data), SsomConfig(), rule=make_rule(), lam=0.5)
+            train_lin(data, model, Schedule.for_lattice(3, 3, epochs=5), seed=6)
             outs.append(lat.weights.copy())
         assert np.array_equal(outs[0], outs[1])
 
@@ -209,16 +210,13 @@ class TestTrainLin:
 
     def test_order_reversed_classes_get_distinct_winners(self):
         from pulsom.corpus import synth_generate
-        from pulsom.models import LinModel
-        from pulsom.ssom import feature_ranges
 
         data = synth_generate(2, 20, dim=6, frames=5, separation=5.0,
                               order_task=True, seed=11)
         lo, hi = feature_ranges(data)
         lat = normalized_init(6, 6, data, seed=11)
-        train_lin(data, lat, Schedule.for_lattice(6, 6, epochs=30),
-                  SsomConfig(), make_rule(), 0.4, seed=11, lo=lo, hi=hi)
-        model = LinModel(lat, lo, hi, SsomConfig(), lam=0.4)
+        model = LinModel(lat, lo, hi, SsomConfig(), rule=make_rule(), lam=0.4)
+        train_lin(data, model, Schedule.for_lattice(6, 6, epochs=30), seed=11)
         by_class = {"class0": set(), "class1": set()}
         for s in data:
             w = model.sequence_winner(s)

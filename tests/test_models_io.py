@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsom.coding import SsomConfig, encode_latency, normalize
-from pulsom.lin import PotentialState, potential_record, update_potential
+from pulsom.corpus import synth_generate
+from pulsom.lin import PotentialState, potential_record, train_lin, update_potential
 from pulsom.models import (
     LinModel,
     RssomModel,
@@ -11,9 +14,10 @@ from pulsom.models import (
     load_model,
     save_model,
 )
-from pulsom.rssom import DifferenceState, difference_record, update_difference
-from pulsom.som import Lattice
-from pulsom.ssom import LateralKernel, compute_firing_times
+from pulsom.rssom import DifferenceState, difference_record, train_rssom, update_difference
+from pulsom.som import Lattice, Schedule
+from pulsom.ssom import (LateralKernel, compute_firing_times, feature_ranges, normalized_init,
+                         train_ssom)
 from pulsom.stdp import StdpRule, StdpWindow
 
 
@@ -226,3 +230,50 @@ class TestRetiredParameterLines:
         table = got.winner_table(samples)
         assert np.array_equal(table, want.winner_table(samples))
         assert (table >= 0).any()
+
+
+SHARED_KEYS = ["lo", "hi", "t_max_ms", "t_ref_ms", "s_radius", "excite_radius", "excite_gain",
+               "inhibit_gain", "stdp_variant", "stdp_a_plus", "stdp_a_minus", "stdp_tau_plus_ms",
+               "stdp_tau_minus_ms", "stdp_eta", "stdp_w_max", "stdp_flip_branches"]
+FUZZED_LINES = ([(kind, key) for kind in ("SSOM", "RSSOM", "LIN") for key in SHARED_KEYS]
+                + [("RSSOM", "alpha"), ("LIN", "lambda"), ("LIN", "scale_input_by_lambda")])
+
+
+@pytest.fixture(scope="module")
+def trained_files(tmp_path_factory):
+    """The text of a trained ssom, rssom and lin model file, their training
+    data, and a scratch file path."""
+    data = synth_generate(2, 4, dim=3, frames=4, separation=2.0, order_task=True, seed=2)
+    lo, hi = feature_ranges(data)
+    texts = {}
+    for model, train in [(SsomModel(normalized_init(3, 3, data, 2), lo, hi), train_ssom),
+                         (RssomModel(normalized_init(3, 3, data, 2), lo, hi), train_rssom),
+                         (LinModel(normalized_init(3, 3, data, 2), lo, hi), train_lin)]:
+        train(data, model, Schedule.for_lattice(3, 3, epochs=2), seed=2)
+        path = tmp_path_factory.mktemp("models") / "model.txt"
+        save_model(model, path)
+        texts[model.kind] = path.read_text()
+    return texts, data, tmp_path_factory.mktemp("fuzzed") / "model.txt"
+
+
+class TestFuzzedParameterLine:
+    """Any value on any one parameter line of a spiking model file, text or
+    float, either fails to load with a ValueError naming the file, or loads
+    a model whose winner table runs."""
+
+    @pytest.mark.parametrize("kind, key", FUZZED_LINES)
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(value=st.one_of(st.text(), st.floats().map(repr)))
+    def test_loads_or_names_the_file(self, trained_files, kind, key, value):
+        texts, data, path = trained_files
+        lines = texts[kind].splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        lines[at] = f"{key} {value}"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            model = load_model(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        with np.errstate(all="ignore"):
+            assert model.winner_table(data[:1]).shape[0] == 1

@@ -3,9 +3,10 @@ import pytest
 
 from pulsom.coding import SsomConfig
 from pulsom.errors import DimensionMismatchError
+from pulsom.models import RssomModel
 from pulsom.rssom import DifferenceState, difference_record, train_rssom, update_difference
 from pulsom.som import Lattice, Schedule, find_bmu
-from pulsom.ssom import normalized_init
+from pulsom.ssom import feature_ranges, normalized_init
 from pulsom.stdp import StdpRule, StdpWindow
 
 
@@ -166,32 +167,31 @@ class TestTrainRssom:
         outs = []
         for _ in range(2):
             lat = normalized_init(3, 3, data, seed=4)
-            train_rssom(data, lat, Schedule.for_lattice(3, 3, epochs=5),
-                        SsomConfig(), make_rule(), 0.5, seed=4)
+            model = RssomModel(lat, *feature_ranges(data), SsomConfig(), rule=make_rule(),
+                               alpha=0.5)
+            train_rssom(data, model, Schedule.for_lattice(3, 3, epochs=5), seed=4)
             outs.append(lat.weights.copy())
         assert np.array_equal(outs[0], outs[1])
 
     def test_weights_stay_finite_and_bounded(self):
         data = self.sequences(seed=5)
         lat = normalized_init(3, 3, data, seed=5)
-        train_rssom(data, lat, Schedule.for_lattice(3, 3, epochs=10),
-                    SsomConfig(), make_rule(), 0.5, seed=5)
+        model = RssomModel(lat, *feature_ranges(data), SsomConfig(), rule=make_rule(),
+                           alpha=0.5)
+        train_rssom(data, model, Schedule.for_lattice(3, 3, epochs=10), seed=5)
         assert np.all(np.isfinite(lat.weights))
         assert np.all(lat.weights >= 0.0)
         assert np.all(lat.weights <= 1.0)
 
     def test_order_reversed_classes_get_distinct_winners(self):
         from pulsom.corpus import synth_generate
-        from pulsom.models import RssomModel
-        from pulsom.ssom import feature_ranges
 
         data = synth_generate(2, 20, dim=6, frames=5, separation=5.0,
                               order_task=True, seed=10)
         lo, hi = feature_ranges(data)
         lat = normalized_init(6, 6, data, seed=10)
-        train_rssom(data, lat, Schedule.for_lattice(6, 6, epochs=30),
-                    SsomConfig(), make_rule(), 0.5, seed=10, lo=lo, hi=hi)
-        model = RssomModel(lat, lo, hi, SsomConfig(), alpha=0.5)
+        model = RssomModel(lat, lo, hi, SsomConfig(), rule=make_rule(), alpha=0.5)
+        train_rssom(data, model, Schedule.for_lattice(6, 6, epochs=30), seed=10)
         winners = {"class0": set(), "class1": set()}
         for s in data:
             w = model.sequence_winner(s)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pulsom.coding import SsomConfig, decode_latency, encode_latency
+from pulsom.models import SsomModel
 from pulsom.som import Lattice, Schedule, find_bmu
 from pulsom.ssom import (
     FiringRecord,
@@ -218,9 +219,9 @@ class TestTrainSsom:
         frame = np.array([[0.3, -0.7, 1.2]])
         data = [frame] * 5
         lat = normalized_init(2, 2, data, seed=3)
-        log = train_ssom(data, lat, Schedule.for_lattice(2, 2, epochs=60),
-                         SsomConfig(), make_rule(), seed=3)
         lo, hi = feature_ranges(data)
+        model = SsomModel(lat, lo, hi, SsomConfig(), rule=make_rule())
+        train_ssom(data, model, Schedule.for_lattice(2, 2, epochs=60), seed=3)
         decoded = lo + np.clip(lat.weights, 0, 1) * (hi - lo)
         e = encode_latency(frame[0], lo, hi, 20.0)
         rec = compute_firing_times(e, Lattice(2, 2, lat.weights), SsomConfig())
@@ -232,8 +233,8 @@ class TestTrainSsom:
         outs = []
         for _ in range(2):
             lat = normalized_init(3, 3, data, seed=11)
-            train_ssom(data, lat, Schedule.for_lattice(3, 3, epochs=5),
-                       SsomConfig(), make_rule(), seed=11)
+            model = SsomModel(lat, *feature_ranges(data), SsomConfig(), rule=make_rule())
+            train_ssom(data, model, Schedule.for_lattice(3, 3, epochs=5), seed=11)
             outs.append(lat.weights.copy())
         assert np.array_equal(outs[0], outs[1])
 
@@ -243,15 +244,15 @@ class TestTrainSsom:
         data = [np.array([[1.0, 1.0]])]
         lat = Lattice(1, 1, np.array([[0.0, 0.0]]))
         cfg = SsomConfig(t_max=20.0, t_ref=1.0)
-        log = train_ssom(data, lat, Schedule(2, 0.9, 0.05, 1.0, 1.0), cfg,
-                         make_rule(), seed=0)
+        model = SsomModel(lat, *feature_ranges(data), cfg, rule=make_rule())
+        log = train_ssom(data, model, Schedule(2, 0.9, 0.05, 1.0, 1.0), seed=0)
         assert log.total_skipped == 2
 
     def test_quantization_error_logged_per_epoch(self):
         rng = np.random.default_rng(9)
         data = [rng.uniform(size=(3, 2)) for _ in range(10)]
         lat = normalized_init(3, 3, data, seed=1)
-        log = train_ssom(data, lat, Schedule.for_lattice(3, 3, epochs=4),
-                         SsomConfig(), make_rule(), seed=1)
+        model = SsomModel(lat, *feature_ranges(data), SsomConfig(), rule=make_rule())
+        log = train_ssom(data, model, Schedule.for_lattice(3, 3, epochs=4), seed=1)
         assert len(log.rows) == 4
         assert all(np.isfinite(r.qe) for r in log.rows)

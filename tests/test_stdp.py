@@ -67,9 +67,29 @@ class TestWindow:
 
     def test_vectorized_matches_scalar(self):
         w = StdpWindow(a_plus=1.1, a_minus=0.6, tau_plus=4.0, tau_minus=20.0)
-        dts = np.array([-30.0, -1.0, 0.0, 2.5, 50.0])
+        dts = np.array([-30.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.5, 50.0])
         expected = [window_value(dt, w) for dt in dts]
         assert np.allclose(window_value_array(dts, w), expected, atol=0)
+
+    @staticmethod
+    def two_exp_window(delta_t, window):
+        """The window as two full exp passes, one per side."""
+        dt = np.asarray(delta_t, dtype=np.float64)
+        pos = window.a_plus * np.exp(np.minimum(dt, 0.0) / window.tau_plus)
+        neg = -window.a_minus * np.exp(-np.maximum(dt, 0.0) / window.tau_minus)
+        return np.where(dt < 0, pos, np.where(dt > 0, neg, 0.0))
+
+    @pytest.mark.parametrize("w", [StdpWindow(), StdpWindow(0.8, 0.6, 9.0, 14.0)])
+    def test_vectorized_bits_equal_two_exp_oracle(self, w):
+        rng = np.random.default_rng(3)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+                 np.inf, -np.inf, np.nan]
+        dts = np.concatenate([rng.uniform(-80, 80, size=20000 - len(edges)), edges])
+        dts = dts.reshape(-1, 40)
+        with np.errstate(all="ignore"):
+            want = self.two_exp_window(dts, w)
+        got = window_value_array(dts, w)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

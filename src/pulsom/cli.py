@@ -16,17 +16,15 @@ import hashlib
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
-from .config import AUTO, RunConfig, registry_help
+from .config import RunConfig, registry_help
 from .errors import ConfigError, CorpusFormatError, DivergenceError
 from .evaluate import calibrate, read_report_csv, render_text, report, write_confusion_csv, write_report_csv
 from .lin import train_lin
 from .mfcc import write_frames_csv
 from .models import LinModel, RssomModel, SomModel, SsomModel, load_model, save_model
 from .rssom import train_rssom
-from .som import Lattice, train_som
+from .som import Lattice, sample_vectors, train_som
 from .ssom import feature_ranges, normalized_init, train_ssom
 
 EXIT_OK = 0
@@ -83,13 +81,11 @@ def cmd_features(cfg: RunConfig) -> int:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    try:
+    with cfg.config_errors("synth.", "run.seed"):
         samples = corpus_mod.synth_generate(
             cfg["synth.classes"], cfg["synth.samples_per_class"], cfg["synth.dim"],
             cfg["synth.frames"], cfg["synth.separation"], cfg["synth.order_task"],
             cfg["run.seed"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     outdir = cfg.outdir()
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "synth.csv"
@@ -99,45 +95,34 @@ def cmd_synth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _spiking_model(cfg: RunConfig, kind: str, data):
-    """The untrained spiking model of the configured kind."""
-    lattice = normalized_init(cfg["lattice.rows"], cfg["lattice.cols"], data, cfg["run.seed"])
-    parts = (lattice, *feature_ranges(data), cfg.ssom_config(), cfg.lateral_kernel(),
-             cfg.stdp_rule())
-    if kind == "ssom":
-        return SsomModel(*parts)
-    if kind == "rssom":
-        return RssomModel(*parts, alpha=cfg["rssom.alpha"])
-    return LinModel(*parts, lam=cfg["lin.lambda"],
-                    scale_input_by_lambda=cfg["lin.scale_input_by_lambda"])
+def build_model(cfg: RunConfig, data):
+    """The untrained model of the configured kind, initialized from data; a
+    bad value raises ConfigError naming where it was set."""
+    kind = cfg.require("run.model")
+    rows, cols, seed = cfg["lattice.rows"], cfg["lattice.cols"], cfg["run.seed"]
+    with cfg.config_errors("lattice.", f"{kind}."):
+        if kind == "som":
+            vectors = sample_vectors(data, cfg["som.concat"])
+            return SomModel(Lattice.random_init(rows, cols, vectors, seed), cfg["som.concat"])
+        parts = (normalized_init(rows, cols, data, seed), *feature_ranges(data),
+                 cfg.ssom_config(), cfg.lateral_kernel(), cfg.stdp_rule())
+        if kind == "ssom":
+            return SsomModel(*parts)
+        if kind == "rssom":
+            return RssomModel(*parts, alpha=cfg["rssom.alpha"])
+        return LinModel(*parts, lam=cfg["lin.lambda"])
 
 
 def _build_and_train(cfg: RunConfig, data):
-    kind = cfg.require("run.model")
-    seed = cfg["run.seed"]
     schedule = cfg.schedule()
-    try:
-        if kind == "som":
-            concat = cfg["som.concat"]
-            vectors = (np.stack([s.frames.ravel() for s in data]) if concat
-                       else np.concatenate([s.frames for s in data], axis=0))
-            lattice = Lattice.random_init(cfg["lattice.rows"], cfg["lattice.cols"], vectors, seed)
-            model = SomModel(lattice, concat=concat)
-        else:
-            model = _spiking_model(cfg, kind, data)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if kind == "som":
-        return model, train_som(vectors, model.lattice, schedule, seed)
-    trainer = {"ssom": train_ssom, "rssom": train_rssom, "lin": train_lin}[kind]
-    return model, trainer(data, model, schedule, seed)
+    model = build_model(cfg, data)
+    trainer = {"som": train_som, "ssom": train_ssom, "rssom": train_rssom, "lin": train_lin}
+    return model, trainer[cfg["run.model"]](data, model, schedule, cfg["run.seed"])
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    try:
+    with cfg.config_errors():
         data = _read_dataset(cfg, "data.train_csv")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     model, log = _build_and_train(cfg, data)
     outdir = cfg.outdir()
     outdir.mkdir(parents=True, exist_ok=True)
@@ -167,10 +152,8 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
     model_path = Path(model_path)
     if not model_path.is_file():
         raise FileNotFoundError(f"model file {model_path} does not exist")
-    try:
+    with cfg.config_errors():
         model = load_model(model_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     if model.kind.lower() != cfg.require("run.model"):
         raise ConfigError(
             f"model file is {model.kind} but config asks for "

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_positive
 
 
 @dataclass
@@ -29,10 +29,9 @@ class SsomConfig:
     s_radius: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.t_ref <= self.t_max):
-            raise ValueError(f"need 0 < t_ref <= t_max, got {self.t_ref}, {self.t_max}")
-        if self.s_radius <= 0:
-            raise ValueError(f"s_radius must be positive, got {self.s_radius}")
+        check_positive(self, "t_max", "t_ref", "s_radius")
+        if self.t_ref > self.t_max:
+            raise ValueError(f"need t_ref <= t_max, got {self.t_ref}, {self.t_max}")
 
 
 @dataclass

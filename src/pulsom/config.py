@@ -5,6 +5,8 @@ the domain objects a run needs.
 
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,8 +63,6 @@ REGISTRY = [
         "delay of remote units, in ms per lattice unit beyond the radius"),
     Key("rssom.alpha", "float", 0.5, "leaking coefficient of the difference vectors"),
     Key("lin.lambda", "float", 0.5, "memory depth of the integrator potentials"),
-    Key("lin.scale_input_by_lambda", "bool", False,
-        "scale the matching term by lambda as well"),
     Key("som.concat", "bool", False,
         "plain SOM on concatenated whole-sequence vectors instead of frames"),
     Key("mfcc.preemph_a", "float", 0.95, "pre-emphasis coefficient"),
@@ -95,7 +95,7 @@ REGISTRY = [
 _BY_NAME = {k.name: k for k in REGISTRY}
 
 
-def _parse_value(key: Key, raw: str):
+def _parse_value(key: Key, raw: str, at: str):
     try:
         if key.kind == "int":
             return int(raw)
@@ -115,42 +115,49 @@ def _parse_value(key: Key, raw: str):
     except ValueError:
         expect = key.kind if key.kind != "choice" else f"one of {key.choices}"
         raise ConfigError(
-            f"bad value {raw!r} for {key.name} (expected {expect})") from None
+            f"{at}: bad value {raw!r} for {key.name} (expected {expect})") from None
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict:
+def parse_config_text(text: str, source: str = "<config>", where: dict | None = None) -> dict:
+    """The values of a config text; ``where`` (if given) gets each key's ``source:line``."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
+        at = f"{source}:{lineno}"
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected `section.key = value`, "
-                              f"got {line.strip()!r}")
+            raise ConfigError(f"{at}: expected `section.key = value`, got {line.strip()!r}")
         name, _, raw = stripped.partition("=")
         name = name.strip()
         raw = raw.strip()
         if name not in _BY_NAME:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {name!r}")
+            raise ConfigError(f"{at}: unknown config key {name!r}")
         if name in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {name!r}")
-        values[name] = _parse_value(_BY_NAME[name], raw)
+            raise ConfigError(f"{at}: duplicate key {name!r}")
+        values[name] = _parse_value(_BY_NAME[name], raw, at)
+        if where is not None:
+            where[name] = at
     return values
 
 
 class RunConfig:
-    """A fully resolved configuration: explicit keys plus module defaults."""
+    """A fully resolved configuration: explicit keys plus module defaults,
+    and the ``file:line`` where each explicit key was set (``where``)."""
 
-    def __init__(self, values: dict):
+    def __init__(self, values: dict, where: dict | None = None):
         self.values = {k.name: k.default for k in REGISTRY}
         self.values.update(values)
+        self.where = where or {}
 
     @staticmethod
     def load(path) -> "RunConfig":
         path = Path(path)
         if not path.is_file():
             raise FileNotFoundError(f"config file {path} does not exist")
-        return RunConfig(parse_config_text(path.read_text(), source=str(path)))
+        where = {}
+        values = parse_config_text(path.read_text(), source=str(path), where=where)
+        return RunConfig(values, where)
 
     def __getitem__(self, name: str):
         return self.values[name]
@@ -164,52 +171,57 @@ class RunConfig:
     def outdir(self) -> Path:
         return Path(self.require("run.outdir"))
 
-    def schedule(self) -> Schedule:
-        rows, cols = self["lattice.rows"], self["lattice.cols"]
-        start = self["schedule.radius_start"]
+    @contextmanager
+    def config_errors(self, *sections):
+        """Turn a ValueError raised inside into a ConfigError that names the
+        ``file:line`` of its culprits: of the keys set in the file under
+        ``sections`` (prefixes such as "stdp."), those whose name, less a
+        "_ms" suffix, the message mentions, or else all of them.  With no
+        sections the message is kept as it is."""
         try:
+            yield
+        except ValueError as exc:
+            msg = str(exc)
+            keys = [k for k in self.where if k.startswith(sections)]
+            named = [k for k in keys
+                     if re.search(rf"\b{k.split('.')[1].removesuffix('_ms')}\b", msg)]
+            culprits = ", ".join(f"{self.where[k]} ({k})" for k in named or keys)
+            raise ConfigError(f"{culprits}: {msg}" if culprits else msg) from None
+
+    def schedule(self) -> Schedule:
+        start = self["schedule.radius_start"]
+        with self.config_errors("schedule."):
             if start == AUTO:
                 return Schedule.for_lattice(
-                    rows, cols, epochs=self["schedule.epochs"],
+                    self["lattice.rows"], self["lattice.cols"], epochs=self["schedule.epochs"],
                     lr_start=self["schedule.lr_start"], lr_end=self["schedule.lr_end"],
                     radius_end=self["schedule.radius_end"])
             return Schedule(self["schedule.epochs"], self["schedule.lr_start"],
                             self["schedule.lr_end"], start, self["schedule.radius_end"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def stdp_rule(self) -> StdpRule:
-        try:
+        with self.config_errors("stdp."):
             window = StdpWindow(self["stdp.a_plus"], self["stdp.a_minus"],
                                 self["stdp.tau_plus_ms"], self["stdp.tau_minus_ms"])
             return StdpRule(self["stdp.variant"], self["stdp.eta"], self["stdp.w_max"],
                             window, self["stdp.flip_branches"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def ssom_config(self) -> SsomConfig:
-        try:
+        with self.config_errors("ssom."):
             return SsomConfig(self["ssom.t_max_ms"], self["ssom.t_ref_ms"],
                               self["ssom.s_radius"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def lateral_kernel(self) -> LateralKernel:
         radius = self["lateral.excite_radius"]
-        try:
+        with self.config_errors("lateral."):
             return LateralKernel(None if radius == AUTO else radius,
-                                 self["lateral.excite_gain"],
-                                 self["lateral.inhibit_gain"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+                                 self["lateral.excite_gain"], self["lateral.inhibit_gain"])
 
     def mfcc_config(self) -> MfccConfig:
-        try:
+        with self.config_errors("mfcc."):
             return MfccConfig(self["mfcc.preemph_a"], self["mfcc.frame_len"],
                               self["mfcc.n_filters"], self["mfcc.n_coeffs"],
                               self["mfcc.fft_size"], self["mfcc.use_power"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def effective_text(self) -> str:
         lines = []

@@ -253,8 +253,8 @@ def synth_class_means(n_classes: int, frames: int, dim: int, separation: float,
     mutually separated frame means in opposite orders, so only temporal
     order distinguishes them.
     """
-    if separation <= 0:
-        raise ValueError(f"separation must be positive, got {separation}")
+    if not (math.isfinite(separation) and separation > 0):
+        raise ValueError(f"separation must be positive and finite, got {separation}")
     if order_task and n_classes != 2:
         raise ValueError("order_task generates exactly 2 classes")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared range check."""
+
+import math
 
 
 class PulsomError(Exception):
@@ -34,3 +36,11 @@ class DivergenceError(PulsomError):
     def __init__(self, epoch):
         self.epoch = epoch
         super().__init__(f"non-finite weight detected at epoch {epoch}")
+
+
+def check_positive(obj, *names) -> None:
+    """Raise ValueError unless every named field of obj is finite and > 0."""
+    for name in names:
+        v = getattr(obj, name)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v}")

@@ -31,17 +31,14 @@ class PotentialState:
 
     a: np.ndarray
     lam: float
-    scale_input_by_lambda: bool = False
 
     def __post_init__(self):
         if not (0 <= self.lam <= 1):
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
 
     @staticmethod
-    def zeros(lattice: Lattice, lam: float, scale_input_by_lambda: bool = False,
-              batch: tuple = ()) -> "PotentialState":
-        return PotentialState(np.zeros(tuple(batch) + (lattice.n_units,)), lam,
-                              scale_input_by_lambda)
+    def zeros(lattice: Lattice, lam: float, batch: tuple = ()) -> "PotentialState":
+        return PotentialState(np.zeros(tuple(batch) + (lattice.n_units,)), lam)
 
     def reset(self) -> None:
         """Zero all potentials (sequence boundary); idempotent."""
@@ -60,18 +57,13 @@ def update_potential(x, lattice: Lattice, state: PotentialState) -> None:
     """a_i <- lambda * a_i - (1/2) * ||x - w_i||^2 for every unit.
 
     x is one vector, or a stack of them, shape (batch, dim), that steps
-    potentials of shape (batch, n_units).  With scale_input_by_lambda the
-    matching term is multiplied by lambda as well (an alternative reading
-    of the recurrence; off by default).
+    potentials of shape (batch, n_units).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1:] != (lattice.dim,):
         raise DimensionMismatchError(lattice.dim, x.shape[0] if x.ndim == 1 else x.shape)
-    penalty = 0.5 * squared_distances(x, lattice.weights)
-    if state.scale_input_by_lambda:
-        penalty = state.lam * penalty
     state.a *= state.lam
-    state.a -= penalty
+    state.a -= 0.5 * squared_distances(x, lattice.weights)
 
 
 def potential_latencies(state: PotentialState, dim: int, t_max: float) -> np.ndarray:

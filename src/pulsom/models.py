@@ -16,8 +16,8 @@ import numpy as np
 from .coding import SsomConfig, encode_frames
 from .lin import PotentialState
 from .rssom import DifferenceState
-from .som import QE_CHUNK_ELEMENTS, Lattice, UnitIndex, find_bmus
-from .ssom import FiringStep, LateralKernel, frames_of
+from .som import QE_CHUNK_ELEMENTS, Lattice, UnitIndex, find_bmus, frames_of, sample_vectors
+from .ssom import FiringStep, LateralKernel
 from .stdp import StdpRule, StdpWindow
 
 MAGIC = "PULSOM1"
@@ -63,8 +63,8 @@ class _Inference:
         concatenating SOM.
 
         Samples must share one (n_frames, dim) shape.  They are coded and
-        stepped a block at a time, with each numpy pass building at most
-        QE_CHUNK_ELEMENTS differences (block x units x dim).
+        stepped a block at a time, with at most QE_CHUNK_ELEMENTS differences
+        (block x units x dim) per frame.
         """
         frames = [frames_of(s) for s in samples]
         rows = max(1, QE_CHUNK_ELEMENTS // self.lattice.weights.size)
@@ -90,12 +90,8 @@ class SomModel(_Inference):
     frame_winners = _Inference.frame_winners
 
     def _block_winners(self, frames: np.ndarray) -> np.ndarray:
-        if self.concat:
-            return find_bmus(frames.reshape(frames.shape[0], 1, -1), self.lattice)
-        out = np.empty(frames.shape[:2], dtype=np.intp)
-        for i in range(frames.shape[1]):
-            out[:, i] = find_bmus(frames[:, i], self.lattice)
-        return out
+        vectors = sample_vectors(frames, self.concat)
+        return find_bmus(vectors, self.lattice).reshape(frames.shape[0], -1)
 
 
 @dataclass
@@ -147,13 +143,12 @@ class LinModel(SsomModel):
     """Leaky-integrator map; winners come from the accumulated potentials."""
 
     lam: float = 0.5
-    scale_input_by_lambda: bool = False
     kind: str = field(default="LIN", init=False)
 
     frame_winners = _Inference.frame_winners
 
     def state(self, batch: tuple) -> PotentialState:
-        return PotentialState.zeros(self.lattice, self.lam, self.scale_input_by_lambda, batch)
+        return PotentialState.zeros(self.lattice, self.lam, batch)
 
 
 def _fmt_bool(b: bool) -> str:
@@ -193,7 +188,6 @@ def save_model(model, path) -> None:
             f.write(f"alpha {model.alpha!r}\n")
         elif model.kind == "LIN":
             f.write(f"lambda {model.lam!r}\n")
-            f.write(f"scale_input_by_lambda {_fmt_bool(model.scale_input_by_lambda)}\n")
 
 
 def load_model(path):
@@ -217,10 +211,12 @@ def _parse_model(lines: list[str]):
     lattice, next_line = load_lattice(lines)
     kv = _Params()
     kind = None
-    for line in lines[next_line:]:
+    for n, line in enumerate(lines[next_line:], start=next_line + 1):
         if not line.strip():
             continue
         key, _, value = line.partition(" ")
+        if key == "scale_input_by_lambda" and value.strip() != "false":
+            raise ValueError(f"line {n}: {line.strip()!r} is retired; only 'false' loads")
         if key == "model":
             kind = value.strip()
         else:
@@ -261,5 +257,4 @@ def _parse_model(lines: list[str]):
         return SsomModel(lattice, lo, hi, cfg, kernel, rule)
     if kind == "RSSOM":
         return RssomModel(lattice, lo, hi, cfg, kernel, rule, alpha=float(kv["alpha"]))
-    return LinModel(lattice, lo, hi, cfg, kernel, rule, lam=float(kv["lambda"]),
-                    scale_input_by_lambda=kv.get("scale_input_by_lambda", "false") == "true")
+    return LinModel(lattice, lo, hi, cfg, kernel, rule, lam=float(kv["lambda"]))

@@ -8,12 +8,11 @@ model variant in the package.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceError
+from .errors import DimensionMismatchError, DivergenceError, check_positive
 
 # Neighborhood influence is treated as zero beyond this many radii.
 NEIGHBORHOOD_CUTOFF_SIGMA = 3.0
@@ -49,13 +48,14 @@ class Schedule:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not (self.lr_start >= self.lr_end > 0):
+        check_positive(self, "lr_start", "lr_end", "radius_start", "radius_end")
+        if not (1 >= self.lr_start >= self.lr_end):
             raise ValueError(
-                f"need lr_start >= lr_end > 0, got {self.lr_start}, {self.lr_end}"
+                f"need 1 >= lr_start >= lr_end, got {self.lr_start}, {self.lr_end}"
             )
-        if not (self.radius_start >= self.radius_end > 0):
+        if self.radius_start < self.radius_end:
             raise ValueError(
-                f"need radius_start >= radius_end > 0, got "
+                f"need radius_start >= radius_end, got "
                 f"{self.radius_start}, {self.radius_end}"
             )
 
@@ -220,17 +220,8 @@ def find_bmu(x, lattice: Lattice) -> UnitIndex:
     return lattice.unit(int(squared_distances(x, lattice.weights).argmin()))
 
 
-def neighborhood(grid_dist: float, radius: float) -> float:
-    """Gaussian kernel over lattice distance, zero beyond 3 radii."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if grid_dist > NEIGHBORHOOD_CUTOFF_SIGMA * radius:
-        return 0.0
-    return math.exp(-(grid_dist * grid_dist) / (2.0 * radius * radius))
-
-
 def neighborhood_array(grid_dists: np.ndarray, radius: float) -> np.ndarray:
-    """Vectorized ``neighborhood`` over an array of lattice distances."""
+    """Gaussian kernel over an array of lattice distances, zero beyond 3 radii."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     h = np.exp(-(grid_dists * grid_dists) / (2.0 * radius * radius))
@@ -285,23 +276,47 @@ def check_finite(lattice: Lattice, epoch: int) -> None:
         raise DivergenceError(epoch)
 
 
-def train_som(data, lattice: Lattice, schedule: Schedule, seed: int) -> TrainingLog:
-    """Sequential SOM training: per-epoch shuffle, BMU search, neighborhood step.
+def frames_of(sample) -> np.ndarray:
+    """Frames of a sequence sample (or a bare (n_frames, dim) array)."""
+    return np.asarray(getattr(sample, "frames", sample), dtype=np.float64)
 
-    Deterministic for a fixed seed; returns the per-epoch quantization error.
+
+def sample_vectors(samples, concat: bool) -> np.ndarray:
+    """The plain map's input vectors of sequence samples, shape (n, dim):
+    with concat, one vector per sample, its frames joined in frame-major
+    order; otherwise every frame of every sample, in order.  A stacked
+    (n_samples, n_frames, dim) array is reshaped without a per-sample loop."""
+    frames = samples if isinstance(samples, np.ndarray) else [frames_of(s) for s in samples]
+    if len(frames) == 0:
+        raise ValueError("samples must be non-empty")
+    if concat:
+        return np.reshape(frames, (len(frames), -1))
+    return np.concatenate(frames, axis=0)
+
+
+def train_som(data, model, schedule: Schedule, seed: int) -> TrainingLog:
+    """Train a ``models.SomModel`` in place on sequence samples: each epoch
+    presents the model's input vectors (``sample_vectors``) in a seeded
+    random order, each taking the ``find_bmu`` + ``som_update`` step with
+    the epoch's neighborhood table.  Returns the per-epoch quantization error.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ValueError("data must be a non-empty (n, dim) array")
-    if data.shape[1] != lattice.dim:
-        raise DimensionMismatchError(lattice.dim, data.shape[1])
+    lattice = model.lattice
+    vectors = sample_vectors(data, model.concat)
+    if vectors.shape[1] != lattice.dim:
+        raise DimensionMismatchError(lattice.dim, vectors.shape[1])
+    if not np.isfinite(vectors).all():
+        raise ValueError("input vector must be finite")
+    w = lattice.weights
+    dist = lattice.distance_table()
     rng = np.random.default_rng(seed)
     log = TrainingLog(model="SOM")
     for t in range(schedule.epochs):
         lr, radius = linear_decay(t, schedule)
-        for i in rng.permutation(data.shape[0]):
-            x = data[i]
-            som_update(x, lattice, find_bmu(x, lattice), lr, radius)
+        h = neighborhood_array(dist, radius)
+        for i in rng.permutation(vectors.shape[0]):
+            x = vectors[i]
+            b = squared_distances(x, w).argmin()
+            w += (lr * h[b])[:, None] * (x - w)
         check_finite(lattice, t)
-        log.rows.append(EpochStats(t, lr, radius, quantization_error(data, lattice)))
+        log.rows.append(EpochStats(t, lr, radius, quantization_error(vectors, lattice)))
     return log

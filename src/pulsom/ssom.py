@@ -16,7 +16,7 @@ import numpy as np
 
 from .coding import (EncodedFrames, EncodedInput, SsomConfig, decode_latency, encode_frames,
                      normalize)
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_positive
 from .som import (
     EpochStats,
     Lattice,
@@ -24,10 +24,12 @@ from .som import (
     TrainingLog,
     UnitIndex,
     check_finite,
+    frames_of,
     linear_decay,
     mark_no_winner,
     neighborhood_array,
     quantization_error,
+    sample_vectors,
     squared_distances,
 )
 from .stdp import StdpRule, apply_rule_array
@@ -48,10 +50,9 @@ class LateralKernel:
     inhibit_gain: float = 0.1
 
     def __post_init__(self):
-        if self.excite_radius is not None and self.excite_radius <= 0:
-            raise ValueError(f"excite_radius must be positive, got {self.excite_radius}")
-        if self.excite_gain <= 0 or self.inhibit_gain <= 0:
-            raise ValueError("lateral gains must be positive")
+        if self.excite_radius is not None:
+            check_positive(self, "excite_radius")
+        check_positive(self, "excite_gain", "inhibit_gain")
 
 
 @dataclass
@@ -70,22 +71,16 @@ class FiringRecord:
         return FiringRecord(times, silent, lattice.winner(winner))
 
 
-def frames_of(sample) -> np.ndarray:
-    """Frames of a sequence sample (or a bare (n_frames, dim) array)."""
-    return np.asarray(getattr(sample, "frames", sample), dtype=np.float64)
-
-
 def feature_ranges(sequences) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension min/max over every frame of every sequence."""
-    stacked = np.concatenate([frames_of(s) for s in sequences], axis=0)
+    stacked = sample_vectors(sequences, concat=False)
     return stacked.min(axis=0), stacked.max(axis=0)
 
 
 def normalized_init(rows: int, cols: int, sequences, seed: int) -> Lattice:
     """Random lattice in the normalized [0, 1] feature space of the data."""
-    lo, hi = feature_ranges(sequences)
-    stacked = np.concatenate([frames_of(s) for s in sequences], axis=0)
-    norm = normalize(stacked, lo, hi)
+    stacked = sample_vectors(sequences, concat=False)
+    norm = normalize(stacked, stacked.min(axis=0), stacked.max(axis=0))
     return Lattice.random_init(rows, cols, norm, seed)
 
 
@@ -256,10 +251,8 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     cfg, kernel, rule = model.cfg, model.kernel, model.rule
     state = model.state(())
     sequences = [frames_of(s) for s in data]
-    if not sequences:
-        raise ValueError("training data must be non-empty")
+    all_frames = sample_vectors(sequences, concat=False)
     codes = [encode_frames(s, lo, hi, cfg.t_max, lattice.dim) for s in sequences]
-    all_frames = np.concatenate(sequences, axis=0)
     span = hi - lo
     dist = lattice.distance_table()
     rng = np.random.default_rng(seed)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_positive
+
 VARIANTS = ("additive", "panchev", "soula", "input")
 
 
@@ -32,10 +34,7 @@ class StdpWindow:
     tau_minus: float = 10.0
 
     def __post_init__(self):
-        for name in ("a_plus", "a_minus", "tau_plus", "tau_minus"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+        check_positive(self, "a_plus", "a_minus", "tau_plus", "tau_minus")
 
 
 @dataclass
@@ -58,8 +57,7 @@ class StdpRule:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if not (0 < self.eta <= 1):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.w_max <= 0:
-            raise ValueError(f"w_max must be positive, got {self.w_max}")
+        check_positive(self, "w_max")
         if self.window is None:
             self.window = StdpWindow()
 

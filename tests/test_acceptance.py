@@ -26,7 +26,7 @@ from pulsom.mfcc import (
 )
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel
 from pulsom.rssom import DifferenceState, difference_record, train_rssom, update_difference
-from pulsom.som import Lattice, Schedule, find_bmu, train_som
+from pulsom.som import Lattice, Schedule, find_bmu, sample_vectors, train_som
 from pulsom.ssom import compute_firing_times, feature_ranges, normalized_init, train_ssom
 from pulsom.stdp import (
     StdpRule,
@@ -220,10 +220,9 @@ def test_criterion_07_separable_synthetic_task_all_models():
     lo, hi = feature_ranges(data)
     scores = {}
 
-    frames = np.concatenate([s.frames for s in data], axis=0)
-    lat = Lattice.random_init(8, 8, frames, seed=1)
-    train_som(frames, lat, sched, seed=1)
-    scores["SOM"] = train_accuracy(SomModel(lat), data)
+    model = SomModel(Lattice.random_init(8, 8, sample_vectors(data, concat=False), seed=1))
+    train_som(data, model, sched, seed=1)
+    scores["SOM"] = train_accuracy(model, data)
 
     model = SsomModel(normalized_init(8, 8, data, seed=1), lo, hi, cfg, rule=rule)
     train_ssom(data, model, sched, seed=1)
@@ -255,10 +254,9 @@ def test_criterion_08_temporal_order_discrimination():
         cfg = SsomConfig()
         lo, hi = feature_ranges(data)
 
-        frames = np.concatenate([s.frames for s in data], axis=0)
-        lat = Lattice.random_init(8, 8, frames, seed=k)
-        train_som(frames, lat, sched, seed=k)
-        som_accs.append(train_accuracy(SomModel(lat), data, frame_vote=True))
+        model = SomModel(Lattice.random_init(8, 8, sample_vectors(data, concat=False), seed=k))
+        train_som(data, model, sched, seed=k)
+        som_accs.append(train_accuracy(model, data, frame_vote=True))
 
         model = RssomModel(normalized_init(8, 8, data, seed=k), lo, hi, cfg, rule=rule,
                            alpha=0.5)

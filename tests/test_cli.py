@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from pulsom.cli import main
+from pulsom.config import REGISTRY
 from pulsom.coding import SsomConfig
 from pulsom.corpus import read_dataset_csv, synth_generate, write_dataset_csv, write_sphere
 from pulsom.lin import train_lin
-from pulsom.models import LinModel, RssomModel, SsomModel, save_model
+from pulsom.models import LinModel, RssomModel, SomModel, SsomModel, save_model
 from pulsom.rssom import train_rssom
-from pulsom.som import Schedule
+from pulsom.som import Lattice, Schedule, sample_vectors, train_som
 from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
 from pulsom.stdp import StdpRule, StdpWindow
 from test_corpus import make_fixture_corpus
+
+
+# The config sections whose float keys the spiking trainer's builders check.
+FLOAT_SECTIONS = ("schedule", "stdp", "ssom", "lateral")
 
 
 def write_cfg(path, text):
@@ -75,10 +80,18 @@ synth.samples_per_class = 50
         assert main(["synth", "--config", cfg]) == 0
         assert (tmp_path / "out" / "synth.csv").read_bytes() == first
 
-    def test_bad_separation_exits_2(self, tmp_path):
+    def test_bad_separation_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "bad.cfg",
                         f"run.outdir = {tmp_path / 'o'}\nsynth.separation = -1.0\n")
         assert main(["synth", "--config", cfg]) == 2
+        assert f"{cfg}:2 (synth.separation): separation must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_separation_exits_2(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path / "bad.cfg",
+                        f"run.outdir = {tmp_path / 'o'}\nsynth.separation = {value}\n")
+        assert main(["synth", "--config", cfg]) == 2
+        assert f"{cfg}:2 (synth.separation): separation must be" in capsys.readouterr().err
 
     def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "bad.cfg", "run.mode = som\n")
@@ -126,11 +139,29 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg]) == 0
         assert (tmp_path / "train-out" / "model.txt").read_bytes() == first
 
-    def test_zero_epochs_exits_2(self, tmp_path, dataset):
+    def test_zero_epochs_exits_2(self, tmp_path, dataset, capsys):
         cfg = write_cfg(tmp_path / "z.cfg",
                         f"run.model = som\nrun.outdir = {tmp_path / 'z'}\n"
                         f"schedule.epochs = 0\ndata.train_csv = {dataset}\n")
         assert main(["train", "--config", cfg]) == 2
+        assert f"{cfg}:3 (schedule.epochs): epochs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["som", "ssom", "rssom", "lin"])
+    def test_lr_start_above_one_exits_2(self, tmp_path, dataset, capsys, model):
+        cfg = train_cfg(tmp_path, dataset, model=model, extra="schedule.lr_start = 1.5")
+        assert main(["train", "--config", cfg]) == 2
+        assert (f"{cfg}:9 (schedule.lr_start): need 1 >= lr_start >= lr_end, got 1.5, 0.05"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "train-out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [k.name for k in REGISTRY if k.kind.startswith("float")
+                                     and k.name.split(".")[0] in FLOAT_SECTIONS])
+    def test_non_finite_value_exits_2(self, tmp_path, dataset, capsys, key, value):
+        cfg = train_cfg(tmp_path, dataset, model="ssom", extra=f"{key} = {value}")
+        assert main(["train", "--config", cfg]) == 2
+        assert f"{cfg}:9 ({key}): " in capsys.readouterr().err
+        assert not (tmp_path / "train-out").exists()
 
     def test_missing_dataset_exits_3(self, tmp_path):
         cfg = train_cfg(tmp_path, tmp_path / "missing.csv")
@@ -171,7 +202,8 @@ class TestTrainCommand:
                         f"lattice.rows = {rows}\nlattice.cols = {cols}\n"
                         f"data.train_csv = {dataset}\n")
         assert main(["train", "--config", cfg]) == 2
-        assert f"lattice shape must be positive, got {rows}x{cols}" in capsys.readouterr().err
+        assert (f"{cfg}:3 (lattice.rows), {cfg}:4 (lattice.cols): "
+                f"lattice shape must be positive, got {rows}x{cols}") in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, line, message", [
         ("rssom", "rssom.alpha = 2.0", "alpha must be in (0, 1], got 2.0"),
@@ -182,7 +214,8 @@ class TestTrainCommand:
                                             message):
         cfg = train_cfg(tmp_path, dataset, model=model, extra=line)
         assert main(["train", "--config", cfg]) == 2
-        assert message in capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert f"{cfg}:9 ({key}): {message}" in capsys.readouterr().err
         assert not (tmp_path / "train-out").exists()
 
     @pytest.mark.parametrize("model", ["som", "ssom", "rssom", "lin"])
@@ -218,7 +251,7 @@ class TestModelBytes:
                  "e123cf69413c94b625208173d0cf8a2786c57efd6fff7f1e4edcb70e042252cd"),
         "rssom": ("6c6d97988e0aa9bfc7a1e17f30d4f740344496529bfcb6620475a2a4e9d401ba",
                   "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
-        "lin": ("a88bff29881587fda791c50d2647c636f5bf30233e3f623d12c635201cde399a",
+        "lin": ("a2e658fc8a133f9f1c0402f25684ccae838d25266e0d99e6313268079ce7eca7",
                 "d51467825d3820c63bcdecc48c0e110f2961718aa978d47f60b352e432c7265c"),
     }
 
@@ -242,10 +275,9 @@ data.train_csv = {data}
 
 
 class TestLibraryMatchesCli:
-    """A spiking model built from the values of a `pulsom train` config,
-    trained by the library and saved, has the CLI's model.txt bytes: the
-    model owns the values its trainer reads, so what is saved is what was
-    trained."""
+    """A model built from the values of a `pulsom train` config, trained by
+    the library and saved, has the CLI's model.txt bytes: the model owns the
+    values its trainer reads, so what is saved is what was trained."""
 
     CONFIG = """
 run.seed = 4
@@ -260,14 +292,15 @@ lateral.excite_radius = 1.5
 lateral.inhibit_gain = 0.2
 rssom.alpha = 0.3
 lin.lambda = 0.7
-lin.scale_input_by_lambda = true
 """
 
-    @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
+    @pytest.mark.parametrize("kind", ["som", "som-concat", "ssom", "rssom", "lin"])
     def test_library_model_bytes_equal_cli(self, tmp_path, kind):
         data_path = tmp_path / "train.csv"
         write_dataset_csv(synth_generate(2, 6, 4, 5, 2.0, True, 8), data_path)
-        cfg = write_cfg(tmp_path / "train.cfg", self.CONFIG + f"run.model = {kind}\n"
+        concat = kind == "som-concat"
+        cfg = write_cfg(tmp_path / "train.cfg", self.CONFIG
+                        + f"run.model = {kind.split('-')[0]}\nsom.concat = {str(concat).lower()}\n"
                         f"run.outdir = {tmp_path / 'cli'}\ndata.train_csv = {data_path}\n")
         assert main(["train", "--config", cfg]) == 0
 
@@ -276,12 +309,15 @@ lin.scale_input_by_lambda = true
                  SsomConfig(t_ref=12.0), LateralKernel(excite_radius=1.5, inhibit_gain=0.2),
                  StdpRule("panchev", eta=0.2, window=StdpWindow(tau_minus=14.0),
                           flip_branches=True))
-        if kind == "ssom":
+        if kind.startswith("som"):
+            lattice = Lattice.random_init(4, 5, sample_vectors(data, concat), seed=4)
+            model, train = SomModel(lattice, concat), train_som
+        elif kind == "ssom":
             model, train = SsomModel(*parts), train_ssom
         elif kind == "rssom":
             model, train = RssomModel(*parts, alpha=0.3), train_rssom
         else:
-            model, train = LinModel(*parts, lam=0.7, scale_input_by_lambda=True), train_lin
+            model, train = LinModel(*parts, lam=0.7), train_lin
         train(data, model, Schedule.for_lattice(4, 5, epochs=3), seed=4)
         save_model(model, tmp_path / "library.txt")
         assert ((tmp_path / "library.txt").read_bytes()
@@ -415,6 +451,22 @@ data.test_csv = {dataset}
         assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
         err = capsys.readouterr().err
         assert f"{model_path}: alpha must be in (0, 1], got 2.0" in err
+
+    @pytest.mark.parametrize("value", ["false", "true"])
+    def test_retired_lin_line_in_model_file(self, tmp_path, trained, capsys, value):
+        dataset, _ = trained
+        cfg = train_cfg(tmp_path, dataset, model="lin", outdir="lin-out")
+        assert main(["train", "--config", cfg]) == 0
+        model_path = tmp_path / "lin-out" / "model.txt"
+        lines = model_path.read_text().splitlines()
+        assert not any(line.startswith("scale_input_by_lambda") for line in lines)
+        model_path.write_text("\n".join(lines + [f"scale_input_by_lambda {value}"]) + "\n")
+        cfg = self.eval_cfg(tmp_path, dataset, model="lin")
+        if value == "false":
+            assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 0
+            return
+        assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
+        assert f"{model_path}: line {len(lines) + 1}: " in capsys.readouterr().err
 
     def test_calibration_csv_without_rows_exits_4(self, tmp_path, trained, capsys):
         dataset, model_path = trained

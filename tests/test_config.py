@@ -1,6 +1,12 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pulsom.cli import build_model
 from pulsom.config import AUTO, REGISTRY, RunConfig, parse_config_text, registry_help
+from pulsom.corpus import synth_generate
 from pulsom.errors import ConfigError
 
 
@@ -102,3 +108,39 @@ class TestRegistryHelp:
         text = registry_help()
         for key in REGISTRY:
             assert key.name in text
+
+
+# synth.separation is left out: a finite separation near the float maximum
+# overflows inside synth_generate, which then never returns.
+FLOAT_KEYS = [k.name for k in REGISTRY
+              if k.kind.startswith("float") and k.name != "synth.separation"]
+KIND_OF_SECTION = {"stdp": "ssom", "ssom": "ssom", "lateral": "ssom", "rssom": "rssom",
+                   "lin": "lin"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_setup(tmp_path_factory):
+    """Training data for the model builder and a config file path."""
+    data = synth_generate(2, 2, dim=3, frames=2, separation=2.0, seed=1)
+    return data, tmp_path_factory.mktemp("fuzzed") / "run.cfg"
+
+
+class TestFuzzedFloatKeys:
+    """Any float or text on any float key of a config file either builds the
+    run's objects (schedule, model, MFCC settings) or raises a ConfigError
+    that names the file and line."""
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(value=st.one_of(st.floats().map(repr), st.text()))
+    def test_builds_or_names_file_and_line(self, fuzz_setup, key, value):
+        data, path = fuzz_setup
+        kind = KIND_OF_SECTION.get(key.split(".")[0], "som")
+        path.write_text(f"run.model = {kind}\n{key} = {value}\n", encoding="utf-8")
+        try:
+            cfg = RunConfig.load(path)
+            cfg.schedule()
+            cfg.mfcc_config()
+            build_model(cfg, data)
+        except ConfigError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+", str(exc)), str(exc)

@@ -53,11 +53,8 @@ def oracle_frame_winners(model, sample) -> list:
     else:
         a = np.zeros(lat.n_units)
         for x in codes.normalized:
-            penalty = 0.5 * d2(w - x)
-            if model.scale_input_by_lambda:
-                penalty = model.lam * penalty
             a *= model.lam
-            a -= penalty
+            a -= 0.5 * d2(w - x)
             eff = (1.0 - model.lam) * (-a)
             silent = cfg.t_max * np.clip(eff / (lat.dim / 2.0), 0.0, 1.0) > cfg.t_ref
             best = int(np.argmax(a))
@@ -123,7 +120,7 @@ def make_model(kind, rows=12, cols=12, dim=12, seed=0):
         return RssomModel(lat, lo, hi, SsomConfig(t_max=20.0, t_ref=0.55),
                           kernel, rule, alpha=0.4)
     return LinModel(lat, lo, hi, SsomConfig(t_max=20.0, t_ref=1.9),
-                    kernel, rule, lam=0.6, scale_input_by_lambda=kind == "lin-scaled")
+                    kernel, rule, lam=0.6)
 
 
 def make_samples(n, dim=12, seed=1, labels="AB"):
@@ -132,7 +129,7 @@ def make_samples(n, dim=12, seed=1, labels="AB"):
             for i in range(n)]
 
 
-KINDS = ["som", "som-concat", "ssom", "rssom", "lin", "lin-scaled"]
+KINDS = ["som", "som-concat", "ssom", "rssom", "lin"]
 
 
 def block_of(model):

@@ -76,13 +76,6 @@ class TestUpdatePotential:
             assert state.a[0] == pytest.approx(leaky_oracle(penalties, lam),
                                                abs=1e-12)
 
-    def test_scale_input_by_lambda_variant(self):
-        lat = make_lattice([[0.0]])
-        state = PotentialState(np.array([-1.0]), lam=0.5, scale_input_by_lambda=True)
-        update_potential([np.sqrt(2.0)], lat, state)
-        # matching term scaled by lambda: -0.5 - 0.5*1 = -1.0
-        assert state.a[0] == pytest.approx(-1.0, abs=1e-12)
-
     def test_potentials_never_positive_and_bounded(self):
         rng = np.random.default_rng(1)
         lat = Lattice(2, 2, rng.uniform(size=(4, 3)))

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from pulsom.corpus import synth_generate
 from pulsom.errors import DimensionMismatchError
+from pulsom.models import SomModel
 from pulsom.som import (
     QE_CHUNK_ELEMENTS,
     Lattice,
@@ -11,8 +13,9 @@ from pulsom.som import (
     UnitIndex,
     find_bmu,
     linear_decay,
-    neighborhood,
+    neighborhood_array,
     quantization_error,
+    sample_vectors,
     som_update,
     train_som,
 )
@@ -71,6 +74,10 @@ class TestFindBmu:
         u = lat.unit(5)
         assert (u.row, u.col, u.flat) == (1, 2, 5)
         assert UnitIndex.from_flat(4, 3) == UnitIndex(1, 1, 4)
+
+
+def neighborhood(grid_dist, radius):
+    return neighborhood_array(np.array([grid_dist]), radius)[0]
 
 
 class TestNeighborhood:
@@ -170,6 +177,15 @@ class TestLinearDecay:
         with pytest.raises(ValueError):
             Schedule(10, 0.9, 0.05, 1.0, 2.0)
 
+    @pytest.mark.parametrize("values", [
+        (1.5, 0.05, 4.0, 1.0), (float("inf"), 0.05, 4.0, 1.0), (0.9, float("nan"), 4.0, 1.0),
+        (0.9, 0.05, float("inf"), 1.0), (0.9, 0.05, float("inf"), float("inf")),
+        (0.9, 0.05, 4.0, float("nan")),
+    ])
+    def test_rejects_lr_above_one_and_non_finite_values(self, values):
+        with pytest.raises(ValueError):
+            Schedule(10, *values)
+
 
 class TestQuantizationError:
     def test_zero_when_data_sits_on_weights(self):
@@ -231,28 +247,46 @@ class TestGridDistances:
             row[1] = 0.0
 
 
+def frame_model(data, rows, cols, seed):
+    """A frame SOM initialized from the rows of data, and data as one-frame
+    sequence samples, so that the training vectors are the rows of data."""
+    return SomModel(Lattice.random_init(rows, cols, data, seed)), data[:, None, :]
+
+
+def oracle_train_som(vectors, lattice, schedule, seed):
+    """The per-vector loop train_som ran before it took the table path:
+    find_bmu + som_update for each vector, in the same seeded order."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for t in range(schedule.epochs):
+        lr, radius = linear_decay(t, schedule)
+        for i in rng.permutation(vectors.shape[0]):
+            som_update(vectors[i], lattice, find_bmu(vectors[i], lattice), lr, radius)
+        rows.append((t, lr, radius, quantization_error(vectors, lattice)))
+    return rows
+
+
 class TestTrainSom:
     def test_converges_to_constant_dataset(self):
-        data = np.array([[0.3, -0.7]] * 4)
-        lat = Lattice(1, 1, np.array([[5.0, 5.0]]))
-        train_som(data, lat, Schedule(80, 0.9, 0.05, 1.0, 1.0), seed=0)
-        assert np.allclose(lat.weights[0], [0.3, -0.7], atol=1e-6)
+        data = np.array([[[0.3, -0.7]]] * 4)
+        model = SomModel(Lattice(1, 1, np.array([[5.0, 5.0]])))
+        train_som(data, model, Schedule(80, 0.9, 0.05, 1.0, 1.0), seed=0)
+        assert np.allclose(model.lattice.weights[0], [0.3, -0.7], atol=1e-6)
 
     def test_same_seed_is_bit_identical(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(40, 3))
         results = []
         for _ in range(2):
-            lat = Lattice.random_init(4, 4, data, seed=9)
-            train_som(data, lat, Schedule.for_lattice(4, 4, epochs=10), seed=9)
-            results.append(lat.weights.copy())
+            model, samples = frame_model(data, 4, 4, seed=9)
+            train_som(samples, model, Schedule.for_lattice(4, 4, epochs=10), seed=9)
+            results.append(model.lattice.weights.copy())
         assert np.array_equal(results[0], results[1])
 
     def test_quantization_error_improves(self):
         rng = np.random.default_rng(1)
-        data = rng.uniform(size=(500, 2))
-        lat = Lattice.random_init(8, 8, data, seed=2)
-        log = train_som(data, lat, Schedule.for_lattice(8, 8, epochs=30), seed=2)
+        model, samples = frame_model(rng.uniform(size=(500, 2)), 8, 8, seed=2)
+        log = train_som(samples, model, Schedule.for_lattice(8, 8, epochs=30), seed=2)
         assert log.rows[-1].qe <= log.rows[0].qe
 
     def test_same_seed_lattices_identical(self):
@@ -272,11 +306,39 @@ class TestTrainSom:
         assert exc.value.epoch == 7
 
     def test_log_csv_format(self, tmp_path):
-        data = np.random.default_rng(0).uniform(size=(10, 2))
-        lat = Lattice.random_init(2, 2, data, seed=1)
-        log = train_som(data, lat, Schedule(3, 0.9, 0.05, 1.0, 1.0), seed=1)
+        model, samples = frame_model(np.random.default_rng(0).uniform(size=(10, 2)), 2, 2, seed=1)
+        log = train_som(samples, model, Schedule(3, 0.9, 0.05, 1.0, 1.0), seed=1)
         out = tmp_path / "log.csv"
         log.to_csv(out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "epoch,lr,radius,qe"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("concat", [False, True])
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_equals_per_vector_oracle_bit_for_bit(self, concat, seed, epochs):
+        data = synth_generate(3, 6, dim=4, frames=5, separation=2.0, seed=seed)
+        vectors = sample_vectors(data, concat)
+        lattice = Lattice.random_init(4, 5, vectors, seed)
+        model = SomModel(lattice.copy(), concat)
+        schedule = Schedule.for_lattice(4, 5, epochs=epochs, lr_start=1.0)
+        log = train_som(data, model, schedule, seed)
+        want = oracle_train_som(vectors, lattice, schedule, seed)
+        assert np.array_equal(model.lattice.weights.view(np.int64), lattice.weights.view(np.int64))
+        got = [(r.epoch, r.lr, r.radius, r.qe) for r in log.rows]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+    def test_vector_layout(self):
+        frames = np.arange(12.0).reshape(2, 3, 2)
+        assert np.array_equal(sample_vectors(frames, concat=True), frames.reshape(2, 6))
+        assert np.array_equal(sample_vectors(frames, concat=False), frames.reshape(6, 2))
+        with pytest.raises(ValueError):
+            sample_vectors([], concat=False)
+
+    def test_dimension_mismatch_and_non_finite_vectors(self):
+        model = SomModel(lattice_from([[0.0, 0.0]]))
+        with pytest.raises(DimensionMismatchError):
+            train_som(np.zeros((2, 1, 3)), model, Schedule(1), seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            train_som(np.full((2, 1, 2), np.nan), model, Schedule(1), seed=0)

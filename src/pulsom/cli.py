@@ -80,12 +80,18 @@ def cmd_features(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def synth_dataset(cfg: RunConfig):
+    """The configured synthetic sequences; a bad value raises ConfigError
+    naming where it was set."""
     with cfg.config_errors("synth.", "run.seed"):
-        samples = corpus_mod.synth_generate(
+        return corpus_mod.synth_generate(
             cfg["synth.classes"], cfg["synth.samples_per_class"], cfg["synth.dim"],
             cfg["synth.frames"], cfg["synth.separation"], cfg["synth.order_task"],
             cfg["run.seed"])
+
+
+def cmd_synth(cfg: RunConfig) -> int:
+    samples = synth_dataset(cfg)
     outdir = cfg.outdir()
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "synth.csv"

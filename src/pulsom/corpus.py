@@ -231,7 +231,7 @@ def _separated_points(n: int, dim: int, separation: float,
     points: list[np.ndarray] = []
     attempts = 0
     while len(points) < n:
-        candidate = rng.normal(0.0, scale, dim)
+        candidate = _finite_draw(rng.normal(0.0, scale, dim))
         if all(np.linalg.norm(candidate - p) >= separation for p in points):
             points.append(candidate)
             attempts = 0
@@ -241,6 +241,14 @@ def _separated_points(n: int, dim: int, separation: float,
                 scale *= 1.5
                 attempts = 0
     return np.array(points)
+
+
+def _finite_draw(values: np.ndarray) -> np.ndarray:
+    """values, unless a draw at this separation overflowed to inf or NaN
+    (which would leave the rejection loops comparing NaN distances forever)."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("separation is too large: the cluster means overflow")
+    return values
 
 
 def synth_class_means(n_classes: int, frames: int, dim: int, separation: float,
@@ -253,8 +261,9 @@ def synth_class_means(n_classes: int, frames: int, dim: int, separation: float,
     mutually separated frame means in opposite orders, so only temporal
     order distinguishes them.
     """
-    if not (math.isfinite(separation) and separation > 0):
-        raise ValueError(f"separation must be positive and finite, got {separation}")
+    if not (math.isfinite(3.0 * separation) and separation > 0):
+        raise ValueError(f"separation must be positive with 3 * separation finite, "
+                         f"got {separation}")
     if order_task and n_classes != 2:
         raise ValueError("order_task generates exactly 2 classes")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
@@ -265,7 +274,7 @@ def synth_class_means(n_classes: int, frames: int, dim: int, separation: float,
     step = separation / 10.0
     while True:
         drift = np.cumsum(rng.normal(0.0, step, (n_classes, frames, dim)), axis=1)
-        means = bases[:, None, :] + drift
+        means = _finite_draw(bases[:, None, :] + drift)
         if n_classes == 1 or _min_cross_class_distance(means) >= separation:
             return means
 
@@ -310,7 +319,7 @@ def write_dataset_csv(samples: list[SequenceSample], path) -> None:
     if not samples:
         raise ValueError("cannot write an empty dataset")
     frames, dim = samples[0].frames.shape
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(dataset_header(frames, dim)) + "\n")
         for s in samples:
             if s.frames.shape != (frames, dim):
@@ -321,7 +330,25 @@ def write_dataset_csv(samples: list[SequenceSample], path) -> None:
 
 def read_dataset_csv(path) -> list[SequenceSample]:
     path = Path(path)
-    with open(path) as f:
+    try:
+        return _parse_dataset_csv(path)
+    except UnicodeDecodeError:
+        # The text reader decodes in blocks, so its error cannot tell the
+        # line; decoding the whole file again finds the first bad byte.
+        raw = path.read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # A character appended after the prefix opens a new line exactly
+            # when the prefix ends in a line break.
+            line = len((raw[:exc.start] + b"x").splitlines())
+            raise CorpusFormatError(path, f"not UTF-8 text: byte 0x{raw[exc.start]:02x} "
+                                          f"({exc.reason})", line=line) from None
+        raise
+
+
+def _parse_dataset_csv(path: Path) -> list[SequenceSample]:
+    with open(path, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
         if header[:3] != ["utt_id", "label", "macro_class"]:
             raise CorpusFormatError(path, "not a dataset cache CSV (bad header)", line=1)

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct as _scipy_dct
 
 LOG_FLOOR = 1e-10
@@ -77,14 +78,14 @@ def preemphasis(buf: AudioBuffer, a: float) -> AudioBuffer:
 
 def frame_signal(buf: AudioBuffer, frame_len: int, hop: int) -> np.ndarray:
     """Split into overlapping frames starting at multiples of hop; trailing
-    samples that do not fill a frame are dropped."""
+    samples that do not fill a frame are dropped.  Returns a read-only
+    (count, frame_len) view on the samples."""
     s = buf.samples
     if s.shape[0] < frame_len:
         raise ValueError(
             f"buffer of {s.shape[0]} samples is shorter than one frame ({frame_len})"
         )
-    count = (s.shape[0] - frame_len) // hop + 1
-    return np.stack([s[i * hop:i * hop + frame_len] for i in range(count)])
+    return sliding_window_view(s, frame_len)[::hop]
 
 
 def hamming_window(n: int, big_n: int) -> float:
@@ -101,12 +102,13 @@ def hamming_vector(big_n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (big_n - 1))
 
 
-def power_spectrum(frame: np.ndarray, fft_size: int) -> np.ndarray:
-    """Squared magnitude of the DFT, bins 0..fft_size/2 (frame zero-padded)."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape[0] > fft_size:
-        raise ValueError(f"frame of {frame.shape[0]} samples exceeds fft_size {fft_size}")
-    spec = np.fft.rfft(frame, n=fft_size)
+def power_spectrum(frames: np.ndarray, fft_size: int) -> np.ndarray:
+    """Squared magnitude of the DFT, bins 0..fft_size/2, of a frame or of
+    each row of a block of frames (zero-padded to fft_size)."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[-1] > fft_size:
+        raise ValueError(f"frame of {frames.shape[-1]} samples exceeds fft_size {fft_size}")
+    spec = np.fft.rfft(frames, n=fft_size, axis=-1)
     return np.abs(spec) ** 2
 
 
@@ -149,26 +151,28 @@ def mel_filter_matrix(sample_rate: int, fft_size: int, n_filters: int) -> np.nda
 
 
 def mel_filterbank(spectrum: np.ndarray, cfg: MfccConfig,
-                   sample_rate: int = 16000,
-                   filters: np.ndarray | None = None) -> np.ndarray:
-    """Log10 energies of the mel filterbank applied to a spectrum.
+                   sample_rate: int = 16000) -> np.ndarray:
+    """Log10 energies of the mel filterbank applied to a spectrum, or to each
+    row of a block of spectra.
 
     A small floor keeps silence finite at log10(1e-10) = -10.
     """
-    if filters is None:
-        filters = mel_filter_matrix(sample_rate, cfg.fft_size, cfg.n_filters)
-    energies = filters @ np.asarray(spectrum, dtype=np.float64)
+    filters = mel_filter_matrix(sample_rate, cfg.fft_size, cfg.n_filters)
+    spectrum = np.asarray(spectrum, dtype=np.float64)
+    # One matrix-vector product per row; `spectrum @ filters.T` as a single
+    # GEMM rounds differently and would change the feature bits.
+    energies = (filters @ spectrum[..., None])[..., 0]
     return np.log10(np.maximum(energies, LOG_FLOOR))
 
 
 def dct_coeffs(log_energies: np.ndarray, n_coeffs: int) -> np.ndarray:
-    """Orthonormal type-II DCT; the mean coefficient is dropped and the next
-    n_coeffs returned."""
+    """Orthonormal type-II DCT along the last axis; the mean coefficient is
+    dropped and the next n_coeffs returned."""
     log_energies = np.asarray(log_energies, dtype=np.float64)
-    if n_coeffs > log_energies.shape[0]:
+    if n_coeffs > log_energies.shape[-1]:
         raise ValueError("n_coeffs cannot exceed the number of filter energies")
-    full = _scipy_dct(log_energies, type=2, norm="ortho")
-    return full[1:n_coeffs + 1]
+    full = _scipy_dct(log_energies, type=2, norm="ortho", axis=-1)
+    return full[..., 1:n_coeffs + 1]
 
 
 def write_frames_csv(utterance_frames, path) -> None:
@@ -193,13 +197,9 @@ def mfcc_pipeline(buf: AudioBuffer, cfg: MfccConfig | None = None) -> np.ndarray
         cfg = MfccConfig()
     emphasized = preemphasis(buf, cfg.preemph_a)
     frames = frame_signal(emphasized, cfg.frame_len, cfg.hop)
-    window = hamming_vector(cfg.frame_len)
-    filters = mel_filter_matrix(buf.sample_rate, cfg.fft_size, cfg.n_filters)
-    out = np.empty((frames.shape[0], cfg.n_coeffs))
-    for i, frame in enumerate(frames):
-        spec = power_spectrum(frame * window, cfg.fft_size)
-        if not cfg.use_power:
-            spec = np.sqrt(spec)
-        out[i] = dct_coeffs(mel_filterbank(spec, cfg, buf.sample_rate, filters),
-                            cfg.n_coeffs)
-    return out
+    spec = power_spectrum(frames * hamming_vector(cfg.frame_len), cfg.fft_size)
+    if not cfg.use_power:
+        spec = np.sqrt(spec)
+    coeffs = dct_coeffs(mel_filterbank(spec, cfg, buf.sample_rate), cfg.n_coeffs)
+    # A copy, not a view of the full DCT block: callers keep every utterance.
+    return np.ascontiguousarray(coeffs)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -93,6 +94,13 @@ synth.samples_per_class = 50
         assert main(["synth", "--config", cfg]) == 2
         assert f"{cfg}:2 (synth.separation): separation must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e308", "5e307"])
+    def test_overflowing_separation_exits_2(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path / "bad.cfg",
+                        f"run.outdir = {tmp_path / 'o'}\nsynth.separation = {value}\n")
+        assert main(["synth", "--config", cfg]) == 2
+        assert f"{cfg}:2 (synth.separation): separation " in capsys.readouterr().err
+
     def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "bad.cfg", "run.mode = som\n")
         assert main(["synth", "--config", cfg]) == 2
@@ -186,6 +194,13 @@ class TestTrainCommand:
         cfg = train_cfg(tmp_path, dataset, model="ssom")
         assert main(["train", "--config", cfg]) == 4
         assert f"{dataset}:3:" in capsys.readouterr().err
+
+    def test_non_utf8_dataset_exits_4(self, tmp_path, dataset, capsys):
+        dataset.write_bytes(np.random.default_rng(0).bytes(300))
+        cfg = train_cfg(tmp_path, dataset)
+        assert main(["train", "--config", cfg]) == 4
+        assert re.search(rf"{re.escape(str(dataset))}:\d+: not UTF-8 text",
+                         capsys.readouterr().err)
 
     def test_header_without_features_exits_4(self, tmp_path, dataset, capsys):
         dataset.write_text("utt_id,label,macro_class\nu0,a,\n")
@@ -480,6 +495,21 @@ data.test_csv = {dataset}
 """)
         assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 4
         assert f"{empty}:2: no sample rows" in capsys.readouterr().err
+
+    def test_non_utf8_dataset_exits_4(self, tmp_path, trained, capsys):
+        dataset, model_path = trained
+        lines = dataset.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xad" + lines[2]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(lines))
+        cfg = write_cfg(tmp_path / "eval.cfg", f"""
+run.model = som
+run.outdir = {tmp_path / 'eval-out'}
+data.train_csv = {dataset}
+data.test_csv = {bad}
+""")
+        assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 4
+        assert f"{bad}:3: not UTF-8 text: byte 0xad" in capsys.readouterr().err
 
     def test_missing_model_exits_3(self, tmp_path, trained):
         dataset, _ = trained

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsom.cli import build_model
+from pulsom.cli import build_model, synth_dataset
 from pulsom.config import AUTO, REGISTRY, RunConfig, parse_config_text, registry_help
 from pulsom.corpus import synth_generate
 from pulsom.errors import ConfigError
@@ -110,10 +110,7 @@ class TestRegistryHelp:
             assert key.name in text
 
 
-# synth.separation is left out: a finite separation near the float maximum
-# overflows inside synth_generate, which then never returns.
-FLOAT_KEYS = [k.name for k in REGISTRY
-              if k.kind.startswith("float") and k.name != "synth.separation"]
+FLOAT_KEYS = [k.name for k in REGISTRY if k.kind.startswith("float")]
 KIND_OF_SECTION = {"stdp": "ssom", "ssom": "ssom", "lateral": "ssom", "rssom": "rssom",
                    "lin": "lin"}
 
@@ -127,8 +124,8 @@ def fuzz_setup(tmp_path_factory):
 
 class TestFuzzedFloatKeys:
     """Any float or text on any float key of a config file either builds the
-    run's objects (schedule, model, MFCC settings) or raises a ConfigError
-    that names the file and line."""
+    run's objects (schedule, model, MFCC settings, synthetic dataset) or
+    raises a ConfigError that names the file and line."""
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     @settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -142,5 +139,6 @@ class TestFuzzedFloatKeys:
             cfg.schedule()
             cfg.mfcc_config()
             build_model(cfg, data)
+            synth_dataset(cfg)
         except ConfigError as exc:
             assert re.match(rf"{re.escape(str(path))}:\d+", str(exc)), str(exc)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsom.corpus import (
     MACRO_CLASSES,
@@ -333,6 +335,74 @@ class TestDatasetCsv:
         assert exc.value.line == 4
         assert f"{path}:4" in str(exc.value)
         assert "f1c1" in str(exc.value)
+
+
+FUZZ = settings(max_examples=20, derandomize=True, database=None, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    """The lines of a valid 3-frame x 4-coefficient dataset CSV and a path
+    for the fuzzed copies."""
+    rng = np.random.default_rng(3)
+    samples = [SequenceSample(rng.normal(size=(3, 4)), "aa", "vowels", f"u{i}")
+               for i in range(4)]
+    path = tmp_path_factory.mktemp("fuzzed") / "d.csv"
+    write_dataset_csv(samples, path)
+    return path.read_text().splitlines(), path
+
+
+def parses_or_names_file_and_line(path, content):
+    """Write content to path; reading it back either parses or raises a
+    CorpusFormatError whose message starts with `path:line`."""
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    try:
+        read_dataset_csv(path)
+    except CorpusFormatError as exc:
+        assert exc.line is not None
+        assert str(exc).startswith(f"{path}:{exc.line}: "), str(exc)
+
+
+class TestFuzzedDatasetCsv:
+    """No input to the dataset-CSV reader ends in any exception other than a
+    CorpusFormatError that names the file and line."""
+
+    @FUZZ
+    @given(content=st.binary())
+    def test_arbitrary_bytes(self, fuzz_csv, content):
+        parses_or_names_file_and_line(fuzz_csv[1], content)
+
+    @FUZZ
+    @given(content=st.binary(min_size=1), at=st.integers(0, 10**6))
+    def test_bytes_spliced_into_a_valid_file(self, fuzz_csv, content, at):
+        good = ("\n".join(fuzz_csv[0]) + "\n").encode("utf-8")
+        at %= len(good)
+        parses_or_names_file_and_line(fuzz_csv[1], good[:at] + content + good[at:])
+
+    @FUZZ
+    @given(text=st.text(), row=st.integers(1, 4), cell=st.integers(3, 14))
+    def test_text_on_a_feature_cell(self, fuzz_csv, text, row, cell):
+        lines, path = list(fuzz_csv[0]), fuzz_csv[1]
+        cells = lines[row].split(",")
+        cells[cell] = text
+        lines[row] = ",".join(cells)
+        parses_or_names_file_and_line(path, "\n".join(lines) + "\n")
+
+    @FUZZ
+    @given(labels=st.tuples(st.text(), st.text(), st.text()), row=st.integers(1, 4))
+    def test_text_on_the_label_cells(self, fuzz_csv, labels, row):
+        lines, path = list(fuzz_csv[0]), fuzz_csv[1]
+        lines[row] = ",".join([*labels, *lines[row].split(",")[3:]])
+        parses_or_names_file_and_line(path, "\n".join(lines) + "\n")
+
+    @FUZZ
+    @given(text=st.text(), cell=st.integers(0, 14))
+    def test_text_on_the_header(self, fuzz_csv, text, cell):
+        lines, path = list(fuzz_csv[0]), fuzz_csv[1]
+        cells = lines[0].split(",")
+        cells[cell] = text
+        lines[0] = ",".join(cells)
+        parses_or_names_file_and_line(path, "\n".join(lines) + "\n")
 
 
 def make_fixture_corpus(root, n_utts=2):

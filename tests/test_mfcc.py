@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dct as scipy_dct
 
 from pulsom.mfcc import (
+    LOG_FLOOR,
     AudioBuffer,
     MfccConfig,
     dct_coeffs,
@@ -42,6 +44,29 @@ def naive_dct2_ortho(x):
         scale = math.sqrt(1.0 / n) if k == 0 else math.sqrt(2.0 / n)
         out[k] = scale * s
     return out
+
+
+def per_frame_mfcc(buf, cfg):
+    """The per-frame front-end loop that the batched pipeline replaced: one
+    FFT, one filterbank product and one DCT call for each frame.  It is the
+    reference that mfcc_pipeline must match bit for bit."""
+    s = preemphasis(buf, cfg.preemph_a).samples
+    count = (s.shape[0] - cfg.frame_len) // cfg.hop + 1
+    frames = np.stack([s[i * cfg.hop:i * cfg.hop + cfg.frame_len] for i in range(count)])
+    window = hamming_vector(cfg.frame_len)
+    filters = mel_filter_matrix(buf.sample_rate, cfg.fft_size, cfg.n_filters)
+    out = np.empty((count, cfg.n_coeffs))
+    for i, frame in enumerate(frames):
+        spec = np.abs(np.fft.rfft(frame * window, n=cfg.fft_size)) ** 2
+        if not cfg.use_power:
+            spec = np.sqrt(spec)
+        energies = np.log10(np.maximum(filters @ spec, LOG_FLOOR))
+        out[i] = scipy_dct(energies, type=2, norm="ortho")[1:cfg.n_coeffs + 1]
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def naive_mel_filterbank(sample_rate, fft_size, n_filters):
@@ -105,10 +130,13 @@ class TestFrameSignal:
             frame_signal(AudioBuffer(np.zeros(255)), 256, 128)
 
     def test_frames_start_at_hop_multiples(self):
-        buf = AudioBuffer(np.arange(640, dtype=float))
-        frames = frame_signal(buf, 256, 128)
-        for i, frame in enumerate(frames):
-            assert frame[0] == i * 128
+        for n, frame_len, hop in [(640, 256, 128), (1000, 200, 100), (1001, 255, 127)]:
+            samples = np.arange(n, dtype=float)
+            frames = frame_signal(AudioBuffer(samples), frame_len, hop)
+            assert frames.shape == ((n - frame_len) // hop + 1, frame_len)
+            for i, frame in enumerate(frames):
+                assert frame[0] == i * hop
+                assert np.array_equal(frame, samples[i * hop:i * hop + frame_len])
 
 
 class TestHamming:
@@ -286,6 +314,55 @@ class TestPipeline:
         rng = np.random.default_rng(8)
         buf = AudioBuffer(rng.uniform(-0.5, 0.5, 512))
         assert np.array_equal(mfcc_pipeline(buf), mfcc_pipeline(buf))
+
+
+class TestBatchedStages:
+    """Each stage applied to an (n, k) block equals its row-by-row result."""
+
+    def test_power_spectrum_block(self):
+        block = np.random.default_rng(10).normal(size=(9, 200))
+        rows = np.stack([power_spectrum(row, 256) for row in block])
+        assert same_bits(power_spectrum(block, 256), rows)
+
+    def test_mel_filterbank_block(self):
+        cfg = MfccConfig()
+        block = power_spectrum(np.random.default_rng(11).normal(size=(9, 256)), 256)
+        block[0] = 0.0  # a silent row hits the log floor
+        rows = np.stack([mel_filterbank(row, cfg) for row in block])
+        assert same_bits(mel_filterbank(block, cfg), rows)
+
+    def test_dct_block(self):
+        block = np.random.default_rng(12).normal(size=(9, 26))
+        rows = np.stack([dct_coeffs(row, 12) for row in block])
+        assert same_bits(dct_coeffs(block, 12), rows)
+
+    def test_block_checks_row_length(self):
+        with pytest.raises(ValueError):
+            power_spectrum(np.zeros((3, 300)), 256)
+        with pytest.raises(ValueError):
+            dct_coeffs(np.zeros((3, 8)), 12)
+
+
+class TestPipelineMatchesPerFrameLoop:
+    @pytest.mark.parametrize("length", [256, 257, 383, 384, 1000, 48000, 48100])
+    @pytest.mark.parametrize("signal", ["noise", "silence", "tone"])
+    @pytest.mark.parametrize("settings", [{}, {"use_power": False},
+                                          {"frame_len": 200, "fft_size": 512}])
+    def test_bit_identical(self, length, signal, settings):
+        n = np.arange(length)
+        samples = {"noise": np.random.default_rng(length).uniform(-0.5, 0.5, length),
+                   "silence": np.zeros(length),
+                   "tone": 0.5 * np.sin(2 * math.pi * 1000.0 * n / 16000.0)}[signal]
+        buf, cfg = AudioBuffer(samples), MfccConfig(**settings)
+        assert same_bits(mfcc_pipeline(buf, cfg), per_frame_mfcc(buf, cfg))
+
+    def test_result_is_a_contiguous_matrix_of_its_own(self):
+        cfg = MfccConfig()
+        out = mfcc_pipeline(AudioBuffer(np.random.default_rng(13).uniform(-0.5, 0.5, 3000)),
+                            cfg)
+        assert out.shape == ((3000 - cfg.frame_len) // cfg.hop + 1, cfg.n_coeffs)
+        assert out.flags.c_contiguous
+        assert out.base is None
 
 
 class TestFramesCsv:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .config import RunConfig, registry_help
 from .errors import ConfigError, CorpusFormatError, DivergenceError
 from .evaluate import calibrate, read_report_csv, render_text, report, write_confusion_csv, write_report_csv
 from .lin import train_lin
-from .mfcc import write_frames_csv
+from .mfcc import frames_csv_header, frames_csv_lines, row_texts
 from .models import LinModel, RssomModel, SomModel, SsomModel, load_model, save_model
 from .rssom import train_rssom
 from .som import Lattice, sample_vectors, train_som
@@ -62,17 +63,36 @@ def cmd_features(cfg: RunConfig) -> int:
         raise FileNotFoundError(f"corpus root {root} does not exist")
     dialects = [d for d in cfg["corpus.dialects"].split(",") if d]
     speakers = [s for s in cfg["corpus.speakers"].split(",") if s]
-    samples, stats = corpus_mod.build_corpus_dataset(
-        root, cfg.mfcc_config(), unit=cfg["corpus.unit"], k=cfg["corpus.frames"],
-        dialects=dialects or None, speakers=speakers or None, collect_frames=True)
-    if not samples:
-        raise FileNotFoundError(f"no labeled segments found under {root}")
+    mfcc_cfg, k = cfg.mfcc_config(), cfg["corpus.frames"]
     outdir = cfg.outdir()
     outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "dataset.csv"
-    corpus_mod.write_dataset_csv(samples, out)
-    frames_out = outdir / "frames.csv"
-    write_frames_csv(stats["utterance_frames"], frames_out)
+    out, frames_out = outdir / "dataset.csv", outdir / "frames.csv"
+    # Both files are written under temporary names and renamed only when the
+    # whole corpus went through, so a failed run leaves neither behind.
+    parts = [p.with_name(p.name + ".part") for p in (out, frames_out)]
+    stats = {}
+    try:
+        with open(parts[0], "w", encoding="utf-8") as data_f, \
+                open(parts[1], "w", encoding="utf-8") as frames_f:
+            data_f.write(",".join(corpus_mod.dataset_header(k, mfcc_cfg.n_coeffs)) + "\n")
+            frames_f.write(frames_csv_header(mfcc_cfg.n_coeffs))
+            # Each utterance's numbers are formatted once, for both files.
+            for utt_id, feats, picks in corpus_mod.walk_corpus(
+                    root, mfcc_cfg, cfg["corpus.unit"], k, dialects, speakers, stats):
+                texts = row_texts(feats)
+                frames_f.write(frames_csv_lines(utt_id, texts))
+                data_f.write("".join(
+                    corpus_mod.dataset_csv_line(utt_id, seg.label, macro,
+                                                [texts[i] for i in idx])
+                    for seg, macro, idx in picks))
+        if stats["segments"] == stats["skipped_segments"]:
+            raise FileNotFoundError(f"no labeled segments found under {root}")
+        for part, final in zip(parts, (out, frames_out)):
+            os.replace(part, final)
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
     print(f"utterances: {stats['utterances']} ({stats['skipped_utterances']} skipped)")
     print(f"segments: {stats['segments']} ({stats['skipped_segments']} skipped)")
     print(f"wrote {out}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .coding import SsomConfig
-from .errors import ConfigError
+from .errors import ConfigError, CorpusFormatError, read_utf8
 from .mfcc import MfccConfig
 from .som import Schedule
 from .ssom import LateralKernel
@@ -155,8 +155,12 @@ class RunConfig:
         path = Path(path)
         if not path.is_file():
             raise FileNotFoundError(f"config file {path} does not exist")
+        try:
+            text = read_utf8(path)
+        except CorpusFormatError as exc:
+            raise ConfigError(str(exc)) from None
         where = {}
-        values = parse_config_text(path.read_text(), source=str(path), where=where)
+        values = parse_config_text(text, source=str(path), where=where)
         return RunConfig(values, where)
 
     def __getitem__(self, name: str):

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorpusFormatError
-from .mfcc import AudioBuffer, MfccConfig, mfcc_pipeline
+from .errors import CorpusFormatError, read_utf8
+from .mfcc import AudioBuffer, MfccConfig, mfcc_pipeline, row_texts
 
 SPHERE_MAGIC = "NIST_1A"
 
@@ -175,42 +175,45 @@ def read_alignment(path, kind: str = "phn") -> list[Segment]:
         raise ValueError(f"alignment kind must be 'phn' or 'wrd', got {kind!r}")
     path = Path(path)
     utt_id = path.stem
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError:
+        read_utf8(path)
+        raise
     segments: list[Segment] = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise CorpusFormatError(path, f"expected `start end label`, got {line!r}",
-                                        line=lineno)
-            try:
-                start, end = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise CorpusFormatError(path, f"non-integer span in {line!r}",
-                                        line=lineno) from None
-            if start < 0 or start >= end:
-                raise CorpusFormatError(path, f"invalid span {start}..{end}", line=lineno)
-            if segments and start < segments[-1].end_sample:
-                raise CorpusFormatError(
-                    path, f"segment at {start} overlaps previous ending at "
-                          f"{segments[-1].end_sample}", line=lineno)
-            segments.append(Segment(utt_id, parts[2], start, end))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise CorpusFormatError(path, f"expected `start end label`, got {line!r}",
+                                    line=lineno)
+        try:
+            start, end = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise CorpusFormatError(path, f"non-integer span in {line!r}",
+                                    line=lineno) from None
+        if start < 0 or start >= end:
+            raise CorpusFormatError(path, f"invalid span {start}..{end}", line=lineno)
+        if segments and start < segments[-1].end_sample:
+            raise CorpusFormatError(
+                path, f"segment at {start} overlaps previous ending at "
+                      f"{segments[-1].end_sample}", line=lineno)
+        segments.append(Segment(utt_id, parts[2], start, end))
     return segments
 
 
-def middle_frames(seg: Segment, mfcc_frames: np.ndarray, hop: int, frame_len: int,
-                  k: int = 9) -> SequenceSample:
-    """The k feature frames centered on the middle of a segment's span.
+def middle_frame_index(seg: Segment, n_frames: int, hop: int, frame_len: int,
+                       k: int = 9) -> list[int]:
+    """Indices of the k frames centered on the middle of a segment's span.
 
     Frame i covers samples [i*hop, i*hop + frame_len).  Segments spanning
     fewer than k frames get their edge frames replicated outward.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    mfcc_frames = np.asarray(mfcc_frames, dtype=np.float64)
-    n_frames = mfcc_frames.shape[0]
     first = max(0, (seg.start_sample - frame_len) // hop + 1)
     last = min(n_frames - 1, (seg.end_sample - 1) // hop)
     if last < first:
@@ -218,9 +221,16 @@ def middle_frames(seg: Segment, mfcc_frames: np.ndarray, hop: int, frame_len: in
             f"segment {seg.label!r} [{seg.start_sample}, {seg.end_sample}) "
             f"overlaps zero frames"
         )
-    count = last - first + 1
-    center = first + count // 2
-    idx = np.clip(np.arange(center - k // 2, center - k // 2 + k), first, last)
+    center = first + (last - first + 1) // 2
+    return [min(max(i, first), last) for i in range(center - k // 2, center - k // 2 + k)]
+
+
+def middle_frames(seg: Segment, mfcc_frames: np.ndarray, hop: int, frame_len: int,
+                  k: int = 9) -> SequenceSample:
+    """The k feature frames centered on the middle of a segment's span (see
+    middle_frame_index)."""
+    mfcc_frames = np.asarray(mfcc_frames, dtype=np.float64)
+    idx = middle_frame_index(seg, mfcc_frames.shape[0], hop, frame_len, k)
     return SequenceSample(mfcc_frames[idx], seg.label, utt_id=seg.utt_id)
 
 
@@ -314,18 +324,24 @@ def dataset_header(frames: int, dim: int) -> list[str]:
     return cols
 
 
+def dataset_csv_line(utt_id: str, label: str, macro: str | None, texts) -> str:
+    """One dataset-cache row, from the row_texts of the sample's frames."""
+    return ",".join([utt_id, label, macro or "", *texts]) + "\n"
+
+
 def write_dataset_csv(samples: list[SequenceSample], path) -> None:
     """Dataset cache: one row per sample, feature columns f<frame>c<coeff>."""
     if not samples:
         raise ValueError("cannot write an empty dataset")
     frames, dim = samples[0].frames.shape
+    if dim < 1:
+        raise ValueError("samples must have at least one feature per frame")
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(dataset_header(frames, dim)) + "\n")
         for s in samples:
             if s.frames.shape != (frames, dim):
                 raise ValueError("all samples must share one frames/dim shape")
-            values = [repr(float(x)) for x in s.frames.ravel()]
-            f.write(",".join([s.utt_id, s.label, s.macro_class or ""] + values) + "\n")
+            f.write(dataset_csv_line(s.utt_id, s.label, s.macro_class, row_texts(s.frames)))
 
 
 def read_dataset_csv(path) -> list[SequenceSample]:
@@ -335,15 +351,7 @@ def read_dataset_csv(path) -> list[SequenceSample]:
     except UnicodeDecodeError:
         # The text reader decodes in blocks, so its error cannot tell the
         # line; decoding the whole file again finds the first bad byte.
-        raw = path.read_bytes()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # A character appended after the prefix opens a new line exactly
-            # when the prefix ends in a line break.
-            line = len((raw[:exc.start] + b"x").splitlines())
-            raise CorpusFormatError(path, f"not UTF-8 text: byte 0x{raw[exc.start]:02x} "
-                                          f"({exc.reason})", line=line) from None
+        read_utf8(path)
         raise
 
 
@@ -410,26 +418,16 @@ def iter_utterances(root, dialects=None, speakers=None):
                     yield wav.with_suffix(""), dialect_dir.name, speaker_dir.name
 
 
-def build_corpus_dataset(root, mfcc_cfg: MfccConfig | None = None, unit: str = "phn",
-                         k: int = 9, dialects=None, speakers=None,
-                         collect_frames: bool = False):
-    """Extract one SequenceSample per labeled segment under a corpus root.
-
-    Returns (samples, stats) where stats counts utterances, utterances
-    skipped for being shorter than one analysis frame, segments and
-    segments skipped for overlapping no whole frame.  With collect_frames
-    the per-utterance coefficient matrices come back in
-    stats["utterance_frames"] as (utt_id, matrix) pairs.
-    """
-    if mfcc_cfg is None:
-        mfcc_cfg = MfccConfig()
+def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speakers,
+                stats: dict):
+    """Yield (utt_id, coefficient rows, picks) for each utterance with a
+    `unit` alignment and at least one analysis frame; picks holds (segment,
+    macro class or None, middle_frame_index) for each segment that overlaps
+    a frame.  stats counts utterances, utterances skipped for being shorter
+    than one frame, segments and segments skipped for overlapping none."""
     dialects = {d.lower() for d in dialects} if dialects else None
     speakers = {s.lower() for s in speakers} if speakers else None
-    samples: list[SequenceSample] = []
-    stats = {"utterances": 0, "skipped_utterances": 0, "segments": 0,
-             "skipped_segments": 0}
-    if collect_frames:
-        stats["utterance_frames"] = []
+    stats.update(utterances=0, skipped_utterances=0, segments=0, skipped_segments=0)
     for stem, _dialect, _speaker in iter_utterances(root, dialects, speakers):
         wav = _sibling(stem, ".wav")
         ali = _sibling(stem, f".{unit}")
@@ -441,23 +439,33 @@ def build_corpus_dataset(root, mfcc_cfg: MfccConfig | None = None, unit: str = "
             stats["skipped_utterances"] += 1
             continue
         feats = mfcc_pipeline(buf, mfcc_cfg)
-        utt_id = f"{stem.parent.name}/{stem.name}"
-        if collect_frames:
-            stats["utterance_frames"].append((utt_id, feats))
+        picks = []
         for seg in read_alignment(ali, kind=unit):
             stats["segments"] += 1
             try:
-                sample = middle_frames(seg, feats, mfcc_cfg.hop, mfcc_cfg.frame_len, k)
+                idx = middle_frame_index(seg, len(feats), mfcc_cfg.hop, mfcc_cfg.frame_len, k)
             except ValueError:
                 stats["skipped_segments"] += 1
                 continue
-            if unit == "phn":
-                try:
-                    sample.macro_class = macro_class(seg.label)
-                except ValueError as exc:
-                    raise CorpusFormatError(ali, str(exc)) from None
-            sample.utt_id = utt_id
-            samples.append(sample)
+            try:
+                macro = macro_class(seg.label) if unit == "phn" else None
+            except ValueError as exc:
+                raise CorpusFormatError(ali, str(exc)) from None
+            picks.append((seg, macro, idx))
+        yield f"{stem.parent.name}/{stem.name}", feats, picks
+
+
+def build_corpus_dataset(root, mfcc_cfg: MfccConfig | None = None, unit: str = "phn",
+                         k: int = 9, dialects=None, speakers=None):
+    """Extract one SequenceSample per labeled segment under a corpus root.
+
+    Returns (samples, stats), with stats as counted by walk_corpus.
+    """
+    stats: dict = {}
+    samples = [SequenceSample(feats[idx], seg.label, macro, utt_id)
+               for utt_id, feats, picks in walk_corpus(
+                   root, mfcc_cfg or MfccConfig(), unit, k, dialects, speakers, stats)
+               for seg, macro, idx in picks]
     return samples, stats
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the shared range check."""
+"""Exception types shared across the package, the shared range check, and
+the reader of input files that must be UTF-8 text."""
 
 import math
+from pathlib import Path
 
 
 class PulsomError(Exception):
@@ -28,6 +30,20 @@ class CorpusFormatError(PulsomError):
         self.line = line
         where = f"{path}:{line}" if line is not None else str(path)
         super().__init__(f"{where}: {message}")
+
+
+def read_utf8(path) -> str:
+    """The text of a file that must be UTF-8; a byte that is not raises
+    CorpusFormatError naming the line of the first such byte."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # A character appended after the prefix opens a new line exactly
+        # when the prefix ends in a line break.
+        line = len((raw[:exc.start] + b"x").splitlines())
+        raise CorpusFormatError(path, f"not UTF-8 text: byte 0x{raw[exc.start]:02x} "
+                                      f"({exc.reason})", line=line) from None
 
 
 class DivergenceError(PulsomError):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct as _scipy_dct
 
 LOG_FLOOR = 1e-10
 
@@ -52,6 +51,8 @@ class MfccConfig:
     def __post_init__(self):
         if not (0.9 <= self.preemph_a <= 1.0):
             raise ValueError(f"preemph_a must be in [0.9, 1.0], got {self.preemph_a}")
+        if self.n_coeffs < 1:
+            raise ValueError(f"n_coeffs must be at least 1, got {self.n_coeffs}")
         if self.n_coeffs > self.n_filters:
             raise ValueError("n_coeffs cannot exceed n_filters")
         if self.fft_size < self.frame_len:
@@ -168,11 +169,29 @@ def mel_filterbank(spectrum: np.ndarray, cfg: MfccConfig,
 def dct_coeffs(log_energies: np.ndarray, n_coeffs: int) -> np.ndarray:
     """Orthonormal type-II DCT along the last axis; the mean coefficient is
     dropped and the next n_coeffs returned."""
+    # Imported here so that only the features command pays for loading scipy.
+    from scipy.fft import dct
     log_energies = np.asarray(log_energies, dtype=np.float64)
     if n_coeffs > log_energies.shape[-1]:
         raise ValueError("n_coeffs cannot exceed the number of filter energies")
-    full = _scipy_dct(log_energies, type=2, norm="ortho", axis=-1)
+    full = dct(log_energies, type=2, norm="ortho", axis=-1)
     return full[..., 1:n_coeffs + 1]
+
+
+def row_texts(matrix: np.ndarray) -> list[str]:
+    """Each row of a float matrix as comma-separated `repr` values: the one
+    text form of feature numbers in every CSV written, exact on reading."""
+    return [",".join(map(repr, row)) for row in matrix.tolist()]
+
+
+def frames_csv_header(n_coeffs: int) -> str:
+    cols = ",".join(f"c{i + 1}" for i in range(n_coeffs))
+    return f"utt_id,frame_idx,{cols}\n"
+
+
+def frames_csv_lines(utt_id: str, texts: list[str]) -> str:
+    """The per-frame CSV lines of one utterance, from its row_texts."""
+    return "".join(f"{utt_id},{i},{text}\n" for i, text in enumerate(texts))
 
 
 def write_frames_csv(utterance_frames, path) -> None:
@@ -181,14 +200,10 @@ def write_frames_csv(utterance_frames, path) -> None:
     utterance_frames = list(utterance_frames)
     if not utterance_frames:
         raise ValueError("no utterances to write")
-    n_coeffs = utterance_frames[0][1].shape[1]
-    with open(path, "w") as f:
-        cols = ",".join(f"c{i + 1}" for i in range(n_coeffs))
-        f.write(f"utt_id,frame_idx,{cols}\n")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(frames_csv_header(utterance_frames[0][1].shape[1]))
         for utt_id, frames in utterance_frames:
-            for i, row in enumerate(frames):
-                values = ",".join(repr(float(x)) for x in row)
-                f.write(f"{utt_id},{i},{values}\n")
+            f.write(frames_csv_lines(utt_id, row_texts(np.asarray(frames, dtype=np.float64))))
 
 
 def mfcc_pipeline(buf: AudioBuffer, cfg: MfccConfig | None = None) -> np.ndarray:

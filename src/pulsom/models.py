@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .coding import SsomConfig, encode_frames
+from .errors import CorpusFormatError, read_utf8
 from .lin import PotentialState
 from .rssom import DifferenceState
 from .som import QE_CHUNK_ELEMENTS, Lattice, UnitIndex, find_bmus, frames_of, sample_vectors
@@ -195,7 +196,9 @@ def load_model(path):
     the path."""
     path = Path(path)
     try:
-        return _parse_model(path.read_text().splitlines())
+        return _parse_model(read_utf8(path).splitlines())
+    except CorpusFormatError as exc:
+        raise ValueError(str(exc)) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

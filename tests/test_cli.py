@@ -1,22 +1,38 @@
 import hashlib
+import os
 import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pulsom
+from pulsom import corpus as corpus_mod
 from pulsom.cli import main
-from pulsom.config import REGISTRY
+from pulsom.config import REGISTRY, RunConfig
 from pulsom.coding import SsomConfig
-from pulsom.corpus import read_dataset_csv, synth_generate, write_dataset_csv, write_sphere
+from pulsom.corpus import (
+    build_corpus_dataset,
+    iter_utterances,
+    read_dataset_csv,
+    read_sphere,
+    synth_generate,
+    write_dataset_csv,
+    write_sphere,
+)
 from pulsom.lin import train_lin
+from pulsom.mfcc import mfcc_pipeline, write_frames_csv
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel, save_model
 from pulsom.rssom import train_rssom
 from pulsom.som import Lattice, Schedule, sample_vectors, train_som
 from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
 from pulsom.stdp import StdpRule, StdpWindow
-from test_corpus import make_fixture_corpus
+from test_corpus import PHN, make_fixture_corpus
 
 
 # The config sections whose float keys the spiking trainer's builders check.
@@ -100,6 +116,13 @@ synth.samples_per_class = 50
                         f"run.outdir = {tmp_path / 'o'}\nsynth.separation = {value}\n")
         assert main(["synth", "--config", cfg]) == 2
         assert f"{cfg}:2 (synth.separation): separation " in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2_with_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(f"run.outdir = {tmp_path / 'o'}\n".encode() + b"\xadsynth.dim = 3\n")
+        assert main(["synth", "--config", str(cfg)]) == 2
+        assert f"config error: {cfg}:2: not UTF-8 text: byte 0xad" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "bad.cfg", "run.mode = som\n")
@@ -511,6 +534,16 @@ data.test_csv = {bad}
         assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 4
         assert f"{bad}:3: not UTF-8 text: byte 0xad" in capsys.readouterr().err
 
+    def test_non_utf8_model_file_exits_2_with_its_line(self, tmp_path, trained, capsys):
+        dataset, model_path = trained
+        lines = model_path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xad" + lines[2]
+        model_path.write_bytes(b"".join(lines))
+        cfg = self.eval_cfg(tmp_path, dataset)
+        assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
+        assert (f"config error: {model_path}:3: not UTF-8 text: byte 0xad"
+                in capsys.readouterr().err)
+
     def test_missing_model_exits_3(self, tmp_path, trained):
         dataset, _ = trained
         cfg = self.eval_cfg(tmp_path, dataset)
@@ -609,6 +642,176 @@ class TestFeaturesCommand:
         cfg = write_cfg(tmp_path / "f.cfg",
                         f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
         assert main(["features", "--config", cfg]) == 4
+
+
+def short_utterance(root):
+    write_sphere(root / "dr1/spk1/utt05.wav", np.zeros(100, dtype=np.int16))
+    (root / "dr1/spk1/utt05.phn").write_text("0 100 h#\n")
+
+
+def more_speaker_dirs(root):
+    shutil.copytree(root / "dr1/spk1", root / "dr1/SPK3")
+    shutil.copytree(root / "dr1", root / "dr2")
+
+
+def alignment(name, text):
+    """The corpus edit that writes one alignment file of dr1/spk1."""
+    return lambda root: (root / "dr1/spk1" / name).write_text(text)
+
+
+# Fixture corpora for the byte comparison of `pulsom features` with the
+# library path: each case edits the two-utterance fixture corpus (or not),
+# and gives the config lines it runs with and a line the command prints.
+FEATURE_CASES = {
+    "short-utterance": (short_utterance, "", "utterances: 3 (1 skipped)"),
+    "zero-overlap-segment": (
+        alignment("utt0.phn", "0 1600 h#\n1600 6400 sh\n6400 6500 h#\n"), "",
+        "segments: 7 (1 skipped)"),
+    "segments-shorter-than-9-frames": (
+        alignment("utt1.phn", "0 200 h#\n200 700 sh\n700 900 iy\n900 6400 h#\n"), "",
+        "segments: 8 (0 skipped)"),
+    "word-unit": (alignment("utt1.wrd", "1600 4800 she\n5000 6000 had\n"),
+                  "corpus.unit = wrd\n", "segments: 2 (0 skipped)"),
+    "dialect-and-speaker-filters": (
+        more_speaker_dirs, "corpus.dialects = dr1\ncorpus.speakers = spk3\n",
+        "utterances: 2 (0 skipped)"),
+    "one-frame": (None, "corpus.frames = 1\n", "segments: 8 (0 skipped)"),
+    "five-frames-13-coeffs": (None, "corpus.frames = 5\nmfcc.n_coeffs = 13\n",
+                              "segments: 8 (0 skipped)"),
+}
+
+
+def library_csvs(cfg: RunConfig, outdir):
+    """dataset.csv and frames.csv as the library writes them for the corpus
+    and settings of a features config."""
+    root, unit, mfcc_cfg = cfg["corpus.root"], cfg["corpus.unit"], cfg.mfcc_config()
+    dialects = [d for d in cfg["corpus.dialects"].split(",") if d] or None
+    speakers = [s for s in cfg["corpus.speakers"].split(",") if s] or None
+    samples, _ = build_corpus_dataset(root, mfcc_cfg, unit, cfg["corpus.frames"],
+                                      dialects, speakers)
+    write_dataset_csv(samples, outdir / "dataset.csv")
+    utterances = []
+    for stem, _, _ in iter_utterances(root, dialects, speakers):
+        buf = read_sphere(stem.with_suffix(".wav"))
+        if stem.with_suffix(f".{unit}").exists() and buf.samples.size >= mfcc_cfg.frame_len:
+            utterances.append((f"{stem.parent.name}/{stem.name}", mfcc_pipeline(buf, mfcc_cfg)))
+    write_frames_csv(utterances, outdir / "frames.csv")
+
+
+def no_csvs_in(outdir):
+    return not outdir.exists() or not [p.name for p in outdir.iterdir()
+                                       if p.name.startswith(("dataset.csv", "frames.csv"))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """The fixture corpus, a features config for it, and its outdir."""
+    tmp = tmp_path_factory.mktemp("fuzzed-corpus")
+    root = make_fixture_corpus(tmp / "corpus")
+    cfg = write_cfg(tmp / "f.cfg", f"run.outdir = {tmp / 'feat'}\ncorpus.root = {root}\n")
+    return root, cfg, tmp / "feat"
+
+
+class TestFeaturesBytes:
+    """`pulsom features` streams both CSVs; the library path is the oracle."""
+
+    @pytest.mark.parametrize("case", list(FEATURE_CASES))
+    def test_cli_bytes_equal_library(self, tmp_path, capsys, case):
+        edit, settings, printed = FEATURE_CASES[case]
+        root = make_fixture_corpus(tmp_path / "corpus")
+        if edit:
+            edit(root)
+        cfg = write_cfg(tmp_path / "f.cfg", f"run.outdir = {tmp_path / 'feat'}\n"
+                                            f"corpus.root = {root}\n{settings}")
+        assert main(["features", "--config", cfg]) == 0
+        assert printed in capsys.readouterr().out
+        (tmp_path / "lib").mkdir()
+        library_csvs(RunConfig.load(cfg), tmp_path / "lib")
+        for name in ("dataset.csv", "frames.csv"):
+            assert (tmp_path / "feat" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "feat").iterdir()) == [
+            "dataset.csv", "effective-config.txt", "frames.csv", "run-manifest.txt"]
+
+    @pytest.mark.parametrize("phn, message", [
+        (b"0 1600 h#\n1600 3200 \xad\xff\n", "utt1.phn:2: not UTF-8 text: byte 0xad"),
+        (b"0 1600 h#\n1600 3200 qq\n", "unknown phone symbol 'qq'"),
+        (b"0 1600 h#\n1600 1500 sh\n", "utt1.phn:2: invalid span"),
+    ], ids=["not-utf8", "unknown-phone", "inverted-span"])
+    def test_bad_second_alignment_exits_4_and_leaves_no_csvs(self, tmp_path, capsys, phn,
+                                                             message):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        (root / "dr1" / "spk1" / "utt1.phn").write_bytes(phn)
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        assert main(["features", "--config", cfg]) == 4
+        assert message in capsys.readouterr().err
+        assert no_csvs_in(tmp_path / "feat")
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(content=st.binary(min_size=1), at=st.integers(0, 10**6))
+    def test_fuzzed_alignment_exits_0_or_4_and_4_leaves_no_csvs(self, fuzz_corpus, content,
+                                                                at):
+        root, cfg, outdir = fuzz_corpus
+        good = PHN.encode("utf-8")
+        at %= len(good)
+        (root / "dr1" / "spk1" / "utt1.phn").write_bytes(good[:at] + content + good[at:])
+        shutil.rmtree(outdir, ignore_errors=True)
+        code = main(["features", "--config", cfg])
+        assert code in (0, 4)
+        if code == 4:
+            assert no_csvs_in(outdir)
+
+    def test_no_labeled_segments_leaves_no_csvs(self, tmp_path, capsys):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        cfg = write_cfg(tmp_path / "f.cfg", f"run.outdir = {tmp_path / 'feat'}\n"
+                                            f"corpus.root = {root}\ncorpus.dialects = dr9\n")
+        assert main(["features", "--config", cfg]) == 3
+        assert "no labeled segments found" in capsys.readouterr().err
+        assert no_csvs_in(tmp_path / "feat")
+
+    def test_io_error_after_the_first_utterance_leaves_no_csvs(self, tmp_path, capsys,
+                                                               monkeypatch):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        calls = []
+
+        def read_once(path):
+            calls.append(path)
+            if len(calls) > 1:
+                raise OSError(f"cannot read {path}")
+            return read_sphere(path)
+
+        monkeypatch.setattr(corpus_mod, "read_sphere", read_once)
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        assert main(["features", "--config", cfg]) == 3
+        assert "cannot read" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert no_csvs_in(tmp_path / "feat")
+
+
+class TestScipyOnlyForFeatures:
+    def test_import_synth_train_and_eval_leave_scipy_unloaded(self, tmp_path):
+        dataset = tmp_path / "out" / "synth.csv"
+        eval_cfg = write_cfg(tmp_path / "eval.cfg",
+                             f"run.outdir = {tmp_path / 'eval-out'}\n"
+                             f"data.train_csv = {dataset}\ndata.test_csv = {dataset}\n")
+        argvs = [["synth", "--config", synth_cfg(tmp_path)],
+                 ["train", "--config", train_cfg(tmp_path, dataset)],
+                 ["eval", "--config", eval_cfg, "--model",
+                  str(tmp_path / "train-out" / "model.txt")]]
+        script = ("import sys\n"
+                  "from pulsom.cli import main\n"
+                  "seen = {'import': 'scipy' in sys.modules}\n"
+                  f"for argv in {argvs!r}:\n"
+                  "    assert main(argv) == 0, argv\n"
+                  "    seen[argv[0]] = 'scipy' in sys.modules\n"
+                  "print(seen)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(pulsom.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(
+            {"import": False, "synth": False, "train": False, "eval": False})
 
 
 class TestReportCommand:

@@ -102,6 +102,13 @@ class TestRunConfig:
         with pytest.raises(FileNotFoundError):
             RunConfig.load(tmp_path / "nope.cfg")
 
+    def test_load_non_utf8_file_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"run.seed = 1\n\xadrun.model = som\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: not UTF-8 text: "
+                                              r"byte 0xad"):
+            RunConfig.load(path)
+
 
 class TestRegistryHelp:
     def test_lists_every_key(self):

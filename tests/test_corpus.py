@@ -9,6 +9,7 @@ from pulsom.corpus import (
     SequenceSample,
     build_corpus_dataset,
     macro_class,
+    middle_frame_index,
     middle_frames,
     read_alignment,
     read_dataset_csv,
@@ -142,6 +143,14 @@ class TestReadAlignment:
         with pytest.raises(CorpusFormatError, match="non-integer"):
             read_alignment(path)
 
+    def test_non_utf8_byte_reports_its_line(self, tmp_path):
+        path = tmp_path / "x.phn"
+        path.write_bytes(b"0 1600 h#\n1600 3200 \xad\xff\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            read_alignment(path)
+        assert exc.value.line == 2
+        assert str(exc.value).startswith(f"{path}:2: not UTF-8 text: byte 0xad")
+
 
 class TestMiddleFrames:
     def frames(self, n):
@@ -170,6 +179,13 @@ class TestMiddleFrames:
         seg = Segment("u", "aa", 10_000, 10_050)
         with pytest.raises(ValueError, match="zero frames"):
             middle_frames(seg, self.frames(3), hop=128, frame_len=256, k=9)
+
+    def test_index_rule_matches_the_frames_taken(self):
+        seg = Segment("u", "aa", 0, 600)
+        assert middle_frame_index(seg, 50, hop=128, frame_len=256, k=9) == [0, 0, 0, 1, 2, 3,
+                                                                           4, 4, 4]
+        with pytest.raises(ValueError, match="k must be"):
+            middle_frame_index(seg, 50, hop=128, frame_len=256, k=0)
 
     def test_always_k_frames(self):
         rng = np.random.default_rng(1)
@@ -273,6 +289,10 @@ class TestDatasetCsv:
         assert header[:3] == ["utt_id", "label", "macro_class"]
         assert header[3] == "f0c1"
         assert header[-1] == "f2c4"
+
+    def test_samples_without_features_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one feature"):
+            write_dataset_csv([SequenceSample(np.zeros((9, 0)), "aa")], tmp_path / "d.csv")
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         samples = self.samples()
@@ -403,6 +423,50 @@ class TestFuzzedDatasetCsv:
         cells[cell] = text
         lines[0] = ",".join(cells)
         parses_or_names_file_and_line(path, "\n".join(lines) + "\n")
+
+
+PHN = "0 1600 h#\n1600 3200 sh\n3200 4800 iy\n4800 6400 h#\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_phn(tmp_path_factory):
+    """A path for the fuzzed alignment files."""
+    return tmp_path_factory.mktemp("fuzzed") / "u.phn"
+
+
+def parses_or_names_alignment_line(path, content):
+    """Write content to path; reading it back as an alignment either parses
+    or raises a CorpusFormatError whose message starts with `path:line`."""
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    try:
+        read_alignment(path)
+    except CorpusFormatError as exc:
+        assert exc.line is not None
+        assert str(exc).startswith(f"{path}:{exc.line}: "), str(exc)
+
+
+class TestFuzzedAlignment:
+    """No input to the alignment reader ends in any exception other than a
+    CorpusFormatError that names the file and line."""
+
+    @FUZZ
+    @given(content=st.binary())
+    def test_arbitrary_bytes(self, fuzz_phn, content):
+        parses_or_names_alignment_line(fuzz_phn, content)
+
+    @FUZZ
+    @given(content=st.binary(min_size=1), at=st.integers(0, 10**6))
+    def test_bytes_spliced_into_a_valid_file(self, fuzz_phn, content, at):
+        good = PHN.encode("utf-8")
+        at %= len(good)
+        parses_or_names_alignment_line(fuzz_phn, good[:at] + content + good[at:])
+
+    @FUZZ
+    @given(text=st.text(), row=st.integers(0, 3), field=st.integers(0, 2))
+    def test_text_in_one_field(self, fuzz_phn, text, row, field):
+        lines = [line.split(" ") for line in PHN.splitlines()]
+        lines[row][field] = text
+        parses_or_names_alignment_line(fuzz_phn, "".join(" ".join(line) + "\n" for line in lines))
 
 
 def make_fixture_corpus(root, n_utts=2):

@@ -19,6 +19,7 @@ from pulsom.mfcc import (
     mfcc_pipeline,
     power_spectrum,
     preemphasis,
+    row_texts,
 )
 
 
@@ -381,6 +382,16 @@ class TestFramesCsv:
         assert back == rows[0][1][0, 0]
 
 
+    def test_row_texts_match_the_repr_of_each_number(self):
+        rng = np.random.default_rng(4)
+        block = np.concatenate([rng.normal(size=(5, 12)) * 10.0 ** rng.integers(-300, 300, (5, 1)),
+                                [[0.0, -0.0, 5e-324, -2.2e-308, 1e16, 0.1, 1 / 3, -7.0,
+                                  1e-5, 123456789.0, 2.0 ** 60, math.pi]]])
+        want = [",".join(repr(float(x)) for x in row) for row in block]
+        assert row_texts(block) == want
+        assert ",".join(row_texts(block)) == ",".join(repr(float(x)) for x in block.ravel())
+
+
 class TestConfigValidation:
     def test_hop_is_half_frame(self):
         for n in (256, 400, 511):
@@ -393,3 +404,7 @@ class TestConfigValidation:
     def test_coeffs_bounded_by_filters(self):
         with pytest.raises(ValueError):
             MfccConfig(n_filters=10, n_coeffs=12)
+
+    def test_at_least_one_coefficient(self):
+        with pytest.raises(ValueError, match="n_coeffs must be at least 1"):
+            MfccConfig(n_coeffs=0)

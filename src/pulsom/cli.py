@@ -50,11 +50,21 @@ def _finalize(cfg: RunConfig, outdir: Path, produced: list[Path]) -> None:
     manifest.write_text("\n".join(lines) + "\n")
 
 
-def _read_dataset(cfg: RunConfig, key: str):
+def _read_dataset(cfg: RunConfig, key: str, model=None):
+    """The dataset at ``key``; with a model, one whose vectors are not the
+    model's width is malformed (its header, line 1, says so)."""
     path = Path(cfg.require(key))
     if not path.is_file():
         raise FileNotFoundError(f"dataset file {path} does not exist")
-    return corpus_mod.read_dataset_csv(path)
+    data = corpus_mod.read_dataset_csv(path)
+    if model is not None:
+        concat = getattr(model, "concat", False)
+        width = sample_vectors(data[:1], concat).shape[1]
+        if width != model.lattice.dim:
+            raise CorpusFormatError(path, f"{width} features per "
+                                    f"{'sample' if concat else 'frame'}, but the model has "
+                                    f"dim {model.lattice.dim}", line=1)
+    return data
 
 
 def cmd_features(cfg: RunConfig) -> int:
@@ -184,8 +194,8 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
         raise ConfigError(
             f"model file is {model.kind} but config asks for "
             f"{cfg['run.model'].upper()}")
-    train_data = _read_dataset(cfg, "data.train_csv")
-    test_data = _read_dataset(cfg, "data.test_csv")
+    train_data = _read_dataset(cfg, "data.train_csv", model)
+    test_data = _read_dataset(cfg, "data.test_csv", model)
     frame_vote = cfg["eval.frame_vote"]
     class_of, expected = _class_function(cfg)
     labels = calibrate(model, train_data, frame_vote=frame_vote)

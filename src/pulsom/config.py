@@ -42,7 +42,7 @@ REGISTRY = [
     Key("schedule.radius_start", "float_or_auto", AUTO,
         "initial neighborhood radius; auto = half the larger lattice dimension"),
     Key("schedule.radius_end", "float", 1.0, "final neighborhood radius"),
-    Key("stdp.variant", "choice", "input", "plasticity rule",
+    Key("stdp.variant", "choice", "input", "plasticity rule (RSSOM ignores it)",
         ("additive", "panchev", "soula", "input")),
     Key("stdp.a_plus", "float", 1.0, "window amplitude, potentiating side"),
     Key("stdp.a_minus", "float", 1.0, "window amplitude, depressing side"),
@@ -51,11 +51,10 @@ REGISTRY = [
     Key("stdp.eta", "float", 0.1, "plasticity learning rate"),
     Key("stdp.w_max", "float", 1.0, "weight ceiling"),
     Key("stdp.flip_branches", "bool", True,
-        "put the potentiating form on the causal (pre-before-post) side"),
+        "put the potentiating form on the causal (pre-before-post) side "
+        "(RSSOM ignores it)"),
     Key("ssom.t_max_ms", "float", 20.0, "latency-encoding horizon"),
     Key("ssom.t_ref_ms", "float", 15.0, "reference time bounding learning"),
-    Key("ssom.s_radius", "float", 1.0,
-        "spatial learning radius outside training (training follows the schedule)"),
     Key("lateral.excite_radius", "float_or_auto", AUTO,
         "excitatory lateral radius; auto = track the decayed schedule radius"),
     Key("lateral.excite_gain", "float", 0.5, "pull toward the winner's firing time"),
@@ -212,8 +211,7 @@ class RunConfig:
 
     def ssom_config(self) -> SsomConfig:
         with self.config_errors("ssom."):
-            return SsomConfig(self["ssom.t_max_ms"], self["ssom.t_ref_ms"],
-                              self["ssom.s_radius"])
+            return SsomConfig(self["ssom.t_max_ms"], self["ssom.t_ref_ms"])
 
     def lateral_kernel(self) -> LateralKernel:
         radius = self["lateral.excite_radius"]

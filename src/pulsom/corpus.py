@@ -88,7 +88,7 @@ def read_sphere(path) -> AudioBuffer:
     except (IndexError, ValueError):
         raise CorpusFormatError(path, "missing or malformed header-size line") from None
     fields: dict[str, str] = {}
-    for line in raw[:header_size].decode("ascii", errors="replace").splitlines()[2:]:
+    for line in raw[:max(header_size, 0)].decode("ascii", errors="replace").splitlines()[2:]:
         line = line.strip()
         if line == "end_head":
             break
@@ -97,6 +97,9 @@ def read_sphere(path) -> AudioBuffer:
         parts = line.split(None, 2)
         if len(parts) == 3:
             fields[parts[0]] = parts[2]
+    else:
+        raise CorpusFormatError(
+            path, f"header size {header_size} does not cover the end_head line")
 
     sample_rate = _header_int(path, fields, "sample_rate", 16000)
     channels = _header_int(path, fields, "channel_count", 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -125,12 +126,14 @@ def mel_inverse(m: float) -> float:
     return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
 
+@cache
 def mel_filter_matrix(sample_rate: int, fft_size: int, n_filters: int) -> np.ndarray:
     """Triangular filters with centers equally spaced on the mel axis.
 
     Edges are snapped to FFT bins so every triangle peaks at exactly 1;
     adjacent centers landing on the same bin mean the filterbank is too
-    dense for this FFT size.
+    dense for this FFT size.  Built once per argument triple and shared, so
+    the matrix is read-only.
     """
     n_bins = fft_size // 2 + 1
     mel_points = np.linspace(0.0, mel_scale(sample_rate / 2.0), n_filters + 2)
@@ -148,6 +151,7 @@ def mel_filter_matrix(sample_rate: int, fft_size: int, n_filters: int) -> np.nda
             fb[j, i] = (i - left) / (center - left)
         for i in range(center, right):
             fb[j, i] = (right - i) / (right - center)
+    fb.setflags(write=False)
     return fb
 
 

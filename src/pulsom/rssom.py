@@ -46,12 +46,10 @@ class DifferenceState:
         update_difference(codes.normalized[..., i, :], lattice, self)
         return difference_winners(self, lattice, cfg)
 
-    def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, record: FiringRecord,
-              spatial: np.ndarray, h: np.ndarray, cfg: SsomConfig, rule: StdpRule,
-              lr_scale: float) -> None:
+    def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
+              t_post: np.ndarray, h: np.ndarray, rule: StdpRule, lr_scale: float) -> None:
         """``window_step`` with the spike times of frame i of one sequence."""
-        window_step(codes.spike_times[i], lattice, self, record, spatial, h, cfg, rule,
-                    lr_scale)
+        window_step(codes.spike_times[i], lattice, self, idx, t_post, h, rule, lr_scale)
 
 
 def update_difference(x, lattice: Lattice, state: DifferenceState) -> None:
@@ -91,14 +89,12 @@ def difference_record(state: DifferenceState, lattice: Lattice,
 
 
 def window_step(t_spike: np.ndarray, lattice: Lattice, state: DifferenceState,
-                record: FiringRecord, spatial: np.ndarray, h: np.ndarray,
-                cfg: SsomConfig, rule: StdpRule, lr_scale: float) -> None:
-    """``rssom_learn`` given the winner's rows of ``gate_tables``."""
-    idx = learning_gate(record, spatial, cfg)
-    if idx.size == 0:
-        return
-    gain = (rule.eta * lr_scale * h[idx])[:, None]
-    dt = t_spike[None, :] - record.times[idx][:, None]
+                idx: np.ndarray, t_post: np.ndarray, h: np.ndarray, rule: StdpRule,
+                lr_scale: float) -> None:
+    """``rssom_learn`` of the gated units idx, which fired at t_post and have
+    neighborhood values h (see ``ssom.stdp_step``)."""
+    gain = (rule.eta * lr_scale * h)[:, None]
+    dt = t_spike[None, :] - t_post[:, None]
     scale = np.abs(window_value_array(dt, rule.window))
     stepped = lattice.weights[idx] + gain * scale * state.y[idx]
     lattice.weights[idx] = np.clip(stepped, 0.0, rule.w_max)
@@ -118,7 +114,8 @@ def rssom_learn(e_spike_times: np.ndarray, lattice: Lattice, state: DifferenceSt
     if record.winner is None or lr_scale == 0.0:
         return
     spatial, h = gate_tables(lattice.grid_distances(record.winner), cfg.s_radius)
-    window_step(e_spike_times, lattice, state, record, spatial, h, cfg, rule, lr_scale)
+    idx = learning_gate(record.times, record.silent, spatial, cfg)
+    window_step(e_spike_times, lattice, state, idx, record.times[idx], h[idx], rule, lr_scale)
 
 
 def train_rssom(data, model, schedule: Schedule, seed: int) -> TrainingLog:

@@ -142,18 +142,18 @@ def gate_tables(d: np.ndarray, s_radius: float) -> tuple[np.ndarray, np.ndarray]
     return d <= s_radius, neighborhood_array(d, s_radius)
 
 
-def lateral_step(record: FiringRecord, near: np.ndarray, factor: np.ndarray,
-                 delay: np.ndarray, cfg: SsomConfig) -> FiringRecord:
-    """``apply_lateral`` given the winner's rows of ``lateral_tables``."""
-    w = record.winner.flat
-    times, silent = record.times, record.silent
+def lateral_step(times: np.ndarray, silent: np.ndarray, w: int, near: np.ndarray,
+                 factor: np.ndarray, delay: np.ndarray,
+                 cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_lateral`` on the firing times and silent mask of a
+    presentation won by flat unit w, given w's rows of ``lateral_tables``."""
     active = ~silent
     active[w] = False
     pull = active & near
     push = active & ~near
     times = np.where(pull, times + factor * (times[w] - times), times)
     times = np.where(push, np.minimum(times + delay, cfg.t_max), times)
-    return FiringRecord(times, silent | (push & (times > cfg.t_ref)), record.winner)
+    return times, silent | (push & (times > cfg.t_ref))
 
 
 def apply_lateral(record: FiringRecord, kernel: LateralKernel, lattice: Lattice,
@@ -167,28 +167,25 @@ def apply_lateral(record: FiringRecord, kernel: LateralKernel, lattice: Lattice,
         raise ValueError("apply_lateral requires a record with a winner")
     if kernel.excite_radius is None:
         raise ValueError("excite_radius must be resolved before applying the kernel")
-    d = lattice.grid_distances(record.winner)
-    return lateral_step(record, *lateral_tables(d, kernel), cfg)
+    tables = lateral_tables(lattice.grid_distances(record.winner), kernel)
+    times, silent = lateral_step(record.times, record.silent, record.winner.flat, *tables, cfg)
+    return FiringRecord(times, silent, record.winner)
 
 
-def learning_gate(record: FiringRecord, spatial: np.ndarray, cfg: SsomConfig) -> np.ndarray:
+def learning_gate(times: np.ndarray, silent: np.ndarray, spatial: np.ndarray,
+                  cfg: SsomConfig) -> np.ndarray:
     """Flat indices of the units that learn: firing within t_ref and inside
     the winner's spatial area (``spatial``, its row of ``gate_tables``)."""
-    return np.flatnonzero((~record.silent) & (record.times <= cfg.t_ref) & spatial)
+    return np.flatnonzero((~silent) & (times <= cfg.t_ref) & spatial)
 
 
-def stdp_step(v: np.ndarray, t_spike: np.ndarray, lattice: Lattice, record: FiringRecord,
-              spatial: np.ndarray, h: np.ndarray, cfg: SsomConfig, rule: StdpRule,
-              lr_scale: float) -> None:
-    """``ssom_learn`` given the normalized input v, its spike times and the
-    winner's rows of ``gate_tables``."""
-    idx = learning_gate(record, spatial, cfg)
-    if idx.size == 0:
-        return
-    gain = (lr_scale * h[idx])[:, None]
-    dt = t_spike[None, :] - record.times[idx][:, None]
-    w = lattice.weights[idx]
-    lattice.weights[idx] = apply_rule_array(w, v[None, :], dt, rule, gain)
+def stdp_step(v: np.ndarray, t_spike: np.ndarray, lattice: Lattice, idx: np.ndarray,
+              t_post: np.ndarray, h: np.ndarray, rule: StdpRule, lr_scale: float) -> None:
+    """STDP toward the normalized input v, with spike times t_spike, of the
+    gated units idx that fired at t_post, with neighborhood values h."""
+    gain = (lr_scale * h)[:, None]
+    dt = t_spike[None, :] - t_post[:, None]
+    lattice.weights[idx] = apply_rule_array(lattice.weights[idx], v[None, :], dt, rule, gain)
 
 
 def ssom_learn(e: EncodedInput, lattice: Lattice, record: FiringRecord,
@@ -203,7 +200,9 @@ def ssom_learn(e: EncodedInput, lattice: Lattice, record: FiringRecord,
     if record.winner is None or lr_scale == 0.0:
         return
     spatial, h = gate_tables(lattice.grid_distances(record.winner), cfg.s_radius)
-    stdp_step(decode_latency(e), e.spike_times, lattice, record, spatial, h, cfg, rule, lr_scale)
+    idx = learning_gate(record.times, record.silent, spatial, cfg)
+    stdp_step(decode_latency(e), e.spike_times, lattice, idx, record.times[idx], h[idx], rule,
+              lr_scale)
 
 
 class FiringStep:
@@ -213,7 +212,8 @@ class FiringStep:
     drive: reset() at each sequence start, present(codes, i, lattice, cfg)
     to step frame i of one sequence's ``EncodedFrames`` (or of a stacked
     block, through ``[..., i, :]``) to (times, silent, winners), and
-    learn(...) for the learning step.  ``rssom.DifferenceState`` and
+    learn(codes, i, lattice, idx, t_post, h, rule, lr_scale) for the
+    learning step of the gated units idx.  ``rssom.DifferenceState`` and
     ``lin.PotentialState`` are the recurrent maps' step objects.
     """
 
@@ -224,12 +224,11 @@ class FiringStep:
         """``firing_winners`` of the decoded values of frame i."""
         return firing_winners(codes.decoded[..., i, :], lattice, cfg)
 
-    def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, record: FiringRecord,
-              spatial: np.ndarray, h: np.ndarray, cfg: SsomConfig, rule: StdpRule,
-              lr_scale: float) -> None:
+    def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
+              t_post: np.ndarray, h: np.ndarray, rule: StdpRule, lr_scale: float) -> None:
         """``stdp_step`` toward frame i of one sequence's codes."""
-        stdp_step(codes.decoded[i], codes.spike_times[i], lattice, record, spatial, h, cfg,
-                  rule, lr_scale)
+        stdp_step(codes.decoded[i], codes.spike_times[i], lattice, idx, t_post, h, rule,
+                  lr_scale)
 
 
 def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
@@ -241,9 +240,9 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     Every frame is coded once per run and the lateral and gate tables are
     built once per epoch.  Sequence order is reshuffled each epoch from the
     seed, and the state is reset at each sequence start.  Presentations
-    where every unit stays silent are skipped and counted; otherwise the
-    lateral kernel is applied and the state learns with the winner's gate
-    rows.
+    where every unit stays silent (winner -1) are skipped and counted;
+    otherwise the lateral kernel is applied around the flat winner and the
+    units inside its learning gate learn.
     Quantization error is logged per epoch on the decoded (de-normalized)
     weights against the raw frames.
     """
@@ -267,13 +266,13 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
             state.reset()
             seq = codes[si]
             for i in range(seq.spike_times.shape[0]):
-                rec = FiringRecord.of(lattice, *state.present(seq, i, lattice, cfg))
-                if rec.winner is None:
+                times, silent, w = state.present(seq, i, lattice, cfg)
+                if w < 0:
                     skipped += 1
                     continue
-                w = rec.winner.flat
-                rec = lateral_step(rec, near[w], factor[w], delay[w], cfg)
-                state.learn(seq, i, lattice, rec, spatial[w], h[w], cfg, rule, lr)
+                times, silent = lateral_step(times, silent, w, near[w], factor[w], delay[w], cfg)
+                idx = learning_gate(times, silent, spatial[w], cfg)
+                state.learn(seq, i, lattice, idx, times[idx], h[w, idx], rule, lr)
         check_finite(lattice, t)
         decoded = Lattice(lattice.rows, lattice.cols,
                           lo + np.clip(lattice.weights, 0.0, 1.0) * span, lattice.rng_seed)

@@ -130,7 +130,7 @@ synth.samples_per_class = 50
         assert "run.mode" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["ssom.tau_psp_ms = 5.0", "ssom.sim_step_ms = 1.0",
-                                      "mfcc.hop = 128"])
+                                      "mfcc.hop = 128", "ssom.s_radius = 1.0"])
     def test_retired_key_exits_2_with_file_and_line(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path / "old.cfg", f"run.outdir = {tmp_path / 'o'}\n{line}\n")
         assert main(["synth", "--config", cfg]) == 2
@@ -543,6 +543,25 @@ data.test_csv = {bad}
         assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
         assert (f"config error: {model_path}:3: not UTF-8 text: byte 0xad"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("csv", ["data.train_csv", "data.test_csv"])
+    @pytest.mark.parametrize("kind", ["som", "som-concat", "ssom", "rssom", "lin"])
+    def test_dataset_of_another_width_exits_4(self, tmp_path, capsys, kind, csv):
+        model, concat = kind.split("-")[0], kind == "som-concat"
+        wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+        write_dataset_csv(synth_generate(2, 3, 6, 4, 2.0, False, 1), wide)
+        write_dataset_csv(synth_generate(2, 3, 4, 4, 2.0, False, 1), narrow)
+        cfg = train_cfg(tmp_path, wide, model, extra=f"som.concat = {str(concat).lower()}")
+        assert main(["train", "--config", cfg]) == 0
+        paths = {"data.train_csv": wide, "data.test_csv": wide, csv: narrow}
+        cfg = write_cfg(tmp_path / "eval.cfg", f"run.model = {model}\n"
+                        f"run.outdir = {tmp_path / 'eval-out'}\n"
+                        + "".join(f"{key} = {path}\n" for key, path in paths.items()))
+        assert main(["eval", "--config", cfg,
+                     "--model", str(tmp_path / "train-out" / "model.txt")]) == 4
+        per = "16 features per sample, but the model has dim 24" if concat else \
+            "4 features per frame, but the model has dim 6"
+        assert f"corpus error: {narrow}:1: {per}" in capsys.readouterr().err
 
     def test_missing_model_exits_3(self, tmp_path, trained):
         dataset, _ = trained

@@ -93,6 +93,16 @@ class TestReadSphere:
             read_sphere(path)
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("size", ["0", "16", "-8"])
+    def test_header_size_short_of_end_head(self, tmp_path, size):
+        path = tmp_path / "s.wav"
+        write_sphere(path, np.zeros(4000, dtype=np.int16))
+        path.write_bytes(path.read_bytes().replace(b"   1024\n", f"   {size}\n".encode(), 1))
+        with pytest.raises(CorpusFormatError,
+                           match=f"header size {size} does not cover the end_head line") as exc:
+            read_sphere(path)
+        assert str(path) in str(exc.value)
+
     def test_big_endian_payload(self, tmp_path):
         path = tmp_path / "be.wav"
         write_sphere(path, np.array([1000, -1000], dtype=np.int16))
@@ -529,3 +539,60 @@ class TestBuildCorpusDataset:
     def test_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             build_corpus_dataset(tmp_path / "nope")
+
+
+@pytest.fixture(scope="module")
+def fuzz_sphere(tmp_path_factory):
+    """The 1024-byte header and the payload of a valid 40-sample SPHERE
+    file, and a path for the fuzzed copies."""
+    path = tmp_path_factory.mktemp("fuzzed") / "u.wav"
+    write_sphere(path, np.arange(-20, 20, dtype=np.int16) * 100)
+    raw = path.read_bytes()
+    return raw[:1024], raw[1024:], path
+
+
+def reads_or_names_file(path, content):
+    """Write content to path; reading it back as SPHERE audio either parses
+    or raises a CorpusFormatError whose message starts with the path."""
+    path.write_bytes(content)
+    try:
+        read_sphere(path)
+    except CorpusFormatError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
+
+
+class TestFuzzedSphereHeader:
+    """No SPHERE header ends in any exception other than a CorpusFormatError
+    naming the file, and a header size that falls short of the end_head
+    line is always rejected."""
+
+    @FUZZ
+    @given(header=st.binary())
+    def test_arbitrary_header_bytes(self, fuzz_sphere, header):
+        reads_or_names_file(fuzz_sphere[2], header + fuzz_sphere[1])
+
+    @FUZZ
+    @given(content=st.binary(min_size=1), at=st.integers(0, 1023))
+    def test_bytes_spliced_into_the_header(self, fuzz_sphere, content, at):
+        head, payload, path = fuzz_sphere
+        reads_or_names_file(path, head[:at] + content + head[at:] + payload)
+
+    @FUZZ
+    @given(text=st.text(), field=st.integers(2, 7))
+    def test_text_on_a_field_line(self, fuzz_sphere, text, field):
+        head, payload, path = fuzz_sphere
+        lines = head.split(b"\n")
+        lines[field] = text.encode("utf-8")
+        reads_or_names_file(path, b"\n".join(lines) + payload)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(size=st.integers(-10**6, 1100))
+    def test_header_size(self, fuzz_sphere, size):
+        head, payload, path = fuzz_sphere
+        fuzzed = head.replace(b"   1024\n", f"{size}\n".encode(), 1)
+        if size < fuzzed.index(b"end_head") + len(b"end_head"):
+            path.write_bytes(fuzzed + payload)
+            with pytest.raises(CorpusFormatError, match="does not cover the end_head line"):
+                read_sphere(path)
+        else:
+            reads_or_names_file(path, fuzzed + payload)

@@ -252,6 +252,12 @@ class TestMelFilterbank:
         assert np.all(sums[8:] > sums[:-8])
         assert sums[-1] > 4 * sums[0]
 
+    def test_built_once_per_arguments_and_read_only(self):
+        fb = mel_filter_matrix(16000, 256, 26)
+        assert mel_filter_matrix(16000, 256, 26) is fb
+        assert mel_filter_matrix(8000, 256, 26) is not fb
+        assert not fb.flags.writeable
+
     def test_too_many_filters_collide(self):
         with pytest.raises(ValueError):
             mel_filter_matrix(16000, 64, 40)

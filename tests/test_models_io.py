@@ -268,11 +268,47 @@ class TestFuzzedParameterLine:
             lines.append("scale_input_by_lambda false")
         at = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
         lines[at] = f"{key} {value}"
-        path.write_text("\n".join(lines) + "\n")
-        try:
-            model = load_model(path)
-        except ValueError as exc:
-            assert str(exc).startswith(f"{path}: ")
-            return
-        with np.errstate(all="ignore"):
-            assert model.winner_table(data[:1]).shape[0] == 1
+        loads_or_names_the_file(path, lines, data)
+
+
+def loads_or_names_the_file(path, lines, data):
+    """Write lines to path; loading them either fails with a ValueError
+    naming the file or gives a model whose winner table runs on data."""
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        model = load_model(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    with np.errstate(all="ignore"):
+        assert model.winner_table(data[:1]).shape[0] == 1
+
+
+HEADER_TOKEN = st.one_of(st.integers(-2, 10).map(str), st.text(max_size=3))
+WEIGHT_TOKEN = st.one_of(st.floats().map(repr), st.text(max_size=4))
+
+
+class TestFuzzedLatticeLines:
+    """Any text on the header line or on one weight row of a model file
+    either loads or fails with a ValueError naming the file.  The lattice
+    reader already behaved so; this pins it."""
+
+    @pytest.mark.parametrize("kind", ["SSOM", "LIN"])
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(header=st.one_of(st.text(), st.lists(HEADER_TOKEN, max_size=5).map(
+        lambda tokens: " ".join(["PULSOM1", *tokens]))))
+    def test_header_line(self, trained_files, kind, header):
+        texts, data, path = trained_files
+        lines = texts[kind].splitlines()
+        lines[0] = header
+        loads_or_names_the_file(path, lines, data)
+
+    @pytest.mark.parametrize("kind", ["SSOM", "LIN"])
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(row=st.integers(1, 9), text=st.one_of(st.text(), st.lists(WEIGHT_TOKEN, max_size=5)
+                                                 .map(" ".join)))
+    def test_weight_row(self, trained_files, kind, row, text):
+        texts, data, path = trained_files
+        lines = texts[kind].splitlines()
+        lines[row] = text
+        loads_or_names_the_file(path, lines, data)

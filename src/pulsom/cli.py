@@ -23,7 +23,7 @@ from .errors import ConfigError, CorpusFormatError, DivergenceError
 from .evaluate import calibrate, read_report_csv, render_text, report, write_confusion_csv, write_report_csv
 from .lin import train_lin
 from .mfcc import frames_csv_header, frames_csv_lines, row_texts
-from .models import LinModel, RssomModel, SomModel, SsomModel, load_model, save_model
+from .models import load_model, model_of, save_model
 from .rssom import train_rssom
 from .som import Lattice, sample_vectors, train_som
 from .ssom import feature_ranges, normalized_init, train_ssom
@@ -139,14 +139,9 @@ def build_model(cfg: RunConfig, data):
     with cfg.config_errors("lattice.", f"{kind}."):
         if kind == "som":
             vectors = sample_vectors(data, cfg["som.concat"])
-            return SomModel(Lattice.random_init(rows, cols, vectors, seed), cfg["som.concat"])
-        parts = (normalized_init(rows, cols, data, seed), *feature_ranges(data),
-                 cfg.ssom_config(), cfg.lateral_kernel(), cfg.stdp_rule())
-        if kind == "ssom":
-            return SsomModel(*parts)
-        if kind == "rssom":
-            return RssomModel(*parts, alpha=cfg["rssom.alpha"])
-        return LinModel(*parts, lam=cfg["lin.lambda"])
+            return model_of(kind, Lattice.random_init(rows, cols, vectors, seed), cfg)
+        return model_of(kind, normalized_init(rows, cols, data, seed), cfg,
+                        *feature_ranges(data))
 
 
 def _build_and_train(cfg: RunConfig, data):

@@ -91,10 +91,12 @@ REGISTRY = [
         ("identity", "timit_macro")),
 ]
 
-_BY_NAME = {k.name: k for k in REGISTRY}
+KEYS = {k.name: k for k in REGISTRY}
 
 
-def _parse_value(key: Key, raw: str, at: str):
+def parse_value(key: Key, raw: str, at: str):
+    """The value of ``raw`` as ``key``'s kind; a bad value raises ConfigError
+    naming ``at`` (the ``file:line`` that set it)."""
     try:
         if key.kind == "int":
             return int(raw)
@@ -112,9 +114,21 @@ def _parse_value(key: Key, raw: str, at: str):
             return raw
         return raw
     except ValueError:
-        expect = key.kind if key.kind != "choice" else f"one of {key.choices}"
-        raise ConfigError(
-            f"{at}: bad value {raw!r} for {key.name} (expected {expect})") from None
+        expect = {"bool": "true or false", "choice": f"one of {key.choices}"}
+        raise ConfigError(f"{at}: bad value {raw!r} for {key.name} "
+                          f"(expected {expect.get(key.kind, key.kind)})") from None
+
+
+def format_value(key: Key, value) -> str:
+    """The text of ``value`` as ``key``'s kind, which parse_value reads back;
+    None or AUTO is an unset float_or_auto."""
+    if key.kind == "bool":
+        return "true" if value else "false"
+    if key.kind == "float_or_auto" and (value is None or value == AUTO):
+        return AUTO
+    if key.kind in ("float", "float_or_auto"):
+        return repr(float(value))
+    return str(value)
 
 
 def parse_config_text(text: str, source: str = "<config>", where: dict | None = None) -> dict:
@@ -130,11 +144,11 @@ def parse_config_text(text: str, source: str = "<config>", where: dict | None = 
         name, _, raw = stripped.partition("=")
         name = name.strip()
         raw = raw.strip()
-        if name not in _BY_NAME:
+        if name not in KEYS:
             raise ConfigError(f"{at}: unknown config key {name!r}")
         if name in values:
             raise ConfigError(f"{at}: duplicate key {name!r}")
-        values[name] = _parse_value(_BY_NAME[name], raw, at)
+        values[name] = parse_value(KEYS[name], raw, at)
         if where is not None:
             where[name] = at
     return values
@@ -226,13 +240,8 @@ class RunConfig:
                               self["mfcc.fft_size"], self["mfcc.use_power"])
 
     def effective_text(self) -> str:
-        lines = []
-        for key in REGISTRY:
-            v = self.values[key.name]
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            lines.append(f"{key.name} = {v}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key.name} = {format_value(key, self.values[key.name])}\n"
+                       for key in REGISTRY)
 
 
 def registry_help() -> str:
@@ -240,9 +249,6 @@ def registry_help() -> str:
     width = max(len(k.name) for k in REGISTRY)
     lines = ["config keys (section.key = value):"]
     for k in REGISTRY:
-        default = k.default
-        if isinstance(default, bool):
-            default = "true" if default else "false"
-        shown = "(required)" if default in (None, "") else f"[{default}]"
+        shown = "(required)" if k.default in (None, "") else f"[{format_value(k, k.default)}]"
         lines.append(f"  {k.name.ljust(width)}  {k.help} {shown}")
     return "\n".join(lines)

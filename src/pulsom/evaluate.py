@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CorpusFormatError, read_utf8
+
 REJECTED = "rejected"
 
 
@@ -184,19 +186,32 @@ def write_confusion_csv(confusion: Counter, path) -> None:
 
 
 def read_report_csv(path) -> EvalReport:
+    """A report CSV as write_report_csv writes it; malformed content raises
+    ValueError naming ``file:line``."""
+    try:
+        lines = read_utf8(path).splitlines()
+    except CorpusFormatError as exc:
+        raise ValueError(str(exc)) from None
+    header = lines[0].strip() if lines else ""
+    if header != "class,correct,total,rate":
+        raise ValueError(f"{path}:1: not a report CSV: unexpected header {header!r}")
     rows = []
     counts = {}
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "class,correct,total,rate":
-            raise ValueError(f"not a report CSV: unexpected header {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            c, cor, tot, rate = line.split(",")
+    for n, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.strip().split(",")
+        if len(fields) != 4:
+            raise ValueError(f"{path}:{n}: expected 4 fields (class,correct,total,rate), "
+                             f"got {len(fields)}")
+        c, cor, tot, rate = fields
+        try:
             rows.append((c, float(rate)))
             counts[c] = (int(cor), int(tot))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}:{len(lines) + 1}: no class rows after the header")
     rep = EvalReport.from_rates(rows)
     rep.counts = counts
     return rep

@@ -1,28 +1,29 @@
 """Trained-model wrappers, their winner rules, and the flat-file format.
 
 A model file starts with the lattice header and weight rows, then a model
-tag line and the variant's parameters as `key value` lines.  Floats are
-written with repr for exact round-trips, so rewriting a model is
-byte-identical.
+tag line and the variant's parameters as `key value` lines, each value in
+the syntax of its config key (PARAMETER_LINES).  Floats are written with
+repr for exact round-trips, so rewriting a model is byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .coding import SsomConfig, encode_frames
-from .errors import CorpusFormatError, read_utf8
+from .config import KEYS, Key, RunConfig, format_value, parse_value
+from .errors import ConfigError, CorpusFormatError, read_utf8
 from .lin import PotentialState
 from .rssom import DifferenceState
 from .som import QE_CHUNK_ELEMENTS, Lattice, UnitIndex, find_bmus, frames_of, sample_vectors
 from .ssom import FiringStep, LateralKernel
-from .stdp import StdpRule, StdpWindow
+from .stdp import StdpRule
 
 MAGIC = "PULSOM1"
-MODEL_KINDS = ("SOM", "SSOM", "RSSOM", "LIN")
 
 
 def save_lattice(lattice: Lattice, f) -> None:
@@ -152,43 +153,57 @@ class LinModel(SsomModel):
         return PotentialState.zeros(self.lattice, self.lam, batch)
 
 
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
+def model_of(kind: str, lattice: Lattice, cfg: RunConfig, lo=None, hi=None):
+    """The model of ``kind`` (a `run.model` value) on ``lattice``, its
+    parameters from ``cfg``; the spiking kinds also take the encoding
+    ranges."""
+    if kind == "som":
+        return SomModel(lattice, cfg["som.concat"])
+    parts = (lattice, lo, hi, cfg.ssom_config(), cfg.lateral_kernel(), cfg.stdp_rule())
+    if kind == "ssom":
+        return SsomModel(*parts)
+    if kind == "rssom":
+        return RssomModel(*parts, alpha=cfg["rssom.alpha"])
+    return LinModel(*parts, lam=cfg["lin.lambda"])
 
 
-def _vector_line(name: str, v: np.ndarray) -> str:
-    return name + " " + " ".join(repr(float(x)) for x in v)
+# The parameter lines of each kind's model file, in file order: the line's
+# name, the config key whose value syntax it uses, and the model attribute
+# that holds its value.  s_radius has no config key, so it gets a key of
+# its own outside the registry.
+_SPIKING_LINES = [
+    ("t_max_ms", KEYS["ssom.t_max_ms"], "cfg.t_max"),
+    ("t_ref_ms", KEYS["ssom.t_ref_ms"], "cfg.t_ref"),
+    ("s_radius", Key("s_radius", "float", 1.0, "spatial learning radius"), "cfg.s_radius"),
+    ("excite_radius", KEYS["lateral.excite_radius"], "kernel.excite_radius"),
+    ("excite_gain", KEYS["lateral.excite_gain"], "kernel.excite_gain"),
+    ("inhibit_gain", KEYS["lateral.inhibit_gain"], "kernel.inhibit_gain"),
+    ("stdp_variant", KEYS["stdp.variant"], "rule.variant"),
+    ("stdp_a_plus", KEYS["stdp.a_plus"], "rule.window.a_plus"),
+    ("stdp_a_minus", KEYS["stdp.a_minus"], "rule.window.a_minus"),
+    ("stdp_tau_plus_ms", KEYS["stdp.tau_plus_ms"], "rule.window.tau_plus"),
+    ("stdp_tau_minus_ms", KEYS["stdp.tau_minus_ms"], "rule.window.tau_minus"),
+    ("stdp_eta", KEYS["stdp.eta"], "rule.eta"),
+    ("stdp_w_max", KEYS["stdp.w_max"], "rule.w_max"),
+    ("stdp_flip_branches", KEYS["stdp.flip_branches"], "rule.flip_branches"),
+]
+PARAMETER_LINES = {
+    "SOM": [("concat", KEYS["som.concat"], "concat")],
+    "SSOM": _SPIKING_LINES,
+    "RSSOM": _SPIKING_LINES + [("alpha", KEYS["rssom.alpha"], "alpha")],
+    "LIN": _SPIKING_LINES + [("lambda", KEYS["lin.lambda"], "lam")],
+}
 
 
 def save_model(model, path) -> None:
     with open(path, "w") as f:
         save_lattice(model.lattice, f)
         f.write(f"model {model.kind}\n")
-        if model.kind == "SOM":
-            f.write(f"concat {_fmt_bool(model.concat)}\n")
-            return
-        f.write(_vector_line("lo", model.lo) + "\n")
-        f.write(_vector_line("hi", model.hi) + "\n")
-        cfg, kernel, rule = model.cfg, model.kernel, model.rule
-        f.write(f"t_max_ms {cfg.t_max!r}\n")
-        f.write(f"t_ref_ms {cfg.t_ref!r}\n")
-        f.write(f"s_radius {cfg.s_radius!r}\n")
-        radius = "auto" if kernel.excite_radius is None else repr(kernel.excite_radius)
-        f.write(f"excite_radius {radius}\n")
-        f.write(f"excite_gain {kernel.excite_gain!r}\n")
-        f.write(f"inhibit_gain {kernel.inhibit_gain!r}\n")
-        f.write(f"stdp_variant {rule.variant}\n")
-        f.write(f"stdp_a_plus {rule.window.a_plus!r}\n")
-        f.write(f"stdp_a_minus {rule.window.a_minus!r}\n")
-        f.write(f"stdp_tau_plus_ms {rule.window.tau_plus!r}\n")
-        f.write(f"stdp_tau_minus_ms {rule.window.tau_minus!r}\n")
-        f.write(f"stdp_eta {rule.eta!r}\n")
-        f.write(f"stdp_w_max {rule.w_max!r}\n")
-        f.write(f"stdp_flip_branches {_fmt_bool(rule.flip_branches)}\n")
-        if model.kind == "RSSOM":
-            f.write(f"alpha {model.alpha!r}\n")
-        elif model.kind == "LIN":
-            f.write(f"lambda {model.lam!r}\n")
+        if model.kind != "SOM":
+            for name in ("lo", "hi"):
+                f.write(" ".join([name, *(repr(float(x)) for x in getattr(model, name))]) + "\n")
+        for name, key, attr in PARAMETER_LINES[model.kind]:
+            f.write(f"{name} {format_value(key, attrgetter(attr)(model))}\n")
 
 
 def load_model(path):
@@ -199,65 +214,41 @@ def load_model(path):
         return _parse_model(read_utf8(path).splitlines())
     except CorpusFormatError as exc:
         raise ValueError(str(exc)) from None
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-class _Params(dict):
-    """The `key value` lines of a model file; a missing key is a ValueError."""
-
-    def __missing__(self, key):
-        raise ValueError(f"missing '{key}' line")
 
 
 def _parse_model(lines: list[str]):
     lattice, next_line = load_lattice(lines)
-    kv = _Params()
-    kind = None
-    for n, line in enumerate(lines[next_line:], start=next_line + 1):
-        if not line.strip():
+    found = {}  # line name -> (line number, value text)
+    for n, raw in enumerate(lines[next_line:], start=next_line + 1):
+        if not raw.strip():
             continue
-        key, _, value = line.partition(" ")
-        if key == "scale_input_by_lambda" and value.strip() != "false":
-            raise ValueError(f"line {n}: {line.strip()!r} is retired; only 'false' loads")
-        if key == "model":
-            kind = value.strip()
-        else:
-            kv[key] = value.strip()
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"missing or unknown model tag {kind!r}")
-    if kind == "SOM":
-        return SomModel(lattice, concat=kv.get("concat", "false") == "true")
+        name, _, value = raw.partition(" ")
+        if name in found:
+            raise ValueError(f"line {n}: repeated '{name}' line (first on line {found[name][0]})")
+        if name == "scale_input_by_lambda" and value.strip() != "false":
+            raise ValueError(f"line {n}: {raw.strip()!r} is retired; only 'false' loads")
+        found[name] = n, value.strip()
 
-    lo, hi = (np.array([float(x) for x in kv[key].split()]) for key in ("lo", "hi"))
-    for key, v in (("lo", lo), ("hi", hi)):
+    def line(name):
+        if name not in found:
+            raise ValueError(f"missing '{name}' line")
+        return found[name]
+
+    kind = found.get("model", (0, None))[1]
+    if kind not in PARAMETER_LINES:
+        raise ValueError(f"missing or unknown model tag {kind!r}")
+    values = {}
+    for name, key, _ in PARAMETER_LINES[kind]:
+        n, text = line(name)
+        values[key.name] = parse_value(key, text, f"line {n}")
+    ranges = [np.array([float(x) for x in line(name)[1].split()])
+              for name in ("lo", "hi") if kind != "SOM"]
+    for name, v in zip(("lo", "hi"), ranges):
         if v.shape != (lattice.dim,):
-            raise ValueError(f"'{key}' line has {v.size} values, expected {lattice.dim}")
-    cfg = SsomConfig(
-        t_max=float(kv["t_max_ms"]),
-        t_ref=float(kv["t_ref_ms"]),
-        s_radius=float(kv["s_radius"]),
-    )
-    radius = kv.get("excite_radius", "auto")
-    kernel = LateralKernel(
-        excite_radius=None if radius == "auto" else float(radius),
-        excite_gain=float(kv["excite_gain"]),
-        inhibit_gain=float(kv["inhibit_gain"]),
-    )
-    rule = StdpRule(
-        variant=kv["stdp_variant"],
-        eta=float(kv["stdp_eta"]),
-        w_max=float(kv["stdp_w_max"]),
-        window=StdpWindow(
-            a_plus=float(kv["stdp_a_plus"]),
-            a_minus=float(kv["stdp_a_minus"]),
-            tau_plus=float(kv["stdp_tau_plus_ms"]),
-            tau_minus=float(kv["stdp_tau_minus_ms"]),
-        ),
-        flip_branches=kv.get("stdp_flip_branches", "false") == "true",
-    )
-    if kind == "SSOM":
-        return SsomModel(lattice, lo, hi, cfg, kernel, rule)
-    if kind == "RSSOM":
-        return RssomModel(lattice, lo, hi, cfg, kernel, rule, alpha=float(kv["alpha"]))
-    return LinModel(lattice, lo, hi, cfg, kernel, rule, lam=float(kv["lambda"]))
+            raise ValueError(f"'{name}' line has {v.size} values, expected {lattice.dim}")
+    model = model_of(kind.lower(), lattice, RunConfig(values), *ranges)
+    if "s_radius" in values:  # the one line that no config key sets
+        model.cfg = replace(model.cfg, s_radius=values["s_radius"])
+    return model

@@ -506,6 +506,24 @@ data.test_csv = {dataset}
         assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
         assert f"{model_path}: line {len(lines) + 1}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, line, value", [("som", "concat", "True"),
+                                                    ("ssom", "stdp_flip_branches", "yes")])
+    def test_bool_line_other_than_true_or_false_exits_2(self, tmp_path, trained, capsys,
+                                                         model, line, value):
+        dataset, _ = trained
+        cfg = train_cfg(tmp_path, dataset, model=model, outdir=f"{model}-out")
+        assert main(["train", "--config", cfg]) == 0
+        model_path = tmp_path / f"{model}-out" / "model.txt"
+        lines = model_path.read_text().splitlines()
+        at = next(i for i, text in enumerate(lines) if text.startswith(line + " "))
+        lines[at] = f"{line} {value}"
+        model_path.write_text("\n".join(lines) + "\n")
+        cfg = self.eval_cfg(tmp_path, dataset, model=model)
+        assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{model_path}: line {at + 1}: bad value {value!r}" in err
+        assert "(expected true or false)" in err
+
     def test_calibration_csv_without_rows_exits_4(self, tmp_path, trained, capsys):
         dataset, model_path = trained
         empty = tmp_path / "empty.csv"
@@ -844,6 +862,19 @@ class TestReportCommand:
 
     def test_missing_csv_exits_3(self, tmp_path):
         assert main(["report", "--csv", str(tmp_path / "none.csv")]) == 3
+
+    @pytest.mark.parametrize("body, at, message", [
+        (b"vowels,66\n", 2, "expected 4 fields (class,correct,total,rate), got 2"),
+        (b"vowels,66,100,x\n", 2, "could not convert string to float: 'x'"),
+        (b"vowels,66,100,66.0\nnasal\xad,1,2,50.0\n", 3, "not UTF-8 text: byte 0xad"),
+        (b"", 2, "no class rows after the header"),
+    ], ids=["short-row", "bad-rate", "not-utf8", "header-only"])
+    def test_malformed_csv_exits_2_with_file_and_line(self, tmp_path, capsys, body, at,
+                                                      message):
+        csv = tmp_path / "r.csv"
+        csv.write_bytes(b"class,correct,total,rate\n" + body)
+        assert main(["report", "--csv", str(csv)]) == 2
+        assert f"{csv}:{at}: {message}" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsom.coding import SsomConfig, encode_latency, normalize
+from pulsom.config import KEYS, REGISTRY
 from pulsom.corpus import synth_generate
 from pulsom.lin import PotentialState, potential_record, train_lin, update_potential
 from pulsom.models import (
+    PARAMETER_LINES,
     LinModel,
     RssomModel,
     SomModel,
@@ -105,6 +107,24 @@ class TestRoundTrips:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_numpy_scalar_parameters_round_trip(self, tmp_path):
+        # e.g. values taken from np.linspace; a numpy repr would not load
+        lat = random_lattice(7)
+        lo, hi, _, kernel, rule = spiking_parts()
+        cfg = SsomConfig(t_max=np.float64(20.0), t_ref=13.0)
+        for model, attr, line in [
+                (RssomModel(lat, lo, hi, cfg, kernel, rule, alpha=np.float64(0.25)), "alpha",
+                 "alpha 0.25"),
+                (LinModel(lat, lo, hi, cfg, kernel, rule, lam=np.linspace(0, 1, 5)[3]), "lam",
+                 "lambda 0.75")]:
+            path = tmp_path / f"{model.kind}.txt"
+            save_model(model, path)
+            text = path.read_text()
+            assert "\nt_max_ms 20.0\n" in text and text.endswith(f"\n{line}\n")
+            back = load_model(path)
+            assert back.cfg == cfg
+            assert getattr(back, attr) == getattr(model, attr)
+
     def test_weights_round_trip_exactly(self, tmp_path):
         lat = random_lattice(6)
         path = tmp_path / "m.txt"
@@ -146,6 +166,17 @@ class TestErrors:
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(key + " ")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"m\.txt: missing '{key}' line"):
+            load_model(path)
+
+    def test_repeated_parameter_line_named(self, tmp_path):
+        lo, hi, cfg, kernel, rule = spiking_parts()
+        path = tmp_path / "m.txt"
+        save_model(SsomModel(random_lattice(), lo, hi, cfg, kernel, rule), path)
+        lines = path.read_text().splitlines()
+        first = lines.index(f"t_ref_ms {cfg.t_ref!r}") + 1
+        path.write_text("\n".join(lines + ["t_ref_ms 3.0"]) + "\n")
+        with pytest.raises(ValueError, match=rf"m\.txt: line {len(lines) + 1}: repeated "
+                                             rf"'t_ref_ms' line \(first on line {first}\)"):
             load_model(path)
 
     def test_range_line_of_wrong_length_named(self, tmp_path):
@@ -227,6 +258,17 @@ class TestRetiredParameterLines:
         table = got.winner_table(samples)
         assert np.array_equal(table, want.winner_table(samples))
         assert (table >= 0).any()
+
+
+def test_every_map_parameter_key_has_a_model_file_line():
+    """A map parameter added to the config cannot be left out of model
+    files, and every model-file line but s_radius reads a config key."""
+    lines = {name: key for kind in PARAMETER_LINES.values() for name, key, _ in kind}
+    map_keys = {k.name for k in REGISTRY
+                if k.name.startswith(("ssom.", "lateral.", "stdp.", "rssom.", "lin.", "som."))}
+    assert {key.name for name, key in lines.items() if name != "s_radius"} == map_keys
+    assert all(KEYS[key.name] is key for name, key in lines.items() if name != "s_radius")
+    assert "s_radius" not in KEYS and lines["s_radius"].kind == "float"
 
 
 SHARED_KEYS = ["lo", "hi", "t_max_ms", "t_ref_ms", "s_radius", "excite_radius", "excite_gain",

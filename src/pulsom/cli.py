@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -35,19 +37,29 @@ EXIT_CORPUS = 4
 EXIT_DIVERGED = 5
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
-def _finalize(cfg: RunConfig, outdir: Path, produced: list[Path]) -> None:
+@contextmanager
+def _outputs(cfg: RunConfig, *names: str):
+    """Paths to write the outputs ``names`` to: ``.part`` files in run.outdir,
+    renamed to ``names`` if the block ends cleanly and deleted if not.  A
+    clean run then writes effective-config.txt and a run-manifest.txt that
+    hashes it and the outputs."""
+    outdir = cfg.outdir()
+    outdir.mkdir(parents=True, exist_ok=True)
+    finals = [outdir / name for name in names]
+    parts = [p.with_name(p.name + ".part") for p in finals]
+    try:
+        yield parts
+        for part, final in zip(parts, finals):
+            os.replace(part, final)
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
     eff = outdir / "effective-config.txt"
-    eff.write_text(cfg.effective_text())
-    produced = produced + [eff]
-    manifest = outdir / "run-manifest.txt"
-    lines = [f"{_sha256(p)}  {p.name}" for p in sorted(produced)]
-    manifest.write_text("\n".join(lines) + "\n")
+    eff.write_text(cfg.effective_text(), encoding="utf-8")
+    lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}"
+             for p in sorted(finals + [eff])]
+    (outdir / "run-manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_dataset(cfg: RunConfig, key: str, model=None):
@@ -74,39 +86,26 @@ def cmd_features(cfg: RunConfig) -> int:
     dialects = [d for d in cfg["corpus.dialects"].split(",") if d]
     speakers = [s for s in cfg["corpus.speakers"].split(",") if s]
     mfcc_cfg, k = cfg.mfcc_config(), cfg["corpus.frames"]
-    outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    out, frames_out = outdir / "dataset.csv", outdir / "frames.csv"
-    # Both files are written under temporary names and renamed only when the
-    # whole corpus went through, so a failed run leaves neither behind.
-    parts = [p.with_name(p.name + ".part") for p in (out, frames_out)]
     stats = {}
-    try:
-        with open(parts[0], "w", encoding="utf-8") as data_f, \
-                open(parts[1], "w", encoding="utf-8") as frames_f:
-            data_f.write(",".join(corpus_mod.dataset_header(k, mfcc_cfg.n_coeffs)) + "\n")
-            frames_f.write(frames_csv_header(mfcc_cfg.n_coeffs))
-            # Each utterance's numbers are formatted once, for both files.
-            for utt_id, feats, picks in corpus_mod.walk_corpus(
-                    root, mfcc_cfg, cfg["corpus.unit"], k, dialects, speakers, stats):
-                texts = row_texts(feats)
-                frames_f.write(frames_csv_lines(utt_id, texts))
-                data_f.write("".join(
-                    corpus_mod.dataset_csv_line(utt_id, seg.label, macro,
-                                                [texts[i] for i in idx])
-                    for seg, macro, idx in picks))
+    with _outputs(cfg, "dataset.csv", "frames.csv") as (out, frames_out), \
+            open(out, "w", encoding="utf-8") as data_f, \
+            open(frames_out, "w", encoding="utf-8") as frames_f:
+        data_f.write(",".join(corpus_mod.dataset_header(k, mfcc_cfg.n_coeffs)) + "\n")
+        frames_f.write(frames_csv_header(mfcc_cfg.n_coeffs))
+        # Each utterance's numbers are formatted once, for both files.
+        for utt_id, feats, picks in corpus_mod.walk_corpus(
+                root, mfcc_cfg, cfg["corpus.unit"], k, dialects, speakers, stats):
+            texts = row_texts(feats)
+            frames_f.write(frames_csv_lines(utt_id, texts))
+            data_f.write("".join(
+                corpus_mod.dataset_csv_line(utt_id, seg.label, macro,
+                                            [texts[i] for i in idx])
+                for seg, macro, idx in picks))
         if stats["segments"] == stats["skipped_segments"]:
             raise FileNotFoundError(f"no labeled segments found under {root}")
-        for part, final in zip(parts, (out, frames_out)):
-            os.replace(part, final)
-    except BaseException:
-        for part in parts:
-            part.unlink(missing_ok=True)
-        raise
     print(f"utterances: {stats['utterances']} ({stats['skipped_utterances']} skipped)")
     print(f"segments: {stats['segments']} ({stats['skipped_segments']} skipped)")
-    print(f"wrote {out}")
-    _finalize(cfg, outdir, [out, frames_out])
+    print(f"wrote {cfg.outdir() / 'dataset.csv'}")
     return EXIT_OK
 
 
@@ -122,12 +121,9 @@ def synth_dataset(cfg: RunConfig):
 
 def cmd_synth(cfg: RunConfig) -> int:
     samples = synth_dataset(cfg)
-    outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "synth.csv"
-    corpus_mod.write_dataset_csv(samples, out)
-    print(f"wrote {out} ({len(samples)} sequences)")
-    _finalize(cfg, outdir, [out])
+    with _outputs(cfg, "synth.csv") as (out,):
+        corpus_mod.write_dataset_csv(samples, out)
+    print(f"wrote {cfg.outdir() / 'synth.csv'} ({len(samples)} sequences)")
     return EXIT_OK
 
 
@@ -155,17 +151,13 @@ def cmd_train(cfg: RunConfig) -> int:
     with cfg.config_errors():
         data = _read_dataset(cfg, "data.train_csv")
     model, log = _build_and_train(cfg, data)
-    outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    model_path = outdir / "model.txt"
-    log_path = outdir / "training-log.csv"
-    save_model(model, model_path)
-    log.to_csv(log_path)
+    with _outputs(cfg, "model.txt", "training-log.csv") as (model_path, log_path):
+        save_model(model, model_path)
+        log.to_csv(log_path)
     final = log.rows[-1]
     print(f"trained {model.kind} for {len(log.rows)} epochs "
           f"(final qe {final.qe:.6g}, {log.total_skipped} skipped presentations)")
-    print(f"wrote {model_path}")
-    _finalize(cfg, outdir, [model_path, log_path])
+    print(f"wrote {cfg.outdir() / 'model.txt'}")
     return EXIT_OK
 
 
@@ -196,15 +188,12 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
     labels = calibrate(model, train_data, frame_vote=frame_vote)
     rep, confusion = report(model, labels, test_data, class_of=class_of,
                             frame_vote=frame_vote, expected_classes=expected)
-    outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
     text = render_text(rep, title=f"Recognition rates ({model.kind})")
-    (outdir / "report.txt").write_text(text)
-    write_report_csv(rep, outdir / "report.csv")
-    write_confusion_csv(confusion, outdir / "confusion.csv")
+    with _outputs(cfg, "report.txt", "report.csv", "confusion.csv") as (txt, csv, conf):
+        txt.write_text(text, encoding="utf-8")
+        write_report_csv(rep, csv)
+        write_confusion_csv(confusion, conf)
     print(text, end="")
-    _finalize(cfg, outdir,
-              [outdir / "report.txt", outdir / "report.csv", outdir / "confusion.csv"])
     return EXIT_OK
 
 
@@ -245,6 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # A label the locale cannot encode prints escaped, as on stderr.
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":

@@ -241,11 +241,12 @@ def _separated_points(n: int, dim: int, separation: float,
                       rng: np.random.Generator) -> np.ndarray:
     """n points whose pairwise distances are all >= separation."""
     scale = separation
+    unit = _distance_unit(separation)
     points: list[np.ndarray] = []
     attempts = 0
     while len(points) < n:
         candidate = _finite_draw(rng.normal(0.0, scale, dim))
-        if all(np.linalg.norm(candidate - p) >= separation for p in points):
+        if all(np.linalg.norm((candidate - p) / unit) >= separation / unit for p in points):
             points.append(candidate)
             attempts = 0
         else:
@@ -254,6 +255,13 @@ def _separated_points(n: int, dim: int, separation: float,
                 scale *= 1.5
                 attempts = 0
     return np.array(points)
+
+
+def _distance_unit(separation: float) -> float:
+    """The unit to compare distances in at this separation: 1, or the
+    separation itself where squared distances would underflow to zero
+    (and no candidate could ever be far enough apart)."""
+    return separation if separation * separation < np.finfo(float).tiny else 1.0
 
 
 def _finite_draw(values: np.ndarray) -> np.ndarray:
@@ -284,11 +292,11 @@ def synth_class_means(n_classes: int, frames: int, dim: int, separation: float,
         base = _separated_points(frames, dim, separation, rng)
         return np.stack([base, base[::-1]])
     bases = _separated_points(n_classes, dim, 3.0 * separation, rng)
-    step = separation / 10.0
+    step, unit = separation / 10.0, _distance_unit(separation)
     while True:
         drift = np.cumsum(rng.normal(0.0, step, (n_classes, frames, dim)), axis=1)
         means = _finite_draw(bases[:, None, :] + drift)
-        if n_classes == 1 or _min_cross_class_distance(means) >= separation:
+        if n_classes == 1 or _min_cross_class_distance(means / unit) >= separation / unit:
             return means
 
 

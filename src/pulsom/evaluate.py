@@ -171,7 +171,7 @@ def render_text(rep: EvalReport, title: str = "Recognition rates") -> str:
 
 
 def write_report_csv(rep: EvalReport, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("class,correct,total,rate\n")
         for c, rate in rep.rows:
             cor, tot = rep.counts.get(c, (0, 0))
@@ -179,7 +179,7 @@ def write_report_csv(rep: EvalReport, path) -> None:
 
 
 def write_confusion_csv(confusion: Counter, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("true,predicted,count\n")
         for (true, pred), count in sorted(confusion.items()):
             f.write(f"{true},{pred},{count}\n")
@@ -206,10 +206,17 @@ def read_report_csv(path) -> EvalReport:
                              f"got {len(fields)}")
         c, cor, tot, rate = fields
         try:
-            rows.append((c, float(rate)))
-            counts[c] = (int(cor), int(tot))
+            value, correct, total = float(rate), int(cor), int(tot)
         except ValueError as exc:
             raise ValueError(f"{path}:{n}: {exc}") from None
+        if not 0.0 <= value <= 100.0:
+            raise ValueError(f"{path}:{n}: rate must be a finite percentage in [0, 100], "
+                             f"got {rate}")
+        if not 0 <= correct <= total:
+            raise ValueError(f"{path}:{n}: counts must satisfy 0 <= correct <= total, "
+                             f"got {cor} of {tot}")
+        rows.append((c, value))
+        counts[c] = (correct, total)
     if not rows:
         raise ValueError(f"{path}:{len(lines) + 1}: no class rows after the header")
     rep = EvalReport.from_rates(rows)

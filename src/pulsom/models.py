@@ -196,7 +196,7 @@ PARAMETER_LINES = {
 
 
 def save_model(model, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         save_lattice(model.lattice, f)
         f.write(f"model {model.kind}\n")
         if model.kind != "SOM":
@@ -216,6 +216,10 @@ def load_model(path):
         raise ValueError(str(exc)) from None
     except (ValueError, ConfigError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+# Lines that older model files carry and that no result reads any more.
+_RETIRED_LINES = ("sim_step_ms", "tau_psp_ms", "scale_input_by_lambda")
 
 
 def _parse_model(lines: list[str]):
@@ -239,16 +243,30 @@ def _parse_model(lines: list[str]):
     kind = found.get("model", (0, None))[1]
     if kind not in PARAMETER_LINES:
         raise ValueError(f"missing or unknown model tag {kind!r}")
+    ranges = ("lo", "hi") if kind != "SOM" else ()
+    known = {"model", *ranges, *_RETIRED_LINES, *(name for name, _, _ in PARAMETER_LINES[kind])}
+    for name, (n, _) in found.items():
+        if name not in known:
+            raise ValueError(f"line {n}: '{name}' is not a line of {kind} model files")
     values = {}
     for name, key, _ in PARAMETER_LINES[kind]:
         n, text = line(name)
         values[key.name] = parse_value(key, text, f"line {n}")
-    ranges = [np.array([float(x) for x in line(name)[1].split()])
-              for name in ("lo", "hi") if kind != "SOM"]
-    for name, v in zip(("lo", "hi"), ranges):
-        if v.shape != (lattice.dim,):
-            raise ValueError(f"'{name}' line has {v.size} values, expected {lattice.dim}")
-    model = model_of(kind.lower(), lattice, RunConfig(values), *ranges)
+    model = model_of(kind.lower(), lattice, RunConfig(values),
+                     *(_range_line(name, *line(name), lattice.dim) for name in ranges))
     if "s_radius" in values:  # the one line that no config key sets
         model.cfg = replace(model.cfg, s_radius=values["s_radius"])
     return model
+
+
+def _range_line(name: str, n: int, text: str, dim: int) -> np.ndarray:
+    """The ``dim`` finite floats of the ``lo`` or ``hi`` line (line ``n``)."""
+    try:
+        values = np.array([float(x) for x in text.split()])
+    except ValueError as exc:
+        raise ValueError(f"line {n}: {exc}") from None
+    if values.shape != (dim,):
+        raise ValueError(f"'{name}' line has {values.size} values, expected {dim}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"line {n}: '{name}' values must be finite, got {text!r}")
+    return values

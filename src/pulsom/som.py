@@ -160,7 +160,7 @@ class TrainingLog:
         return sum(r.skipped for r in self.rows)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write("epoch,lr,radius,qe\n")
             for r in self.rows:
                 f.write(f"{r.epoch},{float(r.lr)!r},{float(r.radius)!r},"

@@ -29,7 +29,7 @@ from pulsom.lin import train_lin
 from pulsom.mfcc import mfcc_pipeline, write_frames_csv
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel, save_model
 from pulsom.rssom import train_rssom
-from pulsom.som import Lattice, Schedule, sample_vectors, train_som
+from pulsom.som import Lattice, Schedule, TrainingLog, sample_vectors, train_som
 from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
 from pulsom.stdp import StdpRule, StdpWindow
 from test_corpus import PHN, make_fixture_corpus
@@ -451,7 +451,7 @@ data.test_csv = {dataset}
         cfg = self.eval_cfg(tmp_path, dataset, model="lin")
         assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
 
-    @pytest.mark.parametrize("damage", ["truncate", "drop_lo"])
+    @pytest.mark.parametrize("damage", ["truncate", "drop_lo", "nan_lo", "alpha_line"])
     def test_malformed_model_file_exits_2(self, tmp_path, trained, capsys, damage):
         dataset, model_path = trained
         cfg = write_cfg(tmp_path / "ssom.cfg", f"""
@@ -467,15 +467,22 @@ data.test_csv = {dataset}
         assert main(["train", "--config", cfg]) == 0
         model_path = tmp_path / "ssom-out" / "model.txt"
         lines = model_path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("lo "))
         if damage == "truncate":
-            lines = lines[:6]
+            lines, named = lines[:6], "line 7"
+        elif damage == "drop_lo":
+            lines, named = lines[:at] + lines[at + 1:], "'lo'"
+        elif damage == "nan_lo":
+            lines[at] = "lo " + " ".join(["nan"] * 5)
+            named = f"line {at + 1}: 'lo' values must be finite"
         else:
-            lines = [line for line in lines if not line.startswith("lo ")]
+            lines, named = lines + ["alpha 0.3"], (f"line {len(lines) + 1}: 'alpha' is not "
+                                                   f"a line of SSOM model files")
         model_path.write_text("\n".join(lines) + "\n")
         assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
         err = capsys.readouterr().err
         assert str(model_path) in err
-        assert ("line 7" if damage == "truncate" else "'lo'") in err
+        assert named in err
 
     def test_out_of_range_alpha_in_model_file_exits_2(self, tmp_path, trained, capsys):
         dataset, _ = trained
@@ -766,8 +773,6 @@ class TestFeaturesBytes:
         library_csvs(RunConfig.load(cfg), tmp_path / "lib")
         for name in ("dataset.csv", "frames.csv"):
             assert (tmp_path / "feat" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
-        assert sorted(p.name for p in (tmp_path / "feat").iterdir()) == [
-            "dataset.csv", "effective-config.txt", "frames.csv", "run-manifest.txt"]
 
     @pytest.mark.parametrize("phn, message", [
         (b"0 1600 h#\n1600 3200 \xad\xff\n", "utt1.phn:2: not UTF-8 text: byte 0xad"),
@@ -826,6 +831,113 @@ class TestFeaturesBytes:
         assert no_csvs_in(tmp_path / "feat")
 
 
+# The outputs of each command; a clean run adds effective-config.txt and
+# run-manifest.txt to them in run.outdir, and nothing else.
+OUTPUTS = {"features": ["dataset.csv", "frames.csv"], "synth": ["synth.csv"],
+           "train": ["model.txt", "training-log.csv"],
+           "eval": ["confusion.csv", "report.csv", "report.txt"]}
+
+
+def command_argv(tmp_path, command):
+    """The argv of a run of ``command`` into tmp_path / "run", once the runs
+    it reads from (synth, then train) are done."""
+    dataset = tmp_path / "out" / "synth.csv"
+    if command == "features":
+        root = make_fixture_corpus(tmp_path / "corpus")
+        return ["features", "--config", write_cfg(
+            tmp_path / "f.cfg", f"run.outdir = {tmp_path / 'run'}\ncorpus.root = {root}\n")]
+    if command == "synth":
+        return ["synth", "--config", synth_cfg(tmp_path, outdir="run")]
+    assert main(["synth", "--config", synth_cfg(tmp_path)]) == 0
+    if command == "train":
+        return ["train", "--config", train_cfg(tmp_path, dataset, outdir="run")]
+    assert main(["train", "--config", train_cfg(tmp_path, dataset)]) == 0
+    cfg = write_cfg(tmp_path / "eval.cfg", f"run.outdir = {tmp_path / 'run'}\n"
+                                           f"data.train_csv = {dataset}\n"
+                                           f"data.test_csv = {dataset}\n")
+    return ["eval", "--config", cfg, "--model", str(tmp_path / "train-out" / "model.txt")]
+
+
+def fail_after_writing(obj, path):
+    Path(path).write_text("half a file")
+    raise OSError(f"disk full writing {path}")
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_clean_run_leaves_exactly_its_outputs(self, tmp_path, command):
+        assert main(command_argv(tmp_path, command)) == 0
+        hashed = sorted(OUTPUTS[command] + ["effective-config.txt"])
+        manifest = (tmp_path / "run" / "run-manifest.txt").read_text().splitlines()
+        assert [line.split("  ")[1] for line in manifest] == hashed
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(
+            hashed + ["run-manifest.txt"])
+
+    # The last writer of each command fails after its other outputs are written.
+    @pytest.mark.parametrize("command, owner, writer", [
+        ("synth", corpus_mod, "write_dataset_csv"),
+        ("train", TrainingLog, "to_csv"),
+        ("eval", pulsom.cli, "write_confusion_csv"),
+    ], ids=["synth", "train", "eval"])
+    def test_write_error_leaves_no_outputs(self, tmp_path, capsys, monkeypatch, command,
+                                           owner, writer):
+        argv = command_argv(tmp_path, command)
+        monkeypatch.setattr(owner, writer, fail_after_writing)
+        assert main(argv) == 3
+        assert "i/o error: disk full writing" in capsys.readouterr().err
+        assert list((tmp_path / "run").iterdir()) == []
+
+
+class TestAsciiLocale:
+    """Every output is UTF-8 whatever the locale: a run whose labels and
+    config hold non-ASCII text writes the same bytes under an ASCII locale
+    as under the default one, and prints what the locale cannot encode
+    escaped."""
+
+    SCRIPT = ("from pulsom.cli import main\n"
+              "from pulsom.corpus import read_dataset_csv, write_dataset_csv\n"
+              "codes = [main(['synth', '--config', 'synth.cfg'])]\n"
+              "samples = read_dataset_csv('synth-out/synth.csv')\n"
+              "for s in samples:\n"
+              "    s.label = 'cl\\u00e9' + s.label[-1]\n"
+              "write_dataset_csv(samples, 'data.csv')\n"
+              "codes.append(main(['train', '--config', 'train.cfg']))\n"
+              "codes.append(main(['eval', '--config', 'eval.cfg', '--model', "
+              "'train-out/model.txt']))\n"
+              "print(codes)\n")
+
+    def run_in(self, workdir, **env):
+        workdir.mkdir()
+        common = "run.seed = 5\ncorpus.speakers = spé\n"
+        (workdir / "synth.cfg").write_text(
+            common + "run.outdir = synth-out\nsynth.classes = 2\nsynth.samples_per_class = 4\n"
+            "synth.dim = 3\nsynth.frames = 4\n", encoding="utf-8")
+        train = (common + "run.model = ssom\nlattice.rows = 3\nlattice.cols = 3\n"
+                 "schedule.epochs = 2\ndata.train_csv = data.csv\ndata.test_csv = data.csv\n")
+        for name in ("train", "eval"):
+            (workdir / f"{name}.cfg").write_text(
+                train + f"run.outdir = {name}-out\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(pulsom.__file__).parents[1]), **env)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], cwd=workdir, env=env,
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        return proc.stdout.decode("ascii", errors="replace"), {
+            str(p.relative_to(workdir)): p.read_bytes()
+            for out in ("synth-out", "train-out", "eval-out")
+            for p in sorted((workdir / out).iterdir())}
+
+    def test_outputs_match_the_default_locale_run(self, tmp_path):
+        out, files = self.run_in(tmp_path / "default")
+        ascii_out, ascii_files = self.run_in(tmp_path / "ascii", LC_ALL="C",
+                                             PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        assert ascii_out.splitlines()[-1] == out.splitlines()[-1] == "[0, 0, 0]"
+        assert "cl\\xe90" in ascii_out
+        assert "clé" in files["eval-out/report.txt"].decode("utf-8")
+        assert "spé" in files["synth-out/effective-config.txt"].decode("utf-8")
+        assert ascii_files == files
+        assert len(files) == 12
+
+
 class TestScipyOnlyForFeatures:
     def test_import_synth_train_and_eval_leave_scipy_unloaded(self, tmp_path):
         dataset = tmp_path / "out" / "synth.csv"
@@ -868,7 +980,14 @@ class TestReportCommand:
         (b"vowels,66,100,x\n", 2, "could not convert string to float: 'x'"),
         (b"vowels,66,100,66.0\nnasal\xad,1,2,50.0\n", 3, "not UTF-8 text: byte 0xad"),
         (b"", 2, "no class rows after the header"),
-    ], ids=["short-row", "bad-rate", "not-utf8", "header-only"])
+        (b"vowels,1,2,nan\n", 2, "rate must be a finite percentage in [0, 100], got nan"),
+        (b"vowels,1,2,50.0\nnasals,5,6,250\n", 3,
+         "rate must be a finite percentage in [0, 100], got 250"),
+        (b"vowels,0,2,-0.5\n", 2, "rate must be a finite percentage in [0, 100], got -0.5"),
+        (b"nasals,5,3,60.0\n", 2, "counts must satisfy 0 <= correct <= total, got 5 of 3"),
+        (b"nasals,-1,3,0.0\n", 2, "counts must satisfy 0 <= correct <= total, got -1 of 3"),
+    ], ids=["short-row", "bad-rate", "not-utf8", "header-only", "nan-rate", "rate-over-100",
+            "negative-rate", "correct-over-total", "negative-count"])
     def test_malformed_csv_exits_2_with_file_and_line(self, tmp_path, capsys, body, at,
                                                       message):
         csv = tmp_path / "r.csv"

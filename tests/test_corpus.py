@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,27 @@ class TestSynthGenerate:
         for i in range(9):
             for j in range(i + 1, 9):
                 assert np.linalg.norm(base[i] - base[j]) >= 5.0
+
+    @pytest.mark.parametrize("separation", [1e-300, 2.2e-308, 5e-324])
+    @pytest.mark.parametrize("order_task", [False, True])
+    def test_tiny_separation_is_met_quickly(self, separation, order_task):
+        # Squared distances underflow to zero at these scales; compared in
+        # units of the separation, the means are still found at once.
+        n_classes = 2 if order_task else 3
+        start = time.perf_counter()
+        means = synth_class_means(n_classes, 9, 12, separation, order_task, seed=0)
+        samples = synth_generate(n_classes, 50, 12, 9, separation, order_task, seed=0)
+        assert time.perf_counter() - start < 0.5
+        assert len(samples) == 50 * n_classes
+        assert all(np.isfinite(s.frames).all() for s in samples)
+        # The order task separates one class's frame means from each other,
+        # the other task every frame mean of a class from the other classes'.
+        scaled = means / separation
+        groups = scaled[0][:, None, :] if order_task else scaled
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                delta = groups[a][:, None, :] - groups[b][None, :, :]
+                assert np.sqrt(np.sum(delta ** 2, axis=2)).min() >= 1.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

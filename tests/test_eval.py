@@ -195,6 +195,13 @@ class TestRendering:
         assert back.counts == rep.counts
         assert back.average == pytest.approx(rep.average, abs=1e-12)
 
+    def test_report_of_rates_alone_round_trips(self, tmp_path):
+        # from_rates gives no counts; the CSV holds them as 0,0 rows.
+        path = tmp_path / "r.csv"
+        write_report_csv(self.make_report(), path)
+        assert path.read_text().splitlines()[1] == "affricates,0,0,95.91"
+        assert read_report_csv(path).rows == self.make_report().rows
+
     def test_confusion_csv(self, tmp_path):
         from collections import Counter
         path = tmp_path / "c.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,37 @@ class TestErrors:
         with pytest.raises(ValueError, match=r"m\.txt: 'hi' line has 3 values, expected 4"):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ls: replaced(ls, "lo ", "lo 0.0 x 0.0 0.0"),
+         "could not convert string to float: 'x'"),
+        (lambda ls: replaced(ls, "lo ", "lo 0.0 nan 0.0 0.0"),
+         "'lo' values must be finite, got '0.0 nan 0.0 0.0'"),
+        (lambda ls: replaced(ls, "hi ", "hi 1.0 1.0 inf 1.0"),
+         "'hi' values must be finite, got '1.0 1.0 inf 1.0'"),
+        (lambda ls: (ls + ["alpha 0.3"], len(ls) + 1),
+         "'alpha' is not a line of SSOM model files"),
+        (lambda ls: (ls + ["t_ref 3"], len(ls) + 1),
+         "'t_ref' is not a line of SSOM model files"),
+        (lambda ls: (ls[:7] + ["0.5 0.5 0.5 0.5"] + ls[7:], 8),
+         "'0.5' is not a line of SSOM model files"),
+    ], ids=["bad-range-token", "nan-lo", "inf-hi", "alpha-in-ssom", "misspelt-line",
+            "surplus-weight-row"])
+    def test_bad_line_named(self, tmp_path, edit, message):
+        lo, hi, cfg, kernel, rule = spiking_parts()
+        path = tmp_path / "m.txt"
+        save_model(SsomModel(random_lattice(), lo, hi, cfg, kernel, rule), path)
+        lines, at = edit(path.read_text().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"m.txt: line {at}: {message}")):
+            load_model(path)
+
+
+def replaced(lines, prefix, text):
+    """lines with the one starting with prefix replaced by text, and the
+    replaced line's number."""
+    at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    return lines[:at] + [text] + lines[at + 1:], at + 1
+
 
 class TestWinnerRules:
     def test_som_concat_uses_whole_sequence(self):
@@ -231,7 +264,6 @@ class TestWinnerRules:
         assert rssom.frame_winners(sample) == want_rssom
         assert lin.frame_winners(sample) == want_lin
         assert any(w is not None for w in want_ssom + want_rssom + want_lin)
-
 
 class TestRetiredParameterLines:
     """Spiking model files once carried `sim_step_ms` and `tau_psp_ms` lines,

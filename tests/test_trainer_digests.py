@@ -1,7 +1,8 @@
 """A digest matrix over every trainer behaviour the config can select.
 
 The spiking trainers are pinned for each STDP variant x ``flip_branches`` x
-fixed/auto lateral excitation radius on a non-square 3x5 lattice, the
+fixed/auto lateral excitation radius on a non-square 3x5 lattice, at the
+default gates and at tight ones (``GATES``), the
 concatenating SOM for its one path, and eval reports for the identity and
 TIMIT macro class maps, each with terminal and per-frame votes.  A
 refactor of the learning step that changes one bit of any of them fails
@@ -32,6 +33,11 @@ from pulsom.stdp import VARIANTS, StdpRule
 
 ROWS, COLS, EPOCHS, SEED = 3, 5, 2, 3
 RADII = {"fixed": 1.5, "auto": None}
+# (SsomConfig, LateralKernel) keywords.  At the defaults no presentation is
+# skipped and inhibition silences no unit; the tight reference time and
+# inhibition gain make the SSOM and LIN skip presentations and make
+# inhibition silence units on every map.
+GATES = {"default": ({}, {}), "tight": ({"t_ref": 2.0}, {"inhibit_gain": 2.0})}
 TRAINERS = {"ssom": (SsomModel, train_ssom, {}),
             "rssom": (RssomModel, train_rssom, {"alpha": 0.5}),
             "lin": (LinModel, train_lin, {"lam": 0.5})}
@@ -74,6 +80,46 @@ SPIKING = {
         ("input", True, "auto"): "213cca45c36e29a1",
     },
     "rssom": {"fixed": "ea03ad0258cfde20", "auto": "c68fb1bb4c3d0e0c"},
+}
+
+SPIKING_TIGHT = {
+    "ssom": {
+        ("additive", False, "fixed"): "a81c268ccc1ecf37",
+        ("additive", False, "auto"): "f96f5b49d871cfd4",
+        ("additive", True, "fixed"): "a81c268ccc1ecf37",
+        ("additive", True, "auto"): "f96f5b49d871cfd4",
+        ("panchev", False, "fixed"): "f7f3834c6cdaff9b",
+        ("panchev", False, "auto"): "68166ffcfcc5ae25",
+        ("panchev", True, "fixed"): "f2eb6929443ea3a9",
+        ("panchev", True, "auto"): "7b796f8ba077f67f",
+        ("soula", False, "fixed"): "8538d7853c71c96c",
+        ("soula", False, "auto"): "2e005fa65310cc5d",
+        ("soula", True, "fixed"): "8538d7853c71c96c",
+        ("soula", True, "auto"): "2e005fa65310cc5d",
+        ("input", False, "fixed"): "7c8b873874d9bfae",
+        ("input", False, "auto"): "5097369c5371ca1b",
+        ("input", True, "fixed"): "42141205cb243da0",
+        ("input", True, "auto"): "e483b189b3c736b6",
+    },
+    "lin": {
+        ("additive", False, "fixed"): "3c6186b04e031853",
+        ("additive", False, "auto"): "64b3dcefcd3ea5a8",
+        ("additive", True, "fixed"): "3c6186b04e031853",
+        ("additive", True, "auto"): "64b3dcefcd3ea5a8",
+        ("panchev", False, "fixed"): "dd2da95eb775c8d9",
+        ("panchev", False, "auto"): "08bccc7d113e162c",
+        ("panchev", True, "fixed"): "ead089f6d30f8d31",
+        ("panchev", True, "auto"): "669ece40a17d56d4",
+        ("soula", False, "fixed"): "1f57f70364f3a585",
+        ("soula", False, "auto"): "dd274df6d4a1847c",
+        ("soula", True, "fixed"): "1f57f70364f3a585",
+        ("soula", True, "auto"): "dd274df6d4a1847c",
+        ("input", False, "fixed"): "3e4014ff953657c8",
+        ("input", False, "auto"): "27aa15e92221c6ec",
+        ("input", True, "fixed"): "0ff738021b9a4cca",
+        ("input", True, "auto"): "f6ded755607c109e",
+    },
+    "rssom": {"fixed": "855df4f8c7750529", "auto": "beacca0a5b829722"},
 }
 
 CONCAT_SOM = "a95da1f79eada20e"
@@ -124,31 +170,51 @@ def data():
     return synth_generate(2, 10, 6, 5, 2.0, True, 11)
 
 
-def train_spiking_kind(kind, data, variant, flip, radius):
+def train_spiking_kind(kind, data, variant, flip, radius, gate="default"):
     model_cls, train, extra = TRAINERS[kind]
+    cfg, lateral = GATES[gate]
     model = model_cls(normalized_init(ROWS, COLS, data, SEED), *feature_ranges(data),
-                      SsomConfig(), LateralKernel(excite_radius=RADII[radius]),
+                      SsomConfig(**cfg), LateralKernel(excite_radius=RADII[radius], **lateral),
                       StdpRule(variant, flip_branches=flip), **extra)
     return model, train(data, model, Schedule.for_lattice(ROWS, COLS, epochs=EPOCHS), SEED)
 
 
-def spiking_digests(kind, data) -> dict:
-    return {(variant, flip, radius): trained_digest(
-                *train_spiking_kind(kind, data, variant, flip, radius))
-            for variant in VARIANTS for flip in (False, True) for radius in RADII}
+def spiking_digests(kind, data, gate) -> dict:
+    got, skipped = {}, 0
+    for variant in VARIANTS:
+        for flip in (False, True):
+            for radius in RADII:
+                model, log = train_spiking_kind(kind, data, variant, flip, radius, gate)
+                got[variant, flip, radius] = trained_digest(model, log)
+                skipped += log.total_skipped
+    if gate == "tight" and kind != "rssom":
+        assert skipped > 0
+    return got
 
 
 @pytest.mark.parametrize("kind", ["ssom", "lin"])
 def test_spiking_trainer_matrix(data, kind):
-    assert spiking_digests(kind, data) == SPIKING[kind]
+    assert spiking_digests(kind, data, "default") == SPIKING[kind]
+
+
+@pytest.mark.parametrize("kind", ["ssom", "lin"])
+def test_tight_gate_trainer_matrix(data, kind):
+    assert spiking_digests(kind, data, "tight") == SPIKING_TIGHT[kind]
+
+
+def rssom_matches(data, gate, want) -> None:
+    for (variant, flip, radius), d in spiking_digests("rssom", data, gate).items():
+        assert d == want[radius], (variant, flip, radius)
 
 
 def test_rssom_ignores_variant_and_flip(data):
     """RSSOM steps along y_i scaled by |window|, so neither the STDP
     variant nor the branch flip reaches its weights."""
-    got = spiking_digests("rssom", data)
-    for (variant, flip, radius), d in got.items():
-        assert d == SPIKING["rssom"][radius], (variant, flip, radius)
+    rssom_matches(data, "default", SPIKING["rssom"])
+
+
+def test_rssom_tight_gates(data):
+    rssom_matches(data, "tight", SPIKING_TIGHT["rssom"])
 
 
 def test_concatenating_som(data):

@@ -6,6 +6,7 @@ synthetic sequence generator, and the dataset cache CSV.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -413,20 +414,33 @@ def _is_float(cell: str) -> bool:
     return True
 
 
+def utf8_name(path: Path) -> str:
+    """The last component of path decoded from its raw bytes as UTF-8, so
+    that it reads the same under any locale; raises CorpusFormatError if
+    those bytes are not UTF-8."""
+    try:
+        return os.fsencode(path.name).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorpusFormatError(path, "name is not UTF-8") from None
+
+
 def iter_utterances(root, dialects=None, speakers=None):
-    """Yield (utt_path_without_suffix, dialect, speaker) in sorted path order."""
+    """Yield (utt_path_without_suffix, dialect, speaker) in sorted path order;
+    the dialect and speaker names are ``utf8_name``s."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} does not exist")
     for dialect_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        if dialects and dialect_dir.name.lower() not in dialects:
+        dialect = utf8_name(dialect_dir)
+        if dialects and dialect.lower() not in dialects:
             continue
         for speaker_dir in sorted(p for p in dialect_dir.iterdir() if p.is_dir()):
-            if speakers and speaker_dir.name.lower() not in speakers:
+            speaker = utf8_name(speaker_dir)
+            if speakers and speaker.lower() not in speakers:
                 continue
             for wav in sorted(speaker_dir.iterdir()):
                 if wav.suffix.lower() == ".wav":
-                    yield wav.with_suffix(""), dialect_dir.name, speaker_dir.name
+                    yield wav.with_suffix(""), dialect, speaker
 
 
 def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speakers,
@@ -439,7 +453,7 @@ def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speaker
     dialects = {d.lower() for d in dialects} if dialects else None
     speakers = {s.lower() for s in speakers} if speakers else None
     stats.update(utterances=0, skipped_utterances=0, segments=0, skipped_segments=0)
-    for stem, _dialect, _speaker in iter_utterances(root, dialects, speakers):
+    for stem, _dialect, speaker in iter_utterances(root, dialects, speakers):
         wav = _sibling(stem, ".wav")
         ali = _sibling(stem, f".{unit}")
         if ali is None:
@@ -463,7 +477,7 @@ def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speaker
             except ValueError as exc:
                 raise CorpusFormatError(ali, str(exc)) from None
             picks.append((seg, macro, idx))
-        yield f"{stem.parent.name}/{stem.name}", feats, picks
+        yield f"{speaker}/{utf8_name(stem)}", feats, picks
 
 
 def build_corpus_dataset(root, mfcc_cfg: MfccConfig | None = None, unit: str = "phn",

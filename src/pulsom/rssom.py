@@ -14,8 +14,8 @@ import numpy as np
 
 from .coding import EncodedFrames, SsomConfig
 from .errors import DimensionMismatchError
-from .som import Lattice, Schedule, TrainingLog, mark_no_winner
-from .ssom import FiringRecord, gate_tables, learning_gate, train_spiking
+from .som import Lattice, Schedule, TrainingLog, mark_no_winner, neighborhood_array
+from .ssom import FiringRecord, learning_gate, train_spiking
 from .stdp import StdpRule, window_value_array
 
 
@@ -113,9 +113,10 @@ def rssom_learn(e_spike_times: np.ndarray, lattice: Lattice, state: DifferenceSt
     """
     if record.winner is None or lr_scale == 0.0:
         return
-    spatial, h = gate_tables(lattice.grid_distances(record.winner), cfg.s_radius)
-    idx = learning_gate(record.times, record.silent, spatial, cfg)
-    window_step(e_spike_times, lattice, state, idx, record.times[idx], h[idx], rule, lr_scale)
+    d = lattice.grid_distances(record.winner)
+    idx = learning_gate(record.times, record.silent, d <= cfg.s_radius, cfg)
+    window_step(e_spike_times, lattice, state, idx, record.times[idx],
+                neighborhood_array(d[idx], cfg.s_radius), rule, lr_scale)
 
 
 def train_rssom(data, model, schedule: Schedule, seed: int) -> TrainingLog:

@@ -58,6 +58,12 @@ class Schedule:
                 f"need radius_start >= radius_end, got "
                 f"{self.radius_start}, {self.radius_end}"
             )
+        # The decayed radius falls monotonically, so its last value is the
+        # least; the Gaussian kernels divide by its square.
+        last = linear_decay(self.epochs - 1, self)[1]
+        if not last * last > 0:
+            raise ValueError(f"radius_end {self.radius_end} decays to a last radius of "
+                             f"{last}, whose square must be positive")
 
     @staticmethod
     def for_lattice(rows: int, cols: int, epochs: int = 80,

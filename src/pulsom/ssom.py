@@ -52,6 +52,9 @@ class LateralKernel:
     def __post_init__(self):
         if self.excite_radius is not None:
             check_positive(self, "excite_radius")
+            if not self.excite_radius * self.excite_radius > 0:     # the kernel divides by it
+                raise ValueError(f"excite_radius {self.excite_radius} must have a positive "
+                                 "square")
         check_positive(self, "excite_gain", "inhibit_gain")
 
 
@@ -125,21 +128,13 @@ def lateral_tables(d: np.ndarray,
     units within the excitation radius, their pull factor toward the
     winner's firing time, and the delay of the units beyond it.
 
-    d is one winner's distance row, or the whole distance table (row w
-    then serves winner w).
+    d holds lattice distances to the winner, of any shape.
     """
     r = kernel.excite_radius
     near = d <= r
     factor = np.clip(kernel.excite_gain * np.exp(-(d * d) / (2.0 * r * r)), 0.0, 1.0)
     delay = kernel.inhibit_gain * (d - r)
     return near, factor, delay
-
-
-def gate_tables(d: np.ndarray, s_radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The spatial learning gate by lattice distance d to the winner (row or
-    whole table, as in ``lateral_tables``) and the neighborhood kernel that
-    scales the learning rate inside it."""
-    return d <= s_radius, neighborhood_array(d, s_radius)
 
 
 def lateral_step(times: np.ndarray, silent: np.ndarray, w: int, near: np.ndarray,
@@ -175,8 +170,33 @@ def apply_lateral(record: FiringRecord, kernel: LateralKernel, lattice: Lattice,
 def learning_gate(times: np.ndarray, silent: np.ndarray, spatial: np.ndarray,
                   cfg: SsomConfig) -> np.ndarray:
     """Flat indices of the units that learn: firing within t_ref and inside
-    the winner's spatial area (``spatial``, its row of ``gate_tables``)."""
+    the winner's spatial area (the mask ``spatial``)."""
     return np.flatnonzero((~silent) & (times <= cfg.t_ref) & spatial)
+
+
+def area_rows(dist: np.ndarray, radius: float, kernel: LateralKernel) -> list[tuple]:
+    """Entry u: the units within ``radius`` of unit u (ascending flat order),
+    with their ``lateral_tables`` and neighborhood values from dist's rows."""
+    area = dist <= radius
+    d = dist[area]
+    tables = (np.nonzero(area)[1], *lateral_tables(d, kernel), neighborhood_array(d, radius))
+    return list(zip(*(np.split(a, np.cumsum(area.sum(axis=1))[:-1]) for a in tables)))
+
+
+def area_step(times: np.ndarray, silent: np.ndarray, w: int, rows: tuple,
+              cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``lateral_step`` and ``learning_gate`` of a win by flat unit w on its
+    ``area_rows`` entry: the learning units, their times and h values."""
+    # The same bits as on the whole lattice: present recomputes every time,
+    # so the kernel's result outside the area is never read; the winner lies
+    # in its own spatial and excitation areas, so its pull t + f * 0 leaves
+    # it unchanged (f is finite, as both radii have positive squares); and
+    # t <= t_ref already drops a unit inhibition silences.
+    area, near, factor, delay, h = rows
+    t = times[area]
+    t = np.where(near, t + factor * (times[w] - t), np.minimum(t + delay, cfg.t_max))
+    g = (t <= cfg.t_ref) & ~silent[area]
+    return area[g], t[g], h[g]
 
 
 def stdp_step(v: np.ndarray, t_spike: np.ndarray, lattice: Lattice, idx: np.ndarray,
@@ -184,7 +204,7 @@ def stdp_step(v: np.ndarray, t_spike: np.ndarray, lattice: Lattice, idx: np.ndar
     """STDP toward the normalized input v, with spike times t_spike, of the
     gated units idx that fired at t_post, with neighborhood values h."""
     gain = (lr_scale * h)[:, None]
-    dt = t_spike[None, :] - t_post[:, None]
+    dt = t_spike - t_post[:, None]
     lattice.weights[idx] = apply_rule_array(lattice.weights[idx], v[None, :], dt, rule, gain)
 
 
@@ -199,10 +219,10 @@ def ssom_learn(e: EncodedInput, lattice: Lattice, record: FiringRecord,
     """
     if record.winner is None or lr_scale == 0.0:
         return
-    spatial, h = gate_tables(lattice.grid_distances(record.winner), cfg.s_radius)
-    idx = learning_gate(record.times, record.silent, spatial, cfg)
-    stdp_step(decode_latency(e), e.spike_times, lattice, idx, record.times[idx], h[idx], rule,
-              lr_scale)
+    d = lattice.grid_distances(record.winner)
+    idx = learning_gate(record.times, record.silent, d <= cfg.s_radius, cfg)
+    stdp_step(decode_latency(e), e.spike_times, lattice, idx, record.times[idx],
+              neighborhood_array(d[idx], cfg.s_radius), rule, lr_scale)
 
 
 class FiringStep:
@@ -237,12 +257,12 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     ``FiringStep``) with the model's lattice, encoding ranges, cfg, lateral
     kernel and STDP rule.
 
-    Every frame is coded once per run and the lateral and gate tables are
-    built once per epoch.  Sequence order is reshuffled each epoch from the
-    seed, and the state is reset at each sequence start.  Presentations
+    Every frame is coded once per run and the ``area_rows`` tables are
+    gathered once per epoch.  Sequence order is reshuffled each epoch from
+    the seed, and the state is reset at each sequence start.  Presentations
     where every unit stays silent (winner -1) are skipped and counted;
-    otherwise the lateral kernel is applied around the flat winner and the
-    units inside its learning gate learn.
+    otherwise ``area_step`` applies the lateral kernel on the flat winner's
+    spatial area, and the units inside its learning gate learn.
     Quantization error is logged per epoch on the decoded (de-normalized)
     weights against the raw frames.
     """
@@ -253,14 +273,12 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     all_frames = sample_vectors(sequences, concat=False)
     codes = [encode_frames(s, lo, hi, cfg.t_max, lattice.dim) for s in sequences]
     span = hi - lo
-    dist = lattice.distance_table()
     rng = np.random.default_rng(seed)
     log = TrainingLog(model=model.kind)
     for t in range(schedule.epochs):
         lr, radius = linear_decay(t, schedule)
         kernel_t = kernel if kernel.excite_radius is not None else replace(kernel, excite_radius=radius)
-        near, factor, delay = lateral_tables(dist, kernel_t)
-        spatial, h = gate_tables(dist, radius)
+        rows = area_rows(lattice.distance_table(), radius, kernel_t)
         skipped = 0
         for si in rng.permutation(len(sequences)):
             state.reset()
@@ -270,9 +288,9 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
                 if w < 0:
                     skipped += 1
                     continue
-                times, silent = lateral_step(times, silent, w, near[w], factor[w], delay[w], cfg)
-                idx = learning_gate(times, silent, spatial[w], cfg)
-                state.learn(seq, i, lattice, idx, times[idx], h[w, idx], rule, lr)
+                idx, t_post, h = area_step(times, silent, w, rows[w], cfg)
+                state.learn(seq, i, lattice, idx, t_post, h, rule, lr)
+        del rows    # freed before the next epoch gathers its own: a lower peak
         check_finite(lattice, t)
         decoded = Lattice(lattice.rows, lattice.cols,
                           lo + np.clip(lattice.weights, 0.0, 1.0) * span, lattice.rng_seed)

@@ -81,7 +81,11 @@ def window_value_array(delta_t: np.ndarray, window: StdpWindow) -> np.ndarray:
     """Vectorized ``window_value``: one exp(-|delta_t| / tau), with tau and
     the signed amplitude picked per side (0 at coincidence and for NaN)."""
     dt = np.asarray(delta_t, dtype=np.float64)
-    lead = dt < 0
+    return _window_of(dt, dt < 0, window)
+
+
+def _window_of(dt: np.ndarray, lead: np.ndarray, window: StdpWindow) -> np.ndarray:
+    """``window_value_array`` of float64 dt given its lead mask dt < 0."""
     tau = np.where(lead, window.tau_plus, window.tau_minus)
     amp = np.where(lead, window.a_plus, -window.a_minus)
     lag = np.abs(dt)
@@ -142,17 +146,16 @@ def apply_rule_array(w: np.ndarray, x: np.ndarray, delta_t: np.ndarray,
     step for the others.  Shapes of w, x, delta_t and gain broadcast together.
     """
     w = np.asarray(w, dtype=np.float64)
-    f = window_value_array(delta_t, rule.window)
-    if rule.flip_branches:
-        potentiate = delta_t < 0
-    else:
-        potentiate = delta_t > 0
+    dt = np.asarray(delta_t, dtype=np.float64)
+    lead = dt < 0
+    f = _window_of(dt, lead, rule.window)
     if rule.variant == "additive":
         return np.clip(w + gain * rule.eta * f, 0.0, rule.w_max)
+    if rule.variant == "soula":
+        return w + gain * f * w * (1.0 - w / rule.w_max)
+    potentiate = lead if rule.flip_branches else dt > 0
     if rule.variant == "panchev":
         step = np.where(potentiate, 1.0 - w, w)
         return w + gain * rule.eta * f * step
-    if rule.variant == "soula":
-        return w + gain * f * w * (1.0 - w / rule.w_max)
     step = np.where(potentiate, x - w, w)  # input rule
     return np.clip(w + gain * rule.eta * f * step, 0.0, rule.w_max)

@@ -185,6 +185,22 @@ class TestTrainCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "train-out").exists()
 
+    @pytest.mark.parametrize("value", ["1e-17", "1e-16"])
+    @pytest.mark.parametrize("model", ["som", "ssom", "rssom", "lin"])
+    def test_radius_decaying_to_zero_exits_2(self, tmp_path, dataset, capsys, model, value):
+        # 2.0 + (1e-17 - 2.0) is 0.0: the last epoch's radius would be zero.
+        cfg = train_cfg(tmp_path, dataset, model=model, extra=f"schedule.radius_end = {value}")
+        assert main(["train", "--config", cfg]) == 2
+        assert (f"{cfg}:9 (schedule.radius_end): radius_end {value} decays to a last radius "
+                "of 0.0, whose square must be positive") in capsys.readouterr().err
+        assert not (tmp_path / "train-out").exists()
+
+    def test_excite_radius_whose_square_underflows_exits_2(self, tmp_path, dataset, capsys):
+        cfg = train_cfg(tmp_path, dataset, model="ssom", extra="lateral.excite_radius = 1e-200")
+        assert main(["train", "--config", cfg]) == 2
+        assert (f"{cfg}:9 (lateral.excite_radius): excite_radius 1e-200 must have a positive "
+                "square") in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", [k.name for k in REGISTRY if k.kind.startswith("float")
                                      and k.name.split(".")[0] in FLOAT_SECTIONS])
@@ -888,6 +904,16 @@ class TestOutputs:
         assert list((tmp_path / "run").iterdir()) == []
 
 
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def run_python(script, cwd, **env):
+    """Run a Python script in a subprocess that imports this pulsom, with
+    extra environment variables env."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pulsom.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True)
+
+
 class TestAsciiLocale:
     """Every output is UTF-8 whatever the locale: a run whose labels and
     config hold non-ASCII text writes the same bytes under an ASCII locale
@@ -917,9 +943,7 @@ class TestAsciiLocale:
         for name in ("train", "eval"):
             (workdir / f"{name}.cfg").write_text(
                 train + f"run.outdir = {name}-out\n", encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(Path(pulsom.__file__).parents[1]), **env)
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], cwd=workdir, env=env,
-                              capture_output=True)
+        proc = run_python(self.SCRIPT, workdir, **env)
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         return proc.stdout.decode("ascii", errors="replace"), {
             str(p.relative_to(workdir)): p.read_bytes()
@@ -928,14 +952,40 @@ class TestAsciiLocale:
 
     def test_outputs_match_the_default_locale_run(self, tmp_path):
         out, files = self.run_in(tmp_path / "default")
-        ascii_out, ascii_files = self.run_in(tmp_path / "ascii", LC_ALL="C",
-                                             PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        ascii_out, ascii_files = self.run_in(tmp_path / "ascii", **ASCII_LOCALE)
         assert ascii_out.splitlines()[-1] == out.splitlines()[-1] == "[0, 0, 0]"
         assert "cl\\xe90" in ascii_out
         assert "clé" in files["eval-out/report.txt"].decode("utf-8")
         assert "spé" in files["synth-out/effective-config.txt"].decode("utf-8")
         assert ascii_files == files
         assert len(files) == 12
+
+    def features(self, tmp_path, speaker: bytes, name: str, **env):
+        """Run `pulsom features` in a subprocess on the fixture corpus with its
+        speaker directory renamed to the raw bytes speaker."""
+        root = make_fixture_corpus(tmp_path / name / "corpus")
+        os.rename(os.fsencode(root / "dr1" / "spk1"), os.fsencode(root / "dr1") + b"/" + speaker)
+        cfg = write_cfg(tmp_path / name / "f.cfg",
+                        f"run.outdir = {tmp_path / name / 'feat'}\ncorpus.root = {root}\n")
+        return run_python("import sys\nfrom pulsom.cli import main\n"
+                          f"sys.exit(main(['features', '--config', {cfg!r}]))\n", tmp_path, **env)
+
+    def test_non_ascii_corpus_names_give_the_default_locale_bytes(self, tmp_path):
+        csvs = {}
+        for name, env in (("default", {}), ("ascii", ASCII_LOCALE)):
+            proc = self.features(tmp_path, "spék1".encode(), name, **env)
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            csvs[name] = [(tmp_path / name / "feat" / f).read_bytes()
+                          for f in ("dataset.csv", "frames.csv")]
+        assert csvs["ascii"] == csvs["default"]
+        assert "\nspék1/utt0,".encode() in csvs["default"][0]
+
+    def test_non_utf8_corpus_name_exits_4(self, tmp_path):
+        for name, env in (("default", {}), ("ascii", ASCII_LOCALE)):
+            proc = self.features(tmp_path, b"sp\xe9k1", name, **env)
+            assert proc.returncode == 4
+            assert b"dr1/sp\\udce9k1: name is not UTF-8" in proc.stderr
+            assert no_csvs_in(tmp_path / name / "feat")
 
 
 class TestScipyOnlyForFeatures:

@@ -177,6 +177,16 @@ class TestLinearDecay:
         with pytest.raises(ValueError):
             Schedule(10, 0.9, 0.05, 1.0, 2.0)
 
+    def test_rejects_a_radius_that_decays_to_zero(self):
+        # 1.5 + (1e-17 - 1.5) rounds to 0.0 at the last epoch.
+        with pytest.raises(ValueError, match="radius_end 1e-17 decays to a last radius of 0.0"):
+            Schedule(3, 0.9, 0.05, 1.5, 1e-17)
+        # The Gaussian kernels divide by the squared radius, here 0.0.
+        with pytest.raises(ValueError, match="last radius of 1e-200, whose square must be"):
+            Schedule(3, 0.9, 0.05, 1e-200, 1e-200)
+        sched = Schedule(3, 0.9, 0.05, 1.5, 1e-15)
+        assert 0 < linear_decay(2, sched)[1] < linear_decay(1, sched)[1] < 1.5
+
     @pytest.mark.parametrize("values", [
         (1.5, 0.05, 4.0, 1.0), (float("inf"), 0.05, 4.0, 1.0), (0.9, float("nan"), 4.0, 1.0),
         (0.9, 0.05, float("inf"), 1.0), (0.9, 0.05, float("inf"), float("inf")),

@@ -1,17 +1,25 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsom.coding import SsomConfig, decode_latency, encode_latency
 from pulsom.models import SsomModel
-from pulsom.som import Lattice, Schedule, find_bmu
+from pulsom.som import Lattice, Schedule, find_bmu, neighborhood_array
 from pulsom.ssom import (
     FiringRecord,
     LateralKernel,
     apply_lateral,
+    area_rows,
+    area_step,
     compute_firing_times,
     feature_ranges,
+    lateral_step,
+    lateral_tables,
+    learning_gate,
     normalized_init,
     ssom_learn,
     train_ssom,
@@ -136,6 +144,51 @@ class TestApplyLateral:
             t_win = rec.times[rec.winner.flat]
             assert np.all(out.times >= t_win - 1e-12)
             assert np.all(out.times <= cfg.t_max + 1e-12)
+
+
+class TestLateralKernel:
+    def test_rejects_an_excite_radius_whose_square_underflows(self):
+        # A zero 2 r² would make the pull factor NaN even at the winner.
+        with pytest.raises(ValueError, match="excite_radius 1e-200 must have a positive square"):
+            LateralKernel(excite_radius=1e-200)
+        assert LateralKernel(excite_radius=1e-150).excite_radius == 1e-150
+
+
+class TestAreaStep:
+    """``area_step`` on the winner's ``area_rows`` entry gives the bytes of
+    ``lateral_step``, ``learning_gate`` and the neighborhood row on the
+    whole lattice, which the trainer ran per presentation before.  At
+    t_ref = t_max, a unit that inhibition pushes to the t_max cap still
+    learns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
+           radius=st.floats(0.05, 8.0), t_ref=st.one_of(st.just(20.0), st.floats(0.5, 20.0)),
+           excite=st.sampled_from(["below", "equal", "above", "auto"]),
+           excite_gain=st.floats(0.01, 5.0), inhibit_gain=st.floats(0.01, 5.0))
+    def test_matches_the_whole_lattice(self, data, rows, cols, radius, t_ref, excite,
+                                       excite_gain, inhibit_gain):
+        n = rows * cols
+        lattice = Lattice(rows, cols, np.zeros((n, 1)))
+        cfg = SsomConfig(t_max=20.0, t_ref=t_ref)
+        times = np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n)))
+        silent = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        w = data.draw(st.integers(0, n - 1))
+        scale = data.draw({"below": st.floats(0.01, 0.99), "equal": st.just(1.0),
+                           "above": st.floats(1.01, 4.0), "auto": st.none()}[excite])
+        kernel = LateralKernel(None if scale is None else radius * scale, excite_gain,
+                               inhibit_gain)
+        if kernel.excite_radius is None:     # as train_spiking resolves the auto radius
+            kernel = replace(kernel, excite_radius=radius)
+        dist = lattice.distance_table()
+
+        idx, t_post, h = area_step(times, silent, w, area_rows(dist, radius, kernel)[w], cfg)
+
+        t_all, s_all = lateral_step(times, silent, w, *lateral_tables(dist[w], kernel), cfg)
+        want = learning_gate(t_all, s_all, dist[w] <= radius, cfg)
+        assert idx.tobytes() == want.tobytes()
+        assert t_post.tobytes() == t_all[want].tobytes()
+        assert h.tobytes() == neighborhood_array(dist[w], radius)[want].tobytes()
 
 
 class TestSsomLearn:

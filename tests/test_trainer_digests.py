@@ -2,8 +2,8 @@
 
 The spiking trainers are pinned for each STDP variant x ``flip_branches`` x
 fixed/auto lateral excitation radius on a non-square 3x5 lattice, at the
-default gates and at tight ones (``GATES``), the
-concatenating SOM for its one path, and eval reports for the identity and
+default gates and at tight ones (``GATES``), off the default STDP window
+and weight ceiling (``RULES``), the concatenating SOM for its one path, and eval reports for the identity and
 TIMIT macro class maps, each with terminal and per-frame votes.  A
 refactor of the learning step that changes one bit of any of them fails
 here.
@@ -24,12 +24,13 @@ import pytest
 from pulsom.cli import main
 from pulsom.coding import SsomConfig
 from pulsom.corpus import synth_generate, write_dataset_csv
+from pulsom.errors import DivergenceError
 from pulsom.lin import train_lin
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel
 from pulsom.rssom import train_rssom
 from pulsom.som import Lattice, Schedule, sample_vectors, train_som
 from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
-from pulsom.stdp import VARIANTS, StdpRule
+from pulsom.stdp import VARIANTS, StdpRule, StdpWindow
 
 ROWS, COLS, EPOCHS, SEED = 3, 5, 2, 3
 RADII = {"fixed": 1.5, "auto": None}
@@ -38,6 +39,13 @@ RADII = {"fixed": 1.5, "auto": None}
 # inhibition gain make the SSOM and LIN skip presentations and make
 # inhibition silence units on every map.
 GATES = {"default": ({}, {}), "tight": ({"t_ref": 2.0}, {"inhibit_gain": 2.0})}
+# StdpRule keywords off the defaults every other entry uses (the (1, 1, 10,
+# 10) window and w_max = 1): an asymmetric window, and a weight ceiling
+# below and above the spiking map's match clamp of 1.
+RULES = {"asymmetric": {"window": StdpWindow(a_plus=0.8, a_minus=1.3, tau_plus=7.0,
+                                             tau_minus=13.0)},
+         "w_max_0.8": {"w_max": 0.8},
+         "w_max_1.5": {"w_max": 1.5}}
 TRAINERS = {"ssom": (SsomModel, train_ssom, {}),
             "rssom": (RssomModel, train_rssom, {"alpha": 0.5}),
             "lin": (LinModel, train_lin, {"lam": 0.5})}
@@ -122,6 +130,74 @@ SPIKING_TIGHT = {
     "rssom": {"fixed": "855df4f8c7750529", "auto": "beacca0a5b829722"},
 }
 
+# RULES entry -> digests of SSOM and LIN (kind, variant, flip) at the fixed
+# radius and RSSOM (kind, radius).  With w_max = 0.8 the soula rule's
+# fixed point lies below the initial weights and the SSOM diverges; with
+# w_max = 1.5 it drives SSOM and LIN weights above 1, where the map's match
+# clamp and the stored weights differ.
+SPIKING_RULES = {
+    "asymmetric": {
+        ("ssom", "additive", False): "7cf4db72ab7b0208",
+        ("ssom", "additive", True): "7cf4db72ab7b0208",
+        ("ssom", "panchev", False): "ede1331c4f578a71",
+        ("ssom", "panchev", True): "6b59c8498b625d47",
+        ("ssom", "soula", False): "03253b196f362547",
+        ("ssom", "soula", True): "03253b196f362547",
+        ("ssom", "input", False): "42792975821a2190",
+        ("ssom", "input", True): "42fbac65e2f8d58a",
+        ("lin", "additive", False): "a14e583c3d8bf356",
+        ("lin", "additive", True): "a14e583c3d8bf356",
+        ("lin", "panchev", False): "95a77b2ab56384fd",
+        ("lin", "panchev", True): "fbea375973a35594",
+        ("lin", "soula", False): "ecdcc87d5a9e27ee",
+        ("lin", "soula", True): "ecdcc87d5a9e27ee",
+        ("lin", "input", False): "aa503dc678672be5",
+        ("lin", "input", True): "c2e92ecba45a4e37",
+        ("rssom", "fixed"): "94d337b8512b0b6e",
+        ("rssom", "auto"): "a2d6d359abb9220a",
+    },
+    "w_max_0.8": {
+        ("ssom", "additive", False): "f42ddb62ff7f722c",
+        ("ssom", "additive", True): "f42ddb62ff7f722c",
+        ("ssom", "panchev", False): "aeecf9276e3a6398",
+        ("ssom", "panchev", True): "61a42682d7a4824d",
+        ("ssom", "soula", False): "diverged at epoch 0",
+        ("ssom", "soula", True): "diverged at epoch 0",
+        ("ssom", "input", False): "ef91c558498ea866",
+        ("ssom", "input", True): "eb324e5d126fba03",
+        ("lin", "additive", False): "7ce8e83a96e2359e",
+        ("lin", "additive", True): "7ce8e83a96e2359e",
+        ("lin", "panchev", False): "c6ac1b0224c0f695",
+        ("lin", "panchev", True): "b14411c75eead9dd",
+        ("lin", "soula", False): "17f98214ffc0d59b",
+        ("lin", "soula", True): "17f98214ffc0d59b",
+        ("lin", "input", False): "481b1288ea0d977a",
+        ("lin", "input", True): "3170d03a7186afd1",
+        ("rssom", "fixed"): "5a6b30cb2a079615",
+        ("rssom", "auto"): "42740f2480814d7a",
+    },
+    "w_max_1.5": {
+        ("ssom", "additive", False): "55e72475561d7a51",
+        ("ssom", "additive", True): "55e72475561d7a51",
+        ("ssom", "panchev", False): "aeecf9276e3a6398",
+        ("ssom", "panchev", True): "61a42682d7a4824d",
+        ("ssom", "soula", False): "9f6e64b57d9fbfc8",
+        ("ssom", "soula", True): "9f6e64b57d9fbfc8",
+        ("ssom", "input", False): "049801af8274ce02",
+        ("ssom", "input", True): "841ff01858f5368a",
+        ("lin", "additive", False): "a45f38b429703388",
+        ("lin", "additive", True): "a45f38b429703388",
+        ("lin", "panchev", False): "c6ac1b0224c0f695",
+        ("lin", "panchev", True): "b14411c75eead9dd",
+        ("lin", "soula", False): "b4ffb370323490bc",
+        ("lin", "soula", True): "b4ffb370323490bc",
+        ("lin", "input", False): "833cedb37c30b6e5",
+        ("lin", "input", True): "a561a77ee3141ff5",
+        ("rssom", "fixed"): "ea03ad0258cfde20",
+        ("rssom", "auto"): "c68fb1bb4c3d0e0c",
+    },
+}
+
 CONCAT_SOM = "a95da1f79eada20e"
 
 # (class map, frame vote) -> report digest, per model kind.
@@ -170,12 +246,12 @@ def data():
     return synth_generate(2, 10, 6, 5, 2.0, True, 11)
 
 
-def train_spiking_kind(kind, data, variant, flip, radius, gate="default"):
+def train_spiking_kind(kind, data, variant, flip, radius, gate="default", rule=None):
     model_cls, train, extra = TRAINERS[kind]
     cfg, lateral = GATES[gate]
     model = model_cls(normalized_init(ROWS, COLS, data, SEED), *feature_ranges(data),
                       SsomConfig(**cfg), LateralKernel(excite_radius=RADII[radius], **lateral),
-                      StdpRule(variant, flip_branches=flip), **extra)
+                      StdpRule(variant, flip_branches=flip, **RULES.get(rule, {})), **extra)
     return model, train(data, model, Schedule.for_lattice(ROWS, COLS, epochs=EPOCHS), SEED)
 
 
@@ -251,3 +327,32 @@ def test_eval_reports_with_macro_classes(tmp_path, kind):
             got[class_map, vote] = digest((out / "report.csv").read_bytes(),
                                           (out / "confusion.csv").read_bytes())
     assert got == EVAL[kind]
+
+
+def rule_digest(kind, data, variant, flip, radius, rule) -> str:
+    """The trained digest, or the epoch whose finiteness check stopped the
+    run: only that epoch, not the non-finite weights' bits, is pinned."""
+    try:
+        return trained_digest(*train_spiking_kind(kind, data, variant, flip, radius, rule=rule))
+    except DivergenceError as e:
+        return f"diverged at epoch {e.epoch}"
+
+
+def rule_digests(data, rule) -> dict:
+    """SSOM and LIN for every variant x flip at the fixed radius, RSSOM at
+    the fixed and auto radii, trained with the StdpRule keywords RULES[rule]."""
+    got = {}
+    for kind in ("ssom", "lin"):
+        for variant in VARIANTS:
+            for flip in (False, True):
+                got[kind, variant, flip] = rule_digest(kind, data, variant, flip, "fixed", rule)
+    for radius in RADII:
+        got["rssom", radius] = rule_digest("rssom", data, "input", True, radius, rule)
+    return got
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("rule", list(RULES))
+def test_rule_trainer_matrix(data, rule):
+    assert rule_digests(data, rule) == SPIKING_RULES[rule]

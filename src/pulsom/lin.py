@@ -14,8 +14,9 @@ import numpy as np
 
 from .coding import EncodedFrames, SsomConfig
 from .errors import DimensionMismatchError
-from .som import Lattice, Schedule, TrainingLog, mark_no_winner, squared_distances
-from .ssom import FiringRecord, FiringStep, train_spiking
+from .som import Lattice, Schedule, TrainingLog, squared_distances, winner_or_none
+from .ssom import FiringRecord, FiringStep, stdp_step, train_spiking
+from .stdp import StdpRule
 
 
 @dataclass
@@ -50,7 +51,12 @@ class PotentialState:
         update_potential(codes.normalized[..., i, :], lattice, self)
         return potential_winners(self, lattice, cfg)
 
-    learn = FiringStep.learn    # the spiking map's STDP step toward the frame
+    rate = FiringStep.rate
+
+    def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
+              t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
+        """The spiking map's ``stdp_step`` toward frame i of one sequence's codes."""
+        stdp_step(codes.decoded[i], codes.spike_times[i], lattice, idx, t_post, gain, rule)
 
 
 def update_potential(x, lattice: Lattice, state: PotentialState) -> None:
@@ -73,8 +79,11 @@ def potential_latencies(state: PotentialState, dim: int, t_max: float) -> np.nda
     effective per-frame penalty, then normalized by the worst single-frame
     penalty (dim/2 on normalized data) so a perfect steady match fires at 0.
     """
-    eff = (1.0 - state.lam) * (-state.a)
-    return t_max * np.clip(eff / (dim / 2.0), 0.0, 1.0)
+    eff = (1.0 - state.lam) * -state.a
+    eff /= dim / 2.0
+    eff.clip(0.0, 1.0, out=eff)
+    eff *= t_max
+    return eff
 
 
 def potential_winners(state: PotentialState, lattice: Lattice,
@@ -87,8 +96,7 @@ def potential_winners(state: PotentialState, lattice: Lattice,
     unit fires first: it is silent exactly when every unit is.
     """
     times = potential_latencies(state, lattice.dim, cfg.t_max)
-    silent = times > cfg.t_ref
-    return times, silent, mark_no_winner(state.a.argmax(axis=-1), silent.all(axis=-1))
+    return times, times > cfg.t_ref, winner_or_none(times, state.a.argmax(axis=-1), cfg.t_ref)
 
 
 def potential_record(state: PotentialState, lattice: Lattice,

@@ -115,8 +115,8 @@ class SsomModel(_Inference):
 
     def state(self, batch: tuple) -> FiringStep:
         """A cleared step object for a block of samples of batch shape
-        ``batch`` (``ssom.FiringStep`` keeps no state)."""
-        return FiringStep()
+        ``batch`` (``ssom.FiringStep`` keeps only the clamped weights)."""
+        return FiringStep(self.lattice)
 
     def _block_winners(self, frames: np.ndarray) -> np.ndarray:
         codes = encode_frames(frames, self.lo, self.hi, self.cfg.t_max, self.lattice.dim)

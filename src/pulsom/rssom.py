@@ -14,9 +14,9 @@ import numpy as np
 
 from .coding import EncodedFrames, SsomConfig
 from .errors import DimensionMismatchError
-from .som import Lattice, Schedule, TrainingLog, mark_no_winner, neighborhood_array
+from .som import Lattice, Schedule, TrainingLog, neighborhood_array, winner_or_none
 from .ssom import FiringRecord, learning_gate, train_spiking
-from .stdp import StdpRule, window_value_array
+from .stdp import StdpRule, window_magnitude
 
 
 @dataclass
@@ -46,10 +46,14 @@ class DifferenceState:
         update_difference(codes.normalized[..., i, :], lattice, self)
         return difference_winners(self, lattice, cfg)
 
+    def rate(self, lr: float, rule: StdpRule) -> float:
+        """eta * lr: a gain is (eta * lr) * h."""
+        return rule.eta * lr
+
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
-              t_post: np.ndarray, h: np.ndarray, rule: StdpRule, lr_scale: float) -> None:
+              t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
         """``window_step`` with the spike times of frame i of one sequence."""
-        window_step(codes.spike_times[i], lattice, self, idx, t_post, h, rule, lr_scale)
+        window_step(codes.spike_times[i], lattice, self, idx, t_post, gain, rule)
 
 
 def update_difference(x, lattice: Lattice, state: DifferenceState) -> None:
@@ -61,9 +65,10 @@ def update_difference(x, lattice: Lattice, state: DifferenceState) -> None:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1:] != (lattice.dim,):
         raise DimensionMismatchError(lattice.dim, x.shape[0] if x.ndim == 1 else x.shape)
-    a = state.alpha
-    state.y *= 1.0 - a
-    state.y += a * (x[..., None, :] - lattice.weights)
+    step = x[..., None, :] - lattice.weights
+    step *= state.alpha
+    state.y *= 1.0 - state.alpha
+    state.y += step
 
 
 def difference_winners(state: DifferenceState, lattice: Lattice,
@@ -76,9 +81,10 @@ def difference_winners(state: DifferenceState, lattice: Lattice,
     mismatch latencies (normalized data keeps them within t_max)."""
     flat = state.y.reshape(-1, state.y.shape[-1])
     n2 = np.einsum("ij,ij->i", flat, flat).reshape(state.y.shape[:-1])
-    times = cfg.t_max * np.minimum(n2 / lattice.dim, 1.0)
-    silent = times > cfg.t_ref
-    return times, silent, mark_no_winner(n2.argmin(axis=-1), silent.all(axis=-1))
+    times = n2 / lattice.dim
+    np.minimum(times, 1.0, out=times)
+    times *= cfg.t_max
+    return times, times > cfg.t_ref, winner_or_none(times, n2.argmin(axis=-1), cfg.t_ref)
 
 
 def difference_record(state: DifferenceState, lattice: Lattice,
@@ -89,15 +95,17 @@ def difference_record(state: DifferenceState, lattice: Lattice,
 
 
 def window_step(t_spike: np.ndarray, lattice: Lattice, state: DifferenceState,
-                idx: np.ndarray, t_post: np.ndarray, h: np.ndarray, rule: StdpRule,
-                lr_scale: float) -> None:
+                idx: np.ndarray, t_post: np.ndarray, gain: np.ndarray,
+                rule: StdpRule) -> None:
     """``rssom_learn`` of the gated units idx, which fired at t_post and have
-    neighborhood values h (see ``ssom.stdp_step``)."""
-    gain = (rule.eta * lr_scale * h)[:, None]
-    dt = t_spike[None, :] - t_post[:, None]
-    scale = np.abs(window_value_array(dt, rule.window))
-    stepped = lattice.weights[idx] + gain * scale * state.y[idx]
-    lattice.weights[idx] = np.clip(stepped, 0.0, rule.w_max)
+    learning gains gain (one column, see ``ssom.area_rows``)."""
+    dt = t_spike - t_post[:, None]
+    scale = window_magnitude(dt, rule.window)
+    scale[dt == 0] = 0.0    # |window|, which is 0 at coincidence
+    step = gain * scale
+    step *= state.y.take(idx, axis=0)
+    step += lattice.weights.take(idx, axis=0)
+    lattice.weights[idx] = step.clip(0.0, rule.w_max, out=step)
 
 
 def rssom_learn(e_spike_times: np.ndarray, lattice: Lattice, state: DifferenceState,
@@ -116,7 +124,7 @@ def rssom_learn(e_spike_times: np.ndarray, lattice: Lattice, state: DifferenceSt
     d = lattice.grid_distances(record.winner)
     idx = learning_gate(record.times, record.silent, d <= cfg.s_radius, cfg)
     window_step(e_spike_times, lattice, state, idx, record.times[idx],
-                neighborhood_array(d[idx], cfg.s_radius), rule, lr_scale)
+                (rule.eta * lr_scale * neighborhood_array(d[idx], cfg.s_radius))[:, None], rule)
 
 
 def train_rssom(data, model, schedule: Schedule, seed: int) -> TrainingLog:

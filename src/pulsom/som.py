@@ -182,13 +182,20 @@ def _check_vector(x, dim: int) -> np.ndarray:
     return x
 
 
-def mark_no_winner(best, none):
-    """Winner indices: ``best`` where a unit wins, -1 where ``none`` is set.
+def winner_or_none(times, best, t_ref: float):
+    """Winner indices: ``best``, the unit that fires first in each row of
+    the firing times, or -1 where even it fires after t_ref, so that every
+    unit is silent.
 
-    Arithmetic rather than np.where, so that the one-presentation case of
-    the winner rules stays a cheap numpy scalar.
+    Only the first unit's time is read: one index for a single presentation.
+    Arithmetic rather than np.where, so that this case stays a cheap numpy
+    scalar.
     """
-    return best - (best + 1) * none
+    if times.ndim == 1:
+        first = times[best]
+    else:
+        first = np.take_along_axis(times, best[..., None], axis=-1)[..., 0]
+    return best - (best + 1) * (first > t_ref)
 
 
 def squared_distances(x: np.ndarray, weights: np.ndarray) -> np.ndarray:

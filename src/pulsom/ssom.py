@@ -26,11 +26,11 @@ from .som import (
     check_finite,
     frames_of,
     linear_decay,
-    mark_no_winner,
     neighborhood_array,
     quantization_error,
     sample_vectors,
     squared_distances,
+    winner_or_none,
 )
 from .stdp import StdpRule, apply_rule_array
 
@@ -87,31 +87,37 @@ def normalized_init(rows: int, cols: int, sequences, seed: int) -> Lattice:
     return Lattice.random_init(rows, cols, norm, seed)
 
 
-def mismatch_latencies(v: np.ndarray, lattice: Lattice, t_max: float) -> np.ndarray:
+def clamped(lattice: Lattice) -> Lattice:
+    """The lattice with its weights clamped to [0, 1], which the spiking map
+    matches against."""
+    return Lattice(lattice.rows, lattice.cols, lattice.weights.clip(0.0, 1.0), lattice.rng_seed)
+
+
+def mismatch_latencies(v: np.ndarray, match: Lattice, t_max: float) -> np.ndarray:
     """Candidate firing times: t_max times the per-dimension mean squared
-    mismatch between the normalized input and the (clamped) weights.
+    mismatch between the normalized input and the weights of ``match``, a
+    ``clamped`` lattice.
 
     v is one vector or a stack of them, shape (..., dim); the times have
     shape v.shape[:-1] + (n_units,).
     """
-    w = np.clip(lattice.weights, 0.0, 1.0)
-    msd = squared_distances(np.asarray(v, dtype=np.float64), w) / lattice.dim
-    return t_max * msd
+    times = squared_distances(np.asarray(v, dtype=np.float64), match.weights)
+    times /= match.dim
+    times *= t_max
+    return times
 
 
-def firing_winners(v: np.ndarray, lattice: Lattice,
+def firing_winners(v: np.ndarray, match: Lattice,
                    cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Firing times, silent masks and earliest-firing winners of normalized
-    inputs v, shape (..., dim).
+    inputs v, shape (..., dim), against the ``clamped`` lattice ``match``.
 
     Units whose candidate firing time exceeds t_ref stay silent; the winner
     is the earliest firing unit (lowest flat index on ties), or -1 where the
-    entire map is silent.  The earliest unit fires unless every unit is
-    silent, so it is the earliest of all candidate times.
+    entire map is silent (``som.winner_or_none``).
     """
-    times = mismatch_latencies(v, lattice, cfg.t_max)
-    silent = times > cfg.t_ref
-    return times, silent, mark_no_winner(times.argmin(axis=-1), silent.all(axis=-1))
+    times = mismatch_latencies(v, match, cfg.t_max)
+    return times, times > cfg.t_ref, winner_or_none(times, times.argmin(axis=-1), cfg.t_ref)
 
 
 def compute_firing_times(e: EncodedInput, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:
@@ -119,7 +125,7 @@ def compute_firing_times(e: EncodedInput, lattice: Lattice, cfg: SsomConfig) -> 
     ``FiringRecord`` of the vector decoded from the spike times."""
     if e.spike_times.shape[0] != lattice.dim:
         raise DimensionMismatchError(lattice.dim, e.spike_times.shape[0])
-    return FiringRecord.of(lattice, *firing_winners(decode_latency(e), lattice, cfg))
+    return FiringRecord.of(lattice, *firing_winners(decode_latency(e), clamped(lattice), cfg))
 
 
 def lateral_tables(d: np.ndarray,
@@ -174,38 +180,52 @@ def learning_gate(times: np.ndarray, silent: np.ndarray, spatial: np.ndarray,
     return np.flatnonzero((~silent) & (times <= cfg.t_ref) & spatial)
 
 
-def area_rows(dist: np.ndarray, radius: float, kernel: LateralKernel) -> list[tuple]:
+def area_rows(dist: np.ndarray, radius: float, kernel: LateralKernel,
+              rate: float) -> list[tuple]:
     """Entry u: the units within ``radius`` of unit u (ascending flat order),
-    with their ``lateral_tables`` and neighborhood values from dist's rows."""
+    with their ``lateral_tables`` and their learning gains ``rate * h``, h
+    their neighborhood values (one column per unit), from dist's rows.  An
+    entry whose units all lie within the excitation radius holds None for
+    the mask and the delays."""
     area = dist <= radius
     d = dist[area]
-    tables = (np.nonzero(area)[1], *lateral_tables(d, kernel), neighborhood_array(d, radius))
-    return list(zip(*(np.split(a, np.cumsum(area.sum(axis=1))[:-1]) for a in tables)))
+    gain = (rate * neighborhood_array(d, radius))[:, None]
+    tables = (np.nonzero(area)[1], *lateral_tables(d, kernel), gain)
+    rows = zip(*(np.split(a, np.cumsum(area.sum(axis=1))[:-1]) for a in tables))
+    return [(a, None, f, None, g) if near.all() else (a, near, f, delay, g)
+            for a, near, f, delay, g in rows]
 
 
-def area_step(times: np.ndarray, silent: np.ndarray, w: int, rows: tuple,
+def area_step(times: np.ndarray, w: int, rows: tuple,
               cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``lateral_step`` and ``learning_gate`` of a win by flat unit w on its
-    ``area_rows`` entry: the learning units, their times and h values."""
+    """``lateral_step`` and ``learning_gate`` of a win by flat unit w, given
+    the presentation's firing times, on w's ``area_rows`` entry: the
+    learning units, their times and gains."""
     # The same bits as on the whole lattice: present recomputes every time,
     # so the kernel's result outside the area is never read; the winner lies
     # in its own spatial and excitation areas, so its pull t + f * 0 leaves
-    # it unchanged (f is finite, as both radii have positive squares); and
-    # t <= t_ref already drops a unit inhibition silences.
-    area, near, factor, delay, h = rows
-    t = times[area]
-    t = np.where(near, t + factor * (times[w] - t), np.minimum(t + delay, cfg.t_max))
-    g = (t <= cfg.t_ref) & ~silent[area]
-    return area[g], t[g], h[g]
+    # it unchanged (f is finite, as both radii have positive squares);
+    # t <= t_ref already drops a unit inhibition silences; and a unit was
+    # silent before the kernel exactly where its time is not <= t_ref, as
+    # a NaN time stays NaN through the kernel and fails the gate either way.
+    area, near, factor, delay, gain = rows
+    t0 = times[area]
+    t = t0 + factor * (times[w] - t0)
+    if near is not None:
+        t = np.where(near, t, np.minimum(t0 + delay, cfg.t_max))
+    g = np.maximum(t, t0) <= cfg.t_ref
+    return area[g], t[g], gain[g]
 
 
 def stdp_step(v: np.ndarray, t_spike: np.ndarray, lattice: Lattice, idx: np.ndarray,
-              t_post: np.ndarray, h: np.ndarray, rule: StdpRule, lr_scale: float) -> None:
+              t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> np.ndarray:
     """STDP toward the normalized input v, with spike times t_spike, of the
-    gated units idx that fired at t_post, with neighborhood values h."""
-    gain = (lr_scale * h)[:, None]
-    dt = t_spike - t_post[:, None]
-    lattice.weights[idx] = apply_rule_array(lattice.weights[idx], v[None, :], dt, rule, gain)
+    gated units idx that fired at t_post, with learning gains gain (one
+    column, see ``area_rows``).  Returns the rows it wrote."""
+    new = apply_rule_array(lattice.weights.take(idx, axis=0), v, t_spike - t_post[:, None],
+                           rule, gain)
+    lattice.weights[idx] = new
+    return new
 
 
 def ssom_learn(e: EncodedInput, lattice: Lattice, record: FiringRecord,
@@ -222,7 +242,7 @@ def ssom_learn(e: EncodedInput, lattice: Lattice, record: FiringRecord,
     d = lattice.grid_distances(record.winner)
     idx = learning_gate(record.times, record.silent, d <= cfg.s_radius, cfg)
     stdp_step(decode_latency(e), e.spike_times, lattice, idx, record.times[idx],
-              neighborhood_array(d[idx], cfg.s_radius), rule, lr_scale)
+              (lr_scale * neighborhood_array(d[idx], cfg.s_radius))[:, None], rule)
 
 
 class FiringStep:
@@ -231,24 +251,37 @@ class FiringStep:
     A step object is what ``train_spiking`` and the models' winner tables
     drive: reset() at each sequence start, present(codes, i, lattice, cfg)
     to step frame i of one sequence's ``EncodedFrames`` (or of a stacked
-    block, through ``[..., i, :]``) to (times, silent, winners), and
-    learn(codes, i, lattice, idx, t_post, h, rule, lr_scale) for the
-    learning step of the gated units idx.  ``rssom.DifferenceState`` and
-    ``lin.PotentialState`` are the recurrent maps' step objects.
+    block, through ``[..., i, :]``) to (times, silent, winners),
+    rate(lr, rule) for the factor of the epoch's learning gains (see
+    ``area_rows``), and learn(codes, i, lattice, idx, t_post, gain, rule)
+    for the learning step of the gated units idx.  ``rssom.DifferenceState``
+    and ``lin.PotentialState`` are the recurrent maps' step objects.
+
+    The spiking map's step object is made for one lattice: it keeps the
+    ``clamped`` copy it matches against, and its learn refreshes the rows it
+    changes, so the copy follows the weights as long as only learn changes
+    them.
     """
+
+    def __init__(self, lattice: Lattice):
+        self.match = clamped(lattice)
 
     def reset(self) -> None:
         """Sequence boundary: nothing to clear."""
 
     def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
         """``firing_winners`` of the decoded values of frame i."""
-        return firing_winners(codes.decoded[..., i, :], lattice, cfg)
+        return firing_winners(codes.decoded[..., i, :], self.match, cfg)
+
+    def rate(self, lr: float, rule: StdpRule) -> float:
+        """lr: the rule kernel scales eta itself, so a gain is (lr * h) * eta."""
+        return lr
 
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
-              t_post: np.ndarray, h: np.ndarray, rule: StdpRule, lr_scale: float) -> None:
+              t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
         """``stdp_step`` toward frame i of one sequence's codes."""
-        stdp_step(codes.decoded[i], codes.spike_times[i], lattice, idx, t_post, h, rule,
-                  lr_scale)
+        new = stdp_step(codes.decoded[i], codes.spike_times[i], lattice, idx, t_post, gain, rule)
+        self.match.weights[idx] = new.clip(0.0, 1.0, out=new)
 
 
 def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
@@ -278,18 +311,18 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     for t in range(schedule.epochs):
         lr, radius = linear_decay(t, schedule)
         kernel_t = kernel if kernel.excite_radius is not None else replace(kernel, excite_radius=radius)
-        rows = area_rows(lattice.distance_table(), radius, kernel_t)
+        rows = area_rows(lattice.distance_table(), radius, kernel_t, state.rate(lr, rule))
         skipped = 0
         for si in rng.permutation(len(sequences)):
             state.reset()
             seq = codes[si]
             for i in range(seq.spike_times.shape[0]):
-                times, silent, w = state.present(seq, i, lattice, cfg)
+                times, _, w = state.present(seq, i, lattice, cfg)
                 if w < 0:
                     skipped += 1
                     continue
-                idx, t_post, h = area_step(times, silent, w, rows[w], cfg)
-                state.learn(seq, i, lattice, idx, t_post, h, rule, lr)
+                idx, t_post, gain = area_step(times, w, rows[w], cfg)
+                state.learn(seq, i, lattice, idx, t_post, gain, rule)
         del rows    # freed before the next epoch gathers its own: a lower peak
         check_finite(lattice, t)
         decoded = Lattice(lattice.rows, lattice.cols,

@@ -78,18 +78,33 @@ def window_value(delta_t: float, window: StdpWindow) -> float:
 
 
 def window_value_array(delta_t: np.ndarray, window: StdpWindow) -> np.ndarray:
-    """Vectorized ``window_value``: one exp(-|delta_t| / tau), with tau and
-    the signed amplitude picked per side (0 at coincidence and for NaN)."""
+    """Vectorized ``window_value``: sign(-delta_t) times ``window_magnitude``
+    (0 at coincidence and for NaN)."""
     dt = np.asarray(delta_t, dtype=np.float64)
-    return _window_of(dt, dt < 0, window)
+    f = np.sign(-dt) * window_magnitude(dt, window)
+    f[np.isnan(dt)] = 0.0
+    return f
 
 
-def _window_of(dt: np.ndarray, lead: np.ndarray, window: StdpWindow) -> np.ndarray:
-    """``window_value_array`` of float64 dt given its lead mask dt < 0."""
-    tau = np.where(lead, window.tau_plus, window.tau_minus)
-    amp = np.where(lead, window.a_plus, -window.a_minus)
-    lag = np.abs(dt)
-    return np.where(lag > 0, amp * np.exp(-lag / tau), 0.0)
+def window_magnitude(dt: np.ndarray, window: StdpWindow) -> np.ndarray:
+    """a * exp(-|dt| / tau) of float64 dt, with the lead side's a_plus and
+    tau_plus where dt < 0 and a_minus and tau_minus elsewhere: the window's
+    magnitude wherever dt is not 0 (at coincidence the window is 0)."""
+    # Scalars when both sides agree: dividing by an equal scalar, or
+    # multiplying by one, gives the bits of the per-element value (and
+    # multiplying by 1.0 leaves them as they are).  Only an asymmetric window
+    # picks its per-side values with np.where.
+    tau, amp = window.tau_plus, window.a_plus
+    if tau != window.tau_minus:
+        tau = np.where(dt < 0, tau, window.tau_minus)
+    m = np.abs(dt)
+    m /= -tau       # -(|dt| / tau), the bits of -|dt| / tau
+    np.exp(m, out=m)
+    if amp != window.a_minus:
+        m *= np.where(dt < 0, amp, window.a_minus)
+    elif amp != 1.0:
+        m *= amp
+    return m
 
 
 def _on_potentiating_branch(delta_t: float, rule: StdpRule) -> bool:
@@ -144,18 +159,22 @@ def apply_rule_array(w: np.ndarray, x: np.ndarray, delta_t: np.ndarray,
     ``gain`` is the per-synapse schedule factor (learning-rate decay times
     neighborhood kernel); it scales eta for the eta-bearing rules and the raw
     step for the others.  Shapes of w, x, delta_t and gain broadcast together.
+    The result has the bits of the scalar laws' formulas for every delta_t
+    that is not NaN; a NaN delta_t gives a NaN weight.
     """
     w = np.asarray(w, dtype=np.float64)
     dt = np.asarray(delta_t, dtype=np.float64)
-    lead = dt < 0
-    f = _window_of(dt, lead, rule.window)
-    if rule.variant == "additive":
-        return np.clip(w + gain * rule.eta * f, 0.0, rule.w_max)
+    # The window: sign(-dt) is +1 on the lead side, -1 on the lag side and
+    # +0.0 at coincidence, where the step then adds exactly 0.
+    f = window_magnitude(dt, rule.window)
+    f *= np.sign(-dt)
     if rule.variant == "soula":
         return w + gain * f * w * (1.0 - w / rule.w_max)
-    potentiate = lead if rule.flip_branches else dt > 0
+    step = gain * rule.eta * f
+    if rule.variant != "additive":
+        potentiate = dt < 0 if rule.flip_branches else dt > 0
+        step = step * np.where(potentiate, 1.0 - w if rule.variant == "panchev" else x - w, w)
+    w = w + step
     if rule.variant == "panchev":
-        step = np.where(potentiate, 1.0 - w, w)
-        return w + gain * rule.eta * f * step
-    step = np.where(potentiate, x - w, w)  # input rule
-    return np.clip(w + gain * rule.eta * f * step, 0.0, rule.w_max)
+        return w
+    return w.clip(0.0, rule.w_max, out=w)    # np.clip's ufunc, without its wrapper

@@ -156,23 +156,26 @@ class TestLateralKernel:
 
 class TestAreaStep:
     """``area_step`` on the winner's ``area_rows`` entry gives the bytes of
-    ``lateral_step``, ``learning_gate`` and the neighborhood row on the
-    whole lattice, which the trainer ran per presentation before.  At
-    t_ref = t_max, a unit that inhibition pushes to the t_max cap still
-    learns."""
+    ``lateral_step``, ``learning_gate`` and the neighborhood row times the
+    epoch's rate on the whole lattice, which the trainer ran per
+    presentation before.  The silent mask is the one a step object's
+    present returns with the times (times > t_ref); a NaN time stays silent
+    through the kernel.  At t_ref = t_max, a unit that inhibition pushes to
+    the t_max cap still learns."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
            radius=st.floats(0.05, 8.0), t_ref=st.one_of(st.just(20.0), st.floats(0.5, 20.0)),
            excite=st.sampled_from(["below", "equal", "above", "auto"]),
-           excite_gain=st.floats(0.01, 5.0), inhibit_gain=st.floats(0.01, 5.0))
+           excite_gain=st.floats(0.01, 5.0), inhibit_gain=st.floats(0.01, 5.0),
+           rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
     def test_matches_the_whole_lattice(self, data, rows, cols, radius, t_ref, excite,
-                                       excite_gain, inhibit_gain):
+                                       excite_gain, inhibit_gain, rate):
         n = rows * cols
         lattice = Lattice(rows, cols, np.zeros((n, 1)))
         cfg = SsomConfig(t_max=20.0, t_ref=t_ref)
-        times = np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n)))
-        silent = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        times = np.array(data.draw(st.lists(st.one_of(st.floats(0.0, 20.0), st.just(math.nan)),
+                                            min_size=n, max_size=n)))
         w = data.draw(st.integers(0, n - 1))
         scale = data.draw({"below": st.floats(0.01, 0.99), "equal": st.just(1.0),
                            "above": st.floats(1.01, 4.0), "auto": st.none()}[excite])
@@ -182,13 +185,15 @@ class TestAreaStep:
             kernel = replace(kernel, excite_radius=radius)
         dist = lattice.distance_table()
 
-        idx, t_post, h = area_step(times, silent, w, area_rows(dist, radius, kernel)[w], cfg)
+        idx, t_post, gain = area_step(times, w, area_rows(dist, radius, kernel, rate)[w], cfg)
 
+        silent = times > cfg.t_ref
         t_all, s_all = lateral_step(times, silent, w, *lateral_tables(dist[w], kernel), cfg)
         want = learning_gate(t_all, s_all, dist[w] <= radius, cfg)
         assert idx.tobytes() == want.tobytes()
         assert t_post.tobytes() == t_all[want].tobytes()
-        assert h.tobytes() == neighborhood_array(dist[w], radius)[want].tobytes()
+        assert gain.shape == (len(want), 1)
+        assert gain.tobytes() == (rate * neighborhood_array(dist[w], radius))[want].tobytes()
 
 
 class TestSsomLearn:

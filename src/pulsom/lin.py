@@ -79,11 +79,8 @@ def potential_latencies(state: PotentialState, dim: int, t_max: float) -> np.nda
     effective per-frame penalty, then normalized by the worst single-frame
     penalty (dim/2 on normalized data) so a perfect steady match fires at 0.
     """
-    eff = (1.0 - state.lam) * -state.a
-    eff /= dim / 2.0
-    eff.clip(0.0, 1.0, out=eff)
-    eff *= t_max
-    return eff
+    eff = (1.0 - state.lam) * (-state.a)
+    return t_max * (eff / (dim / 2.0)).clip(0.0, 1.0)
 
 
 def potential_winners(state: PotentialState, lattice: Lattice,

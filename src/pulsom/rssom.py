@@ -81,9 +81,7 @@ def difference_winners(state: DifferenceState, lattice: Lattice,
     mismatch latencies (normalized data keeps them within t_max)."""
     flat = state.y.reshape(-1, state.y.shape[-1])
     n2 = np.einsum("ij,ij->i", flat, flat).reshape(state.y.shape[:-1])
-    times = n2 / lattice.dim
-    np.minimum(times, 1.0, out=times)
-    times *= cfg.t_max
+    times = cfg.t_max * np.minimum(n2 / lattice.dim, 1.0)
     return times, times > cfg.t_ref, winner_or_none(times, n2.argmin(axis=-1), cfg.t_ref)
 
 
@@ -102,10 +100,8 @@ def window_step(t_spike: np.ndarray, lattice: Lattice, state: DifferenceState,
     dt = t_spike - t_post[:, None]
     scale = window_magnitude(dt, rule.window)
     scale[dt == 0] = 0.0    # |window|, which is 0 at coincidence
-    step = gain * scale
-    step *= state.y.take(idx, axis=0)
-    step += lattice.weights.take(idx, axis=0)
-    lattice.weights[idx] = step.clip(0.0, rule.w_max, out=step)
+    stepped = lattice.weights.take(idx, axis=0) + gain * scale * state.y.take(idx, axis=0)
+    lattice.weights[idx] = stepped.clip(0.0, rule.w_max)
 
 
 def rssom_learn(e_spike_times: np.ndarray, lattice: Lattice, state: DifferenceState,

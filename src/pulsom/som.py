@@ -183,14 +183,10 @@ def _check_vector(x, dim: int) -> np.ndarray:
 
 
 def winner_or_none(times, best, t_ref: float):
-    """Winner indices: ``best``, the unit that fires first in each row of
-    the firing times, or -1 where even it fires after t_ref, so that every
-    unit is silent.
-
-    Only the first unit's time is read: one index for a single presentation.
-    Arithmetic rather than np.where, so that this case stays a cheap numpy
-    scalar.
-    """
+    """Winner indices: ``best``, the first unit to fire in each row of the
+    firing times, or -1 where it fires after t_ref (then every unit does).
+    Arithmetic rather than np.where, so that one presentation's winner
+    stays a cheap numpy scalar."""
     if times.ndim == 1:
         first = times[best]
     else:

@@ -101,10 +101,7 @@ def mismatch_latencies(v: np.ndarray, match: Lattice, t_max: float) -> np.ndarra
     v is one vector or a stack of them, shape (..., dim); the times have
     shape v.shape[:-1] + (n_units,).
     """
-    times = squared_distances(np.asarray(v, dtype=np.float64), match.weights)
-    times /= match.dim
-    times *= t_max
-    return times
+    return t_max * (squared_distances(np.asarray(v, dtype=np.float64), match.weights) / match.dim)
 
 
 def firing_winners(v: np.ndarray, match: Lattice,
@@ -255,12 +252,8 @@ class FiringStep:
     rate(lr, rule) for the factor of the epoch's learning gains (see
     ``area_rows``), and learn(codes, i, lattice, idx, t_post, gain, rule)
     for the learning step of the gated units idx.  ``rssom.DifferenceState``
-    and ``lin.PotentialState`` are the recurrent maps' step objects.
-
-    The spiking map's step object is made for one lattice: it keeps the
-    ``clamped`` copy it matches against, and its learn refreshes the rows it
-    changes, so the copy follows the weights as long as only learn changes
-    them.
+    and ``lin.PotentialState`` are the recurrent maps' step objects.  This
+    one keeps the ``clamped`` copy of its lattice, whose rows learn refreshes.
     """
 
     def __init__(self, lattice: Lattice):
@@ -290,9 +283,10 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     ``FiringStep``) with the model's lattice, encoding ranges, cfg, lateral
     kernel and STDP rule.
 
-    Every frame is coded once per run and the ``area_rows`` tables are
-    gathered once per epoch.  Sequence order is reshuffled each epoch from
-    the seed, and the state is reset at each sequence start.  Presentations
+    Every frame is coded once per run and the ``area_rows`` tables, with
+    the epoch's learning gains, are gathered once per epoch.  Sequence
+    order is reshuffled each epoch from the seed, and the state is reset at
+    each sequence start.  Presentations
     where every unit stays silent (winner -1) are skipped and counted;
     otherwise ``area_step`` applies the lateral kernel on the flat winner's
     spatial area, and the units inside its learning gate learn.

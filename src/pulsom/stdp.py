@@ -81,29 +81,22 @@ def window_value_array(delta_t: np.ndarray, window: StdpWindow) -> np.ndarray:
     """Vectorized ``window_value``: sign(-delta_t) times ``window_magnitude``
     (0 at coincidence and for NaN)."""
     dt = np.asarray(delta_t, dtype=np.float64)
-    f = np.sign(-dt) * window_magnitude(dt, window)
-    f[np.isnan(dt)] = 0.0
-    return f
+    return np.where(np.isnan(dt), 0.0, np.sign(-dt) * window_magnitude(dt, window))
 
 
 def window_magnitude(dt: np.ndarray, window: StdpWindow) -> np.ndarray:
     """a * exp(-|dt| / tau) of float64 dt, with the lead side's a_plus and
     tau_plus where dt < 0 and a_minus and tau_minus elsewhere: the window's
     magnitude wherever dt is not 0 (at coincidence the window is 0)."""
-    # Scalars when both sides agree: dividing by an equal scalar, or
-    # multiplying by one, gives the bits of the per-element value (and
-    # multiplying by 1.0 leaves them as they are).  Only an asymmetric window
-    # picks its per-side values with np.where.
+    # Scalars when both sides agree give the bits of per-element values;
+    # only an asymmetric window picks them with np.where.
     tau, amp = window.tau_plus, window.a_plus
     if tau != window.tau_minus:
         tau = np.where(dt < 0, tau, window.tau_minus)
-    m = np.abs(dt)
-    m /= -tau       # -(|dt| / tau), the bits of -|dt| / tau
-    np.exp(m, out=m)
     if amp != window.a_minus:
-        m *= np.where(dt < 0, amp, window.a_minus)
-    elif amp != 1.0:
-        m *= amp
+        amp = np.where(dt < 0, amp, window.a_minus)
+    m = np.exp(np.abs(dt) / -tau)   # -(|dt| / tau) has the bits of -|dt| / tau
+    m *= amp
     return m
 
 
@@ -159,8 +152,7 @@ def apply_rule_array(w: np.ndarray, x: np.ndarray, delta_t: np.ndarray,
     ``gain`` is the per-synapse schedule factor (learning-rate decay times
     neighborhood kernel); it scales eta for the eta-bearing rules and the raw
     step for the others.  Shapes of w, x, delta_t and gain broadcast together.
-    The result has the bits of the scalar laws' formulas for every delta_t
-    that is not NaN; a NaN delta_t gives a NaN weight.
+    A NaN delta_t gives a NaN weight.
     """
     w = np.asarray(w, dtype=np.float64)
     dt = np.asarray(delta_t, dtype=np.float64)
@@ -177,4 +169,4 @@ def apply_rule_array(w: np.ndarray, x: np.ndarray, delta_t: np.ndarray,
     w = w + step
     if rule.variant == "panchev":
         return w
-    return w.clip(0.0, rule.w_max, out=w)    # np.clip's ufunc, without its wrapper
+    return w.clip(0.0, rule.w_max)    # np.clip's ufunc, without its wrapper

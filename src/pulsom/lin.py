@@ -93,7 +93,8 @@ def potential_winners(state: PotentialState, lattice: Lattice,
     unit fires first: it is silent exactly when every unit is.
     """
     times = potential_latencies(state, lattice.dim, cfg.t_max)
-    return times, times > cfg.t_ref, winner_or_none(times, state.a.argmax(axis=-1), cfg.t_ref)
+    silent = times > cfg.t_ref
+    return times, silent, winner_or_none(state.a.argmax(axis=-1), silent)
 
 
 def potential_record(state: PotentialState, lattice: Lattice,

@@ -82,7 +82,8 @@ def difference_winners(state: DifferenceState, lattice: Lattice,
     flat = state.y.reshape(-1, state.y.shape[-1])
     n2 = np.einsum("ij,ij->i", flat, flat).reshape(state.y.shape[:-1])
     times = cfg.t_max * np.minimum(n2 / lattice.dim, 1.0)
-    return times, times > cfg.t_ref, winner_or_none(times, n2.argmin(axis=-1), cfg.t_ref)
+    silent = times > cfg.t_ref
+    return times, silent, winner_or_none(n2.argmin(axis=-1), silent)
 
 
 def difference_record(state: DifferenceState, lattice: Lattice,

@@ -182,16 +182,14 @@ def _check_vector(x, dim: int) -> np.ndarray:
     return x
 
 
-def winner_or_none(times, best, t_ref: float):
+def winner_or_none(best, silent):
     """Winner indices: ``best``, the first unit to fire in each row of the
-    firing times, or -1 where it fires after t_ref (then every unit does).
-    Arithmetic rather than np.where, so that one presentation's winner
-    stays a cheap numpy scalar."""
-    if times.ndim == 1:
-        first = times[best]
-    else:
-        first = np.take_along_axis(times, best[..., None], axis=-1)[..., 0]
-    return best - (best + 1) * (first > t_ref)
+    silent masks, or -1 where the whole row is silent.  The first unit is
+    silent only when every unit is, so one presentation reads its entry
+    alone.  Arithmetic rather than np.where, so that one presentation's
+    winner stays a cheap numpy scalar."""
+    none = silent[best] if silent.ndim == 1 else silent.all(axis=-1)
+    return best - (best + 1) * none
 
 
 def squared_distances(x: np.ndarray, weights: np.ndarray) -> np.ndarray:

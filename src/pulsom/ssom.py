@@ -114,7 +114,8 @@ def firing_winners(v: np.ndarray, match: Lattice,
     entire map is silent (``som.winner_or_none``).
     """
     times = mismatch_latencies(v, match, cfg.t_max)
-    return times, times > cfg.t_ref, winner_or_none(times, times.argmin(axis=-1), cfg.t_ref)
+    silent = times > cfg.t_ref
+    return times, silent, winner_or_none(times.argmin(axis=-1), silent)
 
 
 def compute_firing_times(e: EncodedInput, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:

@@ -183,11 +183,11 @@ def _check_vector(x, dim: int) -> np.ndarray:
 
 
 def winner_or_none(best, silent):
-    """Winner indices: ``best``, the first unit to fire in each row of the
-    silent masks, or -1 where the whole row is silent.  The first unit is
-    silent only when every unit is, so one presentation reads its entry
-    alone.  Arithmetic rather than np.where, so that one presentation's
-    winner stays a cheap numpy scalar."""
+    """Winner indices: ``best``, each presentation's first unit to fire, or
+    -1 where its whole row of the silent masks is set.  The first unit is
+    silent only when every unit is, so one presentation reads that unit's
+    entry alone.  Arithmetic rather than np.where, so that one
+    presentation's winner stays a cheap numpy scalar."""
     none = silent[best] if silent.ndim == 1 else silent.all(axis=-1)
     return best - (best + 1) * none
 

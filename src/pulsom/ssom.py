@@ -287,10 +287,10 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     Every frame is coded once per run and the ``area_rows`` tables, with
     the epoch's learning gains, are gathered once per epoch.  Sequence
     order is reshuffled each epoch from the seed, and the state is reset at
-    each sequence start.  Presentations
-    where every unit stays silent (winner -1) are skipped and counted;
-    otherwise ``area_step`` applies the lateral kernel on the flat winner's
-    spatial area, and the units inside its learning gate learn.
+    each sequence start.  Presentations where every unit stays silent
+    (winner -1) are skipped and counted; otherwise ``area_step`` applies
+    the lateral kernel on the flat winner's spatial area, and the units
+    inside its learning gate learn.
     Quantization error is logged per epoch on the decoded (de-normalized)
     weights against the raw frames.
     """

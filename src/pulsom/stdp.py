@@ -157,7 +157,7 @@ def apply_rule_array(w: np.ndarray, x: np.ndarray, delta_t: np.ndarray,
     w = np.asarray(w, dtype=np.float64)
     dt = np.asarray(delta_t, dtype=np.float64)
     # The window: sign(-dt) is +1 on the lead side, -1 on the lag side and
-    # +0.0 at coincidence, where the step then adds exactly 0.
+    # +0.0 at coincidence, so f is +0.0 there, as ``window_value`` is.
     f = window_magnitude(dt, rule.window)
     f *= np.sign(-dt)
     if rule.variant == "soula":

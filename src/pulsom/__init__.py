@@ -20,6 +20,5 @@ from .errors import (
 from .evaluate import calibrate, classify, report
 from .rssom import train_rssom
 from .som import Schedule
-from .stdp import StdpRule
 
 __version__ = "0.1.0"

@@ -5,12 +5,14 @@ the domain objects a run needs.
 
 from __future__ import annotations
 
+import inspect
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .coding import SsomConfig
+from .corpus import build_corpus_dataset, synth_generate
 from .errors import ConfigError, CorpusFormatError, read_utf8
 from .mfcc import MfccConfig
 from .som import Schedule
@@ -29,6 +31,12 @@ class Key:
     choices: tuple = ()
 
 
+def _default(fn, name: str):
+    """The default of ``fn``'s parameter ``name``."""
+    return inspect.signature(fn).parameters[name].default
+
+
+# A default that a library class or function also has is read from it.
 REGISTRY = [
     Key("run.model", "choice", "som", "model to train/evaluate",
         ("som", "ssom", "rssom", "lin")),
@@ -36,54 +44,63 @@ REGISTRY = [
     Key("run.outdir", "str", None, "directory for all outputs"),
     Key("lattice.rows", "int", 8, "lattice rows"),
     Key("lattice.cols", "int", 8, "lattice columns"),
-    Key("schedule.epochs", "int", 80, "training epochs"),
-    Key("schedule.lr_start", "float", 0.9, "initial learning rate"),
-    Key("schedule.lr_end", "float", 0.05, "final learning rate"),
+    Key("schedule.epochs", "int", Schedule.epochs, "training epochs"),
+    Key("schedule.lr_start", "float", Schedule.lr_start, "initial learning rate"),
+    Key("schedule.lr_end", "float", Schedule.lr_end, "final learning rate"),
     Key("schedule.radius_start", "float_or_auto", AUTO,
-        "initial neighborhood radius; auto = half the larger lattice dimension"),
-    Key("schedule.radius_end", "float", 1.0, "final neighborhood radius"),
-    Key("stdp.variant", "choice", "input", "plasticity rule (RSSOM ignores it)",
+        "initial neighborhood radius; auto = half the larger lattice dimension, "
+        "or radius_end if that is larger"),
+    Key("schedule.radius_end", "float", Schedule.radius_end, "final neighborhood radius"),
+    Key("stdp.variant", "choice", StdpRule.variant, "plasticity rule (RSSOM ignores it)",
         ("additive", "panchev", "soula", "input")),
-    Key("stdp.a_plus", "float", 1.0, "window amplitude, potentiating side"),
-    Key("stdp.a_minus", "float", 1.0, "window amplitude, depressing side"),
-    Key("stdp.tau_plus_ms", "float", 10.0, "window time constant, potentiating side"),
-    Key("stdp.tau_minus_ms", "float", 10.0, "window time constant, depressing side"),
-    Key("stdp.eta", "float", 0.1, "plasticity learning rate"),
-    Key("stdp.w_max", "float", 1.0, "weight ceiling"),
-    Key("stdp.flip_branches", "bool", True,
+    Key("stdp.a_plus", "float", StdpWindow.a_plus, "window amplitude, potentiating side"),
+    Key("stdp.a_minus", "float", StdpWindow.a_minus, "window amplitude, depressing side"),
+    Key("stdp.tau_plus_ms", "float", StdpWindow.tau_plus,
+        "window time constant, potentiating side"),
+    Key("stdp.tau_minus_ms", "float", StdpWindow.tau_minus,
+        "window time constant, depressing side"),
+    Key("stdp.eta", "float", StdpRule.eta, "plasticity learning rate"),
+    Key("stdp.w_max", "float", StdpRule.w_max, "weight ceiling"),
+    Key("stdp.flip_branches", "bool", StdpRule.flip_branches,
         "put the potentiating form on the causal (pre-before-post) side "
         "(RSSOM ignores it)"),
-    Key("ssom.t_max_ms", "float", 20.0, "latency-encoding horizon"),
-    Key("ssom.t_ref_ms", "float", 15.0, "reference time bounding learning"),
+    Key("ssom.t_max_ms", "float", SsomConfig.t_max, "latency-encoding horizon"),
+    Key("ssom.t_ref_ms", "float", SsomConfig.t_ref, "reference time bounding learning"),
     Key("lateral.excite_radius", "float_or_auto", AUTO,
         "excitatory lateral radius; auto = track the decayed schedule radius"),
-    Key("lateral.excite_gain", "float", 0.5, "pull toward the winner's firing time"),
-    Key("lateral.inhibit_gain", "float", 0.1,
+    Key("lateral.excite_gain", "float", LateralKernel.excite_gain,
+        "pull toward the winner's firing time"),
+    Key("lateral.inhibit_gain", "float", LateralKernel.inhibit_gain,
         "delay of remote units, in ms per lattice unit beyond the radius"),
     Key("rssom.alpha", "float", 0.5, "leaking coefficient of the difference vectors"),
     Key("lin.lambda", "float", 0.5, "memory depth of the integrator potentials"),
     Key("som.concat", "bool", False,
         "plain SOM on concatenated whole-sequence vectors instead of frames"),
-    Key("mfcc.preemph_a", "float", 0.95, "pre-emphasis coefficient"),
-    Key("mfcc.frame_len", "int", 256, "frame length in samples (frames overlap by half)"),
-    Key("mfcc.n_filters", "int", 26, "mel filterbank size"),
-    Key("mfcc.n_coeffs", "int", 12, "cepstral coefficients per frame"),
-    Key("mfcc.fft_size", "int", 256, "FFT size"),
-    Key("mfcc.use_power", "bool", True, "power spectrum into the filterbank "
-                                        "(false = magnitude)"),
+    Key("mfcc.preemph_a", "float", MfccConfig.preemph_a, "pre-emphasis coefficient"),
+    Key("mfcc.frame_len", "int", MfccConfig.frame_len,
+        "frame length in samples (frames overlap by half)"),
+    Key("mfcc.n_filters", "int", MfccConfig.n_filters, "mel filterbank size"),
+    Key("mfcc.n_coeffs", "int", MfccConfig.n_coeffs, "cepstral coefficients per frame"),
+    Key("mfcc.fft_size", "int", MfccConfig.fft_size, "FFT size"),
+    Key("mfcc.use_power", "bool", MfccConfig.use_power,
+        "power spectrum into the filterbank (false = magnitude)"),
     Key("corpus.root", "str", "", "corpus root directory (features command)"),
-    Key("corpus.unit", "choice", "phn", "segment unit", ("phn", "wrd")),
+    Key("corpus.unit", "choice", _default(build_corpus_dataset, "unit"), "segment unit",
+        ("phn", "wrd")),
     Key("corpus.dialects", "str", "", "comma-separated dialect-directory filter"),
     Key("corpus.speakers", "str", "", "comma-separated speaker-directory filter"),
-    Key("corpus.frames", "int", 9, "frames extracted per segment"),
+    Key("corpus.frames", "int", _default(build_corpus_dataset, "k"),
+        "frames extracted per segment"),
     Key("data.train_csv", "str", "", "training dataset cache (train/eval commands)"),
     Key("data.test_csv", "str", "", "evaluation dataset cache (eval command)"),
     Key("synth.classes", "int", 3, "synthetic class count"),
     Key("synth.samples_per_class", "int", 50, "synthetic sequences per class"),
-    Key("synth.dim", "int", 12, "synthetic feature dimension"),
-    Key("synth.frames", "int", 9, "synthetic frames per sequence"),
-    Key("synth.separation", "float", 5.0, "minimum distance between cluster means"),
-    Key("synth.order_task", "bool", False,
+    Key("synth.dim", "int", _default(synth_generate, "dim"), "synthetic feature dimension"),
+    Key("synth.frames", "int", _default(synth_generate, "frames"),
+        "synthetic frames per sequence"),
+    Key("synth.separation", "float", _default(synth_generate, "separation"),
+        "minimum distance between cluster means"),
+    Key("synth.order_task", "bool", _default(synth_generate, "order_task"),
         "two classes sharing one frame set in opposite orders"),
     Key("eval.frame_vote", "bool", False,
         "per-frame majority vote instead of the terminal winner"),
@@ -205,39 +222,35 @@ class RunConfig:
             culprits = ", ".join(f"{self.where[k]} ({k})" for k in named or keys)
             raise ConfigError(f"{culprits}: {msg}" if culprits else msg) from None
 
+    def _build(self, cls, section: str, **given):
+        """A ``cls`` with the fields ``given``, and each other field set from
+        the value ``section.<field>`` (or ``section.<field>_ms``) if there is
+        one; a bad value raises ConfigError naming where it was set."""
+        keys = {f.name: k for f in fields(cls) if f.name not in given
+                for k in (f"{section}.{f.name}", f"{section}.{f.name}_ms") if k in self.values}
+        with self.config_errors(f"{section}."):
+            return cls(**given, **{name: self[k] for name, k in keys.items()})
+
     def schedule(self) -> Schedule:
-        start = self["schedule.radius_start"]
+        if self["schedule.radius_start"] != AUTO:
+            return self._build(Schedule, "schedule")
+        rest = {f: self[f"schedule.{f}"] for f in ("epochs", "lr_start", "lr_end", "radius_end")}
         with self.config_errors("schedule."):
-            if start == AUTO:
-                return Schedule.for_lattice(
-                    self["lattice.rows"], self["lattice.cols"], epochs=self["schedule.epochs"],
-                    lr_start=self["schedule.lr_start"], lr_end=self["schedule.lr_end"],
-                    radius_end=self["schedule.radius_end"])
-            return Schedule(self["schedule.epochs"], self["schedule.lr_start"],
-                            self["schedule.lr_end"], start, self["schedule.radius_end"])
+            return Schedule.for_lattice(self["lattice.rows"], self["lattice.cols"], **rest)
 
     def stdp_rule(self) -> StdpRule:
-        with self.config_errors("stdp."):
-            window = StdpWindow(self["stdp.a_plus"], self["stdp.a_minus"],
-                                self["stdp.tau_plus_ms"], self["stdp.tau_minus_ms"])
-            return StdpRule(self["stdp.variant"], self["stdp.eta"], self["stdp.w_max"],
-                            window, self["stdp.flip_branches"])
+        return self._build(StdpRule, "stdp", window=self._build(StdpWindow, "stdp"))
 
     def ssom_config(self) -> SsomConfig:
-        with self.config_errors("ssom."):
-            return SsomConfig(self["ssom.t_max_ms"], self["ssom.t_ref_ms"])
+        return self._build(SsomConfig, "ssom")
 
     def lateral_kernel(self) -> LateralKernel:
         radius = self["lateral.excite_radius"]
-        with self.config_errors("lateral."):
-            return LateralKernel(None if radius == AUTO else radius,
-                                 self["lateral.excite_gain"], self["lateral.inhibit_gain"])
+        return self._build(LateralKernel, "lateral",
+                           excite_radius=None if radius == AUTO else radius)
 
     def mfcc_config(self) -> MfccConfig:
-        with self.config_errors("mfcc."):
-            return MfccConfig(self["mfcc.preemph_a"], self["mfcc.frame_len"],
-                              self["mfcc.n_filters"], self["mfcc.n_coeffs"],
-                              self["mfcc.fft_size"], self["mfcc.use_power"])
+        return self._build(MfccConfig, "mfcc")
 
     def effective_text(self) -> str:
         return "".join(f"{key.name} = {format_value(key, self.values[key.name])}\n"

@@ -209,8 +209,7 @@ def read_alignment(path, kind: str = "phn") -> list[Segment]:
     return segments
 
 
-def middle_frame_index(seg: Segment, n_frames: int, hop: int, frame_len: int,
-                       k: int = 9) -> list[int]:
+def middle_frame_index(seg: Segment, n_frames: int, hop: int, frame_len: int, k: int) -> list[int]:
     """Indices of the k frames centered on the middle of a segment's span.
 
     Frame i covers samples [i*hop, i*hop + frame_len).  Segments spanning
@@ -230,7 +229,7 @@ def middle_frame_index(seg: Segment, n_frames: int, hop: int, frame_len: int,
 
 
 def middle_frames(seg: Segment, mfcc_frames: np.ndarray, hop: int, frame_len: int,
-                  k: int = 9) -> SequenceSample:
+                  k: int) -> SequenceSample:
     """The k feature frames centered on the middle of a segment's span (see
     middle_frame_index)."""
     mfcc_frames = np.asarray(mfcc_frames, dtype=np.float64)

@@ -8,7 +8,7 @@ repr for exact round-trips, so rewriting a model is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
@@ -86,7 +86,7 @@ class SomModel(_Inference):
     """Plain map operating in raw feature space."""
 
     lattice: Lattice
-    concat: bool = False
+    concat: bool = KEYS["som.concat"].default
     kind: str = field(default="SOM", init=False)
 
     frame_winners = _Inference.frame_winners
@@ -131,7 +131,7 @@ class SsomModel(_Inference):
 class RssomModel(SsomModel):
     """Recurrent spiking map; winners come from the leaky difference vectors."""
 
-    alpha: float = 0.5
+    alpha: float = KEYS["rssom.alpha"].default
     kind: str = field(default="RSSOM", init=False)
 
     frame_winners = _Inference.frame_winners
@@ -144,7 +144,7 @@ class RssomModel(SsomModel):
 class LinModel(SsomModel):
     """Leaky-integrator map; winners come from the accumulated potentials."""
 
-    lam: float = 0.5
+    lam: float = KEYS["lin.lambda"].default
     kind: str = field(default="LIN", init=False)
 
     frame_winners = _Inference.frame_winners
@@ -170,11 +170,12 @@ def model_of(kind: str, lattice: Lattice, cfg: RunConfig, lo=None, hi=None):
 # The parameter lines of each kind's model file, in file order: the line's
 # name, the config key whose value syntax it uses, and the model attribute
 # that holds its value.  s_radius has no config key, so it gets a key of
-# its own outside the registry.
+# its own outside the registry, which RunConfig.ssom_config reads as well.
 _SPIKING_LINES = [
     ("t_max_ms", KEYS["ssom.t_max_ms"], "cfg.t_max"),
     ("t_ref_ms", KEYS["ssom.t_ref_ms"], "cfg.t_ref"),
-    ("s_radius", Key("s_radius", "float", 1.0, "spatial learning radius"), "cfg.s_radius"),
+    ("s_radius", Key("ssom.s_radius", "float", SsomConfig.s_radius, "spatial learning radius"),
+     "cfg.s_radius"),
     ("excite_radius", KEYS["lateral.excite_radius"], "kernel.excite_radius"),
     ("excite_gain", KEYS["lateral.excite_gain"], "kernel.excite_gain"),
     ("inhibit_gain", KEYS["lateral.inhibit_gain"], "kernel.inhibit_gain"),
@@ -252,11 +253,8 @@ def _parse_model(lines: list[str]):
     for name, key, _ in PARAMETER_LINES[kind]:
         n, text = line(name)
         values[key.name] = parse_value(key, text, f"line {n}")
-    model = model_of(kind.lower(), lattice, RunConfig(values),
-                     *(_range_line(name, *line(name), lattice.dim) for name in ranges))
-    if "s_radius" in values:  # the one line that no config key sets
-        model.cfg = replace(model.cfg, s_radius=values["s_radius"])
-    return model
+    return model_of(kind.lower(), lattice, RunConfig(values),
+                    *(_range_line(name, *line(name), lattice.dim) for name in ranges))
 
 
 def _range_line(name: str, n: int, text: str, dim: int) -> np.ndarray:

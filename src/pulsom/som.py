@@ -37,7 +37,10 @@ class UnitIndex:
 
 @dataclass
 class Schedule:
-    """Linear decay schedule for learning rate and neighborhood radius."""
+    """Linear decay schedule for learning rate and neighborhood radius.
+
+    ``Schedule()`` starts at radius 1.0, not at the CLI's default
+    ``radius_start = auto``, because only ``for_lattice`` knows the lattice."""
 
     epochs: int = 80
     lr_start: float = 0.9
@@ -66,12 +69,12 @@ class Schedule:
                              f"{last}, whose square must be positive")
 
     @staticmethod
-    def for_lattice(rows: int, cols: int, epochs: int = 80,
-                    lr_start: float = 0.9, lr_end: float = 0.05,
-                    radius_end: float = 1.0) -> "Schedule":
-        """Radius starts at half the larger lattice dimension."""
-        start = max(max(rows, cols) / 2.0, radius_end)
-        return Schedule(epochs, lr_start, lr_end, start, radius_end)
+    def for_lattice(rows: int, cols: int, **fields) -> "Schedule":
+        """The schedule whose radius starts at half the larger lattice
+        dimension, or at radius_end if that is larger; ``fields`` sets the
+        other fields, which default as in ``Schedule()``."""
+        end = fields.get("radius_end", Schedule.radius_end)
+        return Schedule(radius_start=max(max(rows, cols) / 2.0, end), **fields)
 
 
 class Lattice:

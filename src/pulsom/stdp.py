@@ -5,17 +5,16 @@ the pre-before-post side (delta_t < 0) and negative on the other, decaying
 exponentially with |delta_t| on both sides.
 
 Two of the update laws (panchev, input-anchored multiplicative) are branch
-rules whose potentiating form is applied on the delta_t > 0 side by default;
-``flip_branches`` swaps the two sides.  Pairing the potentiating form with
-the positive-window side (delta_t < 0, where causality says the presynaptic
-spike can have driven the postsynaptic one) requires flip_branches=True,
-which is what the trainers use.
+rules whose potentiating form is printed on the delta_t > 0 side.  The
+default, flip_branches=True, puts it on the positive-window side instead
+(delta_t < 0, where causality says the presynaptic spike can have driven
+the postsynaptic one); flip_branches=False keeps the printed side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,8 +48,8 @@ class StdpRule:
     variant: str = "input"
     eta: float = 0.1
     w_max: float = 1.0
-    window: StdpWindow = None
-    flip_branches: bool = False
+    window: StdpWindow = field(default_factory=StdpWindow)
+    flip_branches: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -58,8 +57,6 @@ class StdpRule:
         if not (0 < self.eta <= 1):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         check_positive(self, "w_max")
-        if self.window is None:
-            self.window = StdpWindow()
 
 
 def window_value(delta_t: float, window: StdpWindow) -> float:
@@ -75,13 +72,6 @@ def window_value(delta_t: float, window: StdpWindow) -> float:
     if delta_t > 0:
         return -window.a_minus * math.exp(-delta_t / window.tau_minus)
     return 0.0
-
-
-def window_value_array(delta_t: np.ndarray, window: StdpWindow) -> np.ndarray:
-    """Vectorized ``window_value``: sign(-delta_t) times ``window_magnitude``
-    (0 at coincidence and for NaN)."""
-    dt = np.asarray(delta_t, dtype=np.float64)
-    return np.where(np.isnan(dt), 0.0, np.sign(-dt) * window_magnitude(dt, window))
 
 
 def window_magnitude(dt: np.ndarray, window: StdpWindow) -> np.ndarray:
@@ -101,8 +91,6 @@ def window_magnitude(dt: np.ndarray, window: StdpWindow) -> np.ndarray:
 
 
 def _on_potentiating_branch(delta_t: float, rule: StdpRule) -> bool:
-    # Potentiating form sits on delta_t > 0 as printed; flipped puts it on
-    # the causal (delta_t < 0) side.
     return (delta_t < 0) if rule.flip_branches else (delta_t > 0)
 
 

@@ -32,6 +32,7 @@ from pulsom.rssom import train_rssom
 from pulsom.som import Lattice, Schedule, TrainingLog, sample_vectors, train_som
 from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
 from pulsom.stdp import StdpRule, StdpWindow
+from conftest import pinned
 from test_corpus import PHN, make_fixture_corpus
 
 
@@ -295,8 +296,9 @@ class TestTrainCommand:
 class TestModelBytes:
     """Trained model files and logs are pinned to recorded SHA-256 digests,
     so a speed-up that changes a single bit of any trainer's result fails.
-    The digests were recorded with numpy 2.4 on x86-64; a numpy build whose
-    exp differs in the last bit changes them too."""
+    The digests were recorded with numpy 2.4 on x86-64; the spiking maps'
+    bits follow numpy's exp, so they have a second set (DIGESTS_LIBM) for
+    an exp without AVX-512 (see ``conftest.pinned``)."""
 
     DIGESTS = {
         "som": ("0b118d3664e803701e8e99f59e7f023cac167d86bfa3e53829254a2d0c1ec8db",
@@ -307,6 +309,15 @@ class TestModelBytes:
                   "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
         "lin": ("a2e658fc8a133f9f1c0402f25684ccae838d25266e0d99e6313268079ce7eca7",
                 "d51467825d3820c63bcdecc48c0e110f2961718aa978d47f60b352e432c7265c"),
+    }
+    DIGESTS_LIBM = {
+        "som": DIGESTS["som"],
+        "ssom": ("3fdbd7dec74fb5ea15c136e53562cb3213c4c1b3eb30758f3c93da89bd5b0c14",
+                 "e123cf69413c94b625208173d0cf8a2786c57efd6fff7f1e4edcb70e042252cd"),
+        "rssom": ("362844d05a9100b6c646f0881ba713ee143673845b6919c8f7d2e2e774d1c1cf",
+                  "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
+        "lin": ("af1da3ee5e3f4b6dbb86620445c06f27039d8f367a8429322535a6a9cfc65b10",
+                "666139ea7e100aa6b984e8bfba640d9d93c1146df07bfd795e5203ebfd1f31c9"),
     }
 
     @pytest.mark.parametrize("model", ["som", "ssom", "rssom", "lin"])
@@ -325,7 +336,7 @@ data.train_csv = {data}
         assert main(["train", "--config", cfg]) == 0
         got = tuple(hashlib.sha256((tmp_path / model / name).read_bytes()).hexdigest()
                     for name in ("model.txt", "training-log.csv"))
-        assert got == self.DIGESTS[model]
+        assert got == pinned(self.DIGESTS, self.DIGESTS_LIBM)[model]
 
 
 class TestLibraryMatchesCli:
@@ -373,6 +384,40 @@ lin.lambda = 0.7
         else:
             model, train = LinModel(*parts, lam=0.7), train_lin
         train(data, model, Schedule.for_lattice(4, 5, epochs=3), seed=4)
+        save_model(model, tmp_path / "library.txt")
+        assert ((tmp_path / "library.txt").read_bytes()
+                == (tmp_path / "cli" / "model.txt").read_bytes())
+
+
+class TestDefaultObjectsMatchCli:
+    """A library run from default objects (``Schedule.for_lattice`` and the
+    model with no cfg, kernel or rule) saves the model.txt bytes of `pulsom
+    train` on a config that sets only the model, lattice, data, seed and
+    outdir: the library's defaults are the CLI's, the causal STDP branch
+    included."""
+
+    @pytest.mark.parametrize("kind", ["som", "ssom", "rssom", "lin"])
+    def test_default_library_run_equals_cli(self, tmp_path, kind):
+        data_path = tmp_path / "train.csv"
+        write_dataset_csv(synth_generate(2, 6, 4, 5, 2.0, True, 8), data_path)
+        cfg = write_cfg(tmp_path / "train.cfg", f"""
+run.model = {kind}
+run.seed = 4
+run.outdir = {tmp_path / 'cli'}
+lattice.rows = 4
+lattice.cols = 5
+data.train_csv = {data_path}
+""")
+        assert main(["train", "--config", cfg]) == 0
+
+        data = read_dataset_csv(data_path)
+        if kind == "som":
+            model = SomModel(Lattice.random_init(4, 5, sample_vectors(data, False), seed=4))
+        else:
+            model_cls = {"ssom": SsomModel, "rssom": RssomModel, "lin": LinModel}[kind]
+            model = model_cls(normalized_init(4, 5, data, seed=4), *feature_ranges(data))
+        train = {"som": train_som, "ssom": train_ssom, "rssom": train_rssom, "lin": train_lin}
+        train[kind](data, model, Schedule.for_lattice(4, 5), seed=4)
         save_model(model, tmp_path / "library.txt")
         assert ((tmp_path / "library.txt").read_bytes()
                 == (tmp_path / "cli" / "model.txt").read_bytes())

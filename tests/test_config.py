@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import pytest
@@ -5,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsom.cli import build_model, synth_dataset
-from pulsom.config import AUTO, REGISTRY, RunConfig, parse_config_text, registry_help
-from pulsom.corpus import synth_generate
+from pulsom.coding import SsomConfig
+from pulsom.config import AUTO, KEYS, REGISTRY, RunConfig, parse_config_text, registry_help
+from pulsom.corpus import build_corpus_dataset, synth_generate
 from pulsom.errors import ConfigError
+from pulsom.mfcc import MfccConfig
+from pulsom.models import PARAMETER_LINES, LinModel, RssomModel, SomModel
+from pulsom.som import Schedule
+from pulsom.ssom import LateralKernel
+from pulsom.stdp import StdpRule, StdpWindow
 
 
 class TestParsing:
@@ -108,6 +115,77 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: not UTF-8 text: "
                                               r"byte 0xad"):
             RunConfig.load(path)
+
+
+def default_of(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+class TestDefaultOwners:
+    """A default that a library class or function also has is written once,
+    there: each such key's default is its owner's, in value and type (an
+    int written as a float would change the effective config text)."""
+
+    OWNERS = {
+        "schedule.epochs": Schedule.epochs,
+        "schedule.lr_start": Schedule.lr_start,
+        "schedule.lr_end": Schedule.lr_end,
+        "schedule.radius_end": Schedule.radius_end,
+        "stdp.variant": StdpRule.variant,
+        "stdp.a_plus": StdpWindow.a_plus,
+        "stdp.a_minus": StdpWindow.a_minus,
+        "stdp.tau_plus_ms": StdpWindow.tau_plus,
+        "stdp.tau_minus_ms": StdpWindow.tau_minus,
+        "stdp.eta": StdpRule.eta,
+        "stdp.w_max": StdpRule.w_max,
+        "stdp.flip_branches": StdpRule.flip_branches,
+        "ssom.t_max_ms": SsomConfig.t_max,
+        "ssom.t_ref_ms": SsomConfig.t_ref,
+        "lateral.excite_gain": LateralKernel.excite_gain,
+        "lateral.inhibit_gain": LateralKernel.inhibit_gain,
+        "rssom.alpha": RssomModel.alpha,
+        "lin.lambda": LinModel.lam,
+        "som.concat": SomModel.concat,
+        "mfcc.preemph_a": MfccConfig.preemph_a,
+        "mfcc.frame_len": MfccConfig.frame_len,
+        "mfcc.n_filters": MfccConfig.n_filters,
+        "mfcc.n_coeffs": MfccConfig.n_coeffs,
+        "mfcc.fft_size": MfccConfig.fft_size,
+        "mfcc.use_power": MfccConfig.use_power,
+        "corpus.unit": default_of(build_corpus_dataset, "unit"),
+        "corpus.frames": default_of(build_corpus_dataset, "k"),
+        "synth.dim": default_of(synth_generate, "dim"),
+        "synth.frames": default_of(synth_generate, "frames"),
+        "synth.separation": default_of(synth_generate, "separation"),
+        "synth.order_task": default_of(synth_generate, "order_task"),
+    }
+
+    @pytest.mark.parametrize("name", list(OWNERS))
+    def test_key_default_is_its_owners(self, name):
+        default, owner = KEYS[name].default, self.OWNERS[name]
+        assert (default, type(default)) == (owner, type(owner))
+
+    def test_model_file_s_radius_default_is_ssom_configs(self):
+        lines = {name: key for name, key, _ in PARAMETER_LINES["SSOM"]}
+        assert lines["s_radius"].default == SsomConfig.s_radius
+
+    def test_default_config_builds_the_default_objects(self):
+        """Including the auto keys: the auto radius_start is for_lattice's,
+        and the auto excitation radius is LateralKernel's None."""
+        cfg = RunConfig({})
+        assert cfg.schedule() == Schedule.for_lattice(cfg["lattice.rows"], cfg["lattice.cols"])
+        assert cfg.stdp_rule() == StdpRule()
+        assert cfg.ssom_config() == SsomConfig()
+        assert cfg.lateral_kernel() == LateralKernel()
+        assert cfg.mfcc_config() == MfccConfig()
+
+    def test_default_synth_config_is_synth_generates_defaults(self):
+        cfg = RunConfig({})
+        library = synth_generate(cfg["synth.classes"], cfg["synth.samples_per_class"],
+                                 seed=cfg["run.seed"])
+        got = synth_dataset(cfg)
+        assert [(s.label, s.frames.tobytes()) for s in got] == \
+               [(s.label, s.frames.tobytes()) for s in library]
 
 
 class TestRegistryHelp:

@@ -11,9 +11,16 @@ from pulsom.stdp import (
     input_update,
     panchev_update,
     soula_update,
+    window_magnitude,
     window_value,
-    window_value_array,
 )
+
+
+def window_value_array(delta_t, window: StdpWindow) -> np.ndarray:
+    """Oracle: ``window_value`` over an array, as sign(-delta_t) times
+    ``window_magnitude`` (0 at coincidence and for NaN)."""
+    dt = np.asarray(delta_t, dtype=np.float64)
+    return np.where(np.isnan(dt), 0.0, np.sign(-dt) * window_magnitude(dt, window))
 
 
 def rule_with(a_plus=1.0, a_minus=1.0, tau=10.0, eta=0.1, w_max=1.0,

@@ -12,15 +12,24 @@ Each digest is the first 16 hex digits of the SHA-256 of the trained
 weights plus the epoch rows of the training log (lr, radius, qe and
 skipped presentations), or of report.csv plus confusion.csv.  Weights, not
 model.txt, so that configurations which train the same map share a digest
-(model.txt also records the variant and flip).  They were recorded with
-numpy 2.4 on x86-64 (same caveat as ``TestModelBytes``).
+(model.txt also records the variant and flip).  Each table has two sets,
+recorded with numpy 2.4 on x86-64: one where numpy's exp runs its AVX-512
+kernel, and one (``*_LIBM``) where it calls glibc's libm, as it does on a
+host without AVX-512; ``conftest.pinned`` picks this host's.  The
+concatenating SOM and the reports come out the same under both, so they
+have one set.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import pulsom
 from pulsom.cli import main
 from pulsom.coding import SsomConfig
 from pulsom.corpus import synth_generate, write_dataset_csv
@@ -31,6 +40,7 @@ from pulsom.rssom import train_rssom
 from pulsom.som import Lattice, Schedule, sample_vectors, train_som
 from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
 from pulsom.stdp import VARIANTS, StdpRule, StdpWindow
+from conftest import pinned
 
 ROWS, COLS, EPOCHS, SEED = 3, 5, 2, 3
 RADII = {"fixed": 1.5, "auto": None}
@@ -90,6 +100,46 @@ SPIKING = {
     "rssom": {"fixed": "ea03ad0258cfde20", "auto": "c68fb1bb4c3d0e0c"},
 }
 
+SPIKING_LIBM = {
+    "ssom": {
+        ("additive", False, "fixed"): "50fee26f62707992",
+        ("additive", False, "auto"): "d29bc233317f1de0",
+        ("additive", True, "fixed"): "50fee26f62707992",
+        ("additive", True, "auto"): "d29bc233317f1de0",
+        ("panchev", False, "fixed"): "6c91544e9168be48",
+        ("panchev", False, "auto"): "0da64228e355683d",
+        ("panchev", True, "fixed"): "81ebd13a2d171c47",
+        ("panchev", True, "auto"): "cda5227055b3f4d0",
+        ("soula", False, "fixed"): "3c0c08ea48a0e179",
+        ("soula", False, "auto"): "386f9507a0d45625",
+        ("soula", True, "fixed"): "3c0c08ea48a0e179",
+        ("soula", True, "auto"): "386f9507a0d45625",
+        ("input", False, "fixed"): "3e836a38e222e929",
+        ("input", False, "auto"): "983d1defb76c729b",
+        ("input", True, "fixed"): "e55767a87bca1e43",
+        ("input", True, "auto"): "ce723dd9916dc448",
+    },
+    "lin": {
+        ("additive", False, "fixed"): "d9d8843b142430b0",
+        ("additive", False, "auto"): "24552c5f1fa20ed4",
+        ("additive", True, "fixed"): "d9d8843b142430b0",
+        ("additive", True, "auto"): "24552c5f1fa20ed4",
+        ("panchev", False, "fixed"): "756afab7ba637091",
+        ("panchev", False, "auto"): "f54d917a07d555c0",
+        ("panchev", True, "fixed"): "c2b18cdcc1b626e6",
+        ("panchev", True, "auto"): "d31845e96acec198",
+        ("soula", False, "fixed"): "3e6410bc9fb4c724",
+        ("soula", False, "auto"): "70bb668a9bf12f98",
+        ("soula", True, "fixed"): "3e6410bc9fb4c724",
+        ("soula", True, "auto"): "70bb668a9bf12f98",
+        ("input", False, "fixed"): "1bade2699ead08d7",
+        ("input", False, "auto"): "0f553c1939f92578",
+        ("input", True, "fixed"): "ddc423aeeb3e6490",
+        ("input", True, "auto"): "ba2d673bebd31a57",
+    },
+    "rssom": {"fixed": "ea03ad0258cfde20", "auto": "c68fb1bb4c3d0e0c"},
+}
+
 SPIKING_TIGHT = {
     "ssom": {
         ("additive", False, "fixed"): "a81c268ccc1ecf37",
@@ -128,6 +178,46 @@ SPIKING_TIGHT = {
         ("input", True, "auto"): "f6ded755607c109e",
     },
     "rssom": {"fixed": "855df4f8c7750529", "auto": "beacca0a5b829722"},
+}
+
+SPIKING_TIGHT_LIBM = {
+    "ssom": {
+        ("additive", False, "fixed"): "a537698364744dd1",
+        ("additive", False, "auto"): "e0ca04e536e8771a",
+        ("additive", True, "fixed"): "a537698364744dd1",
+        ("additive", True, "auto"): "e0ca04e536e8771a",
+        ("panchev", False, "fixed"): "5d33db30b4a4f4f9",
+        ("panchev", False, "auto"): "126569e21b22d95e",
+        ("panchev", True, "fixed"): "f2eb6929443ea3a9",
+        ("panchev", True, "auto"): "5ac8a9c251de6158",
+        ("soula", False, "fixed"): "fa10814ed6da7458",
+        ("soula", False, "auto"): "c0ce9a25b4da2d42",
+        ("soula", True, "fixed"): "fa10814ed6da7458",
+        ("soula", True, "auto"): "c0ce9a25b4da2d42",
+        ("input", False, "fixed"): "7c8b873874d9bfae",
+        ("input", False, "auto"): "90a9f5fb8cdbee06",
+        ("input", True, "fixed"): "66af33d2b91fc253",
+        ("input", True, "auto"): "e483b189b3c736b6",
+    },
+    "lin": {
+        ("additive", False, "fixed"): "e725db0665e3b3b9",
+        ("additive", False, "auto"): "d783cd8ab4737ef4",
+        ("additive", True, "fixed"): "e725db0665e3b3b9",
+        ("additive", True, "auto"): "d783cd8ab4737ef4",
+        ("panchev", False, "fixed"): "1fdb969c4e13051f",
+        ("panchev", False, "auto"): "fa47989b41713495",
+        ("panchev", True, "fixed"): "b3ffcd604bacc7dd",
+        ("panchev", True, "auto"): "5a89dc2e5f8dff0b",
+        ("soula", False, "fixed"): "cacc4a0802ec92f0",
+        ("soula", False, "auto"): "cc20a8220121b473",
+        ("soula", True, "fixed"): "cacc4a0802ec92f0",
+        ("soula", True, "auto"): "cc20a8220121b473",
+        ("input", False, "fixed"): "3e4014ff953657c8",
+        ("input", False, "auto"): "e62a62fea3a0c3cd",
+        ("input", True, "fixed"): "907fe3654be7fffb",
+        ("input", True, "auto"): "7c80650ad8f3261d",
+    },
+    "rssom": {"fixed": "ba07bf1c8ba3fd20", "auto": "beacca0a5b829722"},
 }
 
 # RULES entry -> digests of SSOM and LIN (kind, variant, flip) at the fixed
@@ -193,6 +283,69 @@ SPIKING_RULES = {
         ("lin", "soula", True): "b4ffb370323490bc",
         ("lin", "input", False): "833cedb37c30b6e5",
         ("lin", "input", True): "a561a77ee3141ff5",
+        ("rssom", "fixed"): "ea03ad0258cfde20",
+        ("rssom", "auto"): "c68fb1bb4c3d0e0c",
+    },
+}
+
+SPIKING_RULES_LIBM = {
+    "asymmetric": {
+        ("ssom", "additive", False): "b06170306446ad34",
+        ("ssom", "additive", True): "b06170306446ad34",
+        ("ssom", "panchev", False): "0bd87089c6538aa6",
+        ("ssom", "panchev", True): "3971b02504444540",
+        ("ssom", "soula", False): "116f5cd4261dacd0",
+        ("ssom", "soula", True): "116f5cd4261dacd0",
+        ("ssom", "input", False): "42792975821a2190",
+        ("ssom", "input", True): "38229a8a7ac59370",
+        ("lin", "additive", False): "501678a5b9b9a91f",
+        ("lin", "additive", True): "501678a5b9b9a91f",
+        ("lin", "panchev", False): "c0b2e4ed39b0ce6d",
+        ("lin", "panchev", True): "0b7a7d374a96e607",
+        ("lin", "soula", False): "fbc9c7a8b128663d",
+        ("lin", "soula", True): "fbc9c7a8b128663d",
+        ("lin", "input", False): "aa503dc678672be5",
+        ("lin", "input", True): "e71c9fbe89b6706c",
+        ("rssom", "fixed"): "94d337b8512b0b6e",
+        ("rssom", "auto"): "00fb5cb081857fb4",
+    },
+    "w_max_0.8": {
+        ("ssom", "additive", False): "b07d2fee086725f2",
+        ("ssom", "additive", True): "b07d2fee086725f2",
+        ("ssom", "panchev", False): "6c91544e9168be48",
+        ("ssom", "panchev", True): "81ebd13a2d171c47",
+        ("ssom", "soula", False): "diverged at epoch 0",
+        ("ssom", "soula", True): "diverged at epoch 0",
+        ("ssom", "input", False): "c5bb371b61eff268",
+        ("ssom", "input", True): "a9b81d67f05d0147",
+        ("lin", "additive", False): "7217b026ad1b7f3e",
+        ("lin", "additive", True): "7217b026ad1b7f3e",
+        ("lin", "panchev", False): "756afab7ba637091",
+        ("lin", "panchev", True): "c2b18cdcc1b626e6",
+        ("lin", "soula", False): "b0e90125929abe8c",
+        ("lin", "soula", True): "b0e90125929abe8c",
+        ("lin", "input", False): "481b1288ea0d977a",
+        ("lin", "input", True): "4957f092e830b61c",
+        ("rssom", "fixed"): "bd7670f1854af45b",
+        ("rssom", "auto"): "ca73283181157cf5",
+    },
+    "w_max_1.5": {
+        ("ssom", "additive", False): "2fdf0c8533635eaa",
+        ("ssom", "additive", True): "2fdf0c8533635eaa",
+        ("ssom", "panchev", False): "6c91544e9168be48",
+        ("ssom", "panchev", True): "81ebd13a2d171c47",
+        ("ssom", "soula", False): "a75605f81695f642",
+        ("ssom", "soula", True): "a75605f81695f642",
+        ("ssom", "input", False): "67a5e754ecf4727f",
+        ("ssom", "input", True): "e55767a87bca1e43",
+        ("lin", "additive", False): "248a3a0b5c2f11f7",
+        ("lin", "additive", True): "248a3a0b5c2f11f7",
+        ("lin", "panchev", False): "756afab7ba637091",
+        ("lin", "panchev", True): "c2b18cdcc1b626e6",
+        ("lin", "soula", False): "bd6be1598dd944c1",
+        ("lin", "soula", True): "bd6be1598dd944c1",
+        ("lin", "input", False): "90e684d4e74454a5",
+        ("lin", "input", True): "ddc423aeeb3e6490",
         ("rssom", "fixed"): "ea03ad0258cfde20",
         ("rssom", "auto"): "c68fb1bb4c3d0e0c",
     },
@@ -270,12 +423,12 @@ def spiking_digests(kind, data, gate) -> dict:
 
 @pytest.mark.parametrize("kind", ["ssom", "lin"])
 def test_spiking_trainer_matrix(data, kind):
-    assert spiking_digests(kind, data, "default") == SPIKING[kind]
+    assert spiking_digests(kind, data, "default") == pinned(SPIKING, SPIKING_LIBM)[kind]
 
 
 @pytest.mark.parametrize("kind", ["ssom", "lin"])
 def test_tight_gate_trainer_matrix(data, kind):
-    assert spiking_digests(kind, data, "tight") == SPIKING_TIGHT[kind]
+    assert spiking_digests(kind, data, "tight") == pinned(SPIKING_TIGHT, SPIKING_TIGHT_LIBM)[kind]
 
 
 def rssom_matches(data, gate, want) -> None:
@@ -286,11 +439,11 @@ def rssom_matches(data, gate, want) -> None:
 def test_rssom_ignores_variant_and_flip(data):
     """RSSOM steps along y_i scaled by |window|, so neither the STDP
     variant nor the branch flip reaches its weights."""
-    rssom_matches(data, "default", SPIKING["rssom"])
+    rssom_matches(data, "default", pinned(SPIKING, SPIKING_LIBM)["rssom"])
 
 
 def test_rssom_tight_gates(data):
-    rssom_matches(data, "tight", SPIKING_TIGHT["rssom"])
+    rssom_matches(data, "tight", pinned(SPIKING_TIGHT, SPIKING_TIGHT_LIBM)["rssom"])
 
 
 def test_concatenating_som(data):
@@ -355,4 +508,21 @@ def rule_digests(data, rule) -> dict:
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("rule", list(RULES))
 def test_rule_trainer_matrix(data, rule):
-    assert rule_digests(data, rule) == SPIKING_RULES[rule]
+    assert rule_digests(data, rule) == pinned(SPIKING_RULES, SPIKING_RULES_LIBM)[rule]
+
+
+def test_digests_hold_without_avx512():
+    """The digest tests, rerun in a child process whose numpy dispatches no
+    AVX-512 kernel, pass against the libm set: both sets stay checked on
+    an AVX-512 host.  The setting reaches the child only."""
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(pulsom.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+         "tests/test_trainer_digests.py", "tests/test_cli.py::TestModelBytes",
+         "--deselect", "tests/test_trainer_digests.py::test_digests_hold_without_avx512"],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
+    assert "pinned digests: the libm exp set" in child.stdout

@@ -92,15 +92,17 @@ def cmd_features(cfg: RunConfig) -> int:
             open(frames_out, "w", encoding="utf-8") as frames_f:
         data_f.write(",".join(corpus_mod.dataset_header(k, mfcc_cfg.n_coeffs)) + "\n")
         frames_f.write(frames_csv_header(mfcc_cfg.n_coeffs))
-        # Each utterance's numbers are formatted once, for both files.
-        for utt_id, feats, picks in corpus_mod.walk_corpus(
-                root, mfcc_cfg, cfg["corpus.unit"], k, dialects, speakers, stats):
-            texts = row_texts(feats)
-            frames_f.write(frames_csv_lines(utt_id, texts))
-            data_f.write("".join(
-                corpus_mod.dataset_csv_line(utt_id, seg.label, macro,
-                                            [texts[i] for i in idx])
-                for seg, macro, idx in picks))
+        # Each utterance's numbers are formatted once, for both files.  The
+        # walk's ValueErrors are settings (too many mel filters, no frames).
+        with cfg.config_errors("mfcc.", "corpus."):
+            for utt_id, feats, picks in corpus_mod.walk_corpus(
+                    root, mfcc_cfg, cfg["corpus.unit"], k, dialects, speakers, stats):
+                texts = row_texts(feats)
+                frames_f.write(frames_csv_lines(utt_id, texts))
+                data_f.write("".join(
+                    corpus_mod.dataset_csv_line(utt_id, seg.label, macro,
+                                                [texts[i] for i in idx])
+                    for seg, macro, idx in picks))
         if stats["segments"] == stats["skipped_segments"]:
             raise FileNotFoundError(f"no labeled segments found under {root}")
     print(f"utterances: {stats['utterances']} ({stats['skipped_utterances']} skipped)")
@@ -164,11 +166,22 @@ def cmd_train(cfg: RunConfig) -> int:
 def _class_function(cfg: RunConfig):
     if cfg["eval.class_map"] == "timit_macro":
         def class_of(label):
-            if label in corpus_mod.MACRO_CLASSES:
-                return label
-            return corpus_mod.macro_class(label)
+            return label if label in corpus_mod.MACRO_CLASSES else corpus_mod.macro_class(label)
         return class_of, list(corpus_mod.MACRO_CLASSES)
     return None, None
+
+
+def _check_classes(path: Path, data, class_of) -> None:
+    """The dataset row of the first sample whose label has no class is
+    malformed (sample i is the i-th non-blank row after the header)."""
+    for i, sample in enumerate(data):
+        try:
+            class_of(sample.label)
+        except ValueError:
+            with open(path, encoding="utf-8") as f:
+                line = [n for n, text in enumerate(f, start=1) if n > 1 and text.strip()][i]
+            raise CorpusFormatError(path, f"label {sample.label!r} is neither a TIMIT phone "
+                                          "nor a macro class", line=line) from None
 
 
 def cmd_eval(cfg: RunConfig, model_path: str) -> int:
@@ -185,6 +198,9 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
     test_data = _read_dataset(cfg, "data.test_csv", model)
     frame_vote = cfg["eval.frame_vote"]
     class_of, expected = _class_function(cfg)
+    if class_of is not None:    # predictions carry training labels: check both files
+        for key, data in (("data.train_csv", train_data), ("data.test_csv", test_data)):
+            _check_classes(Path(cfg[key]), data, class_of)
     labels = calibrate(model, train_data, frame_vote=frame_vote)
     rep, confusion = report(model, labels, test_data, class_of=class_of,
                             frame_vote=frame_vote, expected_classes=expected)

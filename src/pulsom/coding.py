@@ -35,30 +35,17 @@ class SsomConfig:
 
 
 @dataclass
-class EncodedInput:
-    """Spike times of one presented vector (or of a stack of them, one per row)."""
-
-    spike_times: np.ndarray
-    t_max: float
-
-
-@dataclass
 class EncodedFrames:
     """A sequence's frames coded once for every presentation: the normalized
-    values, their spike times, and the values decoded back from those times.
-
-    The decoded values can differ from the normalized ones in the last bits;
-    the spiking map matches against the decoded ones, the recurrent maps
-    update their state from the normalized ones.
-    """
+    values, which the maps match and learn toward, and their spike times."""
 
     normalized: np.ndarray
     spike_times: np.ndarray
-    decoded: np.ndarray
 
 
 def normalize(x, lo, hi) -> np.ndarray:
-    """Map x into [0, 1] per component using the ranges [lo, hi].
+    """Map finite x into [0, 1] per component using the ranges [lo, hi],
+    lo <= hi.
 
     Out-of-range values are clamped; degenerate components (lo == hi) map to
     0.5 so they encode at the middle of the horizon.
@@ -66,6 +53,10 @@ def normalize(x, lo, hi) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("cannot encode non-finite input")
+    if np.any(lo > hi):
+        raise ValueError("lo must be <= hi per component")
     span = hi - lo
     degenerate = span == 0
     safe = np.where(degenerate, 1.0, span)
@@ -73,21 +64,10 @@ def normalize(x, lo, hi) -> np.ndarray:
     return np.where(degenerate, 0.5, v)
 
 
-def encode_latency(x, lo, hi, t_max: float) -> EncodedInput:
+def encode_latency(x, lo, hi, t_max: float) -> np.ndarray:
     """Time-to-first-spike code: component at the range max fires at 0,
     at the range min fires at t_max.  x is one vector or a stack of them."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("cannot encode non-finite input")
-    if np.any(np.asarray(lo) > np.asarray(hi)):
-        raise ValueError("lo must be <= hi per component")
-    v = normalize(x, lo, hi)
-    return EncodedInput(spike_times=t_max * (1.0 - v), t_max=t_max)
-
-
-def decode_latency(e: EncodedInput) -> np.ndarray:
-    """Recover the normalized vector from spike times: v = 1 - t/t_max."""
-    return 1.0 - e.spike_times / e.t_max
+    return t_max * (1.0 - normalize(x, lo, hi))
 
 
 def encode_frames(frames, lo, hi, t_max: float, dim: int) -> EncodedFrames:
@@ -97,8 +77,7 @@ def encode_frames(frames, lo, hi, t_max: float, dim: int) -> EncodedFrames:
     Makes the checks that per-vector encoding and winner selection make
     (finite input, lo <= hi, feature dimension) once over the whole array.
     """
-    e = encode_latency(frames, lo, hi, t_max)
-    if e.spike_times.ndim < 2 or e.spike_times.shape[-1] != dim:
-        raise DimensionMismatchError(dim, e.spike_times.shape[-1])
-    return EncodedFrames(normalize(frames, lo, hi), e.spike_times, decode_latency(e))
-
+    v = normalize(frames, lo, hi)
+    if v.ndim < 2 or v.shape[-1] != dim:
+        raise DimensionMismatchError(dim, v.shape[-1])
+    return EncodedFrames(v, t_max * (1.0 - v))

@@ -25,7 +25,7 @@ AUTO = "auto"
 @dataclass
 class Key:
     name: str
-    kind: str  # int | float | bool | str | choice | float_or_auto
+    kind: str  # int | seed (an int >= 0) | float | bool | str | choice | float_or_auto
     default: object
     help: str
     choices: tuple = ()
@@ -40,7 +40,7 @@ def _default(fn, name: str):
 REGISTRY = [
     Key("run.model", "choice", "som", "model to train/evaluate",
         ("som", "ssom", "rssom", "lin")),
-    Key("run.seed", "int", 0, "seed for initialization, shuffling and synthesis"),
+    Key("run.seed", "seed", 0, "seed for initialization, shuffling and synthesis"),
     Key("run.outdir", "str", None, "directory for all outputs"),
     Key("lattice.rows", "int", 8, "lattice rows"),
     Key("lattice.cols", "int", 8, "lattice columns"),
@@ -115,7 +115,9 @@ def parse_value(key: Key, raw: str, at: str):
     """The value of ``raw`` as ``key``'s kind; a bad value raises ConfigError
     naming ``at`` (the ``file:line`` that set it)."""
     try:
-        if key.kind == "int":
+        if key.kind == "seed" and int(raw) < 0:
+            raise ValueError(raw)
+        if key.kind in ("int", "seed"):
             return int(raw)
         if key.kind == "float":
             return float(raw)
@@ -131,7 +133,8 @@ def parse_value(key: Key, raw: str, at: str):
             return raw
         return raw
     except ValueError:
-        expect = {"bool": "true or false", "choice": f"one of {key.choices}"}
+        expect = {"bool": "true or false", "choice": f"one of {key.choices}",
+                  "seed": "non-negative integer"}
         raise ConfigError(f"{at}: bad value {raw!r} for {key.name} "
                           f"(expected {expect.get(key.kind, key.kind)})") from None
 

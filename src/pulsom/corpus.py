@@ -449,6 +449,8 @@ def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speaker
     macro class or None, middle_frame_index) for each segment that overlaps
     a frame.  stats counts utterances, utterances skipped for being shorter
     than one frame, segments and segments skipped for overlapping none."""
+    if k < 1:   # checked once here, so that it is not counted as a skip per segment
+        raise ValueError(f"frames per segment must be at least 1, got {k}")
     dialects = {d.lower() for d in dialects} if dialects else None
     speakers = {s.lower() for s in speakers} if speakers else None
     stats.update(utterances=0, skipped_utterances=0, segments=0, skipped_segments=0)

@@ -56,7 +56,7 @@ class PotentialState:
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
               t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
         """The spiking map's ``stdp_step`` toward frame i of one sequence's codes."""
-        stdp_step(codes.decoded[i], codes.spike_times[i], lattice, idx, t_post, gain, rule)
+        stdp_step(codes.normalized[i], codes.spike_times[i], lattice, idx, t_post, gain, rule)
 
 
 def update_potential(x, lattice: Lattice, state: PotentialState) -> None:
@@ -84,24 +84,23 @@ def potential_latencies(state: PotentialState, dim: int, t_max: float) -> np.nda
 
 
 def potential_winners(state: PotentialState, lattice: Lattice,
-                      cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latencies, silent masks and winners over potentials for every leading
-    batch row: the winner is the most-excited unit (lowest flat index on
-    ties) provided it fires within t_ref, otherwise -1.
+                      cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Latencies and winners over potentials for every leading batch row:
+    the winner is the most-excited unit (lowest flat index on ties)
+    provided it fires within t_ref, otherwise -1.
 
     Latency falls monotonically as potential rises, so the most-excited
     unit fires first: it is silent exactly when every unit is.
     """
     times = potential_latencies(state, lattice.dim, cfg.t_max)
-    silent = times > cfg.t_ref
-    return times, silent, winner_or_none(state.a.argmax(axis=-1), silent)
+    return times, winner_or_none(state.a.argmax(axis=-1), times, cfg.t_ref)
 
 
 def potential_record(state: PotentialState, lattice: Lattice,
                      cfg: SsomConfig) -> FiringRecord:
     """``potential_winners`` of unbatched potentials, as a record whose
     winner is None when the most-excited unit is silent."""
-    return FiringRecord.of(lattice, *potential_winners(state, lattice, cfg))
+    return FiringRecord.of(lattice, *potential_winners(state, lattice, cfg), cfg.t_ref)
 
 
 def train_lin(data, model, schedule: Schedule, seed: int) -> TrainingLog:

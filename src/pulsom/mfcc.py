@@ -52,6 +52,8 @@ class MfccConfig:
     def __post_init__(self):
         if not (0.9 <= self.preemph_a <= 1.0):
             raise ValueError(f"preemph_a must be in [0.9, 1.0], got {self.preemph_a}")
+        if self.frame_len < 2:      # half of it is the hop, and a window needs two samples
+            raise ValueError(f"frame_len must be at least 2, got {self.frame_len}")
         if self.n_coeffs < 1:
             raise ValueError(f"n_coeffs must be at least 1, got {self.n_coeffs}")
         if self.n_coeffs > self.n_filters:
@@ -142,7 +144,8 @@ def mel_filter_matrix(sample_rate: int, fft_size: int, n_filters: int) -> np.nda
     bins = np.minimum(bins, n_bins - 1)
     if np.any(bins[2:] == bins[1:-1]):
         raise ValueError(
-            f"{n_filters} filters collide on a {fft_size}-point FFT; reduce n_filters"
+            f"{n_filters} filters collide on a {fft_size}-point FFT; reduce n_filters "
+            "or raise fft_size"
         )
     fb = np.zeros((n_filters, n_bins))
     for j in range(n_filters):

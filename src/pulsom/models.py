@@ -77,9 +77,6 @@ class _Inference:
         """Winner of every frame of one sample (None where no unit wins)."""
         return [self.lattice.winner(w) for w in self.winner_table([sample])[0].tolist()]
 
-    def sequence_winner(self, sample) -> UnitIndex | None:
-        return self.lattice.winner(self.winner_table([sample])[0, -1])
-
 
 @dataclass
 class SomModel(_Inference):
@@ -121,10 +118,8 @@ class SsomModel(_Inference):
     def _block_winners(self, frames: np.ndarray) -> np.ndarray:
         codes = encode_frames(frames, self.lo, self.hi, self.cfg.t_max, self.lattice.dim)
         state = self.state(frames.shape[:1])
-        out = np.empty(frames.shape[:2], dtype=np.intp)
-        for i in range(frames.shape[1]):
-            out[:, i] = state.present(codes, i, self.lattice, self.cfg)[2]
-        return out
+        return np.stack([state.present(codes, i, self.lattice, self.cfg)[1]
+                         for i in range(frames.shape[1])], axis=1)
 
 
 @dataclass

@@ -72,25 +72,25 @@ def update_difference(x, lattice: Lattice, state: DifferenceState) -> None:
 
 
 def difference_winners(state: DifferenceState, lattice: Lattice,
-                       cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latencies, silent masks and winners over y_i for every leading batch
-    row: the winner is the smallest-norm unit (lowest flat index on ties)
-    if it fires within t_ref, otherwise -1 and the whole map counts as
-    silent.  Latencies scale the squared difference norms (one einsum over
-    the flat block, as in ``squared_distances``) like the spiking map's
-    mismatch latencies (normalized data keeps them within t_max)."""
+                       cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Latencies and winners over y_i for every leading batch row: the
+    winner is the smallest-norm unit (lowest flat index on ties) if it
+    fires within t_ref, otherwise -1 and the whole map counts as silent.
+    Latencies scale the squared difference norms (one einsum over the flat
+    block, as in ``squared_distances``) like the spiking map's mismatch
+    latencies (normalized data keeps them within t_max), so the
+    smallest-norm unit fires first."""
     flat = state.y.reshape(-1, state.y.shape[-1])
     n2 = np.einsum("ij,ij->i", flat, flat).reshape(state.y.shape[:-1])
     times = cfg.t_max * np.minimum(n2 / lattice.dim, 1.0)
-    silent = times > cfg.t_ref
-    return times, silent, winner_or_none(n2.argmin(axis=-1), silent)
+    return times, winner_or_none(n2.argmin(axis=-1), times, cfg.t_ref)
 
 
 def difference_record(state: DifferenceState, lattice: Lattice,
                       cfg: SsomConfig) -> FiringRecord:
     """``difference_winners`` of an unbatched state, as a record whose
     winner is None when the whole map is silent."""
-    return FiringRecord.of(lattice, *difference_winners(state, lattice, cfg))
+    return FiringRecord.of(lattice, *difference_winners(state, lattice, cfg), cfg.t_ref)
 
 
 def window_step(t_spike: np.ndarray, lattice: Lattice, state: DifferenceState,

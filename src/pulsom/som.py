@@ -185,14 +185,15 @@ def _check_vector(x, dim: int) -> np.ndarray:
     return x
 
 
-def winner_or_none(best, silent):
-    """Winner indices: ``best``, each presentation's first unit to fire, or
-    -1 where its whole row of the silent masks is set.  The first unit is
-    silent only when every unit is, so one presentation reads that unit's
-    entry alone.  Arithmetic rather than np.where, so that one
-    presentation's winner stays a cheap numpy scalar."""
-    none = silent[best] if silent.ndim == 1 else silent.all(axis=-1)
-    return best - (best + 1) * none
+def winner_or_none(best, times, t_ref: float):
+    """Winner indices: ``best``, each presentation's first unit to fire
+    (its index into the last axis of ``times``), or -1 where that unit
+    fires after ``t_ref``.  The first unit is silent only when every unit
+    is, so its time alone decides.  Arithmetic rather than np.where, so
+    that one presentation's winner stays a cheap numpy scalar."""
+    first = times[best] if times.ndim == 1 else np.take_along_axis(
+        times, best[..., None], axis=-1)[..., 0]
+    return best - (best + 1) * (first > t_ref)
 
 
 def squared_distances(x: np.ndarray, weights: np.ndarray) -> np.ndarray:

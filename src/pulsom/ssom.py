@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding import (EncodedFrames, EncodedInput, SsomConfig, decode_latency, encode_frames,
-                     normalize)
+from .coding import EncodedFrames, SsomConfig, encode_frames, normalize
 from .errors import DimensionMismatchError, check_positive
 from .som import (
     EpochStats,
@@ -67,11 +66,11 @@ class FiringRecord:
     winner: UnitIndex | None
 
     @staticmethod
-    def of(lattice: Lattice, times: np.ndarray, silent: np.ndarray,
-           winner) -> "FiringRecord":
+    def of(lattice: Lattice, times: np.ndarray, winner, t_ref: float) -> "FiringRecord":
         """The record of one presentation from a winner rule's output
-        (flat winner index, -1 for none)."""
-        return FiringRecord(times, silent, lattice.winner(winner))
+        (flat winner index, -1 for none): units firing after t_ref are
+        silent."""
+        return FiringRecord(times, times > t_ref, lattice.winner(winner))
 
 
 def feature_ranges(sequences) -> tuple[np.ndarray, np.ndarray]:
@@ -105,25 +104,24 @@ def mismatch_latencies(v: np.ndarray, match: Lattice, t_max: float) -> np.ndarra
 
 
 def firing_winners(v: np.ndarray, match: Lattice,
-                   cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Firing times, silent masks and earliest-firing winners of normalized
-    inputs v, shape (..., dim), against the ``clamped`` lattice ``match``.
+                   cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Firing times and earliest-firing winners of normalized inputs v,
+    shape (..., dim), against the ``clamped`` lattice ``match``.
 
     Units whose candidate firing time exceeds t_ref stay silent; the winner
     is the earliest firing unit (lowest flat index on ties), or -1 where the
     entire map is silent (``som.winner_or_none``).
     """
     times = mismatch_latencies(v, match, cfg.t_max)
-    silent = times > cfg.t_ref
-    return times, silent, winner_or_none(times.argmin(axis=-1), silent)
+    return times, winner_or_none(times.argmin(axis=-1), times, cfg.t_ref)
 
 
-def compute_firing_times(e: EncodedInput, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:
+def compute_firing_times(v: np.ndarray, lattice: Lattice, cfg: SsomConfig) -> FiringRecord:
     """Latency-based winner selection over the whole lattice: the
-    ``FiringRecord`` of the vector decoded from the spike times."""
-    if e.spike_times.shape[0] != lattice.dim:
-        raise DimensionMismatchError(lattice.dim, e.spike_times.shape[0])
-    return FiringRecord.of(lattice, *firing_winners(decode_latency(e), clamped(lattice), cfg))
+    ``FiringRecord`` of the normalized vector v."""
+    if len(v) != lattice.dim:
+        raise DimensionMismatchError(lattice.dim, len(v))
+    return FiringRecord.of(lattice, *firing_winners(v, clamped(lattice), cfg), cfg.t_ref)
 
 
 def lateral_tables(d: np.ndarray,
@@ -226,9 +224,11 @@ def stdp_step(v: np.ndarray, t_spike: np.ndarray, lattice: Lattice, idx: np.ndar
     return new
 
 
-def ssom_learn(e: EncodedInput, lattice: Lattice, record: FiringRecord,
-               cfg: SsomConfig, rule: StdpRule, lr_scale: float) -> None:
-    """STDP adaptation of the units inside the spatial and temporal gates.
+def ssom_learn(v: np.ndarray, spike_times: np.ndarray, lattice: Lattice,
+               record: FiringRecord, cfg: SsomConfig, rule: StdpRule,
+               lr_scale: float) -> None:
+    """STDP adaptation of the units inside the spatial and temporal gates,
+    toward the normalized input v with its spike times.
 
     For each gated unit and each input component, the spike-time difference
     (input spike minus unit firing) drives the configured plasticity rule;
@@ -239,7 +239,7 @@ def ssom_learn(e: EncodedInput, lattice: Lattice, record: FiringRecord,
         return
     d = lattice.grid_distances(record.winner)
     idx = learning_gate(record.times, record.silent, d <= cfg.s_radius, cfg)
-    stdp_step(decode_latency(e), e.spike_times, lattice, idx, record.times[idx],
+    stdp_step(v, spike_times, lattice, idx, record.times[idx],
               (lr_scale * neighborhood_array(d[idx], cfg.s_radius))[:, None], rule)
 
 
@@ -249,7 +249,7 @@ class FiringStep:
     A step object is what ``train_spiking`` and the models' winner tables
     drive: reset() at each sequence start, present(codes, i, lattice, cfg)
     to step frame i of one sequence's ``EncodedFrames`` (or of a stacked
-    block, through ``[..., i, :]``) to (times, silent, winners),
+    block, through ``[..., i, :]``) to (times, winners),
     rate(lr, rule) for the factor of the epoch's learning gains (see
     ``area_rows``), and learn(codes, i, lattice, idx, t_post, gain, rule)
     for the learning step of the gated units idx.  ``rssom.DifferenceState``
@@ -264,8 +264,8 @@ class FiringStep:
         """Sequence boundary: nothing to clear."""
 
     def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
-        """``firing_winners`` of the decoded values of frame i."""
-        return firing_winners(codes.decoded[..., i, :], self.match, cfg)
+        """``firing_winners`` of the normalized values of frame i."""
+        return firing_winners(codes.normalized[..., i, :], self.match, cfg)
 
     def rate(self, lr: float, rule: StdpRule) -> float:
         """lr: the rule kernel scales eta itself, so a gain is (lr * h) * eta."""
@@ -274,7 +274,8 @@ class FiringStep:
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
               t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
         """``stdp_step`` toward frame i of one sequence's codes."""
-        new = stdp_step(codes.decoded[i], codes.spike_times[i], lattice, idx, t_post, gain, rule)
+        new = stdp_step(codes.normalized[i], codes.spike_times[i], lattice, idx, t_post, gain,
+                        rule)
         self.match.weights[idx] = new.clip(0.0, 1.0, out=new)
 
 
@@ -312,7 +313,7 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
             state.reset()
             seq = codes[si]
             for i in range(seq.spike_times.shape[0]):
-                times, _, w = state.present(seq, i, lattice, cfg)
+                times, w = state.present(seq, i, lattice, cfg)
                 if w < 0:
                     skipped += 1
                     continue

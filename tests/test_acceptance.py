@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pulsom.cli import main
-from pulsom.coding import SsomConfig, decode_latency, encode_latency
+from pulsom.coding import SsomConfig
 from pulsom.corpus import read_dataset_csv, synth_generate
 from pulsom.evaluate import calibrate, classify, mean_rate
 from pulsom.lin import PotentialState, potential_record, train_lin, update_potential
@@ -94,8 +94,7 @@ def test_criterion_02_reductions_select_the_som_winner():
         update_potential(x, lat, pstate)
         assert potential_record(pstate, lat, cfg).winner.flat == want
 
-        e = encode_latency(x, np.zeros(dim), np.ones(dim), cfg.t_max)
-        assert compute_firing_times(e, lat, cfg).winner.flat == want
+        assert compute_firing_times(x, lat, cfg).winner.flat == want
     ok(2, "RSSOM/LIN/SSOM winner reductions, 1000 exact matches each")
 
 

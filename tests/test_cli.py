@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,15 @@ synth.samples_per_class = 50
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.cfg")]) == 3
 
+    def test_negative_seed_exits_2_naming_run_seed_only(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "bad.cfg", f"run.outdir = {tmp_path / 'o'}\n"
+                                              "synth.classes = 2\nrun.seed = -1\n")
+        assert main(["synth", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: {cfg}:3: bad value '-1' for run.seed (expected non-negative "
+                "integer)") in err
+        assert "synth.classes" not in err
+
 
 class TestTrainCommand:
     @pytest.fixture()
@@ -210,6 +220,17 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg]) == 2
         assert f"{cfg}:9 ({key}): " in capsys.readouterr().err
         assert not (tmp_path / "train-out").exists()
+
+    @pytest.mark.parametrize("model", ["som", "ssom"])
+    def test_negative_seed_exits_2_naming_run_seed_only(self, tmp_path, dataset, capsys, model):
+        cfg = write_cfg(tmp_path / "t.cfg", f"run.model = {model}\nrun.outdir = {tmp_path / 'o'}\n"
+                                            f"run.seed = -1\nlattice.rows = 3\nlattice.cols = 3\n"
+                                            f"data.train_csv = {dataset}\n")
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}:3: bad value '-1' for run.seed" in err
+        assert "lattice." not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_dataset_exits_3(self, tmp_path):
         cfg = train_cfg(tmp_path, tmp_path / "missing.csv")
@@ -303,7 +324,7 @@ class TestModelBytes:
     DIGESTS = {
         "som": ("0b118d3664e803701e8e99f59e7f023cac167d86bfa3e53829254a2d0c1ec8db",
                 "7ed0075c87eaee2278ccd85fc5ae9dab2e7af2328f6282048a90ced234c2b740"),
-        "ssom": ("fc4e8ebb46e8402ae710cad501144b3add89c225b7b04fbb8173aa5b448adb4c",
+        "ssom": ("f299f48cbda51f18f4df31c4a88915fbbab7d36d4502df42a293929cb418d6f8",
                  "e123cf69413c94b625208173d0cf8a2786c57efd6fff7f1e4edcb70e042252cd"),
         "rssom": ("6c6d97988e0aa9bfc7a1e17f30d4f740344496529bfcb6620475a2a4e9d401ba",
                   "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
@@ -312,7 +333,7 @@ class TestModelBytes:
     }
     DIGESTS_LIBM = {
         "som": DIGESTS["som"],
-        "ssom": ("3fdbd7dec74fb5ea15c136e53562cb3213c4c1b3eb30758f3c93da89bd5b0c14",
+        "ssom": ("006f7e2a4db459b7dd313ba619c2f68865a83b62055c8abd44a0b042bf683fb0",
                  "e123cf69413c94b625208173d0cf8a2786c57efd6fff7f1e4edcb70e042252cd"),
         "rssom": ("362844d05a9100b6c646f0881ba713ee143673845b6919c8f7d2e2e774d1c1cf",
                   "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
@@ -649,6 +670,27 @@ data.test_csv = {bad}
             "4 features per frame, but the model has dim 6"
         assert f"corpus error: {narrow}:1: {per}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("csv", ["data.train_csv", "data.test_csv"])
+    def test_label_without_a_macro_class_exits_4(self, tmp_path, capsys, csv):
+        # predictions carry training labels, so both files must map to classes
+        samples = [replace(s, label=["aa", "stops"][i % 2])
+                   for i, s in enumerate(synth_generate(2, 4, 3, 2, 2.0, False, 2))]
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_dataset_csv(samples, good)
+        write_dataset_csv(samples[:3] + [replace(samples[3], label="class0")] + samples[4:], bad)
+        rows = bad.read_text().splitlines(keepends=True)
+        bad.write_text("".join(rows[:2] + ["\n"] + rows[2:]))    # a blank line is no row
+        assert main(["train", "--config", train_cfg(tmp_path, good)]) == 0
+        paths = {"data.train_csv": good, "data.test_csv": good, csv: bad}
+        cfg = write_cfg(tmp_path / "eval.cfg", f"run.model = som\neval.class_map = timit_macro\n"
+                        f"run.outdir = {tmp_path / 'eval-out'}\n"
+                        + "".join(f"{key} = {path}\n" for key, path in paths.items()))
+        assert main(["eval", "--config", cfg,
+                     "--model", str(tmp_path / "train-out" / "model.txt")]) == 4
+        assert (f"corpus error: {bad}:6: label 'class0' is neither a TIMIT phone nor a macro "
+                "class") in capsys.readouterr().err
+        assert not (tmp_path / "eval-out").exists()
+
     def test_missing_model_exits_3(self, tmp_path, trained):
         dataset, _ = trained
         cfg = self.eval_cfg(tmp_path, dataset)
@@ -740,6 +782,22 @@ class TestFeaturesCommand:
                         f"run.outdir = {tmp_path / 'feat'}\n"
                         f"corpus.root = {tmp_path / 'none'}\n")
         assert main(["features", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("line, message", [
+        ("mfcc.n_filters = 120", "120 filters collide on a 256-point FFT"),
+        ("mfcc.frame_len = 0", "frame_len must be at least 2, got 0"),
+        ("mfcc.frame_len = 1", "frame_len must be at least 2, got 1"),
+        ("mfcc.frame_len = -4", "frame_len must be at least 2, got -4"),
+        ("corpus.frames = 0", "frames per segment must be at least 1, got 0"),
+    ])
+    def test_bad_setting_exits_2_naming_its_line(self, tmp_path, capsys, line, message):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        cfg = write_cfg(tmp_path / "f.cfg", f"run.outdir = {tmp_path / 'feat'}\n"
+                                            f"corpus.root = {root}\n{line}\n")
+        assert main(["features", "--config", cfg]) == 2
+        key = line.split(" = ")[0]
+        assert f"config error: {cfg}:3 ({key}): {message}" in capsys.readouterr().err
+        assert no_csvs_in(tmp_path / "feat")
 
     def test_malformed_corpus_exits_4(self, tmp_path):
         root = make_fixture_corpus(tmp_path / "corpus")

@@ -1,38 +1,32 @@
 import numpy as np
 import pytest
 
-from pulsom.coding import (
-    SsomConfig,
-    decode_latency,
-    encode_frames,
-    encode_latency,
-    normalize,
-)
+from pulsom.coding import SsomConfig, encode_frames, encode_latency, normalize
 from pulsom.errors import DimensionMismatchError
 
 
 class TestEncodeLatency:
     def test_range_max_fires_first(self):
-        e = encode_latency([1.0], [0.0], [1.0], t_max=20.0)
-        assert e.spike_times[0] == 0.0
+        t = encode_latency([1.0], [0.0], [1.0], t_max=20.0)
+        assert t[0] == 0.0
 
     def test_range_min_fires_last(self):
-        e = encode_latency([0.0], [0.0], [1.0], t_max=20.0)
-        assert e.spike_times[0] == 20.0
+        t = encode_latency([0.0], [0.0], [1.0], t_max=20.0)
+        assert t[0] == 20.0
 
     def test_midpoint(self):
-        e = encode_latency([0.5], [0.0], [1.0], t_max=20.0)
-        assert e.spike_times[0] == pytest.approx(10.0, abs=1e-12)
+        t = encode_latency([0.5], [0.0], [1.0], t_max=20.0)
+        assert t[0] == pytest.approx(10.0, abs=1e-12)
 
     def test_degenerate_range_encodes_mid_horizon(self):
-        e = encode_latency([3.0, 1.0], [3.0, 0.0], [3.0, 2.0], t_max=20.0)
-        assert e.spike_times[0] == pytest.approx(10.0)
-        assert e.spike_times[1] == pytest.approx(10.0)
+        t = encode_latency([3.0, 1.0], [3.0, 0.0], [3.0, 2.0], t_max=20.0)
+        assert t[0] == pytest.approx(10.0)
+        assert t[1] == pytest.approx(10.0)
 
     def test_out_of_range_clamped(self):
-        e = encode_latency([-5.0, 9.0], [0.0, 0.0], [1.0, 1.0], t_max=20.0)
-        assert e.spike_times[0] == 20.0
-        assert e.spike_times[1] == 0.0
+        t = encode_latency([-5.0, 9.0], [0.0, 0.0], [1.0, 1.0], t_max=20.0)
+        assert t[0] == 20.0
+        assert t[1] == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -48,10 +42,16 @@ class TestEncodeLatency:
         hi = np.ones(8)
         for _ in range(10_000):
             x = rng.uniform(0, 1, size=8)
-            e = encode_latency(x, lo, hi, t_max=20.0)
+            t = encode_latency(x, lo, hi, t_max=20.0)
             order_x = np.argsort(-x, kind="stable")
-            times_sorted = e.spike_times[order_x]
+            times_sorted = t[order_x]
             assert np.all(np.diff(times_sorted) >= -1e-12)
+
+
+def decode(t, t_max=20.0):
+    """The inverse of the latency code, v = 1 - t / t_max: the normalized
+    value up to rounding."""
+    return 1.0 - t / t_max
 
 
 class TestDecodeLatency:
@@ -61,18 +61,18 @@ class TestDecodeLatency:
         hi = 3.0 * np.ones(12)
         for _ in range(200):
             x = rng.uniform(-2, 3, size=12)
-            e = encode_latency(x, lo, hi, t_max=20.0)
-            v = decode_latency(e)
+            t = encode_latency(x, lo, hi, t_max=20.0)
+            v = decode(t)
             assert np.allclose(v, (x - lo) / (hi - lo), atol=1e-12)
 
     def test_all_spikes_at_horizon_give_zero(self):
-        e = encode_latency(np.zeros(4), np.zeros(4), np.ones(4), t_max=20.0)
-        assert np.array_equal(decode_latency(e), np.zeros(4))
+        t = encode_latency(np.zeros(4), np.zeros(4), np.ones(4), t_max=20.0)
+        assert np.array_equal(decode(t), np.zeros(4))
 
     def test_inverse_map(self):
-        e = encode_latency([1.0, 0.5, 0.0], [0.0] * 3, [1.0] * 3, t_max=20.0)
-        assert np.allclose(e.spike_times, [0.0, 10.0, 20.0])
-        assert np.allclose(decode_latency(e), [1.0, 0.5, 0.0], atol=1e-12)
+        t = encode_latency([1.0, 0.5, 0.0], [0.0] * 3, [1.0] * 3, t_max=20.0)
+        assert np.allclose(t, [0.0, 10.0, 20.0])
+        assert np.allclose(decode(t), [1.0, 0.5, 0.0], atol=1e-12)
 
 
 class TestEncodeFrames:
@@ -82,9 +82,7 @@ class TestEncodeFrames:
         lo, hi = frames.min(axis=0) + 0.3, frames.max(axis=0) - 0.3
         codes = encode_frames(frames, lo, hi, 20.0, 4)
         for i, x in enumerate(frames):
-            e = encode_latency(x, lo, hi, 20.0)
-            assert np.array_equal(codes.spike_times[i], e.spike_times)
-            assert np.array_equal(codes.decoded[i], decode_latency(e))
+            assert np.array_equal(codes.spike_times[i], encode_latency(x, lo, hi, 20.0))
             assert np.array_equal(codes.normalized[i], normalize(x, lo, hi))
 
     def test_non_finite_frame_rejected(self):

@@ -115,7 +115,7 @@ class TestClassify:
                           SsomConfig(t_max=20.0, t_ref=5.0))
         labels = UnitLabelMap(["A", "B"], [{"A": 1}, {"B": 1}])
         far = sample_at([1.0, 1.0], "?")
-        assert model.sequence_winner(far) is None
+        assert model.frame_winners(far)[-1] is None
         assert classify(model, labels, far) == REJECTED
 
 

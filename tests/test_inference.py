@@ -9,13 +9,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pulsom.coding import SsomConfig, encode_frames
+from pulsom.coding import SsomConfig, encode_frames, encode_latency
 from pulsom.corpus import SequenceSample
 from pulsom.evaluate import REJECTED, UnitLabelMap, calibrate, classify, report
+from pulsom.lin import PotentialState, potential_winners
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel
+from pulsom.rssom import DifferenceState, difference_winners
 from pulsom.som import QE_CHUNK_ELEMENTS, Lattice
-from pulsom.ssom import LateralKernel, frames_of
+from pulsom.ssom import LateralKernel, clamped, firing_winners, frames_of
 from pulsom.stdp import StdpRule
 
 N_FRAMES = 5
@@ -37,7 +42,7 @@ def oracle_frame_winners(model, sample) -> list:
     codes = encode_frames(frames, model.lo, model.hi, cfg.t_max, lat.dim)
     out = []
     if model.kind == "SSOM":
-        for v in codes.decoded:
+        for v in codes.normalized:
             times = cfg.t_max * (d2(np.clip(w, 0.0, 1.0) - v) / lat.dim)
             silent = times > cfg.t_ref
             out.append(-1 if np.all(silent)
@@ -161,18 +166,21 @@ class TestWinnerTable:
         sample = np.array([[0.5, 0.5], [2.0, 2.0]])
         assert oracle_frame_winners(model, sample)[-1] == -1
         assert model.winner_table([sample])[0, -1] == -1
-        assert model.sequence_winner(sample) is None
+        assert model.frame_winners(sample)[-1] is None
 
-    def test_ssom_matches_decoded_values(self):
-        # unit 0 holds a frame's decoded value and unit 1 its normalized
-        # value; the spiking map matches the decoded one, as in training
+    def test_ssom_matches_normalized_values(self):
+        # unit 0 holds the value decoded from a frame's spike time and unit 1
+        # its normalized value; the spiking map matches the normalized one,
+        # as in training
         cfg = SsomConfig(t_max=20.0, t_ref=15.0)
-        v = next(v for v in np.random.default_rng(4).random(1000)
-                 if encode_frames(np.array([[v]]), 0.0, 1.0, cfg.t_max, 1).decoded[0, 0] != v)
-        decoded = encode_frames(np.array([[v]]), 0.0, 1.0, cfg.t_max, 1).decoded[0, 0]
-        lat = Lattice(1, 2, np.array([[decoded], [v]]))
+
+        def decoded(v):     # 1 - t / t_max of v's spike time t
+            return 1.0 - encode_latency([v], [0.0], [1.0], cfg.t_max)[0] / cfg.t_max
+
+        v = next(v for v in np.random.default_rng(4).random(1000) if decoded(v) != v)
+        lat = Lattice(1, 2, np.array([[decoded(v)], [v]]))
         model = SsomModel(lat, np.zeros(1), np.ones(1), cfg)
-        assert model.winner_table([np.array([[v]])]).tolist() == [[0]]
+        assert model.winner_table([np.array([[v]])]).tolist() == [[1]]
 
     def test_rssom_winner_is_smallest_norm_when_latencies_saturate(self):
         # every latency clips to t_max = t_ref: all units fire at once and
@@ -192,8 +200,6 @@ class TestWinnerTable:
         for sample in make_samples(6, dim=3):
             want = oracle_frame_winners(model, sample)
             assert [-1 if u is None else u.flat for u in model.frame_winners(sample)] == want
-            last = model.sequence_winner(sample)
-            assert (-1 if last is None else last.flat) == want[-1]
 
 
 class TestLabelsAndReports:
@@ -254,7 +260,7 @@ class TestStepObjects:
                 got = state.present(codes, i, lat, cfg)
                 for w, g in zip(want, got):
                     assert g[row].dtype == w.dtype and g[row].tobytes() == w.tobytes()
-            winners.append(int(want[2]))
+            winners.append(int(want[1]))
         assert -1 in winners and max(winners) >= 0    # silent and firing frames
 
     @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
@@ -271,3 +277,45 @@ class TestStepObjects:
                 assert a.shape[:len(batch)] == batch and not a.any()
             again = state.present(codes, 0, lat, cfg)
             assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+class TestWinnerRule:
+    """The winner rules return (times, winners) and test only the first
+    unit to fire against t_ref.  The oracle is the rule they replaced, which
+    built the whole silent mask times > t_ref and gave -1 where a row of it
+    was all set."""
+
+    @staticmethod
+    def oracle(best, times, t_ref):
+        return np.where((times > t_ref).all(axis=-1), -1, best)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["ssom", "rssom", "lin"]),
+           units=st.integers(1, 9), dim=st.integers(1, 4),
+           batch=st.sampled_from([(), (1,), (4,)]),
+           t_ref=st.sampled_from([1e-3, 20.0]) | st.floats(0.01, 20.0))
+    def test_equals_the_silent_mask_rule(self, data, kind, units, dim, batch, t_ref):
+        # few distinct values, so that units tie and silent rows are common
+        def block(shape, values, low, high):
+            return data.draw(arrays(np.float64, shape,
+                                    elements=st.sampled_from(values) | st.floats(low, high)))
+
+        lattice = Lattice(1, units, block((units, dim), [0.0, 0.5, 1.0], -0.5, 1.5))
+        cfg = SsomConfig(t_max=20.0, t_ref=t_ref)
+        if kind == "ssom":
+            times, w = firing_winners(block(batch + (dim,), [0.0, 0.5, 1.0], 0.0, 1.0),
+                                      clamped(lattice), cfg)
+            best = times.argmin(axis=-1)
+        elif kind == "rssom":
+            state = DifferenceState(block(batch + (units, dim), [0.0, 0.5, -1.0], -1.5, 1.5),
+                                    0.5)
+            times, w = difference_winners(state, lattice, cfg)
+            flat = state.y.reshape(-1, dim)
+            best = np.einsum("ij,ij->i", flat, flat).reshape(batch + (units,)).argmin(axis=-1)
+        else:
+            lam = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+            state = PotentialState(block(batch + (units,), [0.0, -0.5, -3.0], -12.0, 0.0), lam)
+            times, w = potential_winners(state, lattice, cfg)
+            best = state.a.argmax(axis=-1)
+        assert np.shape(w) == batch and np.asarray(w).dtype == np.intp
+        assert np.array_equal(w, self.oracle(best, times, cfg.t_ref))

@@ -212,7 +212,7 @@ class TestTrainLin:
         train_lin(data, model, Schedule.for_lattice(6, 6, epochs=30), seed=11)
         by_class = {"class0": set(), "class1": set()}
         for s in data:
-            w = model.sequence_winner(s)
+            w = model.frame_winners(s)[-1]
             assert w is not None
             by_class[s.label].add(w.flat)
         assert by_class["class0"].isdisjoint(by_class["class1"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsom.coding import SsomConfig, encode_latency, normalize
+from pulsom.coding import SsomConfig, normalize
 from pulsom.config import KEYS, REGISTRY
 from pulsom.corpus import synth_generate
 from pulsom.lin import PotentialState, potential_record, train_lin, update_potential
@@ -19,7 +19,7 @@ from pulsom.models import (
     save_model,
 )
 from pulsom.rssom import DifferenceState, difference_record, train_rssom, update_difference
-from pulsom.som import Lattice, Schedule
+from pulsom.som import Lattice, Schedule, find_bmu
 from pulsom.ssom import (LateralKernel, compute_firing_times, feature_ranges, normalized_init,
                          train_ssom)
 from pulsom.stdp import StdpRule, StdpWindow
@@ -231,18 +231,11 @@ class TestWinnerRules:
         sample = rng.uniform(size=(2, 3))
         winners = model.frame_winners(sample)
         assert len(winners) == 1
-        assert model.sequence_winner(sample).flat == winners[0].flat
-
-    def test_sequence_winner_is_last_frame_winner(self):
-        rng = np.random.default_rng(8)
-        lat = Lattice(2, 2, rng.uniform(size=(4, 3)))
-        model = SomModel(lat)
-        sample = rng.uniform(size=(5, 3))
-        assert model.sequence_winner(sample).flat == model.frame_winners(sample)[-1].flat
+        assert winners[0].flat == find_bmu(sample.ravel(), lat).flat
 
     def test_spiking_winners_equal_per_frame_coding(self):
-        # Reference: each frame encoded (spiking map) or normalized
-        # (recurrent maps) on its own, then one winner step per frame.
+        # Reference: each frame normalized on its own, then one winner
+        # step per frame.
         rng = np.random.default_rng(9)
         lo, hi, cfg, kernel, rule = spiking_parts()
         lat = random_lattice(seed=4, rows=3, cols=3)
@@ -254,8 +247,7 @@ class TestWinnerRules:
         dstate = DifferenceState.zeros(lat, 0.4)
         pstate = PotentialState.zeros(lat, 0.6)
         for x in sample:
-            e = encode_latency(x, lo, hi, cfg.t_max)
-            want_ssom.append(compute_firing_times(e, lat, cfg).winner)
+            want_ssom.append(compute_firing_times(normalize(x, lo, hi), lat, cfg).winner)
             update_difference(normalize(x, lo, hi), lat, dstate)
             want_rssom.append(difference_record(dstate, lat, cfg).winner)
             update_potential(normalize(x, lo, hi), lat, pstate)

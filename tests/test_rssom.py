@@ -194,7 +194,7 @@ class TestTrainRssom:
         train_rssom(data, model, Schedule.for_lattice(6, 6, epochs=30), seed=10)
         winners = {"class0": set(), "class1": set()}
         for s in data:
-            w = model.sequence_winner(s)
+            w = model.frame_winners(s)[-1]
             assert w is not None
             winners[s.label].add(w.flat)
         assert winners["class0"].isdisjoint(winners["class1"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsom.coding import SsomConfig, decode_latency, encode_latency
+from pulsom.coding import SsomConfig, encode_latency, normalize
 from pulsom.models import SsomModel
 from pulsom.som import Lattice, Schedule, find_bmu, neighborhood_array
 from pulsom.ssom import (
@@ -29,10 +29,9 @@ from pulsom.stdp import StdpRule, StdpWindow
 UNIT_RANGE = (np.zeros(2), np.ones(2))
 
 
-def encode_unit(x, t_max=20.0):
-    lo = np.zeros(len(x))
-    hi = np.ones(len(x))
-    return encode_latency(x, lo, hi, t_max)
+def spike_times(x, t_max=20.0):
+    """Spike times of x in [0, 1], its own normalized value."""
+    return encode_latency(x, np.zeros(len(x)), np.ones(len(x)), t_max)
 
 
 def make_rule(flip=True, eta=0.1, variant="input", a_plus=1.0, a_minus=1.0):
@@ -42,14 +41,14 @@ def make_rule(flip=True, eta=0.1, variant="input", a_plus=1.0, a_minus=1.0):
 class TestComputeFiringTimes:
     def test_perfect_match_fires_at_zero_and_wins(self):
         lat = Lattice(1, 2, np.array([[0.2, 0.8], [0.9, 0.1]]))
-        rec = compute_firing_times(encode_unit([0.9, 0.1]), lat, SsomConfig())
+        rec = compute_firing_times(np.array([0.9, 0.1]), lat, SsomConfig())
         assert rec.times[1] == pytest.approx(0.0, abs=1e-12)
         assert rec.winner.flat == 1
 
     def test_all_units_silent_gives_no_winner(self):
         lat = Lattice(1, 2, np.array([[0.0, 0.0], [0.0, 0.0]]))
         cfg = SsomConfig(t_max=20.0, t_ref=15.0)
-        rec = compute_firing_times(encode_unit([1.0, 1.0]), lat, cfg)
+        rec = compute_firing_times(np.array([1.0, 1.0]), lat, cfg)
         # both units at the maximal mean squared mismatch of 1 -> fire at t_max
         assert np.all(rec.times == 20.0)
         assert np.all(rec.silent)
@@ -59,7 +58,7 @@ class TestComputeFiringTimes:
         # per-dim mean squared mismatches 0.25 and 0.5 at t_max 20
         lat = Lattice(1, 2, np.array([[0.5, 0.5], [0.0, 1.0]]))
         cfg = SsomConfig(t_max=20.0, t_ref=20.0)
-        rec = compute_firing_times(encode_unit([0.0, 0.0]), lat, cfg)
+        rec = compute_firing_times(np.array([0.0, 0.0]), lat, cfg)
         assert rec.times[0] == pytest.approx(5.0, abs=1e-9)
         assert rec.times[1] == pytest.approx(10.0, abs=1e-9)
         assert rec.winner.flat == 0
@@ -73,9 +72,7 @@ class TestComputeFiringTimes:
             dim = int(rng.integers(1, 6))
             lat = Lattice(rows, cols, rng.uniform(size=(rows * cols, dim)))
             x = rng.uniform(size=dim)
-            e = encode_latency(x, np.zeros(dim), np.ones(dim), cfg.t_max)
-            rec = compute_firing_times(e, lat, cfg)
-            assert rec.winner.flat == find_bmu(decode_latency(e), lat).flat
+            assert compute_firing_times(x, lat, cfg).winner.flat == find_bmu(x, lat).flat
 
 
 class TestApplyLateral:
@@ -132,9 +129,7 @@ class TestApplyLateral:
         lat = Lattice(4, 4, rng.uniform(size=(16, 3)))
         cfg = SsomConfig(t_max=20.0, t_ref=18.0)
         for _ in range(200):
-            x = rng.uniform(size=3)
-            e = encode_latency(x, np.zeros(3), np.ones(3), cfg.t_max)
-            rec = compute_firing_times(e, lat, cfg)
+            rec = compute_firing_times(rng.uniform(size=3), lat, cfg)
             if rec.winner is None:
                 continue
             kernel = LateralKernel(excite_radius=float(rng.uniform(0.5, 3)),
@@ -158,9 +153,8 @@ class TestAreaStep:
     """``area_step`` on the winner's ``area_rows`` entry gives the bytes of
     ``lateral_step``, ``learning_gate`` and the neighborhood row times the
     epoch's rate on the whole lattice, which the trainer ran per
-    presentation before.  The silent mask is the one a step object's
-    present returns with the times (times > t_ref); a NaN time stays silent
-    through the kernel.  At t_ref = t_max, a unit that inhibition pushes to
+    presentation before, with the silent mask times > t_ref; a NaN time
+    stays silent through the kernel.  At t_ref = t_max, a unit that inhibition pushes to
     the t_max cap still learns."""
 
     @settings(max_examples=300, deadline=None)
@@ -201,14 +195,12 @@ class TestSsomLearn:
         lat = Lattice(1, 5, np.tile(np.array([[0.3, 0.6]]), (5, 1)))
         cfg = SsomConfig(t_max=20.0, t_ref=15.0, s_radius=s_radius)
         x = np.array([0.8, 0.4])
-        e = encode_unit(x)
-        rec = compute_firing_times(e, lat, cfg)
-        return lat, cfg, e, rec
+        return lat, cfg, x, compute_firing_times(x, lat, cfg)
 
     def test_units_outside_spatial_area_untouched(self):
-        lat, cfg, e, rec = self.gated_setup(s_radius=1.5)
+        lat, cfg, x, rec = self.gated_setup(s_radius=1.5)
         before = lat.weights.copy()
-        ssom_learn(e, lat, rec, cfg, make_rule(), lr_scale=0.9)
+        ssom_learn(x, spike_times(x), lat, rec, cfg, make_rule(), lr_scale=0.9)
         # winner is unit 0 (all equal, tie-break); units at distance > 1.5 frozen
         assert rec.winner.flat == 0
         assert np.array_equal(lat.weights[2:], before[2:])
@@ -218,11 +210,10 @@ class TestSsomLearn:
         lat = Lattice(1, 2, np.array([[0.8, 0.4], [0.0, 0.0]]))
         cfg = SsomConfig(t_max=20.0, t_ref=5.0, s_radius=3.0)
         x = np.array([0.8, 0.4])
-        e = encode_unit(x)
-        rec = compute_firing_times(e, lat, cfg)
+        rec = compute_firing_times(x, lat, cfg)
         assert rec.silent[1]
         before = lat.weights.copy()
-        ssom_learn(e, lat, rec, cfg, make_rule(), lr_scale=0.9)
+        ssom_learn(x, spike_times(x), lat, rec, cfg, make_rule(), lr_scale=0.9)
         assert np.array_equal(lat.weights[1], before[1])
 
     def test_perfect_winner_is_fixed_point_on_toward_input_form(self):
@@ -230,16 +221,16 @@ class TestSsomLearn:
         # perfectly matching winner has all its spike differences positive
         lat = Lattice(1, 1, np.array([[0.8, 0.4]]))
         cfg = SsomConfig(t_max=20.0, t_ref=15.0, s_radius=1.0)
-        e = encode_unit([0.8, 0.4])
-        rec = compute_firing_times(e, lat, cfg)
+        x = np.array([0.8, 0.4])
+        rec = compute_firing_times(x, lat, cfg)
         assert rec.times[0] == pytest.approx(0.0, abs=1e-12)
-        ssom_learn(e, lat, rec, cfg, make_rule(flip=False), lr_scale=0.9)
+        ssom_learn(x, spike_times(x), lat, rec, cfg, make_rule(flip=False), lr_scale=0.9)
         assert np.allclose(lat.weights[0], [0.8, 0.4], atol=1e-12)
 
     def test_zero_lr_scale_is_identity(self):
-        lat, cfg, e, rec = self.gated_setup()
+        lat, cfg, x, rec = self.gated_setup()
         before = lat.weights.copy()
-        ssom_learn(e, lat, rec, cfg, make_rule(), lr_scale=0.0)
+        ssom_learn(x, spike_times(x), lat, rec, cfg, make_rule(), lr_scale=0.0)
         assert np.array_equal(lat.weights, before)
 
     def test_all_causal_synapses_move_toward_input(self):
@@ -248,11 +239,10 @@ class TestSsomLearn:
         lat = Lattice(1, 1, np.array([[0.2, 0.2]]))
         cfg = SsomConfig(t_max=20.0, t_ref=20.0, s_radius=1.0)
         x = np.array([0.95, 0.95])
-        e = encode_unit(x)
-        rec = compute_firing_times(e, lat, cfg)
-        assert np.all(e.spike_times < rec.times[0])
+        rec = compute_firing_times(x, lat, cfg)
+        assert np.all(spike_times(x) < rec.times[0])
         before = lat.weights.copy()
-        ssom_learn(e, lat, rec, cfg, make_rule(flip=True), lr_scale=0.9)
+        ssom_learn(x, spike_times(x), lat, rec, cfg, make_rule(flip=True), lr_scale=0.9)
         moved = lat.weights[0] - before[0]
         assert np.all(moved > 0)
         assert np.all(lat.weights[0] <= x)
@@ -262,10 +252,9 @@ class TestSsomLearn:
         lat = Lattice(5, 5, rng.uniform(size=(25, 4)))
         cfg = SsomConfig(t_max=20.0, t_ref=12.0, s_radius=1.2)
         x = rng.uniform(size=4)
-        e = encode_latency(x, np.zeros(4), np.ones(4), cfg.t_max)
-        rec = compute_firing_times(e, lat, cfg)
+        rec = compute_firing_times(x, lat, cfg)
         before = lat.weights.copy()
-        ssom_learn(e, lat, rec, cfg, make_rule(), lr_scale=0.9)
+        ssom_learn(x, spike_times(x), lat, rec, cfg, make_rule(), lr_scale=0.9)
         d = lat.grid_distances(rec.winner)
         gate = (~rec.silent) & (rec.times <= cfg.t_ref) & (d <= cfg.s_radius)
         changed = np.any(lat.weights != before, axis=1)
@@ -281,8 +270,8 @@ class TestTrainSsom:
         model = SsomModel(lat, lo, hi, SsomConfig(), rule=make_rule())
         train_ssom(data, model, Schedule.for_lattice(2, 2, epochs=60), seed=3)
         decoded = lo + np.clip(lat.weights, 0, 1) * (hi - lo)
-        e = encode_latency(frame[0], lo, hi, 20.0)
-        rec = compute_firing_times(e, Lattice(2, 2, lat.weights), SsomConfig())
+        rec = compute_firing_times(normalize(frame[0], lo, hi), Lattice(2, 2, lat.weights),
+                                   SsomConfig())
         assert np.allclose(decoded[rec.winner.flat], frame[0], atol=1e-3)
 
     def test_same_seed_identical_weights(self):

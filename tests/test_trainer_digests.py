@@ -62,22 +62,22 @@ TRAINERS = {"ssom": (SsomModel, train_ssom, {}),
 
 SPIKING = {
     "ssom": {
-        ("additive", False, "fixed"): "5d64220b946cf2ed",
-        ("additive", False, "auto"): "34e5f009c9ec181e",
-        ("additive", True, "fixed"): "5d64220b946cf2ed",
-        ("additive", True, "auto"): "34e5f009c9ec181e",
-        ("panchev", False, "fixed"): "aeecf9276e3a6398",
-        ("panchev", False, "auto"): "8ba641b1452fbe21",
-        ("panchev", True, "fixed"): "61a42682d7a4824d",
-        ("panchev", True, "auto"): "a133d686b01a971d",
-        ("soula", False, "fixed"): "672f09461a43cb53",
-        ("soula", False, "auto"): "20a0e4b475b86c79",
-        ("soula", True, "fixed"): "672f09461a43cb53",
-        ("soula", True, "auto"): "20a0e4b475b86c79",
-        ("input", False, "fixed"): "22d67dad5d721a8a",
-        ("input", False, "auto"): "983d1defb76c729b",
-        ("input", True, "fixed"): "841ff01858f5368a",
-        ("input", True, "auto"): "7a441629d76d2dec",
+        ("additive", False, "fixed"): "95c963fbe6377fe9",
+        ("additive", False, "auto"): "4e411cf95c907265",
+        ("additive", True, "fixed"): "95c963fbe6377fe9",
+        ("additive", True, "auto"): "4e411cf95c907265",
+        ("panchev", False, "fixed"): "5070abb61b2e0a36",
+        ("panchev", False, "auto"): "31babfbd40e51aaf",
+        ("panchev", True, "fixed"): "bed9d9bf4edf97d8",
+        ("panchev", True, "auto"): "30a15054ff76ddd0",
+        ("soula", False, "fixed"): "956905468cf5f84e",
+        ("soula", False, "auto"): "128e54799e1bcaf8",
+        ("soula", True, "fixed"): "956905468cf5f84e",
+        ("soula", True, "auto"): "128e54799e1bcaf8",
+        ("input", False, "fixed"): "3e836a38e222e929",
+        ("input", False, "auto"): "fd591c95608c3ef3",
+        ("input", True, "fixed"): "e850c91c8d0e2299",
+        ("input", True, "auto"): "df2bd7347a9c4cef",
     },
     "lin": {
         ("additive", False, "fixed"): "753d91bdc8d4b2ca",
@@ -92,8 +92,8 @@ SPIKING = {
         ("soula", False, "auto"): "1720abbecf751d41",
         ("soula", True, "fixed"): "db79bcd23ddbd712",
         ("soula", True, "auto"): "1720abbecf751d41",
-        ("input", False, "fixed"): "1bade2699ead08d7",
-        ("input", False, "auto"): "a75fe12baabe4c79",
+        ("input", False, "fixed"): "63a2ffe2fcb9b3d6",
+        ("input", False, "auto"): "dfa195c5e26c1386",
         ("input", True, "fixed"): "a561a77ee3141ff5",
         ("input", True, "auto"): "213cca45c36e29a1",
     },
@@ -102,22 +102,22 @@ SPIKING = {
 
 SPIKING_LIBM = {
     "ssom": {
-        ("additive", False, "fixed"): "50fee26f62707992",
-        ("additive", False, "auto"): "d29bc233317f1de0",
-        ("additive", True, "fixed"): "50fee26f62707992",
-        ("additive", True, "auto"): "d29bc233317f1de0",
-        ("panchev", False, "fixed"): "6c91544e9168be48",
-        ("panchev", False, "auto"): "0da64228e355683d",
-        ("panchev", True, "fixed"): "81ebd13a2d171c47",
-        ("panchev", True, "auto"): "cda5227055b3f4d0",
-        ("soula", False, "fixed"): "3c0c08ea48a0e179",
-        ("soula", False, "auto"): "386f9507a0d45625",
-        ("soula", True, "fixed"): "3c0c08ea48a0e179",
-        ("soula", True, "auto"): "386f9507a0d45625",
-        ("input", False, "fixed"): "3e836a38e222e929",
-        ("input", False, "auto"): "983d1defb76c729b",
-        ("input", True, "fixed"): "e55767a87bca1e43",
-        ("input", True, "auto"): "ce723dd9916dc448",
+        ("additive", False, "fixed"): "c39871a6133e1b4f",
+        ("additive", False, "auto"): "1ebe3af937fab9f3",
+        ("additive", True, "fixed"): "c39871a6133e1b4f",
+        ("additive", True, "auto"): "1ebe3af937fab9f3",
+        ("panchev", False, "fixed"): "5155e6a5a5e9314f",
+        ("panchev", False, "auto"): "997afa978d8269fa",
+        ("panchev", True, "fixed"): "14abfb9f85670051",
+        ("panchev", True, "auto"): "310f3e360c8796f5",
+        ("soula", False, "fixed"): "22cd14ac6b87da28",
+        ("soula", False, "auto"): "94a6764eff3c80aa",
+        ("soula", True, "fixed"): "22cd14ac6b87da28",
+        ("soula", True, "auto"): "94a6764eff3c80aa",
+        ("input", False, "fixed"): "39259ecee7972047",
+        ("input", False, "auto"): "fd591c95608c3ef3",
+        ("input", True, "fixed"): "4fde52b7e7bf1e66",
+        ("input", True, "auto"): "4501afa2e99c28e0",
     },
     "lin": {
         ("additive", False, "fixed"): "d9d8843b142430b0",
@@ -132,8 +132,8 @@ SPIKING_LIBM = {
         ("soula", False, "auto"): "70bb668a9bf12f98",
         ("soula", True, "fixed"): "3e6410bc9fb4c724",
         ("soula", True, "auto"): "70bb668a9bf12f98",
-        ("input", False, "fixed"): "1bade2699ead08d7",
-        ("input", False, "auto"): "0f553c1939f92578",
+        ("input", False, "fixed"): "63a2ffe2fcb9b3d6",
+        ("input", False, "auto"): "dfa195c5e26c1386",
         ("input", True, "fixed"): "ddc423aeeb3e6490",
         ("input", True, "auto"): "ba2d673bebd31a57",
     },
@@ -143,21 +143,21 @@ SPIKING_LIBM = {
 SPIKING_TIGHT = {
     "ssom": {
         ("additive", False, "fixed"): "a81c268ccc1ecf37",
-        ("additive", False, "auto"): "f96f5b49d871cfd4",
+        ("additive", False, "auto"): "4a63b0790bd36516",
         ("additive", True, "fixed"): "a81c268ccc1ecf37",
-        ("additive", True, "auto"): "f96f5b49d871cfd4",
-        ("panchev", False, "fixed"): "f7f3834c6cdaff9b",
-        ("panchev", False, "auto"): "68166ffcfcc5ae25",
-        ("panchev", True, "fixed"): "f2eb6929443ea3a9",
+        ("additive", True, "auto"): "4a63b0790bd36516",
+        ("panchev", False, "fixed"): "d96e9fbb6b5ee04b",
+        ("panchev", False, "auto"): "7ec61b362f926bec",
+        ("panchev", True, "fixed"): "9d3b83e53bb02100",
         ("panchev", True, "auto"): "7b796f8ba077f67f",
-        ("soula", False, "fixed"): "8538d7853c71c96c",
-        ("soula", False, "auto"): "2e005fa65310cc5d",
-        ("soula", True, "fixed"): "8538d7853c71c96c",
-        ("soula", True, "auto"): "2e005fa65310cc5d",
-        ("input", False, "fixed"): "7c8b873874d9bfae",
-        ("input", False, "auto"): "5097369c5371ca1b",
-        ("input", True, "fixed"): "42141205cb243da0",
-        ("input", True, "auto"): "e483b189b3c736b6",
+        ("soula", False, "fixed"): "f73eaf1164c4323a",
+        ("soula", False, "auto"): "7cec92290c003386",
+        ("soula", True, "fixed"): "f73eaf1164c4323a",
+        ("soula", True, "auto"): "7cec92290c003386",
+        ("input", False, "fixed"): "ebc9030afa9a3bb4",
+        ("input", False, "auto"): "d5b66dbf98091e7f",
+        ("input", True, "fixed"): "419c318a30bc7f46",
+        ("input", True, "auto"): "2d4e61082124cbd9",
     },
     "lin": {
         ("additive", False, "fixed"): "3c6186b04e031853",
@@ -172,8 +172,8 @@ SPIKING_TIGHT = {
         ("soula", False, "auto"): "dd274df6d4a1847c",
         ("soula", True, "fixed"): "1f57f70364f3a585",
         ("soula", True, "auto"): "dd274df6d4a1847c",
-        ("input", False, "fixed"): "3e4014ff953657c8",
-        ("input", False, "auto"): "27aa15e92221c6ec",
+        ("input", False, "fixed"): "99c0bb7020e4798c",
+        ("input", False, "auto"): "1fc0b52bd80116e6",
         ("input", True, "fixed"): "0ff738021b9a4cca",
         ("input", True, "auto"): "f6ded755607c109e",
     },
@@ -183,21 +183,21 @@ SPIKING_TIGHT = {
 SPIKING_TIGHT_LIBM = {
     "ssom": {
         ("additive", False, "fixed"): "a537698364744dd1",
-        ("additive", False, "auto"): "e0ca04e536e8771a",
+        ("additive", False, "auto"): "b0e3ca2713580b19",
         ("additive", True, "fixed"): "a537698364744dd1",
-        ("additive", True, "auto"): "e0ca04e536e8771a",
-        ("panchev", False, "fixed"): "5d33db30b4a4f4f9",
-        ("panchev", False, "auto"): "126569e21b22d95e",
-        ("panchev", True, "fixed"): "f2eb6929443ea3a9",
+        ("additive", True, "auto"): "b0e3ca2713580b19",
+        ("panchev", False, "fixed"): "2cf0ee481f9d3ff0",
+        ("panchev", False, "auto"): "5e27fef32a8f5093",
+        ("panchev", True, "fixed"): "9d3b83e53bb02100",
         ("panchev", True, "auto"): "5ac8a9c251de6158",
-        ("soula", False, "fixed"): "fa10814ed6da7458",
-        ("soula", False, "auto"): "c0ce9a25b4da2d42",
-        ("soula", True, "fixed"): "fa10814ed6da7458",
-        ("soula", True, "auto"): "c0ce9a25b4da2d42",
-        ("input", False, "fixed"): "7c8b873874d9bfae",
-        ("input", False, "auto"): "90a9f5fb8cdbee06",
-        ("input", True, "fixed"): "66af33d2b91fc253",
-        ("input", True, "auto"): "e483b189b3c736b6",
+        ("soula", False, "fixed"): "2f990d197da3c8a5",
+        ("soula", False, "auto"): "f55f68a4363afef9",
+        ("soula", True, "fixed"): "2f990d197da3c8a5",
+        ("soula", True, "auto"): "f55f68a4363afef9",
+        ("input", False, "fixed"): "ebc9030afa9a3bb4",
+        ("input", False, "auto"): "a092035f6ce29ff1",
+        ("input", True, "fixed"): "812610e1809ba9db",
+        ("input", True, "auto"): "ad1cd9043c9ea544",
     },
     "lin": {
         ("additive", False, "fixed"): "e725db0665e3b3b9",
@@ -212,8 +212,8 @@ SPIKING_TIGHT_LIBM = {
         ("soula", False, "auto"): "cc20a8220121b473",
         ("soula", True, "fixed"): "cacc4a0802ec92f0",
         ("soula", True, "auto"): "cc20a8220121b473",
-        ("input", False, "fixed"): "3e4014ff953657c8",
-        ("input", False, "auto"): "e62a62fea3a0c3cd",
+        ("input", False, "fixed"): "99c0bb7020e4798c",
+        ("input", False, "auto"): "3e7bac61c59e3ad0",
         ("input", True, "fixed"): "907fe3654be7fffb",
         ("input", True, "auto"): "7c80650ad8f3261d",
     },
@@ -227,61 +227,61 @@ SPIKING_TIGHT_LIBM = {
 # clamp and the stored weights differ.
 SPIKING_RULES = {
     "asymmetric": {
-        ("ssom", "additive", False): "7cf4db72ab7b0208",
-        ("ssom", "additive", True): "7cf4db72ab7b0208",
-        ("ssom", "panchev", False): "ede1331c4f578a71",
-        ("ssom", "panchev", True): "6b59c8498b625d47",
-        ("ssom", "soula", False): "03253b196f362547",
-        ("ssom", "soula", True): "03253b196f362547",
-        ("ssom", "input", False): "42792975821a2190",
-        ("ssom", "input", True): "42fbac65e2f8d58a",
+        ("ssom", "additive", False): "401a344507cd1bc0",
+        ("ssom", "additive", True): "401a344507cd1bc0",
+        ("ssom", "panchev", False): "f56e0d6231886f0a",
+        ("ssom", "panchev", True): "d92ed08f55c97277",
+        ("ssom", "soula", False): "8b4578d4a42870d3",
+        ("ssom", "soula", True): "8b4578d4a42870d3",
+        ("ssom", "input", False): "0ef89ae614efc0eb",
+        ("ssom", "input", True): "61d2f7e8071478eb",
         ("lin", "additive", False): "a14e583c3d8bf356",
         ("lin", "additive", True): "a14e583c3d8bf356",
         ("lin", "panchev", False): "95a77b2ab56384fd",
         ("lin", "panchev", True): "fbea375973a35594",
         ("lin", "soula", False): "ecdcc87d5a9e27ee",
         ("lin", "soula", True): "ecdcc87d5a9e27ee",
-        ("lin", "input", False): "aa503dc678672be5",
+        ("lin", "input", False): "cc4e337ebb8af9dd",
         ("lin", "input", True): "c2e92ecba45a4e37",
         ("rssom", "fixed"): "94d337b8512b0b6e",
         ("rssom", "auto"): "a2d6d359abb9220a",
     },
     "w_max_0.8": {
-        ("ssom", "additive", False): "f42ddb62ff7f722c",
-        ("ssom", "additive", True): "f42ddb62ff7f722c",
-        ("ssom", "panchev", False): "aeecf9276e3a6398",
-        ("ssom", "panchev", True): "61a42682d7a4824d",
+        ("ssom", "additive", False): "c64821e0a7ddae2b",
+        ("ssom", "additive", True): "c64821e0a7ddae2b",
+        ("ssom", "panchev", False): "5070abb61b2e0a36",
+        ("ssom", "panchev", True): "bed9d9bf4edf97d8",
         ("ssom", "soula", False): "diverged at epoch 0",
         ("ssom", "soula", True): "diverged at epoch 0",
-        ("ssom", "input", False): "ef91c558498ea866",
-        ("ssom", "input", True): "eb324e5d126fba03",
+        ("ssom", "input", False): "dca963aa17eb8b33",
+        ("ssom", "input", True): "8f7c793b9813e591",
         ("lin", "additive", False): "7ce8e83a96e2359e",
         ("lin", "additive", True): "7ce8e83a96e2359e",
         ("lin", "panchev", False): "c6ac1b0224c0f695",
         ("lin", "panchev", True): "b14411c75eead9dd",
         ("lin", "soula", False): "17f98214ffc0d59b",
         ("lin", "soula", True): "17f98214ffc0d59b",
-        ("lin", "input", False): "481b1288ea0d977a",
+        ("lin", "input", False): "7617a1c193675ba7",
         ("lin", "input", True): "3170d03a7186afd1",
         ("rssom", "fixed"): "5a6b30cb2a079615",
         ("rssom", "auto"): "42740f2480814d7a",
     },
     "w_max_1.5": {
-        ("ssom", "additive", False): "55e72475561d7a51",
-        ("ssom", "additive", True): "55e72475561d7a51",
-        ("ssom", "panchev", False): "aeecf9276e3a6398",
-        ("ssom", "panchev", True): "61a42682d7a4824d",
-        ("ssom", "soula", False): "9f6e64b57d9fbfc8",
-        ("ssom", "soula", True): "9f6e64b57d9fbfc8",
-        ("ssom", "input", False): "049801af8274ce02",
-        ("ssom", "input", True): "841ff01858f5368a",
+        ("ssom", "additive", False): "0902d46bebae9119",
+        ("ssom", "additive", True): "0902d46bebae9119",
+        ("ssom", "panchev", False): "5070abb61b2e0a36",
+        ("ssom", "panchev", True): "bed9d9bf4edf97d8",
+        ("ssom", "soula", False): "ba752fc2a9914436",
+        ("ssom", "soula", True): "ba752fc2a9914436",
+        ("ssom", "input", False): "a090c28fd9370b4b",
+        ("ssom", "input", True): "e850c91c8d0e2299",
         ("lin", "additive", False): "a45f38b429703388",
         ("lin", "additive", True): "a45f38b429703388",
         ("lin", "panchev", False): "c6ac1b0224c0f695",
         ("lin", "panchev", True): "b14411c75eead9dd",
         ("lin", "soula", False): "b4ffb370323490bc",
         ("lin", "soula", True): "b4ffb370323490bc",
-        ("lin", "input", False): "833cedb37c30b6e5",
+        ("lin", "input", False): "a38ecd870b09ad6e",
         ("lin", "input", True): "a561a77ee3141ff5",
         ("rssom", "fixed"): "ea03ad0258cfde20",
         ("rssom", "auto"): "c68fb1bb4c3d0e0c",
@@ -290,61 +290,61 @@ SPIKING_RULES = {
 
 SPIKING_RULES_LIBM = {
     "asymmetric": {
-        ("ssom", "additive", False): "b06170306446ad34",
-        ("ssom", "additive", True): "b06170306446ad34",
-        ("ssom", "panchev", False): "0bd87089c6538aa6",
-        ("ssom", "panchev", True): "3971b02504444540",
-        ("ssom", "soula", False): "116f5cd4261dacd0",
-        ("ssom", "soula", True): "116f5cd4261dacd0",
-        ("ssom", "input", False): "42792975821a2190",
-        ("ssom", "input", True): "38229a8a7ac59370",
+        ("ssom", "additive", False): "74f4007b00e61929",
+        ("ssom", "additive", True): "74f4007b00e61929",
+        ("ssom", "panchev", False): "032896a2910ef4be",
+        ("ssom", "panchev", True): "ce936b702ee709b0",
+        ("ssom", "soula", False): "b248cb3d3bedd91a",
+        ("ssom", "soula", True): "b248cb3d3bedd91a",
+        ("ssom", "input", False): "0ef89ae614efc0eb",
+        ("ssom", "input", True): "04ee7717fde6e78a",
         ("lin", "additive", False): "501678a5b9b9a91f",
         ("lin", "additive", True): "501678a5b9b9a91f",
         ("lin", "panchev", False): "c0b2e4ed39b0ce6d",
         ("lin", "panchev", True): "0b7a7d374a96e607",
         ("lin", "soula", False): "fbc9c7a8b128663d",
         ("lin", "soula", True): "fbc9c7a8b128663d",
-        ("lin", "input", False): "aa503dc678672be5",
+        ("lin", "input", False): "cc4e337ebb8af9dd",
         ("lin", "input", True): "e71c9fbe89b6706c",
         ("rssom", "fixed"): "94d337b8512b0b6e",
         ("rssom", "auto"): "00fb5cb081857fb4",
     },
     "w_max_0.8": {
-        ("ssom", "additive", False): "b07d2fee086725f2",
-        ("ssom", "additive", True): "b07d2fee086725f2",
-        ("ssom", "panchev", False): "6c91544e9168be48",
-        ("ssom", "panchev", True): "81ebd13a2d171c47",
+        ("ssom", "additive", False): "0e0e5ea76a1dbf59",
+        ("ssom", "additive", True): "0e0e5ea76a1dbf59",
+        ("ssom", "panchev", False): "5155e6a5a5e9314f",
+        ("ssom", "panchev", True): "14abfb9f85670051",
         ("ssom", "soula", False): "diverged at epoch 0",
         ("ssom", "soula", True): "diverged at epoch 0",
-        ("ssom", "input", False): "c5bb371b61eff268",
-        ("ssom", "input", True): "a9b81d67f05d0147",
+        ("ssom", "input", False): "dca963aa17eb8b33",
+        ("ssom", "input", True): "8d204a9237c51910",
         ("lin", "additive", False): "7217b026ad1b7f3e",
         ("lin", "additive", True): "7217b026ad1b7f3e",
         ("lin", "panchev", False): "756afab7ba637091",
         ("lin", "panchev", True): "c2b18cdcc1b626e6",
         ("lin", "soula", False): "b0e90125929abe8c",
         ("lin", "soula", True): "b0e90125929abe8c",
-        ("lin", "input", False): "481b1288ea0d977a",
+        ("lin", "input", False): "7617a1c193675ba7",
         ("lin", "input", True): "4957f092e830b61c",
         ("rssom", "fixed"): "bd7670f1854af45b",
         ("rssom", "auto"): "ca73283181157cf5",
     },
     "w_max_1.5": {
-        ("ssom", "additive", False): "2fdf0c8533635eaa",
-        ("ssom", "additive", True): "2fdf0c8533635eaa",
-        ("ssom", "panchev", False): "6c91544e9168be48",
-        ("ssom", "panchev", True): "81ebd13a2d171c47",
-        ("ssom", "soula", False): "a75605f81695f642",
-        ("ssom", "soula", True): "a75605f81695f642",
-        ("ssom", "input", False): "67a5e754ecf4727f",
-        ("ssom", "input", True): "e55767a87bca1e43",
+        ("ssom", "additive", False): "079d8a1d71ea5a3e",
+        ("ssom", "additive", True): "079d8a1d71ea5a3e",
+        ("ssom", "panchev", False): "5155e6a5a5e9314f",
+        ("ssom", "panchev", True): "14abfb9f85670051",
+        ("ssom", "soula", False): "33c9d7b36818cec4",
+        ("ssom", "soula", True): "33c9d7b36818cec4",
+        ("ssom", "input", False): "90ccb4fa977ccd7b",
+        ("ssom", "input", True): "4fde52b7e7bf1e66",
         ("lin", "additive", False): "248a3a0b5c2f11f7",
         ("lin", "additive", True): "248a3a0b5c2f11f7",
         ("lin", "panchev", False): "756afab7ba637091",
         ("lin", "panchev", True): "c2b18cdcc1b626e6",
         ("lin", "soula", False): "bd6be1598dd944c1",
         ("lin", "soula", True): "bd6be1598dd944c1",
-        ("lin", "input", False): "90e684d4e74454a5",
+        ("lin", "input", False): "cce39de9dbd185f0",
         ("lin", "input", True): "ddc423aeeb3e6490",
         ("rssom", "fixed"): "ea03ad0258cfde20",
         ("rssom", "auto"): "c68fb1bb4c3d0e0c",

@@ -4,7 +4,8 @@ The spiking trainers are pinned for each STDP variant x ``flip_branches`` x
 fixed/auto lateral excitation radius on a non-square 3x5 lattice, at the
 default gates and at tight ones (``GATES``), off the default STDP window
 and weight ceiling (``RULES``), the concatenating SOM for its one path, and eval reports for the identity and
-TIMIT macro class maps, each with terminal and per-frame votes.  A
+TIMIT macro class maps, each with terminal and per-frame votes, and over
+test sets that span several inference and CSV-reading blocks.  A
 refactor of the learning step that changes one bit of any of them fails
 here.
 
@@ -37,7 +38,7 @@ from pulsom.errors import DivergenceError
 from pulsom.lin import train_lin
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel
 from pulsom.rssom import train_rssom
-from pulsom.som import Lattice, Schedule, sample_vectors, train_som
+from pulsom.som import QE_CHUNK_ELEMENTS, Lattice, Schedule, sample_vectors, train_som
 from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
 from pulsom.stdp import VARIANTS, StdpRule, StdpWindow
 from conftest import pinned
@@ -480,6 +481,47 @@ def test_eval_reports_with_macro_classes(tmp_path, kind):
             got[class_map, vote] = digest((out / "report.csv").read_bytes(),
                                           (out / "confusion.csv").read_bytes())
     assert got == EVAL[kind]
+
+
+# kind -> (terminal, frame-vote) report digests of an eval whose test set
+# spans more than two winner-table blocks and more than one block of the
+# dataset-CSV reader (128 rows).  Recorded under both exp sets, which agree.
+EVAL_BLOCKS = {
+    "som": ("ba1d8b7173e76026", "3046fd779dd343db"),
+    "ssom": ("b25b50ed98fc595a", "f7df63d2dd098970"),
+    "rssom": ("428871d6a80073ae", "48f797dc02521d31"),
+    "lin": ("bab0c521245d7a25", "4e03b84ad6476859"),
+}
+
+
+def eval_block_digests(tmp_path, kind) -> tuple:
+    samples = synth_generate(3, 70, 12, 5, 0.15, False, 31)
+    train, test = samples[::7], [s for i, s in enumerate(samples) if i % 7]
+    rows, cols = 6, 6
+    assert len(test) > 2 * (QE_CHUNK_ELEMENTS // (rows * cols * 12)) and len(test) > 128
+    write_dataset_csv(train, tmp_path / "train.csv")
+    write_dataset_csv(test, tmp_path / "test.csv")
+    base = (f"run.model = {kind}\nrun.seed = {SEED}\nlattice.rows = {rows}\n"
+            f"lattice.cols = {cols}\nschedule.epochs = {EPOCHS}\n"
+            f"data.train_csv = {tmp_path / 'train.csv'}\n"
+            f"data.test_csv = {tmp_path / 'test.csv'}\n")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(base + f"run.outdir = {tmp_path / 'model'}\n")
+    assert main(["train", "--config", str(cfg)]) == 0
+    got = []
+    for vote in ("false", "true"):
+        out = tmp_path / vote
+        cfg.write_text(base + f"run.outdir = {out}\neval.frame_vote = {vote}\n")
+        assert main(["eval", "--config", str(cfg),
+                     "--model", str(tmp_path / "model" / "model.txt")]) == 0
+        got.append(digest((out / "report.csv").read_bytes(),
+                          (out / "confusion.csv").read_bytes()))
+    return tuple(got)
+
+
+@pytest.mark.parametrize("kind", ["som", "ssom", "rssom", "lin"])
+def test_eval_reports_over_several_blocks(tmp_path, kind):
+    assert eval_block_digests(tmp_path, kind) == EVAL_BLOCKS[kind]
 
 
 def rule_digest(kind, data, variant, flip, radius, rule) -> str:

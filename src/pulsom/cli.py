@@ -195,11 +195,16 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
             f"model file is {model.kind} but config asks for "
             f"{cfg['run.model'].upper()}")
     train_data = _read_dataset(cfg, "data.train_csv", model)
-    test_data = _read_dataset(cfg, "data.test_csv", model)
+    datasets = {"data.train_csv": train_data}
+    test_path = Path(cfg.require("data.test_csv"))
+    if test_path.is_file() and os.path.samefile(cfg["data.train_csv"], test_path):
+        test_data = train_data      # one file named twice is read and checked once
+    else:
+        test_data = datasets["data.test_csv"] = _read_dataset(cfg, "data.test_csv", model)
     frame_vote = cfg["eval.frame_vote"]
     class_of, expected = _class_function(cfg)
     if class_of is not None:    # predictions carry training labels: check both files
-        for key, data in (("data.train_csv", train_data), ("data.test_csv", test_data)):
+        for key, data in datasets.items():
             _check_classes(Path(cfg[key]), data, class_of)
     labels = calibrate(model, train_data, frame_vote=frame_vote)
     rep, confusion = report(model, labels, test_data, class_of=class_of,

@@ -9,6 +9,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -314,8 +315,11 @@ def synth_generate(n_classes: int, samples_per_class: int, dim: int = 12,
                    frames: int = 9, separation: float = 5.0,
                    order_task: bool = False, seed: int = 0) -> list[SequenceSample]:
     """Gaussian sequence clusters (unit variance) around separated frame means."""
-    if n_classes < 1 or samples_per_class < 1 or dim < 1 or frames < 1:
-        raise ValueError("class, sample, dim and frame counts must be positive")
+    counts = {"classes": n_classes, "samples_per_class": samples_per_class, "dim": dim,
+              "frames": frames}
+    for name, count in counts.items():   # one message per count, naming it alone
+        if count < 1:
+            raise ValueError(f"{name} must be a positive count, got {count}")
     means = synth_class_means(n_classes, frames, dim, separation, order_task, seed)
     noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
     samples = []
@@ -366,6 +370,17 @@ def read_dataset_csv(path) -> list[SequenceSample]:
         raise
 
 
+# Rows that read_dataset_csv parses in one np.loadtxt call: enough to share
+# the call's cost, few enough to bound the memory it takes.
+CSV_BLOCK_ROWS = 128
+# The characters a block's numbers may hold for np.loadtxt to read them as
+# the per-row parse (float()) does.  Both call Python's number parser, but
+# loadtxt also skips the ASCII separators \x1c-\x1f, which float() rejects,
+# and rejects underscores and non-ASCII digits, which float() accepts; a
+# block with any other character is parsed row by row.
+_BULK_CHARS = b"0123456789+-.eE,"
+
+
 def _parse_dataset_csv(path: Path) -> list[SequenceSample]:
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
@@ -379,30 +394,55 @@ def _parse_dataset_csv(path: Path) -> list[SequenceSample]:
             raise CorpusFormatError(path, "bad feature columns: expected f0c1 .. f<F-1>c<D> "
                                           "in frame-major order", line=1)
         samples = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3 + frames * dim:
-                raise CorpusFormatError(path, f"expected {3 + frames * dim} columns, "
-                                              f"got {len(parts)}", line=lineno)
-            try:
-                arr = np.array(parts[3:], dtype=np.float64)
-            except ValueError:
-                k = next(k for k, cell in enumerate(parts[3:]) if not _is_float(cell))
-                raise CorpusFormatError(path, f"non-numeric feature {feature_cols[k]} = "
-                                              f"{parts[3 + k]!r}", line=lineno) from None
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                k = bad[0]
-                raise CorpusFormatError(path, f"non-finite feature {feature_cols[k]} = "
-                                              f"{parts[3 + k]}", line=lineno)
-            arr = arr.reshape(frames, dim)
-            samples.append(SequenceSample(arr, parts[1], parts[2] or None, parts[0]))
+        lines = enumerate(f, start=2)
+        while block := [(n, line.strip()) for n, line in islice(lines, CSV_BLOCK_ROWS)]:
+            rows = [(n, text) for n, text in block if text]
+            bulk = _block_samples([text for _, text in rows], frames, dim) if rows else []
+            samples += bulk if bulk is not None else [
+                _row_sample(path, n, text, feature_cols, frames, dim) for n, text in rows]
     if not samples:
         raise CorpusFormatError(path, "no sample rows after the header", line=2)
     return samples
+
+
+def _block_samples(rows: list[str], frames: int, dim: int) -> list[SequenceSample] | None:
+    """The samples of a non-empty block of stripped, non-blank rows, their
+    numbers parsed in one np.loadtxt call; None where a row would not parse,
+    or might not parse as ``_row_sample`` parses it."""
+    parts = [row.split(",", 3) for row in rows]
+    numbers = [p[3] if len(p) == 4 else "" for p in parts]
+    if not all(numbers) or any(n.encode().translate(None, _BULK_CHARS) for n in numbers):
+        return None
+    try:
+        values = np.loadtxt(numbers, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(rows), frames * dim) or not np.isfinite(values).all():
+        return None
+    return [SequenceSample(v.reshape(frames, dim), p[1], p[2] or None, p[0])
+            for v, p in zip(values, parts)]
+
+
+def _row_sample(path: Path, lineno: int, line: str, feature_cols: list[str], frames: int,
+                dim: int) -> SequenceSample:
+    """The sample of one stripped, non-blank row, or the CorpusFormatError
+    that names what is wrong with it."""
+    parts = line.split(",")
+    if len(parts) != 3 + frames * dim:
+        raise CorpusFormatError(path, f"expected {3 + frames * dim} columns, "
+                                      f"got {len(parts)}", line=lineno)
+    try:
+        arr = np.array(parts[3:], dtype=np.float64)
+    except ValueError:
+        k = next(k for k, cell in enumerate(parts[3:]) if not _is_float(cell))
+        raise CorpusFormatError(path, f"non-numeric feature {feature_cols[k]} = "
+                                      f"{parts[3 + k]!r}", line=lineno) from None
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        k = bad[0]
+        raise CorpusFormatError(path, f"non-finite feature {feature_cols[k]} = "
+                                      f"{parts[3 + k]}", line=lineno)
+    return SequenceSample(arr.reshape(frames, dim), parts[1], parts[2] or None, parts[0])
 
 
 def _is_float(cell: str) -> bool:

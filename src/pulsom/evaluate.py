@@ -77,9 +77,7 @@ def calibrate(model, train_data, frame_vote: bool = False) -> UnitLabelMap:
     train_data = list(train_data)
     if not train_data:
         raise ValueError("calibration data must be non-empty")
-    table = model.winner_table(train_data)
-    if not frame_vote:
-        table = table[:, -1:]
+    table = model.winner_table(train_data, terminal=not frame_vote)
     hists = [Counter() for _ in range(model.lattice.n_units)]
     for sample, winners in zip(train_data, table.tolist()):
         for w in winners:
@@ -90,13 +88,13 @@ def calibrate(model, train_data, frame_vote: bool = False) -> UnitLabelMap:
 
 
 def _predictions(model, labels: UnitLabelMap, data, frame_vote: bool) -> list[str]:
-    """Predicted label of every sample, from one winner table and the map's
-    resolved unit labels."""
-    table = model.winner_table(data)
+    """Predicted label of every sample, from one winner table (of terminal
+    winners only, without frame_vote) and the map's resolved unit labels."""
+    table = model.winner_table(data, terminal=not frame_vote)
     unit_label = labels.resolved(model.lattice)
     if not frame_vote:
         return [unit_label[w] if w >= 0 and unit_label[w] is not None else REJECTED
-                for w in table[:, -1].tolist()]
+                for w in table[:, 0].tolist()]
     preds = []
     for winners in table.tolist():
         votes = Counter(unit_label[w] for w in winners

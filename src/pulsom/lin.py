@@ -45,10 +45,14 @@ class PotentialState:
         """Zero all potentials (sequence boundary); idempotent."""
         self.a[...] = 0.0
 
-    def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
+    def advance(self, codes: EncodedFrames, i: int, lattice: Lattice) -> None:
         """Step the potentials with the normalized values of frame i
-        (``[..., i, :]``) and return ``potential_winners``."""
+        (``[..., i, :]``)."""
         update_potential(codes.normalized[..., i, :], lattice, self)
+
+    def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
+        """``advance`` by frame i and return ``potential_winners``."""
+        self.advance(codes, i, lattice)
         return potential_winners(self, lattice, cfg)
 
     rate = FiringStep.rate

@@ -51,18 +51,21 @@ def load_lattice(lines: list[str]) -> tuple[Lattice, int]:
 class _Inference:
     """Winner tables over blocks of samples, shared by every model kind.
 
-    A kind provides ``_block_winners(frames)``: the winner table of a
-    (block, n_frames, dim) stack of samples.  The spiking kinds step the
-    step object their trainer drives (``state(batch)``) one frame at a
-    time.  Each kind binds ``frame_winners`` in its own class body, so
-    per-class profiles and traces (perfbench/layers.py) count the kinds
-    apart.
+    A kind provides ``_block_winners(frames, terminal)``: the winner table
+    of a (block, n_frames, dim) stack of samples, or of its last frame
+    alone if terminal.  The spiking kinds step the step object their
+    trainer drives (``state(batch)``) one frame at a time, and run the
+    winner rule only on the frames whose winners the table holds.  Each
+    kind binds ``frame_winners`` in its own class body, so per-class
+    profiles and traces (perfbench/layers.py) count the kinds apart.
     """
 
-    def winner_table(self, samples) -> np.ndarray:
+    def winner_table(self, samples, terminal: bool = False) -> np.ndarray:
         """Flat index of every frame's winning unit, -1 where no unit wins:
         shape (n_samples, n_frames), or (n_samples, 1) for the
-        concatenating SOM.
+        concatenating SOM.  With terminal, only the last frame's winner,
+        shape (n_samples, 1): the last column of the whole table, for less
+        work.
 
         Samples must share one (n_frames, dim) shape.  They are coded and
         stepped a block at a time, with at most QE_CHUNK_ELEMENTS differences
@@ -70,7 +73,7 @@ class _Inference:
         """
         frames = [frames_of(s) for s in samples]
         rows = max(1, QE_CHUNK_ELEMENTS // self.lattice.weights.size)
-        return np.concatenate([self._block_winners(np.array(frames[i:i + rows]))
+        return np.concatenate([self._block_winners(np.array(frames[i:i + rows]), terminal)
                                for i in range(0, len(frames), rows)])
 
     def frame_winners(self, sample) -> list[UnitIndex | None]:
@@ -88,7 +91,12 @@ class SomModel(_Inference):
 
     frame_winners = _Inference.frame_winners
 
-    def _block_winners(self, frames: np.ndarray) -> np.ndarray:
+    def _block_winners(self, frames: np.ndarray, terminal: bool) -> np.ndarray:
+        if terminal and not self.concat:
+            # every frame is checked, as the whole table would check it
+            if not np.isfinite(frames).all():
+                raise ValueError("input vector must be finite")
+            frames = frames[:, -1:]
         vectors = sample_vectors(frames, self.concat)
         return find_bmus(vectors, self.lattice).reshape(frames.shape[0], -1)
 
@@ -115,11 +123,14 @@ class SsomModel(_Inference):
         ``batch`` (``ssom.FiringStep`` keeps only the clamped weights)."""
         return FiringStep(self.lattice)
 
-    def _block_winners(self, frames: np.ndarray) -> np.ndarray:
+    def _block_winners(self, frames: np.ndarray, terminal: bool) -> np.ndarray:
         codes = encode_frames(frames, self.lo, self.hi, self.cfg.t_max, self.lattice.dim)
         state = self.state(frames.shape[:1])
+        first = frames.shape[1] - 1 if terminal else 0
+        for i in range(first):
+            state.advance(codes, i, self.lattice)
         return np.stack([state.present(codes, i, self.lattice, self.cfg)[1]
-                         for i in range(frames.shape[1])], axis=1)
+                         for i in range(first, frames.shape[1])], axis=1)
 
 
 @dataclass

@@ -40,10 +40,13 @@ class DifferenceState:
         """Clear all difference vectors (sequence boundary)."""
         self.y[...] = 0.0
 
-    def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
-        """Step y_i with the normalized values of frame i (``[..., i, :]``)
-        and return ``difference_winners``."""
+    def advance(self, codes: EncodedFrames, i: int, lattice: Lattice) -> None:
+        """Step y_i with the normalized values of frame i (``[..., i, :]``)."""
         update_difference(codes.normalized[..., i, :], lattice, self)
+
+    def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
+        """``advance`` by frame i and return ``difference_winners``."""
+        self.advance(codes, i, lattice)
         return difference_winners(self, lattice, cfg)
 
     def rate(self, lr: float, rule: StdpRule) -> float:

@@ -249,10 +249,11 @@ class FiringStep:
     A step object is what ``train_spiking`` and the models' winner tables
     drive: reset() at each sequence start, present(codes, i, lattice, cfg)
     to step frame i of one sequence's ``EncodedFrames`` (or of a stacked
-    block, through ``[..., i, :]``) to (times, winners),
-    rate(lr, rule) for the factor of the epoch's learning gains (see
-    ``area_rows``), and learn(codes, i, lattice, idx, t_post, gain, rule)
-    for the learning step of the gated units idx.  ``rssom.DifferenceState``
+    block, through ``[..., i, :]``) to (times, winners), advance(codes, i,
+    lattice) to step it without the winner rule (present is advance plus
+    the rule), rate(lr, rule) for the factor of the epoch's learning gains
+    (see ``area_rows``), and learn(codes, i, lattice, idx, t_post, gain,
+    rule) for the learning step of the gated units idx.  ``rssom.DifferenceState``
     and ``lin.PotentialState`` are the recurrent maps' step objects.  This
     one keeps the ``clamped`` copy of its lattice, whose rows learn refreshes.
     """
@@ -262,6 +263,9 @@ class FiringStep:
 
     def reset(self) -> None:
         """Sequence boundary: nothing to clear."""
+
+    def advance(self, codes: EncodedFrames, i: int, lattice: Lattice) -> None:
+        """No state to step: a frame's winner depends on that frame alone."""
 
     def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
         """``firing_winners`` of the normalized values of frame i."""

@@ -105,6 +105,17 @@ synth.samples_per_class = 50
         assert main(["synth", "--config", cfg]) == 2
         assert f"{cfg}:2 (synth.separation): separation must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["classes", "samples_per_class", "dim", "frames"])
+    def test_bad_count_names_only_its_key(self, tmp_path, capsys, key):
+        counts = {"classes": 3, "samples_per_class": 4, "dim": 12, "frames": 9, key: 0}
+        cfg = write_cfg(tmp_path / "bad.cfg", "".join(f"synth.{k} = {v}\n"
+                                                      for k, v in counts.items())
+                        + f"run.outdir = {tmp_path / 'o'}\n")
+        assert main(["synth", "--config", cfg]) == 2
+        line = list(counts).index(key) + 1
+        assert (f"config error: {cfg}:{line} (synth.{key}): {key} must be a positive count, "
+                "got 0\n") == capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_separation_exits_2(self, tmp_path, capsys, value):
         cfg = write_cfg(tmp_path / "bad.cfg",
@@ -527,6 +538,37 @@ data.test_csv = {dataset}
         # counts consistent: totals add up to the dataset size
         totals = sum(int(line.split(",")[2]) for line in report[1:])
         assert totals == 12
+
+    def test_one_file_named_twice_is_read_and_checked_once(self, tmp_path, monkeypatch):
+        phones = {"class0": "aa", "class1": "s", "class2": "m"}
+        dataset = tmp_path / "data.csv"
+        write_dataset_csv([replace(s, label=phones[s.label])
+                           for s in synth_generate(3, 4, 5, 4, 5.0, False, 5)], dataset)
+        (tmp_path / "link.csv").symlink_to(dataset)
+        shutil.copy(dataset, tmp_path / "copy.csv")
+        assert main(["train", "--config", train_cfg(tmp_path, dataset)]) == 0
+        reads, checks = [], []
+        read, check = corpus_mod.read_dataset_csv, pulsom.cli._check_classes
+        monkeypatch.setattr(corpus_mod, "read_dataset_csv",
+                            lambda path: reads.append(path) or read(path))
+        monkeypatch.setattr(pulsom.cli, "_check_classes",
+                            lambda path, *rest: checks.append(path) or check(path, *rest))
+        reports = []
+        for test, files in [("link.csv", [dataset]), ("copy.csv", [dataset, tmp_path / "copy.csv"])]:
+            reads.clear(), checks.clear()
+            cfg = write_cfg(tmp_path / "eval.cfg", f"""
+run.model = som
+run.outdir = {tmp_path / 'out' / test}
+data.train_csv = {dataset}
+data.test_csv = {tmp_path / test}
+eval.class_map = timit_macro
+""")
+            assert main(["eval", "--config", cfg,
+                         "--model", str(tmp_path / "train-out" / "model.txt")]) == 0
+            assert reads == checks == files
+            reports.append([(tmp_path / "out" / test / name).read_bytes()
+                            for name in ("report.csv", "confusion.csv")])
+        assert reports[0] == reports[1]
 
     def test_model_kind_mismatch_exits_2(self, tmp_path, trained):
         dataset, model_path = trained

@@ -1,10 +1,12 @@
 import time
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pulsom import corpus as corpus_mod
 from pulsom.corpus import (
     MACRO_CLASSES,
     Segment,
@@ -456,6 +458,85 @@ class TestFuzzedDatasetCsv:
         cells[cell] = text
         lines[0] = ",".join(cells)
         parses_or_names_file_and_line(path, "\n".join(lines) + "\n")
+
+
+# Feature cells that the block parse must read as the per-row parse does, or
+# leave to it: float() takes underscores, non-ASCII digits and padding, and
+# np.loadtxt skips the ASCII separators \x1c-\x1f that float() rejects.
+ODD_CELLS = ["-0.0", "1e400", "-1e400", "nan", "inf", "1e-320", "1_0", "\u0661\u0662",
+             " 1.5", "1.5\t", "+.5", "", "#", '"', "'1'", "\x1c1.5", "1.5\x1f", "0x10",
+             "1.5e", "1,5", "\u22121"]
+BULK_CHECK = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+def read_outcome(path):
+    """The samples read_dataset_csv reads from path, bit for bit, or the
+    message of the CorpusFormatError it raises."""
+    try:
+        return [(s.frames.shape, s.frames.tobytes(), s.label, s.macro_class, s.utt_id)
+                for s in read_dataset_csv(path)]
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+class TestBlockParse:
+    """The dataset-CSV reader parses blocks of rows in one np.loadtxt call;
+    whatever the rows hold, it reads what the per-row parse reads, or raises
+    its error at the same line."""
+
+    FRAMES, DIM = 2, 3
+
+    def rows(self, n, seed):
+        """n rows of float reprs over the whole float64 range."""
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, self.FRAMES * self.DIM))
+        values *= 10.0 ** rng.integers(-320, 300, values.shape)
+        return [[f"u{i}", "aa", "vowels" if i % 3 else "", *map(repr, row.tolist())]
+                for i, row in enumerate(values)]
+
+    def check(self, path, rows, blanks=(), newline="\n"):
+        lines = [",".join(corpus_mod.dataset_header(self.FRAMES, self.DIM))]
+        lines += [",".join(row) for row in rows]
+        for at, blank in sorted(blanks, reverse=True):
+            lines.insert(1 + at % len(rows), blank)
+        path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+        with patch.object(corpus_mod, "_block_samples", lambda *args: None):
+            want = read_outcome(path)
+        got = read_outcome(path)
+        assert got == want
+        return got
+
+    @BULK_CHECK
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(3, 8),
+                                    st.sampled_from(ODD_CELLS) | st.floats().map(repr)),
+                          max_size=4),
+           cut=st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 7)),
+           blanks=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["", " ", "\t"])),
+                           max_size=3),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    def test_matches_the_per_row_parse(self, tmp_path_factory, n, seed, edits, cut, blanks,
+                                       newline):
+        rows = self.rows(n, seed)
+        for row, cell, text in edits:
+            rows[row % n][cell] = text
+        if cut is not None:     # a row with fewer or more cells
+            row, keep = cut
+            rows[row % n] = rows[row % n][:keep] or rows[row % n] + ["1.0"]
+        self.check(tmp_path_factory.mktemp("block") / "d.csv", rows, blanks, newline)
+
+    @pytest.mark.parametrize("cell", ODD_CELLS)
+    def test_odd_cell_after_the_first_block(self, tmp_path, cell):
+        rows = self.rows(2 * corpus_mod.CSV_BLOCK_ROWS + 5, 7)
+        rows[corpus_mod.CSV_BLOCK_ROWS + 3][5] = cell
+        got = self.check(tmp_path / "d.csv", rows, [(10, "")])
+        if isinstance(got, str):
+            assert got.startswith(f"{tmp_path / 'd.csv'}:{corpus_mod.CSV_BLOCK_ROWS + 6}: ")
+
+    def test_every_row_of_a_long_file_is_read_in_order(self, tmp_path):
+        rows = self.rows(3 * corpus_mod.CSV_BLOCK_ROWS + 1, 8)
+        got = self.check(tmp_path / "d.csv", rows, [(0, ""), (200, " ")], "\r\n")
+        assert [utt for *_, utt in got] == [row[0] for row in rows]
 
 
 PHN = "0 1600 h#\n1600 3200 sh\n3200 4800 iy\n4800 6400 h#\n"

@@ -153,6 +153,25 @@ class TestWinnerTable:
         assert table.shape == (n, 1 if kind == "som-concat" else N_FRAMES)
         assert table.tolist() == want
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_terminal_table_is_the_last_column(self, kind):
+        model = make_model(kind)
+        samples = make_samples(2 * block_of(model) + 3)
+        full = model.winner_table(samples)
+        terminal = model.winner_table(samples, terminal=True)
+        assert terminal.shape == (len(samples), 1) and terminal.dtype == full.dtype
+        assert terminal.tolist() == full[:, -1:].tolist()
+        assert terminal.tolist() == [oracle_frame_winners(model, s)[-1:] for s in samples]
+        if kind in ("ssom", "rssom", "lin"):     # no-winner and winning samples
+            assert (terminal == -1).any() and (terminal >= 0).any()
+
+    @pytest.mark.parametrize("kind", ["som", "ssom", "rssom", "lin"])
+    def test_terminal_table_checks_every_frame(self, kind):
+        sample = make_samples(1)[0].frames.copy()
+        sample[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            make_model(kind).winner_table([sample], terminal=True)
+
     @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
     def test_spiking_tables_hold_silent_and_winning_frames(self, kind):
         model = make_model(kind)

@@ -61,9 +61,6 @@ REGISTRY = [
         "window time constant, depressing side"),
     Key("stdp.eta", "float", StdpRule.eta, "plasticity learning rate"),
     Key("stdp.w_max", "float", StdpRule.w_max, "weight ceiling"),
-    Key("stdp.flip_branches", "bool", StdpRule.flip_branches,
-        "put the potentiating form on the causal (pre-before-post) side "
-        "(RSSOM ignores it)"),
     Key("ssom.t_max_ms", "float", SsomConfig.t_max, "latency-encoding horizon"),
     Key("ssom.t_ref_ms", "float", SsomConfig.t_ref, "reference time bounding learning"),
     Key("lateral.excite_radius", "float_or_auto", AUTO,

@@ -193,8 +193,7 @@ def read_report_csv(path) -> EvalReport:
     header = lines[0].strip() if lines else ""
     if header != "class,correct,total,rate":
         raise ValueError(f"{path}:1: not a report CSV: unexpected header {header!r}")
-    rows = []
-    counts = {}
+    rates, counts = {}, {}  # class -> (line, rate); class -> (correct, total)
     for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -213,10 +212,12 @@ def read_report_csv(path) -> EvalReport:
         if not 0 <= correct <= total:
             raise ValueError(f"{path}:{n}: counts must satisfy 0 <= correct <= total, "
                              f"got {cor} of {tot}")
-        rows.append((c, value))
+        if c in rates:
+            raise ValueError(f"{path}:{n}: repeated class {c!r} (first on line {rates[c][0]})")
+        rates[c] = n, value
         counts[c] = (correct, total)
-    if not rows:
+    if not rates:
         raise ValueError(f"{path}:{len(lines) + 1}: no class rows after the header")
-    rep = EvalReport.from_rates(rows)
+    rep = EvalReport.from_rates([(c, value) for c, (_, value) in rates.items()])
     rep.counts = counts
     return rep

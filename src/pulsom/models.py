@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .coding import SsomConfig, encode_frames
-from .config import KEYS, Key, RunConfig, format_value, parse_value
+from .config import KEYS, RunConfig, format_value, parse_value
 from .errors import ConfigError, CorpusFormatError, read_utf8
 from .lin import PotentialState
 from .rssom import DifferenceState
@@ -36,16 +36,33 @@ def load_lattice(lines: list[str]) -> tuple[Lattice, int]:
     """Parse a lattice from text lines; returns it and the next line index."""
     head = lines[0].split() if lines else []
     if len(head) != 5 or head[0] != MAGIC:
-        raise ValueError(f"not a {MAGIC} model file")
-    rows, cols, dim, seed = (int(x) for x in head[1:])
+        raise ValueError(f"line 1: not a {MAGIC} model file")
+    try:
+        rows, cols, dim, seed = (int(x) for x in head[1:])
+        if min(rows, cols, dim) < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"line 1: expected '{MAGIC} <rows> <cols> <dim> <seed>', integers with "
+                         f"rows, cols and dim positive, got {lines[0].strip()!r}") from None
     n = rows * cols
     if len(lines) < 1 + n:
         raise ValueError(f"truncated: line {len(lines) + 1} (weight row {len(lines)} "
                          f"of {n}) is missing")
-    weights = np.array([[float(x) for x in lines[1 + i].split()] for i in range(n)])
-    if weights.shape != (n, dim):
-        raise ValueError(f"expected {n}x{dim} weights, got {weights.shape}")
+    weights = np.array([_float_line(2 + i, lines[1 + i], dim, "weight") for i in range(n)])
     return Lattice(rows, cols, weights, seed), 1 + n
+
+
+def _float_line(n: int, text: str, count: int, name: str) -> np.ndarray:
+    """The ``count`` finite floats of line ``n``, a ``name`` line."""
+    try:
+        values = np.array([float(x) for x in text.split()])
+    except ValueError as exc:
+        raise ValueError(f"line {n}: {exc}") from None
+    if values.shape != (count,):
+        raise ValueError(f"line {n}: {name} line has {values.size} values, expected {count}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"line {n}: {name} values must be finite, got {text.strip()!r}")
+    return values
 
 
 class _Inference:
@@ -175,13 +192,10 @@ def model_of(kind: str, lattice: Lattice, cfg: RunConfig, lo=None, hi=None):
 
 # The parameter lines of each kind's model file, in file order: the line's
 # name, the config key whose value syntax it uses, and the model attribute
-# that holds its value.  s_radius has no config key, so it gets a key of
-# its own outside the registry, which RunConfig.ssom_config reads as well.
+# that holds its value.
 _SPIKING_LINES = [
     ("t_max_ms", KEYS["ssom.t_max_ms"], "cfg.t_max"),
     ("t_ref_ms", KEYS["ssom.t_ref_ms"], "cfg.t_ref"),
-    ("s_radius", Key("ssom.s_radius", "float", SsomConfig.s_radius, "spatial learning radius"),
-     "cfg.s_radius"),
     ("excite_radius", KEYS["lateral.excite_radius"], "kernel.excite_radius"),
     ("excite_gain", KEYS["lateral.excite_gain"], "kernel.excite_gain"),
     ("inhibit_gain", KEYS["lateral.inhibit_gain"], "kernel.inhibit_gain"),
@@ -192,7 +206,6 @@ _SPIKING_LINES = [
     ("stdp_tau_minus_ms", KEYS["stdp.tau_minus_ms"], "rule.window.tau_minus"),
     ("stdp_eta", KEYS["stdp.eta"], "rule.eta"),
     ("stdp_w_max", KEYS["stdp.w_max"], "rule.w_max"),
-    ("stdp_flip_branches", KEYS["stdp.flip_branches"], "rule.flip_branches"),
 ]
 PARAMETER_LINES = {
     "SOM": [("concat", KEYS["som.concat"], "concat")],
@@ -225,8 +238,18 @@ def load_model(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-# Lines that older model files carry and that no result reads any more.
-_RETIRED_LINES = ("sim_step_ms", "tau_psp_ms", "scale_input_by_lambda")
+# Lines that older model files carry and that no result reads any more,
+# with the one value each may still carry (None: any value).  A float value
+# loads if it parses to that value.
+_RETIRED_LINES = {"sim_step_ms": None, "tau_psp_ms": None, "scale_input_by_lambda": "false",
+                  "stdp_flip_branches": "true", "s_radius": 1.0}
+
+
+def _retired_value(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _parse_model(lines: list[str]):
@@ -238,8 +261,9 @@ def _parse_model(lines: list[str]):
         name, _, value = raw.partition(" ")
         if name in found:
             raise ValueError(f"line {n}: repeated '{name}' line (first on line {found[name][0]})")
-        if name == "scale_input_by_lambda" and value.strip() != "false":
-            raise ValueError(f"line {n}: {raw.strip()!r} is retired; only 'false' loads")
+        allowed = _RETIRED_LINES.get(name)
+        if allowed is not None and _retired_value(value.strip()) != allowed:
+            raise ValueError(f"line {n}: {raw.strip()!r} is retired; only '{allowed}' loads")
         found[name] = n, value.strip()
 
     def line(name):
@@ -260,17 +284,4 @@ def _parse_model(lines: list[str]):
         n, text = line(name)
         values[key.name] = parse_value(key, text, f"line {n}")
     return model_of(kind.lower(), lattice, RunConfig(values),
-                    *(_range_line(name, *line(name), lattice.dim) for name in ranges))
-
-
-def _range_line(name: str, n: int, text: str, dim: int) -> np.ndarray:
-    """The ``dim`` finite floats of the ``lo`` or ``hi`` line (line ``n``)."""
-    try:
-        values = np.array([float(x) for x in text.split()])
-    except ValueError as exc:
-        raise ValueError(f"line {n}: {exc}") from None
-    if values.shape != (dim,):
-        raise ValueError(f"'{name}' line has {values.size} values, expected {dim}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"line {n}: '{name}' values must be finite, got {text!r}")
-    return values
+                    *(_float_line(*line(name), lattice.dim, f"'{name}'") for name in ranges))

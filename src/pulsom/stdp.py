@@ -5,10 +5,9 @@ the pre-before-post side (delta_t < 0) and negative on the other, decaying
 exponentially with |delta_t| on both sides.
 
 Two of the update laws (panchev, input-anchored multiplicative) are branch
-rules whose potentiating form is printed on the delta_t > 0 side.  The
-default, flip_branches=True, puts it on the positive-window side instead
-(delta_t < 0, where causality says the presynaptic spike can have driven
-the postsynaptic one); flip_branches=False keeps the printed side.
+rules.  Their potentiating form is printed on the delta_t > 0 side; here it
+sits on the positive-window side, delta_t < 0, where causality says the
+presynaptic spike can have driven the postsynaptic one.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class StdpRule:
     eta: float = 0.1
     w_max: float = 1.0
     window: StdpWindow = field(default_factory=StdpWindow)
-    flip_branches: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -90,10 +88,6 @@ def window_magnitude(dt: np.ndarray, window: StdpWindow) -> np.ndarray:
     return m
 
 
-def _on_potentiating_branch(delta_t: float, rule: StdpRule) -> bool:
-    return (delta_t < 0) if rule.flip_branches else (delta_t > 0)
-
-
 def additive_update(w: float, f: float, w_max: float = 1.0) -> float:
     """Weight-independent rule: add the window value, clamp to [0, w_max]."""
     if not (math.isfinite(w) and math.isfinite(f)):
@@ -102,13 +96,12 @@ def additive_update(w: float, f: float, w_max: float = 1.0) -> float:
 
 
 def panchev_update(w: float, delta_t: float, rule: StdpRule) -> float:
-    """Multiplicative rule on normalized weights, saturating at 0 and 1."""
+    """Multiplicative rule on normalized weights, saturating at 0 and 1:
+    the potentiating form (delta_t < 0) steps by (1 - w), the other by w."""
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"panchev_update requires w in [0, 1], got {w}")
     f = window_value(delta_t, rule.window)
-    if _on_potentiating_branch(delta_t, rule):
-        return w + rule.eta * f * (1.0 - w)
-    return w + rule.eta * f * w
+    return w + rule.eta * f * ((1.0 - w) if delta_t < 0 else w)
 
 
 def soula_update(w: float, delta_t: float, rule: StdpRule) -> float:
@@ -120,16 +113,13 @@ def soula_update(w: float, delta_t: float, rule: StdpRule) -> float:
 
 
 def input_update(w: float, x_i: float, delta_t: float, rule: StdpRule) -> float:
-    """Input-anchored multiplicative rule: the potentiating form pulls the
-    weight toward the input component x_i; the other form scales the weight
-    itself.  Result is clamped to [0, w_max]."""
+    """Input-anchored multiplicative rule: the potentiating form (delta_t <
+    0) pulls the weight toward the input component x_i; the other form
+    scales the weight itself.  Result is clamped to [0, w_max]."""
     if not (math.isfinite(w) and math.isfinite(x_i)):
         raise ValueError("input_update requires finite inputs")
     f = window_value(delta_t, rule.window)
-    if _on_potentiating_branch(delta_t, rule):
-        w = w + rule.eta * f * (x_i - w)
-    else:
-        w = w + rule.eta * f * w
+    w = w + rule.eta * f * ((x_i - w) if delta_t < 0 else w)
     return min(max(w, 0.0), rule.w_max)
 
 
@@ -152,8 +142,7 @@ def apply_rule_array(w: np.ndarray, x: np.ndarray, delta_t: np.ndarray,
         return w + gain * f * w * (1.0 - w / rule.w_max)
     step = gain * rule.eta * f
     if rule.variant != "additive":
-        potentiate = dt < 0 if rule.flip_branches else dt > 0
-        step = step * np.where(potentiate, 1.0 - w if rule.variant == "panchev" else x - w, w)
+        step = step * np.where(dt < 0, 1.0 - w if rule.variant == "panchev" else x - w, w)
     w = w + step
     if rule.variant == "panchev":
         return w

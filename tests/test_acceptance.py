@@ -146,8 +146,7 @@ def test_criterion_04_stdp_bounds_and_window_shape():
 
     for eta, a_plus, a_minus, tau_plus, tau_minus, w, dt in panchev_cases:
         rule = StdpRule("panchev", eta, 1.0,
-                        StdpWindow(a_plus, a_minus, tau_plus, tau_minus),
-                        flip_branches=True)
+                        StdpWindow(a_plus, a_minus, tau_plus, tau_minus))
         out = panchev_update(w, dt, rule)
         assert 0.0 <= out <= 1.0
 
@@ -159,8 +158,7 @@ def test_criterion_04_stdp_bounds_and_window_shape():
 
     for eta, a_plus, a_minus, tau_plus, tau_minus, w, x, lag in input_cases:
         rule = StdpRule("input", eta, 1.0,
-                        StdpWindow(a_plus, a_minus, tau_plus, tau_minus),
-                        flip_branches=True)
+                        StdpWindow(a_plus, a_minus, tau_plus, tau_minus))
         out = input_update(w, x, -lag, rule)
         assert min(w, x) - 1e-12 <= out <= max(w, x) + 1e-12
 
@@ -214,7 +212,7 @@ def test_criterion_07_separable_synthetic_task_all_models():
     start = time.perf_counter()
     data = synth_generate(3, 50, dim=12, frames=9, separation=5.0, seed=42)
     sched = Schedule.for_lattice(8, 8, epochs=80)
-    rule = StdpRule("input", 0.1, 1.0, StdpWindow(), flip_branches=True)
+    rule = StdpRule("input", 0.1, 1.0, StdpWindow())
     cfg = SsomConfig()
     lo, hi = feature_ranges(data)
     scores = {}
@@ -249,7 +247,7 @@ def test_criterion_08_temporal_order_discrimination():
         data = synth_generate(2, 75, dim=12, frames=9, separation=5.0,
                               order_task=True, seed=100 + k)
         sched = Schedule.for_lattice(8, 8, epochs=40)
-        rule = StdpRule("input", 0.1, 1.0, StdpWindow(), flip_branches=True)
+        rule = StdpRule("input", 0.1, 1.0, StdpWindow())
         cfg = SsomConfig()
         lo, hi = feature_ranges(data)
 

@@ -143,7 +143,8 @@ synth.samples_per_class = 50
         assert "run.mode" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["ssom.tau_psp_ms = 5.0", "ssom.sim_step_ms = 1.0",
-                                      "mfcc.hop = 128", "ssom.s_radius = 1.0"])
+                                      "mfcc.hop = 128", "ssom.s_radius = 1.0",
+                                      "stdp.flip_branches = true"])
     def test_retired_key_exits_2_with_file_and_line(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path / "old.cfg", f"run.outdir = {tmp_path / 'o'}\n{line}\n")
         assert main(["synth", "--config", cfg]) == 2
@@ -335,20 +336,20 @@ class TestModelBytes:
     DIGESTS = {
         "som": ("0b118d3664e803701e8e99f59e7f023cac167d86bfa3e53829254a2d0c1ec8db",
                 "7ed0075c87eaee2278ccd85fc5ae9dab2e7af2328f6282048a90ced234c2b740"),
-        "ssom": ("f299f48cbda51f18f4df31c4a88915fbbab7d36d4502df42a293929cb418d6f8",
+        "ssom": ("7722629213c383e9c822d709d2a7d7bca254b496f8b20cda522a3df04a833970",
                  "e123cf69413c94b625208173d0cf8a2786c57efd6fff7f1e4edcb70e042252cd"),
-        "rssom": ("6c6d97988e0aa9bfc7a1e17f30d4f740344496529bfcb6620475a2a4e9d401ba",
+        "rssom": ("5af15ed4c9a5103f8c82d1f5ca6a2b09f4b194c220a4e92a2454231ed7b6072d",
                   "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
-        "lin": ("a2e658fc8a133f9f1c0402f25684ccae838d25266e0d99e6313268079ce7eca7",
+        "lin": ("6a41430590c889deea0376f672e2cd85295b7f4c3b959c9f4a6bb89c39429081",
                 "d51467825d3820c63bcdecc48c0e110f2961718aa978d47f60b352e432c7265c"),
     }
     DIGESTS_LIBM = {
         "som": DIGESTS["som"],
-        "ssom": ("006f7e2a4db459b7dd313ba619c2f68865a83b62055c8abd44a0b042bf683fb0",
+        "ssom": ("23569afa59dbc32e3e77eb67e66c0857cbb283b21466726f5b0666bcca0901e2",
                  "e123cf69413c94b625208173d0cf8a2786c57efd6fff7f1e4edcb70e042252cd"),
-        "rssom": ("362844d05a9100b6c646f0881ba713ee143673845b6919c8f7d2e2e774d1c1cf",
+        "rssom": ("385496621bb35a9f7dc004f105f16c89028d18d259153c378fc9b86548bf2051",
                   "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
-        "lin": ("af1da3ee5e3f4b6dbb86620445c06f27039d8f367a8429322535a6a9cfc65b10",
+        "lin": ("663f59b1ed9b0a126bd5673505344ea1e583d3fcbe03e36daf362fcb44dcb533",
                 "666139ea7e100aa6b984e8bfba640d9d93c1146df07bfd795e5203ebfd1f31c9"),
     }
 
@@ -404,8 +405,7 @@ lin.lambda = 0.7
         data = read_dataset_csv(data_path)
         parts = (normalized_init(4, 5, data, seed=4), *feature_ranges(data),
                  SsomConfig(t_ref=12.0), LateralKernel(excite_radius=1.5, inhibit_gain=0.2),
-                 StdpRule("panchev", eta=0.2, window=StdpWindow(tau_minus=14.0),
-                          flip_branches=True))
+                 StdpRule("panchev", eta=0.2, window=StdpWindow(tau_minus=14.0)))
         if kind.startswith("som"):
             lattice = Lattice.random_init(4, 5, sample_vectors(data, concat), seed=4)
             model, train = SomModel(lattice, concat), train_som
@@ -637,8 +637,7 @@ data.test_csv = {dataset}
         assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
         assert f"{model_path}: line {len(lines) + 1}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("model, line, value", [("som", "concat", "True"),
-                                                    ("ssom", "stdp_flip_branches", "yes")])
+    @pytest.mark.parametrize("model, line, value", [("som", "concat", "True")])
     def test_bool_line_other_than_true_or_false_exits_2(self, tmp_path, trained, capsys,
                                                          model, line, value):
         dataset, _ = trained
@@ -1181,8 +1180,9 @@ class TestReportCommand:
         (b"vowels,0,2,-0.5\n", 2, "rate must be a finite percentage in [0, 100], got -0.5"),
         (b"nasals,5,3,60.0\n", 2, "counts must satisfy 0 <= correct <= total, got 5 of 3"),
         (b"nasals,-1,3,0.0\n", 2, "counts must satisfy 0 <= correct <= total, got -1 of 3"),
+        (b"a,1,2,50.0\nb,1,1,100.0\na,1,2,50.0\n", 4, "repeated class 'a' (first on line 2)"),
     ], ids=["short-row", "bad-rate", "not-utf8", "header-only", "nan-rate", "rate-over-100",
-            "negative-rate", "correct-over-total", "negative-count"])
+            "negative-rate", "correct-over-total", "negative-count", "repeated-class"])
     def test_malformed_csv_exits_2_with_file_and_line(self, tmp_path, capsys, body, at,
                                                       message):
         csv = tmp_path / "r.csv"

@@ -11,7 +11,7 @@ from pulsom.config import AUTO, KEYS, REGISTRY, RunConfig, parse_config_text, re
 from pulsom.corpus import build_corpus_dataset, synth_generate
 from pulsom.errors import ConfigError
 from pulsom.mfcc import MfccConfig
-from pulsom.models import PARAMETER_LINES, LinModel, RssomModel, SomModel
+from pulsom.models import _RETIRED_LINES, LinModel, RssomModel, SomModel
 from pulsom.som import Schedule
 from pulsom.ssom import LateralKernel
 from pulsom.stdp import StdpRule, StdpWindow
@@ -23,11 +23,11 @@ class TestParsing:
             "run.model = ssom\n"
             "lattice.rows = 10\n"
             "stdp.eta = 0.2\n"
-            "stdp.flip_branches = false\n")
+            "som.concat = true\n")
         assert values["run.model"] == "ssom"
         assert values["lattice.rows"] == 10
         assert values["stdp.eta"] == 0.2
-        assert values["stdp.flip_branches"] is False
+        assert values["som.concat"] is True
 
     def test_comments_and_blank_lines(self):
         values = parse_config_text("# a comment\n\nrun.seed = 7  # trailing\n")
@@ -69,7 +69,6 @@ class TestRunConfig:
         cfg = RunConfig({})
         assert cfg["schedule.epochs"] == 80
         assert cfg["stdp.variant"] == "input"
-        assert cfg["stdp.flip_branches"] is True
 
     def test_require_flags_missing(self):
         cfg = RunConfig({})
@@ -138,7 +137,6 @@ class TestDefaultOwners:
         "stdp.tau_minus_ms": StdpWindow.tau_minus,
         "stdp.eta": StdpRule.eta,
         "stdp.w_max": StdpRule.w_max,
-        "stdp.flip_branches": StdpRule.flip_branches,
         "ssom.t_max_ms": SsomConfig.t_max,
         "ssom.t_ref_ms": SsomConfig.t_ref,
         "lateral.excite_gain": LateralKernel.excite_gain,
@@ -166,8 +164,9 @@ class TestDefaultOwners:
         assert (default, type(default)) == (owner, type(owner))
 
     def test_model_file_s_radius_default_is_ssom_configs(self):
-        lines = {name: key for name, key, _ in PARAMETER_LINES["SSOM"]}
-        assert lines["s_radius"].default == SsomConfig.s_radius
+        """The one value a retired s_radius line may carry is the radius
+        that a loaded model's SsomConfig has."""
+        assert _RETIRED_LINES["s_radius"] == SsomConfig.s_radius
 
     def test_default_config_builds_the_default_objects(self):
         """Including the auto keys: the auto radius_start is for_lattice's,

@@ -5,7 +5,7 @@ its window) and ``rssom.window_step``, which picked the window's per-side
 values and its zero at coincidence with np.where and clipped through
 np.clip.  The kernels must give their bits for every input the trainers can
 pass: weights at 0 and at w_max, delta_t at exact coincidence, zero gains,
-asymmetric windows, both branch flips and all four variants.  The SSOM's
+asymmetric windows and all four variants.  The SSOM's
 clamped weight copy must follow the weights through training.
 """
 
@@ -43,11 +43,10 @@ def oracle_apply_rule_array(w, x, delta_t, rule, gain=1.0):
         return np.clip(w + gain * rule.eta * f, 0.0, rule.w_max)
     if rule.variant == "soula":
         return w + gain * f * w * (1.0 - w / rule.w_max)
-    potentiate = dt < 0 if rule.flip_branches else dt > 0
     if rule.variant == "panchev":
-        step = np.where(potentiate, 1.0 - w, w)
+        step = np.where(dt < 0, 1.0 - w, w)
         return w + gain * rule.eta * f * step
-    step = np.where(potentiate, x - w, w)
+    step = np.where(dt < 0, x - w, w)
     return np.clip(w + gain * rule.eta * f * step, 0.0, rule.w_max)
 
 
@@ -76,7 +75,7 @@ def rules(draw, variants=VARIANTS):
         side_values(0.5, 40.0))
     return StdpRule(draw(st.sampled_from(variants)), draw(st.floats(0.01, 1.0)),
                     draw(st.sampled_from([0.8, 1.0, 1.5]) | st.floats(0.1, 3.0)),
-                    StdpWindow(a_plus, a_minus, tau_plus, tau_minus), draw(st.booleans()))
+                    StdpWindow(a_plus, a_minus, tau_plus, tau_minus))
 
 
 def blocks(shape, elements):
@@ -108,16 +107,18 @@ class TestRuleKernel:
         assert same_bits(got, want)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("flip", [False, True])
-    def test_coincidence_leaves_the_weight(self, variant, flip):
-        # the window is +0.0 at delta_t == 0, so the step adds exactly 0
-        rule = StdpRule(variant, 0.3, 1.5, StdpWindow(0.7, 1.2, 6.0, 15.0), flip)
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_coincidence_leaves_the_weight(self, variant, symmetric):
+        # the window is +0.0 at delta_t == 0, so the step adds exactly 0;
+        # window_magnitude takes a symmetric window's values as scalars
+        window = StdpWindow(0.7, 0.7, 6.0, 6.0) if symmetric else StdpWindow(0.7, 1.2, 6.0, 15.0)
+        rule = StdpRule(variant, 0.3, 1.5, window)
         w = np.array([0.0, 0.25, 1.0, 1.5])
         got = apply_rule_array(w, np.full(4, 0.5), np.zeros(4), rule, np.full(4, 0.8))
         assert same_bits(got, w)
 
     def test_scalar_gain_and_one_dimensional_blocks(self):
-        rule = StdpRule("input", 0.2, 1.0, StdpWindow(1.0, 1.0, 10.0, 10.0), True)
+        rule = StdpRule("input", 0.2, 1.0, StdpWindow(1.0, 1.0, 10.0, 10.0))
         w, x = np.linspace(0.0, 1.0, 7), np.linspace(1.0, 0.0, 7)
         dt = np.array([-12.0, -0.5, 0.0, 0.0, 3.0, 9.0, 40.0])
         assert same_bits(apply_rule_array(w, x, dt, rule),
@@ -157,7 +158,7 @@ class TestClampedCopy:
     def test_copy_follows_training_and_winner_tables_hold(self, variant):
         data = synth_generate(2, 10, 6, 5, 2.0, True, 11)
         model = SsomModel(normalized_init(3, 5, data, 3), *feature_ranges(data), SsomConfig(),
-                          LateralKernel(), StdpRule(variant, w_max=1.5, flip_branches=True))
+                          LateralKernel(), StdpRule(variant, w_max=1.5))
         steps = []
         build = model.state
         model.state = lambda batch: steps.append(build(batch)) or steps[-1]

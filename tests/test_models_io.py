@@ -33,9 +33,9 @@ def random_lattice(seed=0, rows=2, cols=3, dim=4):
 def spiking_parts(dim=4):
     lo = np.linspace(-1.0, 0.0, dim)
     hi = np.linspace(1.0, 3.0, dim)
-    cfg = SsomConfig(t_max=18.0, t_ref=13.0, s_radius=2.0)
+    cfg = SsomConfig(t_max=18.0, t_ref=13.0)
     kernel = LateralKernel(excite_radius=None, excite_gain=0.7, inhibit_gain=0.2)
-    rule = StdpRule("panchev", 0.25, 1.0, StdpWindow(0.9, 1.1, 8.0, 12.0), True)
+    rule = StdpRule("panchev", 0.25, 1.0, StdpWindow(0.9, 1.1, 8.0, 12.0))
     return lo, hi, cfg, kernel, rule
 
 
@@ -188,7 +188,50 @@ class TestErrors:
         lines = [" ".join(ln.split()[:-1]) if ln.startswith("hi ") else ln
                  for ln in path.read_text().splitlines()]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"m\.txt: 'hi' line has 3 values, expected 4"):
+        at = next(n for n, ln in enumerate(lines, start=1) if ln.startswith("hi "))
+        with pytest.raises(ValueError,
+                           match=rf"m\.txt: line {at}: 'hi' line has 3 values, expected 4"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ls: replaced(ls, "PULSOM1", "PULSOM1 2 x 4 0"),
+         "expected 'PULSOM1 <rows> <cols> <dim> <seed>'"),
+        (lambda ls: replaced(ls, "PULSOM1", "PULSOM1 2 3 0 0"),
+         "expected 'PULSOM1 <rows> <cols> <dim> <seed>'"),
+        (lambda ls: (ls[:3] + ["0.5 abc 0.5 0.5"] + ls[4:], 4),
+         "could not convert string to float: 'abc'"),
+        (lambda ls: (ls[:3] + ["0.5 0.5 0.5"] + ls[4:], 4),
+         "weight line has 3 values, expected 4"),
+        (lambda ls: (ls[:6] + ["0.5 0.5 0.5 0.5 0.5"] + ls[7:], 7),
+         "weight line has 5 values, expected 4"),
+        (lambda ls: (ls[:2] + ["0.5 nan 0.5 0.5"] + ls[3:], 3),
+         "weight values must be finite, got '0.5 nan 0.5 0.5'"),
+    ], ids=["header-token", "header-dim-0", "weight-token", "short-weight-row",
+            "long-weight-row", "nan-weight"])
+    def test_bad_lattice_line_named(self, tmp_path, edit, message):
+        path = tmp_path / "m.txt"
+        save_model(SomModel(random_lattice()), path)
+        lines, at = edit(path.read_text().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"m.txt: line {at}: {message}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("line, loads", [
+        ("stdp_flip_branches true", True), ("stdp_flip_branches false", False),
+        ("stdp_flip_branches yes", False), ("s_radius 1.0", True), ("s_radius 1", True),
+        ("s_radius 2.0", False), ("s_radius nan", False)])
+    def test_retired_line_loads_only_its_one_value(self, tmp_path, line, loads):
+        lo, hi, cfg, kernel, rule = spiking_parts()
+        path = tmp_path / "m.txt"
+        save_model(LinModel(random_lattice(), lo, hi, cfg, kernel, rule), path)
+        lines = path.read_text().splitlines() + [line]
+        path.write_text("\n".join(lines) + "\n")
+        if loads:
+            assert load_model(path).rule == rule
+            return
+        only = {"stdp_flip_branches": "true", "s_radius": "1.0"}[line.split()[0]]
+        with pytest.raises(ValueError, match=re.escape(
+                f"m.txt: line {len(lines)}: {line!r} is retired; only '{only}' loads")):
             load_model(path)
 
     @pytest.mark.parametrize("edit, message", [
@@ -258,9 +301,11 @@ class TestWinnerRules:
         assert any(w is not None for w in want_ssom + want_rssom + want_lin)
 
 class TestRetiredParameterLines:
-    """Spiking model files once carried `sim_step_ms` and `tau_psp_ms` lines,
-    which no result depended on.  They are no longer written; files that
-    still carry them load to the same model."""
+    """Spiking model files once carried `sim_step_ms`, `tau_psp_ms`,
+    `s_radius` and `stdp_flip_branches` lines, which no result depends on
+    any more.  They are no longer written; files that still carry them, as
+    written before (`s_radius 1.0`, `stdp_flip_branches true`), load to the
+    same model."""
 
     @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
     def test_old_file_gives_the_same_winner_table(self, tmp_path, kind):
@@ -272,10 +317,13 @@ class TestRetiredParameterLines:
         new, old = tmp_path / "new.txt", tmp_path / "old.txt"
         save_model(model, new)
         lines = new.read_text().splitlines()
-        assert not any(ln.startswith(("sim_step_ms ", "tau_psp_ms ")) for ln in lines)
-        at = lines.index(f"s_radius {cfg.s_radius!r}") + 1
-        old.write_text("\n".join(lines[:at] + ["sim_step_ms 0.5", "tau_psp_ms 4.5"]
-                                 + lines[at:]) + "\n")
+        assert not any(ln.startswith(("sim_step_ms ", "tau_psp_ms ", "s_radius ",
+                                      "stdp_flip_branches ")) for ln in lines)
+        at = lines.index(f"t_ref_ms {cfg.t_ref!r}") + 1
+        rule_at = lines.index(f"stdp_w_max {rule.w_max!r}") + 1
+        old.write_text("\n".join(lines[:at] + ["s_radius 1.0", "sim_step_ms 0.5", "tau_psp_ms 4.5"]
+                                 + lines[at:rule_at] + ["stdp_flip_branches true"]
+                                 + lines[rule_at:]) + "\n")
         samples = np.random.default_rng(9).uniform(-1.5, 3.5, size=(6, 12, 4))
         want, got = load_model(new), load_model(old)
         assert (got.cfg, got.kernel, got.rule) == (want.cfg, want.kernel, want.rule)
@@ -286,15 +334,16 @@ class TestRetiredParameterLines:
 
 def test_every_map_parameter_key_has_a_model_file_line():
     """A map parameter added to the config cannot be left out of model
-    files, and every model-file line but s_radius reads a config key."""
+    files, and every model-file line reads a config key."""
     lines = {name: key for kind in PARAMETER_LINES.values() for name, key, _ in kind}
     map_keys = {k.name for k in REGISTRY
                 if k.name.startswith(("ssom.", "lateral.", "stdp.", "rssom.", "lin.", "som."))}
-    assert {key.name for name, key in lines.items() if name != "s_radius"} == map_keys
-    assert all(KEYS[key.name] is key for name, key in lines.items() if name != "s_radius")
-    assert "s_radius" not in KEYS and lines["s_radius"].kind == "float"
+    assert {key.name for key in lines.values()} == map_keys
+    assert all(KEYS[key.name] is key for key in lines.values())
 
 
+# Retired lines, with the value older files carry; the fuzzed files carry it.
+RETIRED = {"s_radius": "1.0", "stdp_flip_branches": "true", "scale_input_by_lambda": "false"}
 SHARED_KEYS = ["lo", "hi", "t_max_ms", "t_ref_ms", "s_radius", "excite_radius", "excite_gain",
                "inhibit_gain", "stdp_variant", "stdp_a_plus", "stdp_a_minus", "stdp_tau_plus_ms",
                "stdp_tau_minus_ms", "stdp_eta", "stdp_w_max", "stdp_flip_branches"]
@@ -330,8 +379,8 @@ class TestFuzzedParameterLine:
     def test_loads_or_names_the_file(self, trained_files, kind, key, value):
         texts, data, path = trained_files
         lines = texts[kind].splitlines()
-        if key == "scale_input_by_lambda":   # retired; older files end with it
-            lines.append("scale_input_by_lambda false")
+        if key in RETIRED:
+            lines.append(f"{key} {RETIRED[key]}")
         at = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
         lines[at] = f"{key} {value}"
         loads_or_names_the_file(path, lines, data)

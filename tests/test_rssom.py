@@ -16,7 +16,7 @@ def make_lattice(weights):
 
 
 def make_rule():
-    return StdpRule("input", 0.1, 1.0, StdpWindow(), flip_branches=True)
+    return StdpRule("input", 0.1, 1.0, StdpWindow())
 
 
 # t_ref = t_max: no unit is ever silent, so the winner is the smallest-norm unit.

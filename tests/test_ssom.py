@@ -34,8 +34,8 @@ def spike_times(x, t_max=20.0):
     return encode_latency(x, np.zeros(len(x)), np.ones(len(x)), t_max)
 
 
-def make_rule(flip=True, eta=0.1, variant="input", a_plus=1.0, a_minus=1.0):
-    return StdpRule(variant, eta, 1.0, StdpWindow(a_plus, a_minus, 10.0, 10.0), flip)
+def make_rule(eta=0.1, variant="input", a_plus=1.0, a_minus=1.0):
+    return StdpRule(variant, eta, 1.0, StdpWindow(a_plus, a_minus, 10.0, 10.0))
 
 
 class TestComputeFiringTimes:
@@ -216,17 +216,6 @@ class TestSsomLearn:
         ssom_learn(x, spike_times(x), lat, rec, cfg, make_rule(), lr_scale=0.9)
         assert np.array_equal(lat.weights[1], before[1])
 
-    def test_perfect_winner_is_fixed_point_on_toward_input_form(self):
-        # as-printed branches: delta_t > 0 carries the (x - w) form, and a
-        # perfectly matching winner has all its spike differences positive
-        lat = Lattice(1, 1, np.array([[0.8, 0.4]]))
-        cfg = SsomConfig(t_max=20.0, t_ref=15.0, s_radius=1.0)
-        x = np.array([0.8, 0.4])
-        rec = compute_firing_times(x, lat, cfg)
-        assert rec.times[0] == pytest.approx(0.0, abs=1e-12)
-        ssom_learn(x, spike_times(x), lat, rec, cfg, make_rule(flip=False), lr_scale=0.9)
-        assert np.allclose(lat.weights[0], [0.8, 0.4], atol=1e-12)
-
     def test_zero_lr_scale_is_identity(self):
         lat, cfg, x, rec = self.gated_setup()
         before = lat.weights.copy()
@@ -242,7 +231,7 @@ class TestSsomLearn:
         rec = compute_firing_times(x, lat, cfg)
         assert np.all(spike_times(x) < rec.times[0])
         before = lat.weights.copy()
-        ssom_learn(x, spike_times(x), lat, rec, cfg, make_rule(flip=True), lr_scale=0.9)
+        ssom_learn(x, spike_times(x), lat, rec, cfg, make_rule(), lr_scale=0.9)
         moved = lat.weights[0] - before[0]
         assert np.all(moved > 0)
         assert np.all(lat.weights[0] <= x)

@@ -23,9 +23,8 @@ def window_value_array(delta_t, window: StdpWindow) -> np.ndarray:
     return np.where(np.isnan(dt), 0.0, np.sign(-dt) * window_magnitude(dt, window))
 
 
-def rule_with(a_plus=1.0, a_minus=1.0, tau=10.0, eta=0.1, w_max=1.0,
-              variant="input", flip=False):
-    return StdpRule(variant, eta, w_max, StdpWindow(a_plus, a_minus, tau, tau), flip)
+def rule_with(a_plus=1.0, a_minus=1.0, tau=10.0, eta=0.1, w_max=1.0, variant="input"):
+    return StdpRule(variant, eta, w_max, StdpWindow(a_plus, a_minus, tau, tau))
 
 
 class TestWindow:
@@ -121,16 +120,16 @@ class TestAdditive:
 
 class TestPanchev:
     def test_fixed_point_at_one_on_potentiating_form(self):
-        # delta_t > 0 carries the (1 - w) form by default
-        assert panchev_update(1.0, 5.0, rule_with()) == 1.0
+        # delta_t < 0, the causal side, carries the (1 - w) form
+        assert panchev_update(1.0, -5.0, rule_with()) == 1.0
 
     def test_fixed_point_at_zero_on_decay_form(self):
-        assert panchev_update(0.0, -5.0, rule_with()) == 0.0
+        assert panchev_update(0.0, 5.0, rule_with()) == 0.0
 
     def test_direct_value_on_potentiating_form(self):
-        # a_plus = e at one tau back gives a window value of exactly 1;
-        # flipped branches put the (1 - w) form on that side
-        rule = rule_with(a_plus=math.e, tau=10.0, eta=0.1, flip=True)
+        # a_plus = e at one tau back gives a window value of exactly 1,
+        # on the side that carries the (1 - w) form
+        rule = rule_with(a_plus=math.e, tau=10.0, eta=0.1)
         assert panchev_update(0.5, -10.0, rule) == pytest.approx(0.55, abs=1e-12)
 
     def test_rejects_unnormalized_weight(self):
@@ -138,23 +137,16 @@ class TestPanchev:
             panchev_update(1.2, 1.0, rule_with())
 
     def test_stays_in_unit_interval(self):
-        # holds when the potentiating form sits on the positive-window side
+        # holds because the potentiating form sits on the positive-window side
         rng = np.random.default_rng(2)
         for _ in range(10_000):
             rule = rule_with(a_plus=float(rng.uniform(0.05, 1.0)),
                              a_minus=float(rng.uniform(0.05, 1.0)),
                              tau=float(rng.uniform(1.0, 30.0)),
-                             eta=float(rng.uniform(0.01, 1.0)),
-                             flip=True)
+                             eta=float(rng.uniform(0.01, 1.0)))
             w = float(rng.uniform(0, 1))
             out = panchev_update(w, float(rng.uniform(-50, 50)), rule)
             assert 0.0 <= out <= 1.0
-
-    def test_printed_branch_pairing_can_leave_unit_interval(self):
-        # the as-printed pairing grows w on the positive-window side, so the
-        # unit-interval bound genuinely needs flip_branches
-        rule = rule_with(a_plus=1.0, tau=10.0, eta=1.0, flip=False)
-        assert panchev_update(0.9, -1.0, rule) > 1.0
 
 
 class TestSoula:
@@ -188,17 +180,17 @@ class TestSoula:
 
 class TestInputRule:
     def test_fixed_point_at_input(self):
-        # default branches: delta_t > 0 carries the (x - w) form
+        # delta_t < 0, the causal side, carries the (x - w) form
         rule = rule_with()
-        assert input_update(0.3, 0.3, 4.0, rule) == pytest.approx(0.3, abs=1e-15)
+        assert input_update(0.3, 0.3, -4.0, rule) == pytest.approx(0.3, abs=1e-15)
 
     def test_direct_value_toward_input(self):
-        rule = rule_with(a_plus=0.4 * math.e, tau=10.0, eta=0.5, flip=True)
+        rule = rule_with(a_plus=0.4 * math.e, tau=10.0, eta=0.5)
         out = input_update(0.2, 1.0, -10.0, rule)
         assert out == pytest.approx(0.36, abs=1e-12)
 
     def test_direct_value_on_decay_form(self):
-        rule = rule_with(a_minus=0.5 * math.e, tau=10.0, eta=0.1, flip=True)
+        rule = rule_with(a_minus=0.5 * math.e, tau=10.0, eta=0.1)
         out = input_update(0.5, 0.9, 10.0, rule)
         assert out == pytest.approx(0.475, abs=1e-12)
 
@@ -212,10 +204,10 @@ class TestInputRule:
             eta = float(rng.uniform(0.01, 1.0))
             rule = rule_with(a_plus=float(rng.uniform(0.05, 1.0)),
                              a_minus=float(rng.uniform(0.05, 1.0)),
-                             tau=float(rng.uniform(1.0, 30.0)), eta=eta, flip=True)
+                             tau=float(rng.uniform(1.0, 30.0)), eta=eta)
             w = float(rng.uniform(0, 1))
             x = float(rng.uniform(0, 1))
-            dt = float(-rng.uniform(0.01, 50))  # potentiating side when flipped
+            dt = float(-rng.uniform(0.01, 50))  # the potentiating side
             out = input_update(w, x, dt, rule)
             assert min(w, x) - 1e-12 <= out <= max(w, x) + 1e-12
 
@@ -232,7 +224,7 @@ class TestPurity:
 
 class TestVectorizedDispatcher:
     def test_matches_scalar_input_rule(self):
-        rule = rule_with(a_plus=0.8, a_minus=0.6, tau=9.0, eta=0.2, flip=True)
+        rule = rule_with(a_plus=0.8, a_minus=0.6, tau=9.0, eta=0.2)
         rng = np.random.default_rng(5)
         w = rng.uniform(0, 1, size=16)
         x = rng.uniform(0, 1, size=16)
@@ -253,7 +245,7 @@ class TestVectorizedDispatcher:
             assert np.allclose(out, expected, atol=1e-15)
 
     def test_gain_scales_eta(self):
-        rule = rule_with(a_plus=math.e, tau=10.0, eta=0.2, flip=True)
+        rule = rule_with(a_plus=math.e, tau=10.0, eta=0.2)
         out = apply_rule_array(np.array([0.5]), np.array([1.0]),
                                np.array([-10.0]), rule, gain=0.5)
         # effective eta 0.1 against window value 1

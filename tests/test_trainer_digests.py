@@ -1,19 +1,19 @@
 """A digest matrix over every trainer behaviour the config can select.
 
-The spiking trainers are pinned for each STDP variant x ``flip_branches`` x
-fixed/auto lateral excitation radius on a non-square 3x5 lattice, at the
-default gates and at tight ones (``GATES``), off the default STDP window
-and weight ceiling (``RULES``), the concatenating SOM for its one path, and eval reports for the identity and
-TIMIT macro class maps, each with terminal and per-frame votes, and over
-test sets that span several inference and CSV-reading blocks.  A
-refactor of the learning step that changes one bit of any of them fails
-here.
+The spiking trainers are pinned for each STDP variant x fixed/auto lateral
+excitation radius on a non-square 3x5 lattice, at the default gates and at
+tight ones (``GATES``), off the default STDP window and weight ceiling
+(``RULES``), the concatenating SOM for its one path, and eval reports for
+the identity and TIMIT macro class maps, each with terminal and per-frame
+votes, and over test sets that span several inference and CSV-reading
+blocks.  A refactor of the learning step that changes one bit of any of
+them fails here.
 
 Each digest is the first 16 hex digits of the SHA-256 of the trained
 weights plus the epoch rows of the training log (lr, radius, qe and
 skipped presentations), or of report.csv plus confusion.csv.  Weights, not
 model.txt, so that configurations which train the same map share a digest
-(model.txt also records the variant and flip).  Each table has two sets,
+(model.txt also records the variant).  Each table has two sets,
 recorded with numpy 2.4 on x86-64: one where numpy's exp runs its AVX-512
 kernel, and one (``*_LIBM``) where it calls glibc's libm, as it does on a
 host without AVX-512; ``conftest.pinned`` picks this host's.  The
@@ -63,227 +63,139 @@ TRAINERS = {"ssom": (SsomModel, train_ssom, {}),
 
 SPIKING = {
     "ssom": {
-        ("additive", False, "fixed"): "95c963fbe6377fe9",
-        ("additive", False, "auto"): "4e411cf95c907265",
-        ("additive", True, "fixed"): "95c963fbe6377fe9",
-        ("additive", True, "auto"): "4e411cf95c907265",
-        ("panchev", False, "fixed"): "5070abb61b2e0a36",
-        ("panchev", False, "auto"): "31babfbd40e51aaf",
-        ("panchev", True, "fixed"): "bed9d9bf4edf97d8",
-        ("panchev", True, "auto"): "30a15054ff76ddd0",
-        ("soula", False, "fixed"): "956905468cf5f84e",
-        ("soula", False, "auto"): "128e54799e1bcaf8",
-        ("soula", True, "fixed"): "956905468cf5f84e",
-        ("soula", True, "auto"): "128e54799e1bcaf8",
-        ("input", False, "fixed"): "3e836a38e222e929",
-        ("input", False, "auto"): "fd591c95608c3ef3",
-        ("input", True, "fixed"): "e850c91c8d0e2299",
-        ("input", True, "auto"): "df2bd7347a9c4cef",
+        ("additive", "fixed"): "95c963fbe6377fe9",
+        ("additive", "auto"): "4e411cf95c907265",
+        ("panchev", "fixed"): "bed9d9bf4edf97d8",
+        ("panchev", "auto"): "30a15054ff76ddd0",
+        ("soula", "fixed"): "956905468cf5f84e",
+        ("soula", "auto"): "128e54799e1bcaf8",
+        ("input", "fixed"): "e850c91c8d0e2299",
+        ("input", "auto"): "df2bd7347a9c4cef",
     },
     "lin": {
-        ("additive", False, "fixed"): "753d91bdc8d4b2ca",
-        ("additive", False, "auto"): "8ffb45371f934b5a",
-        ("additive", True, "fixed"): "753d91bdc8d4b2ca",
-        ("additive", True, "auto"): "8ffb45371f934b5a",
-        ("panchev", False, "fixed"): "c6ac1b0224c0f695",
-        ("panchev", False, "auto"): "3247e4b9620bf619",
-        ("panchev", True, "fixed"): "b14411c75eead9dd",
-        ("panchev", True, "auto"): "cb9767332c42fb43",
-        ("soula", False, "fixed"): "db79bcd23ddbd712",
-        ("soula", False, "auto"): "1720abbecf751d41",
-        ("soula", True, "fixed"): "db79bcd23ddbd712",
-        ("soula", True, "auto"): "1720abbecf751d41",
-        ("input", False, "fixed"): "63a2ffe2fcb9b3d6",
-        ("input", False, "auto"): "dfa195c5e26c1386",
-        ("input", True, "fixed"): "a561a77ee3141ff5",
-        ("input", True, "auto"): "213cca45c36e29a1",
+        ("additive", "fixed"): "753d91bdc8d4b2ca",
+        ("additive", "auto"): "8ffb45371f934b5a",
+        ("panchev", "fixed"): "b14411c75eead9dd",
+        ("panchev", "auto"): "cb9767332c42fb43",
+        ("soula", "fixed"): "db79bcd23ddbd712",
+        ("soula", "auto"): "1720abbecf751d41",
+        ("input", "fixed"): "a561a77ee3141ff5",
+        ("input", "auto"): "213cca45c36e29a1",
     },
     "rssom": {"fixed": "ea03ad0258cfde20", "auto": "c68fb1bb4c3d0e0c"},
 }
 
 SPIKING_LIBM = {
     "ssom": {
-        ("additive", False, "fixed"): "c39871a6133e1b4f",
-        ("additive", False, "auto"): "1ebe3af937fab9f3",
-        ("additive", True, "fixed"): "c39871a6133e1b4f",
-        ("additive", True, "auto"): "1ebe3af937fab9f3",
-        ("panchev", False, "fixed"): "5155e6a5a5e9314f",
-        ("panchev", False, "auto"): "997afa978d8269fa",
-        ("panchev", True, "fixed"): "14abfb9f85670051",
-        ("panchev", True, "auto"): "310f3e360c8796f5",
-        ("soula", False, "fixed"): "22cd14ac6b87da28",
-        ("soula", False, "auto"): "94a6764eff3c80aa",
-        ("soula", True, "fixed"): "22cd14ac6b87da28",
-        ("soula", True, "auto"): "94a6764eff3c80aa",
-        ("input", False, "fixed"): "39259ecee7972047",
-        ("input", False, "auto"): "fd591c95608c3ef3",
-        ("input", True, "fixed"): "4fde52b7e7bf1e66",
-        ("input", True, "auto"): "4501afa2e99c28e0",
+        ("additive", "fixed"): "c39871a6133e1b4f",
+        ("additive", "auto"): "1ebe3af937fab9f3",
+        ("panchev", "fixed"): "14abfb9f85670051",
+        ("panchev", "auto"): "310f3e360c8796f5",
+        ("soula", "fixed"): "22cd14ac6b87da28",
+        ("soula", "auto"): "94a6764eff3c80aa",
+        ("input", "fixed"): "4fde52b7e7bf1e66",
+        ("input", "auto"): "4501afa2e99c28e0",
     },
     "lin": {
-        ("additive", False, "fixed"): "d9d8843b142430b0",
-        ("additive", False, "auto"): "24552c5f1fa20ed4",
-        ("additive", True, "fixed"): "d9d8843b142430b0",
-        ("additive", True, "auto"): "24552c5f1fa20ed4",
-        ("panchev", False, "fixed"): "756afab7ba637091",
-        ("panchev", False, "auto"): "f54d917a07d555c0",
-        ("panchev", True, "fixed"): "c2b18cdcc1b626e6",
-        ("panchev", True, "auto"): "d31845e96acec198",
-        ("soula", False, "fixed"): "3e6410bc9fb4c724",
-        ("soula", False, "auto"): "70bb668a9bf12f98",
-        ("soula", True, "fixed"): "3e6410bc9fb4c724",
-        ("soula", True, "auto"): "70bb668a9bf12f98",
-        ("input", False, "fixed"): "63a2ffe2fcb9b3d6",
-        ("input", False, "auto"): "dfa195c5e26c1386",
-        ("input", True, "fixed"): "ddc423aeeb3e6490",
-        ("input", True, "auto"): "ba2d673bebd31a57",
+        ("additive", "fixed"): "d9d8843b142430b0",
+        ("additive", "auto"): "24552c5f1fa20ed4",
+        ("panchev", "fixed"): "c2b18cdcc1b626e6",
+        ("panchev", "auto"): "d31845e96acec198",
+        ("soula", "fixed"): "3e6410bc9fb4c724",
+        ("soula", "auto"): "70bb668a9bf12f98",
+        ("input", "fixed"): "ddc423aeeb3e6490",
+        ("input", "auto"): "ba2d673bebd31a57",
     },
     "rssom": {"fixed": "ea03ad0258cfde20", "auto": "c68fb1bb4c3d0e0c"},
 }
 
 SPIKING_TIGHT = {
     "ssom": {
-        ("additive", False, "fixed"): "a81c268ccc1ecf37",
-        ("additive", False, "auto"): "4a63b0790bd36516",
-        ("additive", True, "fixed"): "a81c268ccc1ecf37",
-        ("additive", True, "auto"): "4a63b0790bd36516",
-        ("panchev", False, "fixed"): "d96e9fbb6b5ee04b",
-        ("panchev", False, "auto"): "7ec61b362f926bec",
-        ("panchev", True, "fixed"): "9d3b83e53bb02100",
-        ("panchev", True, "auto"): "7b796f8ba077f67f",
-        ("soula", False, "fixed"): "f73eaf1164c4323a",
-        ("soula", False, "auto"): "7cec92290c003386",
-        ("soula", True, "fixed"): "f73eaf1164c4323a",
-        ("soula", True, "auto"): "7cec92290c003386",
-        ("input", False, "fixed"): "ebc9030afa9a3bb4",
-        ("input", False, "auto"): "d5b66dbf98091e7f",
-        ("input", True, "fixed"): "419c318a30bc7f46",
-        ("input", True, "auto"): "2d4e61082124cbd9",
+        ("additive", "fixed"): "a81c268ccc1ecf37",
+        ("additive", "auto"): "4a63b0790bd36516",
+        ("panchev", "fixed"): "9d3b83e53bb02100",
+        ("panchev", "auto"): "7b796f8ba077f67f",
+        ("soula", "fixed"): "f73eaf1164c4323a",
+        ("soula", "auto"): "7cec92290c003386",
+        ("input", "fixed"): "419c318a30bc7f46",
+        ("input", "auto"): "2d4e61082124cbd9",
     },
     "lin": {
-        ("additive", False, "fixed"): "3c6186b04e031853",
-        ("additive", False, "auto"): "64b3dcefcd3ea5a8",
-        ("additive", True, "fixed"): "3c6186b04e031853",
-        ("additive", True, "auto"): "64b3dcefcd3ea5a8",
-        ("panchev", False, "fixed"): "dd2da95eb775c8d9",
-        ("panchev", False, "auto"): "08bccc7d113e162c",
-        ("panchev", True, "fixed"): "ead089f6d30f8d31",
-        ("panchev", True, "auto"): "669ece40a17d56d4",
-        ("soula", False, "fixed"): "1f57f70364f3a585",
-        ("soula", False, "auto"): "dd274df6d4a1847c",
-        ("soula", True, "fixed"): "1f57f70364f3a585",
-        ("soula", True, "auto"): "dd274df6d4a1847c",
-        ("input", False, "fixed"): "99c0bb7020e4798c",
-        ("input", False, "auto"): "1fc0b52bd80116e6",
-        ("input", True, "fixed"): "0ff738021b9a4cca",
-        ("input", True, "auto"): "f6ded755607c109e",
+        ("additive", "fixed"): "3c6186b04e031853",
+        ("additive", "auto"): "64b3dcefcd3ea5a8",
+        ("panchev", "fixed"): "ead089f6d30f8d31",
+        ("panchev", "auto"): "669ece40a17d56d4",
+        ("soula", "fixed"): "1f57f70364f3a585",
+        ("soula", "auto"): "dd274df6d4a1847c",
+        ("input", "fixed"): "0ff738021b9a4cca",
+        ("input", "auto"): "f6ded755607c109e",
     },
     "rssom": {"fixed": "855df4f8c7750529", "auto": "beacca0a5b829722"},
 }
 
 SPIKING_TIGHT_LIBM = {
     "ssom": {
-        ("additive", False, "fixed"): "a537698364744dd1",
-        ("additive", False, "auto"): "b0e3ca2713580b19",
-        ("additive", True, "fixed"): "a537698364744dd1",
-        ("additive", True, "auto"): "b0e3ca2713580b19",
-        ("panchev", False, "fixed"): "2cf0ee481f9d3ff0",
-        ("panchev", False, "auto"): "5e27fef32a8f5093",
-        ("panchev", True, "fixed"): "9d3b83e53bb02100",
-        ("panchev", True, "auto"): "5ac8a9c251de6158",
-        ("soula", False, "fixed"): "2f990d197da3c8a5",
-        ("soula", False, "auto"): "f55f68a4363afef9",
-        ("soula", True, "fixed"): "2f990d197da3c8a5",
-        ("soula", True, "auto"): "f55f68a4363afef9",
-        ("input", False, "fixed"): "ebc9030afa9a3bb4",
-        ("input", False, "auto"): "a092035f6ce29ff1",
-        ("input", True, "fixed"): "812610e1809ba9db",
-        ("input", True, "auto"): "ad1cd9043c9ea544",
+        ("additive", "fixed"): "a537698364744dd1",
+        ("additive", "auto"): "b0e3ca2713580b19",
+        ("panchev", "fixed"): "9d3b83e53bb02100",
+        ("panchev", "auto"): "5ac8a9c251de6158",
+        ("soula", "fixed"): "2f990d197da3c8a5",
+        ("soula", "auto"): "f55f68a4363afef9",
+        ("input", "fixed"): "812610e1809ba9db",
+        ("input", "auto"): "ad1cd9043c9ea544",
     },
     "lin": {
-        ("additive", False, "fixed"): "e725db0665e3b3b9",
-        ("additive", False, "auto"): "d783cd8ab4737ef4",
-        ("additive", True, "fixed"): "e725db0665e3b3b9",
-        ("additive", True, "auto"): "d783cd8ab4737ef4",
-        ("panchev", False, "fixed"): "1fdb969c4e13051f",
-        ("panchev", False, "auto"): "fa47989b41713495",
-        ("panchev", True, "fixed"): "b3ffcd604bacc7dd",
-        ("panchev", True, "auto"): "5a89dc2e5f8dff0b",
-        ("soula", False, "fixed"): "cacc4a0802ec92f0",
-        ("soula", False, "auto"): "cc20a8220121b473",
-        ("soula", True, "fixed"): "cacc4a0802ec92f0",
-        ("soula", True, "auto"): "cc20a8220121b473",
-        ("input", False, "fixed"): "99c0bb7020e4798c",
-        ("input", False, "auto"): "3e7bac61c59e3ad0",
-        ("input", True, "fixed"): "907fe3654be7fffb",
-        ("input", True, "auto"): "7c80650ad8f3261d",
+        ("additive", "fixed"): "e725db0665e3b3b9",
+        ("additive", "auto"): "d783cd8ab4737ef4",
+        ("panchev", "fixed"): "b3ffcd604bacc7dd",
+        ("panchev", "auto"): "5a89dc2e5f8dff0b",
+        ("soula", "fixed"): "cacc4a0802ec92f0",
+        ("soula", "auto"): "cc20a8220121b473",
+        ("input", "fixed"): "907fe3654be7fffb",
+        ("input", "auto"): "7c80650ad8f3261d",
     },
     "rssom": {"fixed": "ba07bf1c8ba3fd20", "auto": "beacca0a5b829722"},
 }
 
-# RULES entry -> digests of SSOM and LIN (kind, variant, flip) at the fixed
+# RULES entry -> digests of SSOM and LIN (kind, variant) at the fixed
 # radius and RSSOM (kind, radius).  With w_max = 0.8 the soula rule's
 # fixed point lies below the initial weights and the SSOM diverges; with
 # w_max = 1.5 it drives SSOM and LIN weights above 1, where the map's match
 # clamp and the stored weights differ.
 SPIKING_RULES = {
     "asymmetric": {
-        ("ssom", "additive", False): "401a344507cd1bc0",
-        ("ssom", "additive", True): "401a344507cd1bc0",
-        ("ssom", "panchev", False): "f56e0d6231886f0a",
-        ("ssom", "panchev", True): "d92ed08f55c97277",
-        ("ssom", "soula", False): "8b4578d4a42870d3",
-        ("ssom", "soula", True): "8b4578d4a42870d3",
-        ("ssom", "input", False): "0ef89ae614efc0eb",
-        ("ssom", "input", True): "61d2f7e8071478eb",
-        ("lin", "additive", False): "a14e583c3d8bf356",
-        ("lin", "additive", True): "a14e583c3d8bf356",
-        ("lin", "panchev", False): "95a77b2ab56384fd",
-        ("lin", "panchev", True): "fbea375973a35594",
-        ("lin", "soula", False): "ecdcc87d5a9e27ee",
-        ("lin", "soula", True): "ecdcc87d5a9e27ee",
-        ("lin", "input", False): "cc4e337ebb8af9dd",
-        ("lin", "input", True): "c2e92ecba45a4e37",
+        ("ssom", "additive"): "401a344507cd1bc0",
+        ("ssom", "panchev"): "d92ed08f55c97277",
+        ("ssom", "soula"): "8b4578d4a42870d3",
+        ("ssom", "input"): "61d2f7e8071478eb",
+        ("lin", "additive"): "a14e583c3d8bf356",
+        ("lin", "panchev"): "fbea375973a35594",
+        ("lin", "soula"): "ecdcc87d5a9e27ee",
+        ("lin", "input"): "c2e92ecba45a4e37",
         ("rssom", "fixed"): "94d337b8512b0b6e",
         ("rssom", "auto"): "a2d6d359abb9220a",
     },
     "w_max_0.8": {
-        ("ssom", "additive", False): "c64821e0a7ddae2b",
-        ("ssom", "additive", True): "c64821e0a7ddae2b",
-        ("ssom", "panchev", False): "5070abb61b2e0a36",
-        ("ssom", "panchev", True): "bed9d9bf4edf97d8",
-        ("ssom", "soula", False): "diverged at epoch 0",
-        ("ssom", "soula", True): "diverged at epoch 0",
-        ("ssom", "input", False): "dca963aa17eb8b33",
-        ("ssom", "input", True): "8f7c793b9813e591",
-        ("lin", "additive", False): "7ce8e83a96e2359e",
-        ("lin", "additive", True): "7ce8e83a96e2359e",
-        ("lin", "panchev", False): "c6ac1b0224c0f695",
-        ("lin", "panchev", True): "b14411c75eead9dd",
-        ("lin", "soula", False): "17f98214ffc0d59b",
-        ("lin", "soula", True): "17f98214ffc0d59b",
-        ("lin", "input", False): "7617a1c193675ba7",
-        ("lin", "input", True): "3170d03a7186afd1",
+        ("ssom", "additive"): "c64821e0a7ddae2b",
+        ("ssom", "panchev"): "bed9d9bf4edf97d8",
+        ("ssom", "soula"): "diverged at epoch 0",
+        ("ssom", "input"): "8f7c793b9813e591",
+        ("lin", "additive"): "7ce8e83a96e2359e",
+        ("lin", "panchev"): "b14411c75eead9dd",
+        ("lin", "soula"): "17f98214ffc0d59b",
+        ("lin", "input"): "3170d03a7186afd1",
         ("rssom", "fixed"): "5a6b30cb2a079615",
         ("rssom", "auto"): "42740f2480814d7a",
     },
     "w_max_1.5": {
-        ("ssom", "additive", False): "0902d46bebae9119",
-        ("ssom", "additive", True): "0902d46bebae9119",
-        ("ssom", "panchev", False): "5070abb61b2e0a36",
-        ("ssom", "panchev", True): "bed9d9bf4edf97d8",
-        ("ssom", "soula", False): "ba752fc2a9914436",
-        ("ssom", "soula", True): "ba752fc2a9914436",
-        ("ssom", "input", False): "a090c28fd9370b4b",
-        ("ssom", "input", True): "e850c91c8d0e2299",
-        ("lin", "additive", False): "a45f38b429703388",
-        ("lin", "additive", True): "a45f38b429703388",
-        ("lin", "panchev", False): "c6ac1b0224c0f695",
-        ("lin", "panchev", True): "b14411c75eead9dd",
-        ("lin", "soula", False): "b4ffb370323490bc",
-        ("lin", "soula", True): "b4ffb370323490bc",
-        ("lin", "input", False): "a38ecd870b09ad6e",
-        ("lin", "input", True): "a561a77ee3141ff5",
+        ("ssom", "additive"): "0902d46bebae9119",
+        ("ssom", "panchev"): "bed9d9bf4edf97d8",
+        ("ssom", "soula"): "ba752fc2a9914436",
+        ("ssom", "input"): "e850c91c8d0e2299",
+        ("lin", "additive"): "a45f38b429703388",
+        ("lin", "panchev"): "b14411c75eead9dd",
+        ("lin", "soula"): "b4ffb370323490bc",
+        ("lin", "input"): "a561a77ee3141ff5",
         ("rssom", "fixed"): "ea03ad0258cfde20",
         ("rssom", "auto"): "c68fb1bb4c3d0e0c",
     },
@@ -291,62 +203,38 @@ SPIKING_RULES = {
 
 SPIKING_RULES_LIBM = {
     "asymmetric": {
-        ("ssom", "additive", False): "74f4007b00e61929",
-        ("ssom", "additive", True): "74f4007b00e61929",
-        ("ssom", "panchev", False): "032896a2910ef4be",
-        ("ssom", "panchev", True): "ce936b702ee709b0",
-        ("ssom", "soula", False): "b248cb3d3bedd91a",
-        ("ssom", "soula", True): "b248cb3d3bedd91a",
-        ("ssom", "input", False): "0ef89ae614efc0eb",
-        ("ssom", "input", True): "04ee7717fde6e78a",
-        ("lin", "additive", False): "501678a5b9b9a91f",
-        ("lin", "additive", True): "501678a5b9b9a91f",
-        ("lin", "panchev", False): "c0b2e4ed39b0ce6d",
-        ("lin", "panchev", True): "0b7a7d374a96e607",
-        ("lin", "soula", False): "fbc9c7a8b128663d",
-        ("lin", "soula", True): "fbc9c7a8b128663d",
-        ("lin", "input", False): "cc4e337ebb8af9dd",
-        ("lin", "input", True): "e71c9fbe89b6706c",
+        ("ssom", "additive"): "74f4007b00e61929",
+        ("ssom", "panchev"): "ce936b702ee709b0",
+        ("ssom", "soula"): "b248cb3d3bedd91a",
+        ("ssom", "input"): "04ee7717fde6e78a",
+        ("lin", "additive"): "501678a5b9b9a91f",
+        ("lin", "panchev"): "0b7a7d374a96e607",
+        ("lin", "soula"): "fbc9c7a8b128663d",
+        ("lin", "input"): "e71c9fbe89b6706c",
         ("rssom", "fixed"): "94d337b8512b0b6e",
         ("rssom", "auto"): "00fb5cb081857fb4",
     },
     "w_max_0.8": {
-        ("ssom", "additive", False): "0e0e5ea76a1dbf59",
-        ("ssom", "additive", True): "0e0e5ea76a1dbf59",
-        ("ssom", "panchev", False): "5155e6a5a5e9314f",
-        ("ssom", "panchev", True): "14abfb9f85670051",
-        ("ssom", "soula", False): "diverged at epoch 0",
-        ("ssom", "soula", True): "diverged at epoch 0",
-        ("ssom", "input", False): "dca963aa17eb8b33",
-        ("ssom", "input", True): "8d204a9237c51910",
-        ("lin", "additive", False): "7217b026ad1b7f3e",
-        ("lin", "additive", True): "7217b026ad1b7f3e",
-        ("lin", "panchev", False): "756afab7ba637091",
-        ("lin", "panchev", True): "c2b18cdcc1b626e6",
-        ("lin", "soula", False): "b0e90125929abe8c",
-        ("lin", "soula", True): "b0e90125929abe8c",
-        ("lin", "input", False): "7617a1c193675ba7",
-        ("lin", "input", True): "4957f092e830b61c",
+        ("ssom", "additive"): "0e0e5ea76a1dbf59",
+        ("ssom", "panchev"): "14abfb9f85670051",
+        ("ssom", "soula"): "diverged at epoch 0",
+        ("ssom", "input"): "8d204a9237c51910",
+        ("lin", "additive"): "7217b026ad1b7f3e",
+        ("lin", "panchev"): "c2b18cdcc1b626e6",
+        ("lin", "soula"): "b0e90125929abe8c",
+        ("lin", "input"): "4957f092e830b61c",
         ("rssom", "fixed"): "bd7670f1854af45b",
         ("rssom", "auto"): "ca73283181157cf5",
     },
     "w_max_1.5": {
-        ("ssom", "additive", False): "079d8a1d71ea5a3e",
-        ("ssom", "additive", True): "079d8a1d71ea5a3e",
-        ("ssom", "panchev", False): "5155e6a5a5e9314f",
-        ("ssom", "panchev", True): "14abfb9f85670051",
-        ("ssom", "soula", False): "33c9d7b36818cec4",
-        ("ssom", "soula", True): "33c9d7b36818cec4",
-        ("ssom", "input", False): "90ccb4fa977ccd7b",
-        ("ssom", "input", True): "4fde52b7e7bf1e66",
-        ("lin", "additive", False): "248a3a0b5c2f11f7",
-        ("lin", "additive", True): "248a3a0b5c2f11f7",
-        ("lin", "panchev", False): "756afab7ba637091",
-        ("lin", "panchev", True): "c2b18cdcc1b626e6",
-        ("lin", "soula", False): "bd6be1598dd944c1",
-        ("lin", "soula", True): "bd6be1598dd944c1",
-        ("lin", "input", False): "cce39de9dbd185f0",
-        ("lin", "input", True): "ddc423aeeb3e6490",
+        ("ssom", "additive"): "079d8a1d71ea5a3e",
+        ("ssom", "panchev"): "14abfb9f85670051",
+        ("ssom", "soula"): "33c9d7b36818cec4",
+        ("ssom", "input"): "4fde52b7e7bf1e66",
+        ("lin", "additive"): "248a3a0b5c2f11f7",
+        ("lin", "panchev"): "c2b18cdcc1b626e6",
+        ("lin", "soula"): "bd6be1598dd944c1",
+        ("lin", "input"): "ddc423aeeb3e6490",
         ("rssom", "fixed"): "ea03ad0258cfde20",
         ("rssom", "auto"): "c68fb1bb4c3d0e0c",
     },
@@ -400,23 +288,22 @@ def data():
     return synth_generate(2, 10, 6, 5, 2.0, True, 11)
 
 
-def train_spiking_kind(kind, data, variant, flip, radius, gate="default", rule=None):
+def train_spiking_kind(kind, data, variant, radius, gate="default", rule=None):
     model_cls, train, extra = TRAINERS[kind]
     cfg, lateral = GATES[gate]
     model = model_cls(normalized_init(ROWS, COLS, data, SEED), *feature_ranges(data),
                       SsomConfig(**cfg), LateralKernel(excite_radius=RADII[radius], **lateral),
-                      StdpRule(variant, flip_branches=flip, **RULES.get(rule, {})), **extra)
+                      StdpRule(variant, **RULES.get(rule, {})), **extra)
     return model, train(data, model, Schedule.for_lattice(ROWS, COLS, epochs=EPOCHS), SEED)
 
 
 def spiking_digests(kind, data, gate) -> dict:
     got, skipped = {}, 0
     for variant in VARIANTS:
-        for flip in (False, True):
-            for radius in RADII:
-                model, log = train_spiking_kind(kind, data, variant, flip, radius, gate)
-                got[variant, flip, radius] = trained_digest(model, log)
-                skipped += log.total_skipped
+        for radius in RADII:
+            model, log = train_spiking_kind(kind, data, variant, radius, gate)
+            got[variant, radius] = trained_digest(model, log)
+            skipped += log.total_skipped
     if gate == "tight" and kind != "rssom":
         assert skipped > 0
     return got
@@ -433,13 +320,13 @@ def test_tight_gate_trainer_matrix(data, kind):
 
 
 def rssom_matches(data, gate, want) -> None:
-    for (variant, flip, radius), d in spiking_digests("rssom", data, gate).items():
-        assert d == want[radius], (variant, flip, radius)
+    for (variant, radius), d in spiking_digests("rssom", data, gate).items():
+        assert d == want[radius], (variant, radius)
 
 
-def test_rssom_ignores_variant_and_flip(data):
-    """RSSOM steps along y_i scaled by |window|, so neither the STDP
-    variant nor the branch flip reaches its weights."""
+def test_rssom_ignores_variant(data):
+    """RSSOM steps along y_i scaled by |window|, so the STDP variant does
+    not reach its weights."""
     rssom_matches(data, "default", pinned(SPIKING, SPIKING_LIBM)["rssom"])
 
 
@@ -524,25 +411,24 @@ def test_eval_reports_over_several_blocks(tmp_path, kind):
     assert eval_block_digests(tmp_path, kind) == EVAL_BLOCKS[kind]
 
 
-def rule_digest(kind, data, variant, flip, radius, rule) -> str:
+def rule_digest(kind, data, variant, radius, rule) -> str:
     """The trained digest, or the epoch whose finiteness check stopped the
     run: only that epoch, not the non-finite weights' bits, is pinned."""
     try:
-        return trained_digest(*train_spiking_kind(kind, data, variant, flip, radius, rule=rule))
+        return trained_digest(*train_spiking_kind(kind, data, variant, radius, rule=rule))
     except DivergenceError as e:
         return f"diverged at epoch {e.epoch}"
 
 
 def rule_digests(data, rule) -> dict:
-    """SSOM and LIN for every variant x flip at the fixed radius, RSSOM at
+    """SSOM and LIN for every variant at the fixed radius, RSSOM at
     the fixed and auto radii, trained with the StdpRule keywords RULES[rule]."""
     got = {}
     for kind in ("ssom", "lin"):
         for variant in VARIANTS:
-            for flip in (False, True):
-                got[kind, variant, flip] = rule_digest(kind, data, variant, flip, "fixed", rule)
+            got[kind, variant] = rule_digest(kind, data, variant, "fixed", rule)
     for radius in RADII:
-        got["rssom", radius] = rule_digest("rssom", data, "input", True, radius, rule)
+        got["rssom", radius] = rule_digest("rssom", data, "input", radius, rule)
     return got
 
 

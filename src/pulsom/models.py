@@ -75,7 +75,14 @@ class _Inference:
     winner rule only on the frames whose winners the table holds.  Each
     kind binds ``frame_winners`` in its own class body, so per-class
     profiles and traces (perfbench/layers.py) count the kinds apart.
+    ``_sample_cost`` is the number of elements one sample adds to a
+    block's pass per frame.
     """
+
+    @property
+    def _sample_cost(self) -> int:
+        # the spiking step objects hold a units x dim difference per sample
+        return self.lattice.weights.size
 
     def winner_table(self, samples, terminal: bool = False) -> np.ndarray:
         """Flat index of every frame's winning unit, -1 where no unit wins:
@@ -84,12 +91,16 @@ class _Inference:
         shape (n_samples, 1): the last column of the whole table, for less
         work.
 
-        Samples must share one (n_frames, dim) shape.  They are coded and
-        stepped a block at a time, with at most QE_CHUNK_ELEMENTS differences
-        (block x units x dim) per frame.
+        There must be at least one sample, and all share one (n_frames,
+        dim) shape.  They are coded and stepped a block at a time, with at
+        most QE_CHUNK_ELEMENTS elements per frame in a block's pass: block
+        x units distance estimates for the SOM (``som.nearest_units``),
+        block x units x dim differences for the spiking kinds.
         """
         frames = [frames_of(s) for s in samples]
-        rows = max(1, QE_CHUNK_ELEMENTS // self.lattice.weights.size)
+        if not frames:
+            raise ValueError("samples must be non-empty")
+        rows = max(1, QE_CHUNK_ELEMENTS // self._sample_cost)
         return np.concatenate([self._block_winners(np.array(frames[i:i + rows]), terminal)
                                for i in range(0, len(frames), rows)])
 
@@ -107,6 +118,11 @@ class SomModel(_Inference):
     kind: str = field(default="SOM", init=False)
 
     frame_winners = _Inference.frame_winners
+
+    @property
+    def _sample_cost(self) -> int:
+        # one distance estimate per unit and frame (som.nearest_units)
+        return self.lattice.n_units
 
     def _block_winners(self, frames: np.ndarray, terminal: bool) -> np.ndarray:
         if terminal and not self.concat:

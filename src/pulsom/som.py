@@ -17,8 +17,11 @@ from .errors import DimensionMismatchError, DivergenceError, check_positive
 # Neighborhood influence is treated as zero beyond this many radii.
 NEIGHBORHOOD_CUTOFF_SIGMA = 3.0
 
-# Largest (samples x units x dim) difference block that quantization_error
-# builds at once; it bounds the memory the per-epoch error adds to training.
+# Largest block of per-pass elements: the (vectors x units) distance
+# estimates of one nearest_units pass (quantization_error, find_bmus), or
+# the (samples x units x dim) differences of one spiking step object's
+# frame.  It bounds the memory that the per-epoch error adds to training
+# and that inference takes per block.
 QE_CHUNK_ELEMENTS = 32_768
 
 
@@ -189,10 +192,14 @@ def winner_or_none(best, times, t_ref: float):
     """Winner indices: ``best``, each presentation's first unit to fire
     (its index into the last axis of ``times``), or -1 where that unit
     fires after ``t_ref``.  The first unit is silent only when every unit
-    is, so its time alone decides.  Arithmetic rather than np.where, so
-    that one presentation's winner stays a cheap numpy scalar."""
-    first = times[best] if times.ndim == 1 else np.take_along_axis(
-        times, best[..., None], axis=-1)[..., 0]
+    is, so its time alone decides.  Every winner rule's first unit holds
+    its presentation's least time (SSOM takes the argmin of the times;
+    RSSOM's times rise and LIN's fall monotonically with the value it
+    takes the argmin or argmax of; a NaN row gives NaN either way), so a
+    batch reads the row minimum instead of gathering.  Arithmetic rather
+    than np.where, so that one presentation's winner stays a cheap numpy
+    scalar."""
+    first = times[best] if times.ndim == 1 else times.min(axis=-1)
     return best - (best + 1) * (first > t_ref)
 
 
@@ -210,6 +217,63 @@ def squared_distances(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat).reshape(delta.shape[:-1])
 
 
+def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest weight row of each vector of a block x, shape (n, dim), and
+    its squared distance: the bits of ``squared_distances(x, weights)``'s
+    ``argmin(axis=1)`` (lowest flat index on ties) and ``min(axis=1)``.
+
+    A cheap estimate ||x||² + ||w||² - 2 x·w of every distance rules out
+    the units that cannot hold a row's minimum, and only the rest get the
+    exact ``squared_distances`` einsum.
+    """
+    dim = x.shape[1]
+    # Slack.  With u = 2**-53 and S = ||x||² + ||w||², the exact form
+    # sum_k fl(w_k - x_k)² rounds each difference and then sums dim
+    # squares in some order: it is within ((1 + u)²(1 + γ_dim) - 1) d <=
+    # (dim + 3) u d of the real distance d <= 2S.  The estimate's three
+    # einsums are within γ_dim ||x||², γ_dim ||w||² and 2 γ_dim |x|·|w| <=
+    # γ_dim S (Higham 2002, §3.1), and its sum and difference round by u S
+    # and 2u S.  The two forms thus differ by at most (4 dim + 9) u S plus
+    # O(u²) terms, which the slack (8 dim + 32) u S covers twice, rounding
+    # of S and of the slack itself included.  Under gradual underflow
+    # every product may also lose up to 2**-1075 absolutely (sums and
+    # differences with subnormal results are exact), 5 dim times in all;
+    # the floor (dim + 1) 2**-1068 covers that 25 times.  Where S
+    # overflows, the slack is inf and est - slack NaN or -inf, never above
+    # hi, so such units stay; a row holding NaN has a NaN hi and keeps
+    # every unit.  A unit left out thus has est - slack > hi, so its
+    # exact distance exceeds that of the unit giving hi: it can neither
+    # hold the minimum nor tie with it.
+    xx = np.einsum("ij,ij->i", x, x)
+    ww = np.einsum("ij,ij->i", weights, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = xx[:, None] + ww
+        est = np.einsum("ik,jk->ij", x, weights)
+        est *= -2.0
+        est += norms
+        slack = norms
+        slack *= (dim + 4) * 2.0 ** -50
+        slack += (dim + 1) * 2.0 ** -1068
+        hi = (est + slack).min(axis=1)
+        est -= slack
+        keep = ~(est > hi[:, None])
+    rows, cols = np.nonzero(keep)
+    delta = weights[cols] - x[rows]
+    # A unit left out reads inf, above its row's minimum, which is finite
+    # then; NaN distances occur only in rows that keep every unit.
+    d2 = np.full(keep.shape, np.inf)
+    d2[rows, cols] = np.einsum("ij,ij->i", delta, delta)
+    return d2.argmin(axis=1), d2.min(axis=1)
+
+
+def _nearest_blocks(data: np.ndarray, weights: np.ndarray):
+    """``nearest_units`` over the rows of data in blocks of at most
+    QE_CHUNK_ELEMENTS vectors x units."""
+    rows = max(1, QE_CHUNK_ELEMENTS // weights.shape[0])
+    for start in range(0, data.shape[0], rows):
+        yield nearest_units(data[start:start + rows], weights)
+
+
 def find_bmus(x, lattice: Lattice) -> np.ndarray:
     """Flat index of the best-matching unit of each vector of x, shape
     (..., dim); the batched ``find_bmu``."""
@@ -218,7 +282,8 @@ def find_bmus(x, lattice: Lattice) -> np.ndarray:
         raise DimensionMismatchError(lattice.dim, x.shape[-1] if x.ndim else x.shape)
     if not np.isfinite(x).all():
         raise ValueError("input vector must be finite")
-    return squared_distances(x, lattice.weights).argmin(axis=-1)
+    blocks = [best for best, _ in _nearest_blocks(x.reshape(-1, lattice.dim), lattice.weights)]
+    return np.concatenate(blocks or [np.empty(0, np.intp)]).reshape(x.shape[:-1])
 
 
 def find_bmu(x, lattice: Lattice) -> UnitIndex:
@@ -270,14 +335,11 @@ def quantization_error(data, lattice: Lattice) -> float:
         raise ValueError("data must be a non-empty (n, dim) array")
     if data.shape[1] != lattice.dim:
         raise DimensionMismatchError(lattice.dim, data.shape[1])
-    w = lattice.weights
-    rows = max(1, QE_CHUNK_ELEMENTS // w.size)
     total = 0.0
-    for start in range(0, data.shape[0], rows):
-        d2 = squared_distances(data[start:start + rows], w)
+    for _, d2 in _nearest_blocks(data, lattice.weights):
         # Added one sample at a time, left to right: the same rounding as a
         # per-sample loop, so logged errors keep their bits.
-        for dist in np.sqrt(d2.min(axis=1)).tolist():
+        for dist in np.sqrt(d2).tolist():
             total += dist
     return total / data.shape[0]
 

@@ -19,7 +19,7 @@ from pulsom.evaluate import REJECTED, UnitLabelMap, calibrate, classify, report
 from pulsom.lin import PotentialState, potential_winners
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel
 from pulsom.rssom import DifferenceState, difference_winners
-from pulsom.som import QE_CHUNK_ELEMENTS, Lattice
+from pulsom.som import QE_CHUNK_ELEMENTS, Lattice, winner_or_none
 from pulsom.ssom import LateralKernel, clamped, firing_winners, frames_of
 from pulsom.stdp import StdpRule
 
@@ -138,7 +138,7 @@ KINDS = ["som", "som-concat", "ssom", "rssom", "lin"]
 
 
 def block_of(model):
-    return max(1, QE_CHUNK_ELEMENTS // model.lattice.weights.size)
+    return max(1, QE_CHUNK_ELEMENTS // model._sample_cost)
 
 
 class TestWinnerTable:
@@ -164,6 +164,16 @@ class TestWinnerTable:
         assert terminal.tolist() == [oracle_frame_winners(model, s)[-1:] for s in samples]
         if kind in ("ssom", "rssom", "lin"):     # no-winner and winning samples
             assert (terminal == -1).any() and (terminal >= 0).any()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_sample_list_is_rejected(self, kind):
+        with pytest.raises(ValueError, match="samples must be non-empty"):
+            make_model(kind).winner_table([])
+
+    def test_som_blocks_bound_vectors_times_units(self):
+        assert block_of(make_model("som")) == QE_CHUNK_ELEMENTS // 144
+        assert block_of(make_model("som-concat")) == QE_CHUNK_ELEMENTS // 144
+        assert block_of(make_model("ssom")) == QE_CHUNK_ELEMENTS // (144 * 12)
 
     @pytest.mark.parametrize("kind", ["som", "ssom", "rssom", "lin"])
     def test_terminal_table_checks_every_frame(self, kind):
@@ -338,3 +348,43 @@ class TestWinnerRule:
             best = state.a.argmax(axis=-1)
         assert np.shape(w) == batch and np.asarray(w).dtype == np.intp
         assert np.array_equal(w, self.oracle(best, times, cfg.t_ref))
+
+    @staticmethod
+    def gathered(best, times, t_ref):
+        """The batched rule before it read the row minimum: the first
+        unit's time gathered at ``best``."""
+        first = np.take_along_axis(times, best[..., None], axis=-1)[..., 0]
+        return best - (best + 1) * (first > t_ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["ssom", "rssom", "lin"]),
+           units=st.integers(1, 9), dim=st.integers(1, 4), rows=st.integers(1, 6),
+           t_ref=st.sampled_from([1e-3, 20.0]) | st.floats(0.01, 20.0))
+    def test_row_minimum_equals_the_gathered_time(self, data, kind, units, dim, rows, t_ref):
+        # NaN entries give NaN rows; entries far from every unit give rows
+        # whose units all fire at t_max, tied with t_ref = 20
+        def block(shape, values, low, high):
+            return data.draw(arrays(np.float64, shape, elements=st.sampled_from(values)
+                                    | st.floats(low, high)))
+
+        lattice = Lattice(1, units, block((units, dim), [0.0, 1.0, 1.5], -0.5, 1.5))
+        cfg = SsomConfig(t_max=20.0, t_ref=t_ref)
+        if kind == "ssom":
+            times, w = firing_winners(block((rows, dim), [0.0, np.nan], 0.0, 1.0),
+                                      clamped(lattice), cfg)
+            best = times.argmin(axis=-1)
+        elif kind == "rssom":
+            state = DifferenceState(block((rows, units, dim), [np.nan, 0.0, 5.0], -1.5, 1.5),
+                                    0.5)
+            times, w = difference_winners(state, lattice, cfg)
+            flat = state.y.reshape(-1, dim)
+            best = np.einsum("ij,ij->i", flat, flat).reshape(rows, units).argmin(axis=-1)
+        else:
+            lam = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+            state = PotentialState(block((rows, units), [np.nan, 0.0, -100.0], -12.0, 0.0), lam)
+            times, w = potential_winners(state, lattice, cfg)
+            best = state.a.argmax(axis=-1)
+        assert np.array_equal(w, self.gathered(best, times, cfg.t_ref))
+        assert np.array_equal(winner_or_none(best, times, cfg.t_ref), w)
+        for r in range(rows):   # one presentation gathers its own time
+            assert winner_or_none(best[r], times[r], cfg.t_ref) == w[r]

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsom.corpus import synth_generate
 from pulsom.errors import DimensionMismatchError
@@ -12,11 +15,14 @@ from pulsom.som import (
     Schedule,
     UnitIndex,
     find_bmu,
+    find_bmus,
     linear_decay,
+    nearest_units,
     neighborhood_array,
     quantization_error,
     sample_vectors,
     som_update,
+    squared_distances,
     train_som,
 )
 
@@ -237,6 +243,90 @@ class TestQuantizationError:
             delta = lat.weights - x
             total += math.sqrt(float(np.min(np.einsum("ij,ij->i", delta, delta))))
         assert quantization_error(data, lat) == total / n
+
+
+def exact_nearest(x, weights):
+    with np.errstate(over="ignore"):
+        d2 = squared_distances(x, weights)
+    return d2.argmin(axis=1), d2.min(axis=1)
+
+
+def assert_same_nearest(x, weights):
+    best, least = nearest_units(x, weights)
+    want_best, want_least = exact_nearest(x, weights)
+    assert best.dtype == want_best.dtype and np.array_equal(best, want_best)
+    assert least.dtype == want_least.dtype
+    assert np.array_equal(least, want_least, equal_nan=True)
+    assert np.array_equal(least.view(np.int64), want_least.view(np.int64))
+
+
+class TestNearestUnits:
+    """nearest_units rules units out through a rounding bound on a cheap
+    estimate; what it returns must be the exact search's bits."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(dim=st.integers(1, 128), n=st.integers(1, 12), units=st.integers(1, 40),
+           exponent=st.floats(-170.0, 160.0), spread=st.sampled_from([0.0, 1.0, 8.0]),
+           offset=st.sampled_from([0.0, 1e4, 1e7]), seed=st.integers(0, 2**32 - 1),
+           ties=st.sets(st.sampled_from(["duplicate", "on_weight", "ulp", "nan"])))
+    def test_equals_squared_distances_bit_for_bit(self, dim, n, units, exponent, spread,
+                                                  offset, seed, ties):
+        # spread draws each entry's magnitude around 10**exponent, so that
+        # rows mix normal, subnormal and overflowing squares; a common
+        # offset far from the origin makes the estimate cancel
+        rng = np.random.default_rng(seed)
+        centre = offset * rng.normal(size=dim)
+
+        def block(rows):
+            scale = 10.0 ** np.clip(exponent + spread * rng.normal(size=(rows, dim)), -320, 300)
+            return (centre + rng.normal(size=(rows, dim))) * scale
+
+        weights, x = block(units), block(n)
+        near = int(exact_nearest(x[:1], weights)[0][0])
+        other = int(rng.integers(units))
+        if "duplicate" in ties:     # an exact tie with the nearest unit
+            weights[other] = weights[near]
+        if "ulp" in ties:           # a 1-ulp near-tie with it
+            weights[other] = np.nextafter(weights[near], rng.choice([-np.inf, np.inf], dim))
+        if "on_weight" in ties:
+            x[-1] = weights[int(rng.integers(units))]
+        if "nan" in ties:
+            x[int(rng.integers(n)), int(rng.integers(dim))] = np.nan
+        assert_same_nearest(x, weights)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-162, 1e-155, 1.0, 1e150, 1e160, 1e200])
+    def test_extreme_magnitudes_and_no_warnings(self, scale):
+        rng = np.random.default_rng(11)
+        weights = rng.normal(size=(30, 17)) * scale
+        x = np.concatenate([rng.normal(size=(20, 17)) * scale, weights[[3, 3, 29]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nearest_units(x, weights)
+        assert_same_nearest(x, weights)
+
+    def test_ties_go_to_the_lowest_flat_index(self):
+        weights = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        best, least = nearest_units(np.array([[0.5, 0.5], [0.0, 1.0], [2.0, 0.0]]), weights)
+        assert best.tolist() == [0, 1, 0] and least.tolist() == [0.5, 0.0, 1.0]
+
+    def test_empty_block(self):
+        best, least = nearest_units(np.empty((0, 3)), np.ones((4, 3)))
+        assert best.shape == least.shape == (0,)
+        assert find_bmus(np.empty((0, 3)), Lattice(2, 2, np.ones((4, 3)))).shape == (0,)
+
+    def test_concat_map_winner_table_equals_per_sample_argmin(self):
+        # the paper's case study: a 16x16 map of 9 middle frames x 12 MFCCs
+        rng = np.random.default_rng(20)
+        frames = rng.normal(size=(400, 9, 12)) * rng.uniform(0.5, 4.0, size=12)
+        vectors = frames.reshape(400, 108)
+        lattice = Lattice.random_init(16, 16, vectors, seed=3)
+        lattice.weights[7] = vectors[5]             # a sample on a weight row
+        lattice.weights[[9, 200]] = vectors[11]     # an exact tie: unit 9 wins
+        model = SomModel(lattice, concat=True)
+        want = [int(squared_distances(v, lattice.weights).argmin()) for v in vectors]
+        assert len(frames) > QE_CHUNK_ELEMENTS // lattice.n_units
+        assert model.winner_table(frames)[:, 0].tolist() == want
+        assert want[5] == 7 and want[11] == 9
 
 
 class TestGridDistances:

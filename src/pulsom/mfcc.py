@@ -56,8 +56,8 @@ class MfccConfig:
             raise ValueError(f"frame_len must be at least 2, got {self.frame_len}")
         if self.n_coeffs < 1:
             raise ValueError(f"n_coeffs must be at least 1, got {self.n_coeffs}")
-        if self.n_coeffs > self.n_filters:
-            raise ValueError("n_coeffs cannot exceed n_filters")
+        if self.n_coeffs >= self.n_filters:  # the DCT drops the mean term
+            raise ValueError(f"n_coeffs must be below n_filters, got {self.n_coeffs}")
         if self.fft_size < self.frame_len:
             raise ValueError("fft_size must be >= frame_len")
 
@@ -173,16 +173,25 @@ def mel_filterbank(spectrum: np.ndarray, cfg: MfccConfig,
     return np.log10(np.maximum(energies, LOG_FLOOR))
 
 
+@cache
+def dct_matrix(n: int, n_coeffs: int) -> np.ndarray:
+    """Rows 1..n_coeffs of the orthonormal type-II DCT basis of length n,
+    sqrt(2/n) cos(pi k (2i+1) / 2n), with k(2i+1) reduced mod 4n in integers
+    first.  Built once per argument pair and shared, so read-only."""
+    m = np.arange(1, n_coeffs + 1)[:, None] * (2 * np.arange(n) + 1) % (4 * n)
+    basis = math.sqrt(2.0 / n) * np.cos(np.pi * m / (2 * n))
+    basis.setflags(write=False)
+    return basis
+
+
 def dct_coeffs(log_energies: np.ndarray, n_coeffs: int) -> np.ndarray:
     """Orthonormal type-II DCT along the last axis; the mean coefficient is
-    dropped and the next n_coeffs returned."""
-    # Imported here so that only the features command pays for loading scipy.
-    from scipy.fft import dct
+    dropped and the next n_coeffs returned.  One einsum (no BLAS), so each
+    row of a block has the bits it has alone."""
     log_energies = np.asarray(log_energies, dtype=np.float64)
-    if n_coeffs > log_energies.shape[-1]:
-        raise ValueError("n_coeffs cannot exceed the number of filter energies")
-    full = dct(log_energies, type=2, norm="ortho", axis=-1)
-    return full[..., 1:n_coeffs + 1]
+    if n_coeffs >= log_energies.shape[-1]:
+        raise ValueError("n_coeffs must be below the number of filter energies")
+    return np.einsum("...j,kj->...k", log_energies, dct_matrix(log_energies.shape[-1], n_coeffs))
 
 
 def row_texts(matrix: np.ndarray) -> list[str]:
@@ -222,6 +231,4 @@ def mfcc_pipeline(buf: AudioBuffer, cfg: MfccConfig | None = None) -> np.ndarray
     spec = power_spectrum(frames * hamming_vector(cfg.frame_len), cfg.fft_size)
     if not cfg.use_power:
         spec = np.sqrt(spec)
-    coeffs = dct_coeffs(mel_filterbank(spec, cfg, buf.sample_rate), cfg.n_coeffs)
-    # A copy, not a view of the full DCT block: callers keep every utterance.
-    return np.ascontiguousarray(coeffs)
+    return dct_coeffs(mel_filterbank(spec, cfg, buf.sample_rate), cfg.n_coeffs)

@@ -299,5 +299,7 @@ def _parse_model(lines: list[str]):
     for name, key, _ in PARAMETER_LINES[kind]:
         n, text = line(name)
         values[key.name] = parse_value(key, text, f"line {n}")
-    return model_of(kind.lower(), lattice, RunConfig(values),
-                    *(_float_line(*line(name), lattice.dim, f"'{name}'") for name in ranges))
+    lo_hi = [_float_line(*line(name), lattice.dim, f"'{name}'") for name in ranges]
+    if lo_hi and np.any(lo_hi[0] > lo_hi[1]):
+        raise ValueError(f"line {line('hi')[0]}: 'hi' values must not be below 'lo' values")
+    return model_of(kind.lower(), lattice, RunConfig(values), *lo_hi)

@@ -16,10 +16,12 @@ def _exp_is_libm() -> bool:
 EXP_IS_LIBM = _exp_is_libm()
 
 
-def pinned(avx512: dict, libm: dict) -> dict:
+def pinned(avx512, libm):
     """The digest set recorded with this host's numpy exp.  The spiking
     trainers call exp on every presentation, so their bits follow it; each
-    set is exact for its exp (numpy 2.4 on x86-64, glibc's libm)."""
+    set is exact for its exp (numpy 2.4 on x86-64, glibc's libm).  The
+    MFCC front-end's log10 takes its AVX-512 kernel exactly where exp
+    does, so the feature bytes are pinned the same way."""
     return libm if EXP_IS_LIBM else avx512
 
 

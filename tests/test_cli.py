@@ -575,7 +575,8 @@ eval.class_map = timit_macro
         cfg = self.eval_cfg(tmp_path, dataset, model="lin")
         assert main(["eval", "--config", cfg, "--model", str(model_path)]) == 2
 
-    @pytest.mark.parametrize("damage", ["truncate", "drop_lo", "nan_lo", "alpha_line"])
+    @pytest.mark.parametrize("damage", ["truncate", "drop_lo", "nan_lo", "alpha_line",
+                                        "lo_above_hi"])
     def test_malformed_model_file_exits_2(self, tmp_path, trained, capsys, damage):
         dataset, model_path = trained
         cfg = write_cfg(tmp_path / "ssom.cfg", f"""
@@ -599,6 +600,9 @@ data.test_csv = {dataset}
         elif damage == "nan_lo":
             lines[at] = "lo " + " ".join(["nan"] * 5)
             named = f"line {at + 1}: 'lo' values must be finite"
+        elif damage == "lo_above_hi":  # the lo and hi values swapped
+            lines[at], lines[at + 1] = "lo" + lines[at + 1][2:], "hi" + lines[at][2:]
+            named = f"line {at + 2}: 'hi' values must not be below 'lo' values"
         else:
             lines, named = lines + ["alpha 0.3"], (f"line {len(lines) + 1}: 'alpha' is not "
                                                    f"a line of SSOM model files")
@@ -840,6 +844,18 @@ class TestFeaturesCommand:
         assert f"config error: {cfg}:3 ({key}): {message}" in capsys.readouterr().err
         assert no_csvs_in(tmp_path / "feat")
 
+    def test_as_many_coefficients_as_filters_exits_2_naming_both_lines(self, tmp_path,
+                                                                        capsys):
+        # the DCT drops the mean term, so 26 filters give at most 25 coefficients
+        root = make_fixture_corpus(tmp_path / "corpus")
+        cfg = write_cfg(tmp_path / "f.cfg", f"run.outdir = {tmp_path / 'feat'}\n"
+                                            f"corpus.root = {root}\nmfcc.n_filters = 26\n"
+                                            "mfcc.n_coeffs = 26\n")
+        assert main(["features", "--config", cfg]) == 2
+        assert (f"config error: {cfg}:3 (mfcc.n_filters), {cfg}:4 (mfcc.n_coeffs): "
+                "n_coeffs must be below n_filters, got 26") in capsys.readouterr().err
+        assert no_csvs_in(tmp_path / "feat")
+
     def test_malformed_corpus_exits_4(self, tmp_path):
         root = make_fixture_corpus(tmp_path / "corpus")
         (root / "dr1" / "spk1" / "utt0.phn").write_text("10 5 h#\n")
@@ -918,6 +934,26 @@ def fuzz_corpus(tmp_path_factory):
 
 class TestFeaturesBytes:
     """`pulsom features` streams both CSVs; the library path is the oracle."""
+
+    # SHA-256 of the fixture corpus's dataset.csv and frames.csv, recorded
+    # with numpy 2.4 on x86-64.  The log10 of the filterbank energies
+    # follows numpy's kernel as the spiking bytes follow its exp, so there
+    # are two sets, picked by ``conftest.pinned``: numpy's AVX-512 kernel,
+    # and glibc's libm where numpy dispatches no AVX-512 (the libm set was
+    # recorded with AVX2, which numpy's complex abs also follows).
+    DIGESTS = ("d91cc1254fa950bd938c36757bbc025b62dec70890d0ee31533db1ff24941bfb",
+               "fa9612c068919288ccbe15a43d71dd15dcfeaf86381379b4f194e0860641e9e4")
+    DIGESTS_LIBM = ("b68cad5a99a141a86a27f119684516a71d4ab5d18f63bb26b5a52b0538bb372a",
+                    "7504d8d81a30ad316cce79881a036bdaed01929939a32716f42701c51ff64f4e")
+
+    def test_fixture_corpus_bytes_match_recorded_digests(self, tmp_path):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        assert main(["features", "--config", cfg]) == 0
+        got = tuple(hashlib.sha256((tmp_path / "feat" / name).read_bytes()).hexdigest()
+                    for name in ("dataset.csv", "frames.csv"))
+        assert got == pinned(self.DIGESTS, self.DIGESTS_LIBM)
 
     @pytest.mark.parametrize("case", list(FEATURE_CASES))
     def test_cli_bytes_equal_library(self, tmp_path, capsys, case):
@@ -1132,29 +1168,35 @@ class TestAsciiLocale:
             assert no_csvs_in(tmp_path / name / "feat")
 
 
-class TestScipyOnlyForFeatures:
-    def test_import_synth_train_and_eval_leave_scipy_unloaded(self, tmp_path):
+class TestNoCommandLoadsScipy:
+    def test_import_and_every_command_leave_scipy_unloaded(self, tmp_path):
         dataset = tmp_path / "out" / "synth.csv"
+        root = make_fixture_corpus(tmp_path / "corpus")
+        features_cfg = write_cfg(tmp_path / "f.cfg", f"run.outdir = {tmp_path / 'feat'}\n"
+                                                     f"corpus.root = {root}\n")
         eval_cfg = write_cfg(tmp_path / "eval.cfg",
                              f"run.outdir = {tmp_path / 'eval-out'}\n"
                              f"data.train_csv = {dataset}\ndata.test_csv = {dataset}\n")
-        argvs = [["synth", "--config", synth_cfg(tmp_path)],
+        argvs = [["features", "--config", features_cfg],
+                 ["synth", "--config", synth_cfg(tmp_path)],
                  ["train", "--config", train_cfg(tmp_path, dataset)],
                  ["eval", "--config", eval_cfg, "--model",
-                  str(tmp_path / "train-out" / "model.txt")]]
+                  str(tmp_path / "train-out" / "model.txt")],
+                 ["report", "--csv", str(tmp_path / "eval-out" / "report.csv")]]
         script = ("import sys\n"
+                  "import pulsom\n"
+                  "seen = {'import pulsom': 'scipy' in sys.modules}\n"
                   "from pulsom.cli import main\n"
-                  "seen = {'import': 'scipy' in sys.modules}\n"
+                  "seen['import pulsom.cli'] = 'scipy' in sys.modules\n"
                   f"for argv in {argvs!r}:\n"
                   "    assert main(argv) == 0, argv\n"
                   "    seen[argv[0]] = 'scipy' in sys.modules\n"
                   "print(seen)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(pulsom.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str(
-            {"import": False, "synth": False, "train": False, "eval": False})
+        proc = run_python(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stdout.decode().splitlines()[-1] == str(
+            {"import pulsom": False, "import pulsom.cli": False, "features": False,
+             "synth": False, "train": False, "eval": False, "report": False})
 
 
 class TestReportCommand:

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.fft import dct as scipy_dct
 
 from pulsom.mfcc import (
     LOG_FLOOR,
     AudioBuffer,
     MfccConfig,
     dct_coeffs,
+    dct_matrix,
     frame_signal,
     hamming_vector,
     hamming_window,
@@ -47,6 +47,18 @@ def naive_dct2_ortho(x):
     return out
 
 
+def long_double_dct(x, n_coeffs):
+    """Coefficients 1..n_coeffs of the orthonormal type-II DCT of each row,
+    summed in long double from long-double cosines: the accuracy oracle."""
+    x = np.asarray(x, dtype=np.longdouble)
+    n = x.shape[-1]
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    k = np.arange(1, n_coeffs + 1, dtype=np.longdouble)[:, None]
+    basis = np.sqrt(np.longdouble(2) / n) * np.cos(
+        pi * k * (2 * np.arange(n, dtype=np.longdouble) + 1) / (2 * n))
+    return (x[..., None, :] * basis).sum(axis=-1)
+
+
 def per_frame_mfcc(buf, cfg):
     """The per-frame front-end loop that the batched pipeline replaced: one
     FFT, one filterbank product and one DCT call for each frame.  It is the
@@ -62,7 +74,7 @@ def per_frame_mfcc(buf, cfg):
         if not cfg.use_power:
             spec = np.sqrt(spec)
         energies = np.log10(np.maximum(filters @ spec, LOG_FLOOR))
-        out[i] = scipy_dct(energies, type=2, norm="ortho")[1:cfg.n_coeffs + 1]
+        out[i] = dct_coeffs(energies, cfg.n_coeffs)
     return out
 
 
@@ -287,6 +299,24 @@ class TestDct:
     def test_coefficient_count_validated(self):
         with pytest.raises(ValueError):
             dct_coeffs(np.zeros(8), 12)
+        # the mean term is never returned
+        assert dct_coeffs(np.zeros(26), 25).shape == (25,)
+        with pytest.raises(ValueError, match="n_coeffs must be below the number of filter"):
+            dct_coeffs(np.zeros(26), 26)
+
+    @pytest.mark.parametrize("n, n_coeffs", [(26, 12), (26, 25), (40, 13), (7, 3), (2, 1)])
+    def test_within_1e_13_of_a_long_double_reference(self, n, n_coeffs):
+        # log10 energies lie in [-10, 2]: the floor, up to a loud full-scale frame
+        x = np.random.default_rng(n).uniform(-10.0, 2.0, size=(2000, n))
+        err = np.abs(dct_coeffs(x, n_coeffs) - long_double_dct(x, n_coeffs))
+        assert err.max() < 1e-13
+
+    def test_basis_built_once_per_arguments_and_read_only(self):
+        basis = dct_matrix(26, 12)
+        assert basis.shape == (12, 26)
+        assert dct_matrix(26, 12) is basis
+        assert dct_matrix(26, 13) is not basis
+        assert not basis.flags.writeable
 
 
 class TestPipeline:
@@ -410,6 +440,10 @@ class TestConfigValidation:
     def test_coeffs_bounded_by_filters(self):
         with pytest.raises(ValueError):
             MfccConfig(n_filters=10, n_coeffs=12)
+        # the DCT drops the mean term, so n_filters energies give n_filters - 1
+        assert MfccConfig(n_filters=26, n_coeffs=25).n_coeffs == 25
+        with pytest.raises(ValueError, match="n_coeffs must be below n_filters, got 26"):
+            MfccConfig(n_filters=26, n_coeffs=26)
 
     def test_at_least_one_coefficient(self):
         with pytest.raises(ValueError, match="n_coeffs must be at least 1"):

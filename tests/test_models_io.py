@@ -241,14 +241,16 @@ class TestErrors:
          "'lo' values must be finite, got '0.0 nan 0.0 0.0'"),
         (lambda ls: replaced(ls, "hi ", "hi 1.0 1.0 inf 1.0"),
          "'hi' values must be finite, got '1.0 1.0 inf 1.0'"),
+        (lambda ls: replaced(ls, "hi ", "hi 1.0 1.0 -0.5 1.0"),
+         "'hi' values must not be below 'lo' values"),
         (lambda ls: (ls + ["alpha 0.3"], len(ls) + 1),
          "'alpha' is not a line of SSOM model files"),
         (lambda ls: (ls + ["t_ref 3"], len(ls) + 1),
          "'t_ref' is not a line of SSOM model files"),
         (lambda ls: (ls[:7] + ["0.5 0.5 0.5 0.5"] + ls[7:], 8),
          "'0.5' is not a line of SSOM model files"),
-    ], ids=["bad-range-token", "nan-lo", "inf-hi", "alpha-in-ssom", "misspelt-line",
-            "surplus-weight-row"])
+    ], ids=["bad-range-token", "nan-lo", "inf-hi", "hi-below-lo", "alpha-in-ssom",
+            "misspelt-line", "surplus-weight-row"])
     def test_bad_line_named(self, tmp_path, edit, message):
         lo, hi, cfg, kernel, rule = spiking_parts()
         path = tmp_path / "m.txt"

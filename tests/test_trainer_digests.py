@@ -36,7 +36,7 @@ from pulsom.coding import SsomConfig
 from pulsom.corpus import synth_generate, write_dataset_csv
 from pulsom.errors import DivergenceError
 from pulsom.lin import train_lin
-from pulsom.models import LinModel, RssomModel, SomModel, SsomModel
+from pulsom.models import LinModel, RssomModel, SomModel, SsomModel, load_model
 from pulsom.rssom import train_rssom
 from pulsom.som import QE_CHUNK_ELEMENTS, Lattice, Schedule, sample_vectors, train_som
 from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
@@ -371,21 +371,24 @@ def test_eval_reports_with_macro_classes(tmp_path, kind):
 
 
 # kind -> (terminal, frame-vote) report digests of an eval whose test set
-# spans more than two winner-table blocks and more than one block of the
-# dataset-CSV reader (128 rows).  Recorded under both exp sets, which agree.
+# spans more than two of the kind's own winner-table blocks and more than one
+# block of the dataset-CSV reader (128 rows).  The SOM's blocks hold about
+# twelve times the samples of the spiking kinds' on the same map, so it gets
+# a larger data set (SAMPLES_PER_CLASS).  Recorded under both exp sets, which
+# agree.
 EVAL_BLOCKS = {
-    "som": ("ba1d8b7173e76026", "3046fd779dd343db"),
+    "som": ("ebccc1ecb02868cc", "7e4f563a45e7754f"),
     "ssom": ("b25b50ed98fc595a", "f7df63d2dd098970"),
     "rssom": ("428871d6a80073ae", "48f797dc02521d31"),
     "lin": ("bab0c521245d7a25", "4e03b84ad6476859"),
 }
+SAMPLES_PER_CLASS = {"som": 720, "ssom": 70, "rssom": 70, "lin": 70}
 
 
 def eval_block_digests(tmp_path, kind) -> tuple:
-    samples = synth_generate(3, 70, 12, 5, 0.15, False, 31)
+    samples = synth_generate(3, SAMPLES_PER_CLASS[kind], 12, 5, 0.15, False, 31)
     train, test = samples[::7], [s for i, s in enumerate(samples) if i % 7]
     rows, cols = 6, 6
-    assert len(test) > 2 * (QE_CHUNK_ELEMENTS // (rows * cols * 12)) and len(test) > 128
     write_dataset_csv(train, tmp_path / "train.csv")
     write_dataset_csv(test, tmp_path / "test.csv")
     base = (f"run.model = {kind}\nrun.seed = {SEED}\nlattice.rows = {rows}\n"
@@ -395,6 +398,8 @@ def eval_block_digests(tmp_path, kind) -> tuple:
     cfg = tmp_path / "train.cfg"
     cfg.write_text(base + f"run.outdir = {tmp_path / 'model'}\n")
     assert main(["train", "--config", str(cfg)]) == 0
+    block = QE_CHUNK_ELEMENTS // load_model(tmp_path / "model" / "model.txt")._sample_cost
+    assert len(test) > 2 * block and len(test) > 128
     got = []
     for vote in ("false", "true"):
         out = tmp_path / vote
@@ -440,9 +445,11 @@ def test_rule_trainer_matrix(data, rule):
 
 
 def test_digests_hold_without_avx512():
-    """The digest tests, rerun in a child process whose numpy dispatches no
-    AVX-512 kernel, pass against the libm set: both sets stay checked on
-    an AVX-512 host.  The setting reaches the child only."""
+    """The digest tests and the feature-byte pins, rerun in a child process
+    whose numpy dispatches no AVX-512 kernel, pass against the libm set:
+    both sets stay checked on an AVX-512 host.  The MFCC tests ride along,
+    so the DCT's batched bits are checked against its per-row bits there
+    too.  The setting reaches the child only."""
     repo = Path(__file__).resolve().parents[1]
     src = str(Path(pulsom.__file__).resolve().parents[1])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
@@ -450,6 +457,8 @@ def test_digests_hold_without_avx512():
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
          "tests/test_trainer_digests.py", "tests/test_cli.py::TestModelBytes",
+         "tests/test_cli.py::TestFeaturesBytes::test_fixture_corpus_bytes_match_recorded_digests",
+         "tests/test_mfcc.py",
          "--deselect", "tests/test_trainer_digests.py::test_digests_hold_without_avx512"],
         cwd=repo, env=env, capture_output=True, text=True, timeout=600)
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]

@@ -28,8 +28,8 @@ MAGIC = "PULSOM1"
 
 def save_lattice(lattice: Lattice, f) -> None:
     f.write(f"{MAGIC} {lattice.rows} {lattice.cols} {lattice.dim} {lattice.rng_seed}\n")
-    for row in lattice.weights:
-        f.write(" ".join(repr(float(x)) for x in row) + "\n")
+    for row in lattice.weights.tolist():
+        f.write(" ".join(map(repr, row)) + "\n")
 
 
 def load_lattice(lines: list[str]) -> tuple[Lattice, int]:

@@ -367,11 +367,32 @@ def sample_vectors(samples, concat: bool) -> np.ndarray:
     return np.concatenate(frames, axis=0)
 
 
+def gain_spans(gain: np.ndarray) -> list[tuple[int, int]]:
+    """Flat span ``(lo, hi)`` of each row of a (units x units) gain table:
+    units lo to hi - 1, from its first to its last non-zero entry, so every
+    unit outside the span has a zero gain.  A row without one spans all
+    units."""
+    moving = gain != 0
+    lo = moving.argmax(axis=1)
+    hi = gain.shape[1] - moving[:, ::-1].argmax(axis=1)
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
 def train_som(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     """Train a ``models.SomModel`` in place on sequence samples: each epoch
     presents the model's input vectors (``sample_vectors``) in a seeded
     random order, each taking the ``find_bmu`` + ``som_update`` step with
-    the epoch's neighborhood table.  Returns the per-epoch quantization error.
+    the epoch's gain table (lr times the neighborhood table).  Returns the
+    per-epoch quantization error.
+
+    The step moves only the winner's ``gain_spans`` span, a slice of the
+    weights, since every unit outside it has a zero gain.  The weights get
+    the bits of the whole-lattice step, except that a -0.0 weight outside
+    the span stays -0.0 where w + 0 * (x - w) would make it +0.0: the two
+    compare equal, but a model file prints ``-0.0``.  Random and trained
+    weights never hold -0.0 (``Lattice.random_init`` draws lo + (hi - lo)
+    r with hi - lo and r non-negative, and w + s is -0.0 only for w = s =
+    -0.0), so only a caller-built lattice can.
     """
     lattice = model.lattice
     vectors = sample_vectors(data, model.concat)
@@ -385,11 +406,15 @@ def train_som(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     log = TrainingLog(model="SOM")
     for t in range(schedule.epochs):
         lr, radius = linear_decay(t, schedule)
-        h = neighborhood_array(dist, radius)
+        gain = neighborhood_array(dist, radius)
+        gain *= lr
+        spans = gain_spans(gain)
         for i in rng.permutation(vectors.shape[0]):
             x = vectors[i]
             b = squared_distances(x, w).argmin()
-            w += (lr * h[b])[:, None] * (x - w)
+            lo, hi = spans[b]
+            ws = w[lo:hi]
+            ws += gain[b, lo:hi, None] * (x - ws)
         check_finite(lattice, t)
         log.rows.append(EpochStats(t, lr, radius, quantization_error(vectors, lattice)))
     return log

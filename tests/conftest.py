@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -16,17 +17,36 @@ def _exp_is_libm() -> bool:
 EXP_IS_LIBM = _exp_is_libm()
 
 
-def pinned(avx512, libm):
+def _abs_is_avx2() -> bool:
+    """Whether numpy's complex abs takes its AVX2 kernel (its AVX-512
+    kernel gives the same bits).  Both that kernel and the baseline one
+    differ from math.hypot on about a third of normal draws, in different
+    draws, so the probe compares the bits of a fixed draw with those
+    recorded for AVX2 (numpy 2.4 on x86-64)."""
+    z = np.random.default_rng(0).normal(size=(2000, 2)).view(np.complex128)[:, 0]
+    return hashlib.sha256(np.abs(z).tobytes()).hexdigest()[:16] == "19d384b573b2d8c1"
+
+
+ABS_IS_AVX2 = _abs_is_avx2()
+
+
+def pinned(avx512, libm, no_avx2=None):
     """The digest set recorded with this host's numpy exp.  The spiking
     trainers call exp on every presentation, so their bits follow it; each
     set is exact for its exp (numpy 2.4 on x86-64, glibc's libm).  The
     MFCC front-end's log10 takes its AVX-512 kernel exactly where exp
-    does, so the feature bytes are pinned the same way."""
+    does, so the feature bytes are pinned the same way; they also follow
+    complex abs (the power spectrum), so a feature pin passes a third set,
+    ``no_avx2``, recorded where numpy dispatches neither AVX-512 nor AVX2
+    (and exp is libm's)."""
+    if no_avx2 is not None and not ABS_IS_AVX2:
+        return no_avx2
     return libm if EXP_IS_LIBM else avx512
 
 
 def pytest_report_header():
-    return f"pinned digests: the {'libm' if EXP_IS_LIBM else 'AVX-512'} exp set"
+    return (f"pinned digests: the {'libm' if EXP_IS_LIBM else 'AVX-512'} exp set, "
+            f"the {'AVX2' if ABS_IS_AVX2 else 'baseline'} complex abs set")
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -938,13 +938,16 @@ class TestFeaturesBytes:
     # SHA-256 of the fixture corpus's dataset.csv and frames.csv, recorded
     # with numpy 2.4 on x86-64.  The log10 of the filterbank energies
     # follows numpy's kernel as the spiking bytes follow its exp, so there
-    # are two sets, picked by ``conftest.pinned``: numpy's AVX-512 kernel,
-    # and glibc's libm where numpy dispatches no AVX-512 (the libm set was
-    # recorded with AVX2, which numpy's complex abs also follows).
+    # are sets picked by ``conftest.pinned``: numpy's AVX-512 kernel, and
+    # glibc's libm where numpy dispatches no AVX-512.  Both were recorded
+    # with numpy's AVX2 complex abs (the power spectrum); where numpy
+    # dispatches no AVX2 either, its baseline abs gives a third set.
     DIGESTS = ("d91cc1254fa950bd938c36757bbc025b62dec70890d0ee31533db1ff24941bfb",
                "fa9612c068919288ccbe15a43d71dd15dcfeaf86381379b4f194e0860641e9e4")
     DIGESTS_LIBM = ("b68cad5a99a141a86a27f119684516a71d4ab5d18f63bb26b5a52b0538bb372a",
                     "7504d8d81a30ad316cce79881a036bdaed01929939a32716f42701c51ff64f4e")
+    DIGESTS_NO_AVX2 = ("526f1b07163619de49eabcf6d128901835b1b5778ae711e14e48128e875fe11c",
+                       "cbf02c5f2a6b98a2d7ccf258c13a2b0c2266450db13f8ade3b3fc631a277f877")
 
     def test_fixture_corpus_bytes_match_recorded_digests(self, tmp_path):
         root = make_fixture_corpus(tmp_path / "corpus")
@@ -953,7 +956,7 @@ class TestFeaturesBytes:
         assert main(["features", "--config", cfg]) == 0
         got = tuple(hashlib.sha256((tmp_path / "feat" / name).read_bytes()).hexdigest()
                     for name in ("dataset.csv", "frames.csv"))
-        assert got == pinned(self.DIGESTS, self.DIGESTS_LIBM)
+        assert got == pinned(self.DIGESTS, self.DIGESTS_LIBM, self.DIGESTS_NO_AVX2)
 
     @pytest.mark.parametrize("case", list(FEATURE_CASES))
     def test_cli_bytes_equal_library(self, tmp_path, capsys, case):

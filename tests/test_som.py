@@ -16,6 +16,7 @@ from pulsom.som import (
     UnitIndex,
     find_bmu,
     find_bmus,
+    gain_spans,
     linear_decay,
     nearest_units,
     neighborhood_array,
@@ -366,6 +367,17 @@ def oracle_train_som(vectors, lattice, schedule, seed):
     return rows
 
 
+def assert_trains_like_oracle(samples, model, vectors, schedule, seed):
+    """train_som on the model leaves the weights and log rows, bit for bit,
+    that the per-vector oracle gives on a copy of its lattice."""
+    lattice = model.lattice.copy()
+    log = train_som(samples, model, schedule, seed)
+    want = oracle_train_som(vectors, lattice, schedule, seed)
+    assert np.array_equal(model.lattice.weights.view(np.int64), lattice.weights.view(np.int64))
+    got = [(r.epoch, r.lr, r.radius, r.qe) for r in log.rows]
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
 class TestTrainSom:
     def test_converges_to_constant_dataset(self):
         data = np.array([[[0.3, -0.7]]] * 4)
@@ -420,14 +432,58 @@ class TestTrainSom:
     def test_equals_per_vector_oracle_bit_for_bit(self, concat, seed, epochs):
         data = synth_generate(3, 6, dim=4, frames=5, separation=2.0, seed=seed)
         vectors = sample_vectors(data, concat)
-        lattice = Lattice.random_init(4, 5, vectors, seed)
-        model = SomModel(lattice.copy(), concat)
+        model = SomModel(Lattice.random_init(4, 5, vectors, seed), concat)
         schedule = Schedule.for_lattice(4, 5, epochs=epochs, lr_start=1.0)
-        log = train_som(data, model, schedule, seed)
-        want = oracle_train_som(vectors, lattice, schedule, seed)
-        assert np.array_equal(model.lattice.weights.view(np.int64), lattice.weights.view(np.int64))
-        got = [(r.epoch, r.lr, r.radius, r.qe) for r in log.rows]
-        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+        assert_trains_like_oracle(data, model, vectors, schedule, seed)
+
+    # Shapes whose spans are partial and wrap lattice rows, and constant
+    # radii from a span of the winner alone (3r < 1) to the whole lattice.
+    SPAN_SHAPES = [(1, 1), (1, 9), (9, 1), (3, 11), (11, 3), (16, 16)]
+    SPAN_RADII = [0.3, 1.0, 2.5, 8.0]
+
+    @pytest.mark.parametrize("rows, cols", SPAN_SHAPES)
+    @pytest.mark.parametrize("radius", SPAN_RADII)
+    def test_span_step_equals_whole_lattice_oracle(self, rows, cols, radius):
+        vectors = np.random.default_rng(rows * cols).normal(size=(30, 3))
+        model, samples = frame_model(vectors, rows, cols, seed=4)
+        assert_trains_like_oracle(samples, model, vectors, Schedule(2, 0.5, 0.2, radius, radius), 4)
+
+    @pytest.mark.parametrize("rows, cols", SPAN_SHAPES)
+    @pytest.mark.parametrize("radius", SPAN_RADII)
+    def test_every_nonzero_gain_lies_in_its_tight_span(self, rows, cols, radius):
+        lat = Lattice(rows, cols, np.zeros((rows * cols, 1)))
+        gain = 0.5 * neighborhood_array(lat.distance_table(), radius)
+        spans = gain_spans(gain)
+        for span, row in zip(spans, gain):
+            moving = np.flatnonzero(row)
+            assert span == (moving[0], moving[-1] + 1)
+        n = lat.n_units
+        if 3 * radius < 1:
+            assert spans == [(b, b + 1) for b in range(n)]
+        if 3 * radius > math.hypot(rows - 1, cols - 1):
+            assert spans == [(0, n)] * n
+
+    def test_all_zero_gain_row_spans_every_unit(self):
+        assert gain_spans(np.zeros((3, 3))) == [(0, 3)] * 3
+
+    def test_negative_zero_outside_the_span_is_kept(self):
+        # Only a caller-built lattice holds -0.0; the whole-lattice step
+        # would turn it into +0.0, which compares equal.
+        weights = np.array([[0.5]] + [[0.0]] * 7 + [[-0.0]])
+        model = SomModel(Lattice(1, 9, weights))
+        train_som(np.array([[[1.0]]]), model, Schedule(1, 0.5, 0.5, 0.3, 0.3), seed=0)
+        assert model.lattice.weights[:, 0].tolist() == [0.75] + [0.0] * 8
+        assert np.signbit(model.lattice.weights[8, 0])
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(columns=st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1))
+    def test_random_init_never_yields_negative_zero(self, columns, seed):
+        data = np.array([c if isinstance(c, list) else [c] * 3 for c in columns]).T
+        w = Lattice.random_init(3, 4, data, seed).weights
+        assert not np.signbit(w[w == 0]).any()
 
     def test_vector_layout(self):
         frames = np.arange(12.0).reshape(2, 3, 2)

@@ -18,7 +18,8 @@ recorded with numpy 2.4 on x86-64: one where numpy's exp runs its AVX-512
 kernel, and one (``*_LIBM``) where it calls glibc's libm, as it does on a
 host without AVX-512; ``conftest.pinned`` picks this host's.  The
 concatenating SOM and the reports come out the same under both, so they
-have one set.
+have one set.  Child processes rerun the pins with numpy's AVX-512, and
+then also its AVX2, kernels disabled.
 """
 
 import hashlib
@@ -444,22 +445,40 @@ def test_rule_trainer_matrix(data, rule):
     assert rule_digests(data, rule) == pinned(SPIKING_RULES, SPIKING_RULES_LIBM)[rule]
 
 
+def run_child(disabled, *tests):
+    """Run the given pytest node ids in a child process whose numpy
+    dispatches none of the CPU features ``disabled`` names.  The setting
+    reaches the child only."""
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(pulsom.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *tests],
+                           cwd=repo, env=env, capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
+    return child.stdout
+
+
+FEATURE_PIN = "tests/test_cli.py::TestFeaturesBytes::test_fixture_corpus_bytes_match_recorded_digests"
+
+
 def test_digests_hold_without_avx512():
     """The digest tests and the feature-byte pins, rerun in a child process
     whose numpy dispatches no AVX-512 kernel, pass against the libm set:
     both sets stay checked on an AVX-512 host.  The MFCC tests ride along,
     so the DCT's batched bits are checked against its per-row bits there
-    too.  The setting reaches the child only."""
-    repo = Path(__file__).resolve().parents[1]
-    src = str(Path(pulsom.__file__).resolve().parents[1])
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
-         "tests/test_trainer_digests.py", "tests/test_cli.py::TestModelBytes",
-         "tests/test_cli.py::TestFeaturesBytes::test_fixture_corpus_bytes_match_recorded_digests",
-         "tests/test_mfcc.py",
-         "--deselect", "tests/test_trainer_digests.py::test_digests_hold_without_avx512"],
-        cwd=repo, env=env, capture_output=True, text=True, timeout=600)
-    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
-    assert "pinned digests: the libm exp set" in child.stdout
+    too."""
+    out = run_child("AVX512_SPR AVX512_ICL X86_V4",
+                    "tests/test_trainer_digests.py", "tests/test_cli.py::TestModelBytes",
+                    FEATURE_PIN, "tests/test_mfcc.py",
+                    "--deselect", "tests/test_trainer_digests.py::test_digests_hold_without_avx512",
+                    "--deselect", "tests/test_trainer_digests.py::test_feature_pin_holds_without_avx2")
+    assert "pinned digests: the libm exp set, the AVX2 complex abs set" in out
+
+
+def test_feature_pin_holds_without_avx2():
+    """The feature-byte pin and the MFCC tests, rerun in a child process
+    whose numpy dispatches neither AVX-512 nor AVX2, pass against the
+    feature set of numpy's baseline complex abs."""
+    out = run_child("AVX512_SPR AVX512_ICL X86_V4 X86_V3", FEATURE_PIN, "tests/test_mfcc.py")
+    assert "pinned digests: the libm exp set, the baseline complex abs set" in out

@@ -201,14 +201,13 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
         test_data = train_data      # one file named twice is read and checked once
     else:
         test_data = datasets["data.test_csv"] = _read_dataset(cfg, "data.test_csv", model)
-    frame_vote = cfg["eval.frame_vote"]
     class_of, expected = _class_function(cfg)
     if class_of is not None:    # predictions carry training labels: check both files
         for key, data in datasets.items():
             _check_classes(Path(cfg[key]), data, class_of)
-    labels = calibrate(model, train_data, frame_vote=frame_vote)
+    labels = calibrate(model, train_data, frame_vote=cfg["eval.frame_vote"])
     rep, confusion = report(model, labels, test_data, class_of=class_of,
-                            frame_vote=frame_vote, expected_classes=expected)
+                            expected_classes=expected)
     text = render_text(rep, title=f"Recognition rates ({model.kind})")
     with _outputs(cfg, "report.txt", "report.csv", "confusion.csv") as (txt, csv, conf):
         txt.write_text(text, encoding="utf-8")

@@ -174,10 +174,8 @@ def write_sphere(path, samples: np.ndarray, sample_rate: int = 16000) -> None:
         f.write(samples.astype("<i2").tobytes())
 
 
-def read_alignment(path, kind: str = "phn") -> list[Segment]:
+def read_alignment(path) -> list[Segment]:
     """Read a TIMIT-style alignment file of `start end label` sample spans."""
-    if kind not in ("phn", "wrd"):
-        raise ValueError(f"alignment kind must be 'phn' or 'wrd', got {kind!r}")
     path = Path(path)
     utt_id = path.stem
     try:
@@ -464,8 +462,8 @@ def utf8_name(path: Path) -> str:
 
 
 def iter_utterances(root, dialects=None, speakers=None):
-    """Yield (utt_path_without_suffix, dialect, speaker) in sorted path order;
-    the dialect and speaker names are ``utf8_name``s."""
+    """Yield (utt_path_without_suffix, speaker) in sorted path order; the
+    dialect and speaker names are ``utf8_name``s."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} does not exist")
@@ -479,7 +477,7 @@ def iter_utterances(root, dialects=None, speakers=None):
                 continue
             for wav in sorted(speaker_dir.iterdir()):
                 if wav.suffix.lower() == ".wav":
-                    yield wav.with_suffix(""), dialect, speaker
+                    yield wav.with_suffix(""), speaker
 
 
 def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speakers,
@@ -494,7 +492,7 @@ def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speaker
     dialects = {d.lower() for d in dialects} if dialects else None
     speakers = {s.lower() for s in speakers} if speakers else None
     stats.update(utterances=0, skipped_utterances=0, segments=0, skipped_segments=0)
-    for stem, _dialect, speaker in iter_utterances(root, dialects, speakers):
+    for stem, speaker in iter_utterances(root, dialects, speakers):
         wav = _sibling(stem, ".wav")
         ali = _sibling(stem, f".{unit}")
         if ali is None:
@@ -506,7 +504,7 @@ def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speaker
             continue
         feats = mfcc_pipeline(buf, mfcc_cfg)
         picks = []
-        for seg in read_alignment(ali, kind=unit):
+        for seg in read_alignment(ali):
             stats["segments"] += 1
             try:
                 idx = middle_frame_index(seg, len(feats), mfcc_cfg.hop, mfcc_cfg.frame_len, k)

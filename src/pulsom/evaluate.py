@@ -16,27 +16,14 @@ REJECTED = "rejected"
 
 @dataclass
 class UnitLabelMap:
-    """Per-unit label assignments plus the hit histograms behind them."""
+    """Per-unit label assignments, the hit histograms behind them, the vote
+    mode they were calibrated with and the label each unit's win predicts
+    (``resolve_labels`` of ``labels``)."""
 
     labels: list
     histograms: list
-    _resolved: list | None = field(default=None, init=False, repr=False, compare=False)
-
-    def resolved(self, lattice) -> list:
-        """The label each unit's win predicts: its own label, else that of
-        the nearest labeled unit in lattice distance (first in flat order
-        on ties), else None when no unit is labeled.  Resolved on first use
-        and kept with the map."""
-        if self._resolved is None:
-            labeled = [u for u, lbl in enumerate(self.labels) if lbl is not None]
-            table = list(self.labels)
-            if labeled:
-                for u in range(len(table)):
-                    if table[u] is None:
-                        d2 = np.sum((lattice.coords[labeled] - lattice.coords[u]) ** 2, axis=1)
-                        table[u] = self.labels[labeled[int(np.argmin(d2))]]
-            self._resolved = table
-        return self._resolved
+    predictions: list
+    frame_vote: bool = False
 
 
 @dataclass
@@ -45,13 +32,25 @@ class EvalReport:
 
     rows: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
-    average: float = 0.0
     missing: list = field(default_factory=list)
 
-    @staticmethod
-    def from_rates(rows) -> "EvalReport":
-        rows = list(rows)
-        return EvalReport(rows=rows, average=mean_rate([r for _, r in rows]))
+    @property
+    def average(self) -> float:
+        return mean_rate([r for _, r in self.rows])
+
+
+def resolve_labels(labels, lattice) -> list:
+    """The label each unit's win predicts: its own label, else that of the
+    nearest labeled unit in lattice distance (first in flat order on ties),
+    else None when no unit is labeled."""
+    labeled = [u for u, lbl in enumerate(labels) if lbl is not None]
+    table = list(labels)
+    if labeled:
+        for u in range(len(table)):
+            if table[u] is None:
+                d2 = np.sum((lattice.coords[labeled] - lattice.coords[u]) ** 2, axis=1)
+                table[u] = labels[labeled[int(np.argmin(d2))]]
+    return table
 
 
 def mean_rate(rates) -> float:
@@ -71,8 +70,9 @@ def calibrate(model, train_data, frame_vote: bool = False) -> UnitLabelMap:
     """Label each unit by the majority vote of the training winners it gets.
 
     By default a sample contributes its terminal winner; with frame_vote
-    every frame's winner contributes.  Ties go to the lexicographically
-    smallest label; unhit units stay unlabeled.
+    every frame's winner contributes, and ``classify`` and ``report``, which
+    read the mode from the map, vote over every frame too.  Ties go to the
+    lexicographically smallest label; unhit units stay unlabeled.
     """
     train_data = list(train_data)
     if not train_data:
@@ -84,15 +84,15 @@ def calibrate(model, train_data, frame_vote: bool = False) -> UnitLabelMap:
             if w >= 0:
                 hists[w][sample.label] += 1
     labels = [_mode_label(h) if h else None for h in hists]
-    return UnitLabelMap(labels, hists)
+    return UnitLabelMap(labels, hists, resolve_labels(labels, model.lattice), frame_vote)
 
 
-def _predictions(model, labels: UnitLabelMap, data, frame_vote: bool) -> list[str]:
+def _predictions(model, labels: UnitLabelMap, data) -> list[str]:
     """Predicted label of every sample, from one winner table (of terminal
-    winners only, without frame_vote) and the map's resolved unit labels."""
-    table = model.winner_table(data, terminal=not frame_vote)
-    unit_label = labels.resolved(model.lattice)
-    if not frame_vote:
+    winners only, without the map's frame_vote) and its unit predictions."""
+    table = model.winner_table(data, terminal=not labels.frame_vote)
+    unit_label = labels.predictions
+    if not labels.frame_vote:
         return [unit_label[w] if w >= 0 and unit_label[w] is not None else REJECTED
                 for w in table[:, 0].tolist()]
     preds = []
@@ -103,18 +103,18 @@ def _predictions(model, labels: UnitLabelMap, data, frame_vote: bool) -> list[st
     return preds
 
 
-def classify(model, labels: UnitLabelMap, sample, frame_vote: bool = False) -> str:
+def classify(model, labels: UnitLabelMap, sample) -> str:
     """Predicted label for one sequence, or "rejected" if no label reaches it.
 
     An unlabeled winner falls back to the nearest labeled unit in lattice
-    distance.  With frame_vote the per-frame labels are majority-voted
-    (ties to the lexicographically smallest label).
+    distance.  With the map's frame_vote the per-frame labels are
+    majority-voted (ties to the lexicographically smallest label).
     """
-    return _predictions(model, labels, [sample], frame_vote)[0]
+    return _predictions(model, labels, [sample])[0]
 
 
 def report(model, labels: UnitLabelMap, data, class_of=None,
-           frame_vote: bool = False, expected_classes=None) -> tuple[EvalReport, Counter]:
+           expected_classes=None) -> tuple[EvalReport, Counter]:
     """Evaluate a dataset and build the per-class rate table.
 
     Every sample is classified as by ``classify``.  class_of maps a label to
@@ -130,7 +130,7 @@ def report(model, labels: UnitLabelMap, data, class_of=None,
     correct = Counter()
     total = Counter()
     confusion = Counter()
-    for sample, pred in zip(data, _predictions(model, labels, data, frame_vote)):
+    for sample, pred in zip(data, _predictions(model, labels, data)):
         true_class = class_of(sample.label)
         pred_class = class_of(pred) if pred != REJECTED else REJECTED
         total[true_class] += 1
@@ -146,7 +146,6 @@ def report(model, labels: UnitLabelMap, data, class_of=None,
     rep = EvalReport(
         rows=rows,
         counts={c: (correct[c], total[c]) for c in classes},
-        average=mean_rate([r for _, r in rows]),
         missing=[c for c in (expected_classes or []) if c not in total],
     )
     return rep, confusion
@@ -218,6 +217,4 @@ def read_report_csv(path) -> EvalReport:
         counts[c] = (correct, total)
     if not rates:
         raise ValueError(f"{path}:{len(lines) + 1}: no class rows after the header")
-    rep = EvalReport.from_rates([(c, value) for c, (_, value) in rates.items()])
-    rep.counts = counts
-    return rep
+    return EvalReport([(c, value) for c, (_, value) in rates.items()], counts)

@@ -108,12 +108,15 @@ def hamming_vector(big_n: int) -> np.ndarray:
 
 def power_spectrum(frames: np.ndarray, fft_size: int) -> np.ndarray:
     """Squared magnitude of the DFT, bins 0..fft_size/2, of a frame or of
-    each row of a block of frames (zero-padded to fft_size)."""
+    each row of a block of frames (zero-padded to fft_size).  Each bin is
+    re*re + im*im, exact IEEE operations whose bits no CPU dispatch moves
+    (numpy's complex abs takes a different hypot kernel per CPU)."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.shape[-1] > fft_size:
         raise ValueError(f"frame of {frames.shape[-1]} samples exceeds fft_size {fft_size}")
-    spec = np.fft.rfft(frames, n=fft_size, axis=-1)
-    return np.abs(spec) ** 2
+    parts = np.fft.rfft(frames, n=fft_size, axis=-1).view(np.float64)
+    parts *= parts
+    return parts[..., 0::2] + parts[..., 1::2]
 
 
 def mel_scale(f: float) -> float:

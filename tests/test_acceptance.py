@@ -47,8 +47,7 @@ def ok(number, name):
 
 def train_accuracy(model, data, frame_vote=False):
     labels = calibrate(model, data, frame_vote=frame_vote)
-    hits = sum(classify(model, labels, s, frame_vote=frame_vote) == s.label
-               for s in data)
+    hits = sum(classify(model, labels, s) == s.label for s in data)
     return hits / len(data)
 
 

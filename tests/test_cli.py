@@ -911,7 +911,7 @@ def library_csvs(cfg: RunConfig, outdir):
                                       dialects, speakers)
     write_dataset_csv(samples, outdir / "dataset.csv")
     utterances = []
-    for stem, _, _ in iter_utterances(root, dialects, speakers):
+    for stem, _ in iter_utterances(root, dialects, speakers):
         buf = read_sphere(stem.with_suffix(".wav"))
         if stem.with_suffix(f".{unit}").exists() and buf.samples.size >= mfcc_cfg.frame_len:
             utterances.append((f"{stem.parent.name}/{stem.name}", mfcc_pipeline(buf, mfcc_cfg)))
@@ -938,16 +938,13 @@ class TestFeaturesBytes:
     # SHA-256 of the fixture corpus's dataset.csv and frames.csv, recorded
     # with numpy 2.4 on x86-64.  The log10 of the filterbank energies
     # follows numpy's kernel as the spiking bytes follow its exp, so there
-    # are sets picked by ``conftest.pinned``: numpy's AVX-512 kernel, and
-    # glibc's libm where numpy dispatches no AVX-512.  Both were recorded
-    # with numpy's AVX2 complex abs (the power spectrum); where numpy
-    # dispatches no AVX2 either, its baseline abs gives a third set.
-    DIGESTS = ("d91cc1254fa950bd938c36757bbc025b62dec70890d0ee31533db1ff24941bfb",
-               "fa9612c068919288ccbe15a43d71dd15dcfeaf86381379b4f194e0860641e9e4")
-    DIGESTS_LIBM = ("b68cad5a99a141a86a27f119684516a71d4ab5d18f63bb26b5a52b0538bb372a",
-                    "7504d8d81a30ad316cce79881a036bdaed01929939a32716f42701c51ff64f4e")
-    DIGESTS_NO_AVX2 = ("526f1b07163619de49eabcf6d128901835b1b5778ae711e14e48128e875fe11c",
-                       "cbf02c5f2a6b98a2d7ccf258c13a2b0c2266450db13f8ade3b3fc631a277f877")
+    # are two sets picked by ``conftest.pinned``: numpy's AVX-512 kernel,
+    # and glibc's libm where numpy dispatches no AVX-512 (with or without
+    # AVX2: the power spectrum is exact IEEE products and sums).
+    DIGESTS = ("aa36782e016d6970621f005f89292e105dbe128d8da0112949e4e2f9e8c4b2f1",
+               "86024f583c9b1599e424ec6e71fdeedabe7df18883d1469125bff1ba2de3d468")
+    DIGESTS_LIBM = ("6f2d13c5189fc214b504779ea87906f743051821274ce489c075941fafd3dcfc",
+                    "8cfefb15c9e15ec943e3c478169a003a14d50c580a5519c0494ca28bdfbe84ff")
 
     def test_fixture_corpus_bytes_match_recorded_digests(self, tmp_path):
         root = make_fixture_corpus(tmp_path / "corpus")
@@ -956,7 +953,7 @@ class TestFeaturesBytes:
         assert main(["features", "--config", cfg]) == 0
         got = tuple(hashlib.sha256((tmp_path / "feat" / name).read_bytes()).hexdigest()
                     for name in ("dataset.csv", "frames.csv"))
-        assert got == pinned(self.DIGESTS, self.DIGESTS_LIBM, self.DIGESTS_NO_AVX2)
+        assert got == pinned(self.DIGESTS, self.DIGESTS_LIBM)
 
     @pytest.mark.parametrize("case", list(FEATURE_CASES))
     def test_cli_bytes_equal_library(self, tmp_path, capsys, case):

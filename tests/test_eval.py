@@ -91,7 +91,7 @@ class TestClassify:
     def test_fully_unlabeled_map_rejects(self):
         from pulsom.evaluate import UnitLabelMap
         model = grid_model()
-        labels = UnitLabelMap([None] * 4, [{}] * 4)
+        labels = UnitLabelMap([None] * 4, [{}] * 4, [None] * 4)
         assert classify(model, labels, sample_at([0.5, 0.5], "?")) == REJECTED
 
     def test_deterministic(self):
@@ -113,7 +113,7 @@ class TestClassify:
         lat = Lattice(1, 2, np.zeros((2, 2)))
         model = SsomModel(lat, np.zeros(2), np.ones(2),
                           SsomConfig(t_max=20.0, t_ref=5.0))
-        labels = UnitLabelMap(["A", "B"], [{"A": 1}, {"B": 1}])
+        labels = UnitLabelMap(["A", "B"], [{"A": 1}, {"B": 1}], ["A", "B"])
         far = sample_at([1.0, 1.0], "?")
         assert model.frame_winners(far)[-1] is None
         assert classify(model, labels, far) == REJECTED
@@ -137,9 +137,9 @@ class TestReport:
         lin_rates = [95.91, 77.33, 93.09, 84.71, 56.38, 93.06, 66.30]
         assert mean_rate(lin_rates) == pytest.approx(80.96, abs=0.01)
 
-    def test_from_rates_uses_same_convention(self):
+    def test_average_of_rates_alone_uses_same_convention(self):
         rows = [("a", 100.0), ("b", 0.0)]
-        rep = EvalReport.from_rates(rows)
+        rep = EvalReport(rows)
         assert rep.average == 50.0
 
     def test_average_is_mean_of_rows(self):
@@ -177,7 +177,7 @@ class TestReport:
 
 class TestRendering:
     def make_report(self):
-        return EvalReport.from_rates([("affricates", 95.91), ("vowels", 66.30)])
+        return EvalReport([("affricates", 95.91), ("vowels", 66.30)])
 
     def test_text_table_has_average_row(self):
         text = render_text(self.make_report())
@@ -196,7 +196,7 @@ class TestRendering:
         assert back.average == pytest.approx(rep.average, abs=1e-12)
 
     def test_report_of_rates_alone_round_trips(self, tmp_path):
-        # from_rates gives no counts; the CSV holds them as 0,0 rows.
+        # a report of rates alone has no counts; the CSV holds them as 0,0 rows.
         path = tmp_path / "r.csv"
         write_report_csv(self.make_report(), path)
         assert path.read_text().splitlines()[1] == "affricates,0,0,95.91"

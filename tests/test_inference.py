@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from pulsom.coding import SsomConfig, encode_frames, encode_latency
 from pulsom.corpus import SequenceSample
-from pulsom.evaluate import REJECTED, UnitLabelMap, calibrate, classify, report
+from pulsom.evaluate import REJECTED, UnitLabelMap, calibrate, classify, report, resolve_labels
 from pulsom.lin import PotentialState, potential_winners
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel
 from pulsom.rssom import DifferenceState, difference_winners
@@ -244,25 +244,24 @@ class TestLabelsAndReports:
         assert labels.histograms == want_hists
         assert None in labels.labels     # the fallback is exercised
         want = [oracle_classify(model, labels, s, frame_vote) for s in test]
-        assert [classify(model, labels, s, frame_vote=frame_vote) for s in test] == want
-        _, confusion = report(model, labels, test, frame_vote=frame_vote)
+        assert [classify(model, labels, s) for s in test] == want
+        _, confusion = report(model, labels, test)
         assert confusion == Counter((s.label, p) for s, p in zip(test, want))
 
     def test_fallback_ties_go_to_first_labeled_unit_in_flat_order(self):
         # units 1 ("B") and 3 ("A") are equally near units 0 and 4
         lat = Lattice(3, 3, np.arange(18, dtype=np.float64).reshape(9, 2))
-        labels = UnitLabelMap([None, "B", None, "A", None, None, None, None, "C"],
-                              [Counter() for _ in range(9)])
+        raw = [None, "B", None, "A", None, None, None, None, "C"]
+        labels = UnitLabelMap(raw, [Counter() for _ in range(9)], resolve_labels(raw, lat))
         want = [oracle_nearest_labeled(u, labels, lat) for u in range(9)]
-        assert labels.resolved(lat) == want
+        assert resolve_labels(raw, lat) == want
         assert want[0] == want[4] == "B"
         model = SomModel(lat)
         assert classify(model, labels, lat.weights[4][None, :]) == "B"
 
     def test_unlabeled_map_resolves_to_none(self):
         lat = Lattice(2, 2, np.zeros((4, 2)))
-        labels = UnitLabelMap([None] * 4, [Counter() for _ in range(4)])
-        assert labels.resolved(lat) == [None] * 4
+        assert resolve_labels([None] * 4, lat) == [None] * 4
 
 
 class TestStepObjects:

@@ -70,7 +70,8 @@ def per_frame_mfcc(buf, cfg):
     filters = mel_filter_matrix(buf.sample_rate, cfg.fft_size, cfg.n_filters)
     out = np.empty((count, cfg.n_coeffs))
     for i, frame in enumerate(frames):
-        spec = np.abs(np.fft.rfft(frame * window, n=cfg.fft_size)) ** 2
+        z = np.fft.rfft(frame * window, n=cfg.fft_size)
+        spec = z.real * z.real + z.imag * z.imag
         if not cfg.use_power:
             spec = np.sqrt(spec)
         energies = np.log10(np.maximum(filters @ spec, LOG_FLOOR))

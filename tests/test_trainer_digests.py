@@ -473,12 +473,12 @@ def test_digests_hold_without_avx512():
                     FEATURE_PIN, "tests/test_mfcc.py",
                     "--deselect", "tests/test_trainer_digests.py::test_digests_hold_without_avx512",
                     "--deselect", "tests/test_trainer_digests.py::test_feature_pin_holds_without_avx2")
-    assert "pinned digests: the libm exp set, the AVX2 complex abs set" in out
+    assert "pinned digests: the libm exp set" in out
 
 
 def test_feature_pin_holds_without_avx2():
     """The feature-byte pin and the MFCC tests, rerun in a child process
-    whose numpy dispatches neither AVX-512 nor AVX2, pass against the
-    feature set of numpy's baseline complex abs."""
+    whose numpy dispatches neither AVX-512 nor AVX2, pass against the libm
+    set: no AVX2 kernel moves the feature bytes."""
     out = run_child("AVX512_SPR AVX512_ICL X86_V4 X86_V3", FEATURE_PIN, "tests/test_mfcc.py")
-    assert "pinned digests: the libm exp set, the baseline complex abs set" in out
+    assert "pinned digests: the libm exp set" in out

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: features (corpus -> dataset CSV), synth (synthetic dataset),
-train (any model variant), eval (calibrate + report), report (re-render a
-report CSV).  Every run is driven by one config file; resolved settings are
-written next to the outputs together with a manifest of produced files.
+train (any model variant) and eval (calibrate + report).  Every run is
+driven by one config file; resolved settings are written next to the
+outputs together with a manifest of produced files.
 
 Exit codes: 0 ok, 2 config error, 3 I/O error, 4 malformed corpus file,
 5 training divergence.
@@ -22,7 +22,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .config import RunConfig, registry_help
 from .errors import ConfigError, CorpusFormatError, DivergenceError
-from .evaluate import calibrate, read_report_csv, render_text, report, write_confusion_csv, write_report_csv
+from .evaluate import calibrate, render_text, report, write_confusion_csv, write_report_csv
 from .lin import train_lin
 from .mfcc import frames_csv_header, frames_csv_lines, row_texts
 from .models import load_model, model_of, save_model
@@ -217,18 +217,6 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_report(csv_path: str) -> int:
-    path = Path(csv_path)
-    if not path.is_file():
-        raise FileNotFoundError(f"report CSV {path} does not exist")
-    try:
-        rep = read_report_csv(path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    print(render_text(rep), end="")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pulsom",
@@ -248,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration file")
         if name == "eval":
             p.add_argument("--model", required=True, help="trained model file")
-    p = sub.add_parser("report", help="re-render a report CSV as a text table")
-    p.add_argument("--csv", required=True, help="report CSV written by eval")
     return parser
 
 
@@ -259,8 +245,6 @@ def main(argv=None) -> int:
         sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            return cmd_report(args.csv)
         cfg = RunConfig.load(args.config)
         if args.command == "features":
             return cmd_features(cfg)

@@ -59,7 +59,7 @@ REGISTRY = [
         "window time constant, potentiating side"),
     Key("stdp.tau_minus_ms", "float", StdpWindow.tau_minus,
         "window time constant, depressing side"),
-    Key("stdp.eta", "float", StdpRule.eta, "plasticity learning rate"),
+    Key("stdp.eta", "float", StdpRule.eta, "STDP step scale (unused by soula in SSOM and LIN)"),
     Key("stdp.w_max", "float", StdpRule.w_max, "weight ceiling"),
     Key("ssom.t_max_ms", "float", SsomConfig.t_max, "latency-encoding horizon"),
     Key("ssom.t_ref_ms", "float", SsomConfig.t_ref, "reference time bounding learning"),

@@ -174,8 +174,10 @@ def write_sphere(path, samples: np.ndarray, sample_rate: int = 16000) -> None:
         f.write(samples.astype("<i2").tobytes())
 
 
-def read_alignment(path) -> list[Segment]:
-    """Read a TIMIT-style alignment file of `start end label` sample spans."""
+def read_alignment(path, phones: bool = False) -> list[Segment]:
+    """Read a TIMIT-style alignment file of `start end label` sample spans.
+    A label holds no comma (a dataset-CSV cell cannot), and with phones it
+    is a TIMIT phone symbol."""
     path = Path(path)
     utt_id = path.stem
     try:
@@ -204,6 +206,13 @@ def read_alignment(path) -> list[Segment]:
             raise CorpusFormatError(
                 path, f"segment at {start} overlaps previous ending at "
                       f"{segments[-1].end_sample}", line=lineno)
+        try:
+            if "," in parts[2]:
+                raise ValueError(f"label {parts[2]!r} holds a comma")
+            if phones:
+                macro_class(parts[2])
+        except ValueError as exc:
+            raise CorpusFormatError(path, str(exc), line=lineno) from None
         segments.append(Segment(utt_id, parts[2], start, end))
     return segments
 
@@ -337,9 +346,17 @@ def dataset_header(frames: int, dim: int) -> list[str]:
     return cols
 
 
+# A dataset-CSV cell cannot hold these: they split cells and rows.
+_CSV_BREAKS = re.compile("[,\r\n]")
+
+
 def dataset_csv_line(utt_id: str, label: str, macro: str | None, texts) -> str:
-    """One dataset-cache row, from the row_texts of the sample's frames."""
-    return ",".join([utt_id, label, macro or "", *texts]) + "\n"
+    """One dataset-cache row, from the row_texts of the sample's frames; a
+    field that holds a comma or a line break raises ValueError."""
+    fields = [utt_id, label, macro or ""]
+    if any(_CSV_BREAKS.search(f) for f in fields):
+        raise ValueError(f"a dataset CSV cannot hold a comma or a line break, got {fields}")
+    return ",".join([*fields, *texts]) + "\n"
 
 
 def write_dataset_csv(samples: list[SequenceSample], path) -> None:
@@ -497,6 +514,10 @@ def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speaker
         ali = _sibling(stem, f".{unit}")
         if ali is None:
             continue
+        utt = utf8_name(stem)
+        for path, name in ((stem.parent, speaker), (wav, utt)):
+            if _CSV_BREAKS.search(name):
+                raise CorpusFormatError(path, "name holds a comma or a line break")
         buf = read_sphere(wav)
         stats["utterances"] += 1
         if buf.samples.shape[0] < mfcc_cfg.frame_len:
@@ -504,19 +525,15 @@ def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speaker
             continue
         feats = mfcc_pipeline(buf, mfcc_cfg)
         picks = []
-        for seg in read_alignment(ali):
+        for seg in read_alignment(ali, phones=unit == "phn"):
             stats["segments"] += 1
             try:
                 idx = middle_frame_index(seg, len(feats), mfcc_cfg.hop, mfcc_cfg.frame_len, k)
             except ValueError:
                 stats["skipped_segments"] += 1
                 continue
-            try:
-                macro = macro_class(seg.label) if unit == "phn" else None
-            except ValueError as exc:
-                raise CorpusFormatError(ali, str(exc)) from None
-            picks.append((seg, macro, idx))
-        yield f"{speaker}/{utf8_name(stem)}", feats, picks
+            picks.append((seg, macro_class(seg.label) if unit == "phn" else None, idx))
+        yield f"{speaker}/{utt}", feats, picks
 
 
 def build_corpus_dataset(root, mfcc_cfg: MfccConfig | None = None, unit: str = "phn",

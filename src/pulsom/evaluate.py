@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorpusFormatError, read_utf8
-
 REJECTED = "rejected"
 
 
@@ -171,7 +169,7 @@ def write_report_csv(rep: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("class,correct,total,rate\n")
         for c, rate in rep.rows:
-            cor, tot = rep.counts.get(c, (0, 0))
+            cor, tot = rep.counts[c]
             f.write(f"{c},{cor},{tot},{rate!r}\n")
 
 
@@ -181,40 +179,3 @@ def write_confusion_csv(confusion: Counter, path) -> None:
         for (true, pred), count in sorted(confusion.items()):
             f.write(f"{true},{pred},{count}\n")
 
-
-def read_report_csv(path) -> EvalReport:
-    """A report CSV as write_report_csv writes it; malformed content raises
-    ValueError naming ``file:line``."""
-    try:
-        lines = read_utf8(path).splitlines()
-    except CorpusFormatError as exc:
-        raise ValueError(str(exc)) from None
-    header = lines[0].strip() if lines else ""
-    if header != "class,correct,total,rate":
-        raise ValueError(f"{path}:1: not a report CSV: unexpected header {header!r}")
-    rates, counts = {}, {}  # class -> (line, rate); class -> (correct, total)
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.strip().split(",")
-        if len(fields) != 4:
-            raise ValueError(f"{path}:{n}: expected 4 fields (class,correct,total,rate), "
-                             f"got {len(fields)}")
-        c, cor, tot, rate = fields
-        try:
-            value, correct, total = float(rate), int(cor), int(tot)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{n}: {exc}") from None
-        if not 0.0 <= value <= 100.0:
-            raise ValueError(f"{path}:{n}: rate must be a finite percentage in [0, 100], "
-                             f"got {rate}")
-        if not 0 <= correct <= total:
-            raise ValueError(f"{path}:{n}: counts must satisfy 0 <= correct <= total, "
-                             f"got {cor} of {tot}")
-        if c in rates:
-            raise ValueError(f"{path}:{n}: repeated class {c!r} (first on line {rates[c][0]})")
-        rates[c] = n, value
-        counts[c] = (correct, total)
-    if not rates:
-        raise ValueError(f"{path}:{len(lines) + 1}: no class rows after the header")
-    return EvalReport([(c, value) for c, (_, value) in rates.items()], counts)

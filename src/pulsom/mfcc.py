@@ -170,9 +170,9 @@ def mel_filterbank(spectrum: np.ndarray, cfg: MfccConfig,
     """
     filters = mel_filter_matrix(sample_rate, cfg.fft_size, cfg.n_filters)
     spectrum = np.asarray(spectrum, dtype=np.float64)
-    # One matrix-vector product per row; `spectrum @ filters.T` as a single
-    # GEMM rounds differently and would change the feature bits.
-    energies = (filters @ spectrum[..., None])[..., 0]
+    # One einsum, as in dct_coeffs: no BLAS call, whose kernel OpenBLAS
+    # picks by CPU, and each row has the bits it has alone.
+    energies = np.einsum("...j,kj->...k", spectrum, filters)
     return np.log10(np.maximum(energies, LOG_FLOOR))
 
 

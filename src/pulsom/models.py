@@ -254,20 +254,6 @@ def load_model(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-# Lines that older model files carry and that no result reads any more,
-# with the one value each may still carry (None: any value).  A float value
-# loads if it parses to that value.
-_RETIRED_LINES = {"sim_step_ms": None, "tau_psp_ms": None, "scale_input_by_lambda": "false",
-                  "stdp_flip_branches": "true", "s_radius": 1.0}
-
-
-def _retired_value(text: str):
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _parse_model(lines: list[str]):
     lattice, next_line = load_lattice(lines)
     found = {}  # line name -> (line number, value text)
@@ -277,9 +263,6 @@ def _parse_model(lines: list[str]):
         name, _, value = raw.partition(" ")
         if name in found:
             raise ValueError(f"line {n}: repeated '{name}' line (first on line {found[name][0]})")
-        allowed = _RETIRED_LINES.get(name)
-        if allowed is not None and _retired_value(value.strip()) != allowed:
-            raise ValueError(f"line {n}: {raw.strip()!r} is retired; only '{allowed}' loads")
         found[name] = n, value.strip()
 
     def line(name):
@@ -291,7 +274,7 @@ def _parse_model(lines: list[str]):
     if kind not in PARAMETER_LINES:
         raise ValueError(f"missing or unknown model tag {kind!r}")
     ranges = ("lo", "hi") if kind != "SOM" else ()
-    known = {"model", *ranges, *_RETIRED_LINES, *(name for name, _, _ in PARAMETER_LINES[kind])}
+    known = {"model", *ranges, *(name for name, _, _ in PARAMETER_LINES[kind])}
     for name, (n, _) in found.items():
         if name not in known:
             raise ValueError(f"line {n}: '{name}' is not a line of {kind} model files")

@@ -272,7 +272,7 @@ class FiringStep:
         return firing_winners(codes.normalized[..., i, :], self.match, cfg)
 
     def rate(self, lr: float, rule: StdpRule) -> float:
-        """lr: the rule kernel scales eta itself, so a gain is (lr * h) * eta."""
+        """lr: the rule kernel applies eta itself (to every rule but soula)."""
         return lr
 
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,

@@ -39,9 +39,10 @@ class StdpWindow:
 class StdpRule:
     """A plasticity variant plus its parameters.
 
-    eta is the learning rate used by the panchev and input rules; w_max is the
-    weight ceiling (the soula rule's saturation limit, and the clamp bound for
-    the additive and input rules).
+    eta scales the step of every rule but soula, which has no learning rate
+    (additive, panchev and input; RSSOM's step whatever the rule); w_max is
+    the weight ceiling (the soula rule's saturation limit, and the clamp
+    bound for the additive and input rules).
     """
 
     variant: str = "input"
@@ -128,9 +129,10 @@ def apply_rule_array(w: np.ndarray, x: np.ndarray, delta_t: np.ndarray,
     """Vectorized dispatcher used by the trainers.
 
     ``gain`` is the per-synapse schedule factor (learning-rate decay times
-    neighborhood kernel); it scales eta for the eta-bearing rules and the raw
-    step for the others.  Shapes of w, x, delta_t and gain broadcast together.
-    A NaN delta_t gives a NaN weight.
+    neighborhood kernel).  The step is gain * eta * window times the rule's
+    weight factor (1 for additive), and gain * window times its saturation
+    factor for soula, which has no eta.  Shapes of w, x, delta_t and gain
+    broadcast together; a NaN delta_t gives a NaN weight.
     """
     w = np.asarray(w, dtype=np.float64)
     dt = np.asarray(delta_t, dtype=np.float64)

@@ -11,7 +11,7 @@ from pulsom.config import AUTO, KEYS, REGISTRY, RunConfig, parse_config_text, re
 from pulsom.corpus import build_corpus_dataset, synth_generate
 from pulsom.errors import ConfigError
 from pulsom.mfcc import MfccConfig
-from pulsom.models import _RETIRED_LINES, LinModel, RssomModel, SomModel
+from pulsom.models import LinModel, RssomModel, SomModel
 from pulsom.som import Schedule
 from pulsom.ssom import LateralKernel
 from pulsom.stdp import StdpRule, StdpWindow
@@ -162,11 +162,6 @@ class TestDefaultOwners:
     def test_key_default_is_its_owners(self, name):
         default, owner = KEYS[name].default, self.OWNERS[name]
         assert (default, type(default)) == (owner, type(owner))
-
-    def test_model_file_s_radius_default_is_ssom_configs(self):
-        """The one value a retired s_radius line may carry is the radius
-        that a loaded model's SsomConfig has."""
-        assert _RETIRED_LINES["s_radius"] == SsomConfig.s_radius
 
     def test_default_config_builds_the_default_objects(self):
         """Including the auto keys: the auto radius_start is for_lattice's,

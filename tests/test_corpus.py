@@ -165,6 +165,16 @@ class TestReadAlignment:
         assert exc.value.line == 2
         assert str(exc.value).startswith(f"{path}:2: not UTF-8 text: byte 0xad")
 
+    @pytest.mark.parametrize("label, phones, message", [
+        ("s,h", False, "label 's,h' holds a comma"), ("s,h", True, "label 's,h' holds a comma"),
+        ("qq", True, "unknown phone symbol 'qq'")])
+    def test_bad_label_reports_its_line(self, tmp_path, label, phones, message):
+        path = tmp_path / "x.phn"
+        path.write_text(f"0 1600 h#\n1600 2400 {label}\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            read_alignment(path, phones=phones)
+        assert str(exc.value) == f"{path}:2: {message}"
+
 
 class TestMiddleFrames:
     def frames(self, n):
@@ -328,6 +338,14 @@ class TestDatasetCsv:
     def test_samples_without_features_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one feature"):
             write_dataset_csv([SequenceSample(np.zeros((9, 0)), "aa")], tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("field", ["utt_id", "label", "macro_class"])
+    @pytest.mark.parametrize("text", ["a,b", "a\nb", "a\rb"])
+    def test_field_with_a_comma_or_line_break_raises(self, tmp_path, field, text):
+        samples = self.samples()
+        setattr(samples[2], field, text)
+        with pytest.raises(ValueError, match="cannot hold a comma or a line break"):
+            write_dataset_csv(samples, tmp_path / "d.csv")
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         samples = self.samples()

@@ -74,7 +74,7 @@ def per_frame_mfcc(buf, cfg):
         spec = z.real * z.real + z.imag * z.imag
         if not cfg.use_power:
             spec = np.sqrt(spec)
-        energies = np.log10(np.maximum(filters @ spec, LOG_FLOOR))
+        energies = np.log10(np.maximum(np.einsum("j,kj->k", spec, filters), LOG_FLOOR))
         out[i] = dct_coeffs(energies, cfg.n_coeffs)
     return out
 

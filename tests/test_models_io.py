@@ -39,6 +39,12 @@ def spiking_parts(dim=4):
     return lo, hi, cfg, kernel, rule
 
 
+# The retired lines that older model files carried, with the values that
+# loaded then; no model file loads with one of them now.
+RETIRED_LINES = ["sim_step_ms 0.5", "tau_psp_ms 4.5", "scale_input_by_lambda false",
+                 "stdp_flip_branches true", "s_radius 1.0"]
+
+
 class TestHeaderFormat:
     def test_magic_line(self, tmp_path):
         lat = random_lattice(rows=3, cols=2, dim=5)
@@ -216,24 +222,6 @@ class TestErrors:
         with pytest.raises(ValueError, match=re.escape(f"m.txt: line {at}: {message}")):
             load_model(path)
 
-    @pytest.mark.parametrize("line, loads", [
-        ("stdp_flip_branches true", True), ("stdp_flip_branches false", False),
-        ("stdp_flip_branches yes", False), ("s_radius 1.0", True), ("s_radius 1", True),
-        ("s_radius 2.0", False), ("s_radius nan", False)])
-    def test_retired_line_loads_only_its_one_value(self, tmp_path, line, loads):
-        lo, hi, cfg, kernel, rule = spiking_parts()
-        path = tmp_path / "m.txt"
-        save_model(LinModel(random_lattice(), lo, hi, cfg, kernel, rule), path)
-        lines = path.read_text().splitlines() + [line]
-        path.write_text("\n".join(lines) + "\n")
-        if loads:
-            assert load_model(path).rule == rule
-            return
-        only = {"stdp_flip_branches": "true", "s_radius": "1.0"}[line.split()[0]]
-        with pytest.raises(ValueError, match=re.escape(
-                f"m.txt: line {len(lines)}: {line!r} is retired; only '{only}' loads")):
-            load_model(path)
-
     @pytest.mark.parametrize("edit, message", [
         (lambda ls: replaced(ls, "lo ", "lo 0.0 x 0.0 0.0"),
          "could not convert string to float: 'x'"),
@@ -249,8 +237,12 @@ class TestErrors:
          "'t_ref' is not a line of SSOM model files"),
         (lambda ls: (ls[:7] + ["0.5 0.5 0.5 0.5"] + ls[7:], 8),
          "'0.5' is not a line of SSOM model files"),
+        *[(lambda ls, line=line: (ls + [line], len(ls) + 1),
+           f"'{line.split()[0]}' is not a line of SSOM model files")
+          for line in RETIRED_LINES],
     ], ids=["bad-range-token", "nan-lo", "inf-hi", "hi-below-lo", "alpha-in-ssom",
-            "misspelt-line", "surplus-weight-row"])
+            "misspelt-line", "surplus-weight-row",
+            *(f"retired-{line.split()[0]}" for line in RETIRED_LINES)])
     def test_bad_line_named(self, tmp_path, edit, message):
         lo, hi, cfg, kernel, rule = spiking_parts()
         path = tmp_path / "m.txt"
@@ -302,38 +294,6 @@ class TestWinnerRules:
         assert lin.frame_winners(sample) == want_lin
         assert any(w is not None for w in want_ssom + want_rssom + want_lin)
 
-class TestRetiredParameterLines:
-    """Spiking model files once carried `sim_step_ms`, `tau_psp_ms`,
-    `s_radius` and `stdp_flip_branches` lines, which no result depends on
-    any more.  They are no longer written; files that still carry them, as
-    written before (`s_radius 1.0`, `stdp_flip_branches true`), load to the
-    same model."""
-
-    @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
-    def test_old_file_gives_the_same_winner_table(self, tmp_path, kind):
-        lo, hi, cfg, kernel, rule = spiking_parts()
-        lat = random_lattice(seed=4, rows=3, cols=3)
-        model = {"ssom": lambda: SsomModel(lat, lo, hi, cfg, kernel, rule),
-                 "rssom": lambda: RssomModel(lat, lo, hi, cfg, kernel, rule, alpha=0.4),
-                 "lin": lambda: LinModel(lat, lo, hi, cfg, kernel, rule, lam=0.6)}[kind]()
-        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
-        save_model(model, new)
-        lines = new.read_text().splitlines()
-        assert not any(ln.startswith(("sim_step_ms ", "tau_psp_ms ", "s_radius ",
-                                      "stdp_flip_branches ")) for ln in lines)
-        at = lines.index(f"t_ref_ms {cfg.t_ref!r}") + 1
-        rule_at = lines.index(f"stdp_w_max {rule.w_max!r}") + 1
-        old.write_text("\n".join(lines[:at] + ["s_radius 1.0", "sim_step_ms 0.5", "tau_psp_ms 4.5"]
-                                 + lines[at:rule_at] + ["stdp_flip_branches true"]
-                                 + lines[rule_at:]) + "\n")
-        samples = np.random.default_rng(9).uniform(-1.5, 3.5, size=(6, 12, 4))
-        want, got = load_model(new), load_model(old)
-        assert (got.cfg, got.kernel, got.rule) == (want.cfg, want.kernel, want.rule)
-        table = got.winner_table(samples)
-        assert np.array_equal(table, want.winner_table(samples))
-        assert (table >= 0).any()
-
-
 def test_every_map_parameter_key_has_a_model_file_line():
     """A map parameter added to the config cannot be left out of model
     files, and every model-file line reads a config key."""
@@ -344,7 +304,8 @@ def test_every_map_parameter_key_has_a_model_file_line():
     assert all(KEYS[key.name] is key for key in lines.values())
 
 
-# Retired lines, with the value older files carry; the fuzzed files carry it.
+# Retired lines, with the value older files carry; the fuzzed files carry
+# it, and any value on them fails to load.
 RETIRED = {"s_radius": "1.0", "stdp_flip_branches": "true", "scale_input_by_lambda": "false"}
 SHARED_KEYS = ["lo", "hi", "t_max_ms", "t_ref_ms", "s_radius", "excite_radius", "excite_gain",
                "inhibit_gain", "stdp_variant", "stdp_a_plus", "stdp_a_minus", "stdp_tau_plus_ms",

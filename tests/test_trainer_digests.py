@@ -447,11 +447,13 @@ def test_rule_trainer_matrix(data, rule):
 
 def run_child(disabled, *tests):
     """Run the given pytest node ids in a child process whose numpy
-    dispatches none of the CPU features ``disabled`` names.  The setting
-    reaches the child only."""
+    dispatches none of the CPU features ``disabled`` names and whose
+    OpenBLAS runs its generic kernel (the one a host without AVX2 gets), so
+    a BLAS call that moves pinned bytes fails on any host.  The settings
+    reach the child only."""
     repo = Path(__file__).resolve().parents[1]
     src = str(Path(pulsom.__file__).resolve().parents[1])
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_CORETYPE="Prescott",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *tests],
                            cwd=repo, env=env, capture_output=True, text=True, timeout=600)

@@ -68,7 +68,8 @@ REGISTRY = [
     Key("lateral.excite_gain", "float", LateralKernel.excite_gain,
         "pull toward the winner's firing time"),
     Key("lateral.inhibit_gain", "float", LateralKernel.inhibit_gain,
-        "delay of remote units, in ms per lattice unit beyond the radius"),
+        "delay of remote units, in ms per lattice unit beyond the radius; no effect "
+        "at excite_radius = auto (see README)"),
     Key("rssom.alpha", "float", 0.5, "leaking coefficient of the difference vectors"),
     Key("lin.lambda", "float", 0.5, "memory depth of the integrator potentials"),
     Key("som.concat", "bool", False,

@@ -360,17 +360,20 @@ def dataset_csv_line(utt_id: str, label: str, macro: str | None, texts) -> str:
 
 
 def write_dataset_csv(samples: list[SequenceSample], path) -> None:
-    """Dataset cache: one row per sample, feature columns f<frame>c<coeff>."""
+    """Dataset cache: one row per sample, feature columns f<frame>c<coeff>.
+    A bad sample raises before the file is opened, so no file is touched."""
     if not samples:
         raise ValueError("cannot write an empty dataset")
     frames, dim = samples[0].frames.shape
     if dim < 1:
         raise ValueError("samples must have at least one feature per frame")
+    for s in samples:
+        if s.frames.shape != (frames, dim):
+            raise ValueError("all samples must share one frames/dim shape")
+        dataset_csv_line(s.utt_id, s.label, s.macro_class, ())    # checks the text fields
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(dataset_header(frames, dim)) + "\n")
         for s in samples:
-            if s.frames.shape != (frames, dim):
-                raise ValueError("all samples must share one frames/dim shape")
             f.write(dataset_csv_line(s.utt_id, s.label, s.macro_class, row_texts(s.frames)))
 
 

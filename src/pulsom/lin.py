@@ -15,7 +15,7 @@ import numpy as np
 from .coding import EncodedFrames, SsomConfig
 from .errors import DimensionMismatchError
 from .som import Lattice, Schedule, TrainingLog, squared_distances, winner_or_none
-from .ssom import FiringRecord, FiringStep, stdp_step, train_spiking
+from .ssom import FiringRecord, stdp_step, train_spiking
 from .stdp import StdpRule
 
 
@@ -54,8 +54,6 @@ class PotentialState:
         """``advance`` by frame i and return ``potential_winners``."""
         self.advance(codes, i, lattice)
         return potential_winners(self, lattice, cfg)
-
-    rate = FiringStep.rate
 
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
               t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:

@@ -49,10 +49,6 @@ class DifferenceState:
         self.advance(codes, i, lattice)
         return difference_winners(self, lattice, cfg)
 
-    def rate(self, lr: float, rule: StdpRule) -> float:
-        """eta * lr: a gain is (eta * lr) * h."""
-        return rule.eta * lr
-
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
               t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
         """``window_step`` with the spike times of frame i of one sequence."""
@@ -100,11 +96,13 @@ def window_step(t_spike: np.ndarray, lattice: Lattice, state: DifferenceState,
                 idx: np.ndarray, t_post: np.ndarray, gain: np.ndarray,
                 rule: StdpRule) -> None:
     """``rssom_learn`` of the gated units idx, which fired at t_post and have
-    learning gains gain (one column, see ``ssom.area_rows``)."""
+    learning gains gain (one column, see ``ssom.area_rows``): each steps
+    by gain * eta * |window| along its y_i, eta applied to the gain column."""
     dt = t_spike - t_post[:, None]
     scale = window_magnitude(dt, rule.window)
     scale[dt == 0] = 0.0    # |window|, which is 0 at coincidence
-    stepped = lattice.weights.take(idx, axis=0) + gain * scale * state.y.take(idx, axis=0)
+    stepped = (lattice.weights.take(idx, axis=0)
+               + gain * rule.eta * scale * state.y.take(idx, axis=0))
     lattice.weights[idx] = stepped.clip(0.0, rule.w_max)
 
 
@@ -124,7 +122,7 @@ def rssom_learn(e_spike_times: np.ndarray, lattice: Lattice, state: DifferenceSt
     d = lattice.grid_distances(record.winner)
     idx = learning_gate(record.times, record.silent, d <= cfg.s_radius, cfg)
     window_step(e_spike_times, lattice, state, idx, record.times[idx],
-                (rule.eta * lr_scale * neighborhood_array(d[idx], cfg.s_radius))[:, None], rule)
+                (lr_scale * neighborhood_array(d[idx], cfg.s_radius))[:, None], rule)
 
 
 def train_rssom(data, model, schedule: Schedule, seed: int) -> TrainingLog:

@@ -134,9 +134,6 @@ class Lattice:
         units: a read-only row of ``distance_table``."""
         return self.distance_table()[unit.flat]
 
-    def copy(self) -> "Lattice":
-        return Lattice(self.rows, self.cols, self.weights.copy(), self.rng_seed)
-
     @staticmethod
     def random_init(rows: int, cols: int, data: np.ndarray, seed: int) -> "Lattice":
         """Uniform random weights in the per-dimension min/max range of ``data``."""
@@ -164,7 +161,6 @@ class EpochStats:
 class TrainingLog:
     """Per-epoch training trace; ``skipped`` counts no-winner presentations."""
 
-    model: str
     rows: list[EpochStats] = field(default_factory=list)
 
     @property
@@ -403,7 +399,7 @@ def train_som(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     w = lattice.weights
     dist = lattice.distance_table()
     rng = np.random.default_rng(seed)
-    log = TrainingLog(model="SOM")
+    log = TrainingLog()
     for t in range(schedule.epochs):
         lr, radius = linear_decay(t, schedule)
         gain = neighborhood_array(dist, radius)

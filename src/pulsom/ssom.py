@@ -41,7 +41,8 @@ class LateralKernel:
     Units within excite_radius of the winner are pulled toward its firing
     time; units beyond it are delayed by inhibit_gain ms per lattice unit
     beyond the radius.  excite_radius=None tracks the decayed schedule
-    radius during training.
+    radius during training, which is the learning area's radius too, so no
+    unit that can learn is delayed and inhibit_gain changes no result.
     """
 
     excite_radius: float | None = None
@@ -177,15 +178,15 @@ def learning_gate(times: np.ndarray, silent: np.ndarray, spatial: np.ndarray,
 
 
 def area_rows(dist: np.ndarray, radius: float, kernel: LateralKernel,
-              rate: float) -> list[tuple]:
+              lr: float) -> list[tuple]:
     """Entry u: the units within ``radius`` of unit u (ascending flat order),
-    with their ``lateral_tables`` and their learning gains ``rate * h``, h
+    with their ``lateral_tables`` and their learning gains ``lr * h``, h
     their neighborhood values (one column per unit), from dist's rows.  An
     entry whose units all lie within the excitation radius holds None for
     the mask and the delays."""
     area = dist <= radius
     d = dist[area]
-    gain = (rate * neighborhood_array(d, radius))[:, None]
+    gain = (lr * neighborhood_array(d, radius))[:, None]
     tables = (np.nonzero(area)[1], *lateral_tables(d, kernel), gain)
     rows = zip(*(np.split(a, np.cumsum(area.sum(axis=1))[:-1]) for a in tables))
     return [(a, None, f, None, g) if near.all() else (a, near, f, delay, g)
@@ -251,9 +252,9 @@ class FiringStep:
     to step frame i of one sequence's ``EncodedFrames`` (or of a stacked
     block, through ``[..., i, :]``) to (times, winners), advance(codes, i,
     lattice) to step it without the winner rule (present is advance plus
-    the rule), rate(lr, rule) for the factor of the epoch's learning gains
-    (see ``area_rows``), and learn(codes, i, lattice, idx, t_post, gain,
-    rule) for the learning step of the gated units idx.  ``rssom.DifferenceState``
+    the rule), and learn(codes, i, lattice, idx, t_post, gain, rule) for
+    the learning step of the gated units idx, with gains ``lr * h`` (see
+    ``area_rows``; the learning kernels apply eta).  ``rssom.DifferenceState``
     and ``lin.PotentialState`` are the recurrent maps' step objects.  This
     one keeps the ``clamped`` copy of its lattice, whose rows learn refreshes.
     """
@@ -270,10 +271,6 @@ class FiringStep:
     def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
         """``firing_winners`` of the normalized values of frame i."""
         return firing_winners(codes.normalized[..., i, :], self.match, cfg)
-
-    def rate(self, lr: float, rule: StdpRule) -> float:
-        """lr: the rule kernel applies eta itself (to every rule but soula)."""
-        return lr
 
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
               t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
@@ -307,11 +304,11 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     codes = [encode_frames(s, lo, hi, cfg.t_max, lattice.dim) for s in sequences]
     span = hi - lo
     rng = np.random.default_rng(seed)
-    log = TrainingLog(model=model.kind)
+    log = TrainingLog()
     for t in range(schedule.epochs):
         lr, radius = linear_decay(t, schedule)
         kernel_t = kernel if kernel.excite_radius is not None else replace(kernel, excite_radius=radius)
-        rows = area_rows(lattice.distance_table(), radius, kernel_t, state.rate(lr, rule))
+        rows = area_rows(lattice.distance_table(), radius, kernel_t, lr)
         skipped = 0
         for si in rng.permutation(len(sequences)):
             state.reset()

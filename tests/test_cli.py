@@ -338,7 +338,7 @@ class TestModelBytes:
                 "7ed0075c87eaee2278ccd85fc5ae9dab2e7af2328f6282048a90ced234c2b740"),
         "ssom": ("7722629213c383e9c822d709d2a7d7bca254b496f8b20cda522a3df04a833970",
                  "e123cf69413c94b625208173d0cf8a2786c57efd6fff7f1e4edcb70e042252cd"),
-        "rssom": ("5af15ed4c9a5103f8c82d1f5ca6a2b09f4b194c220a4e92a2454231ed7b6072d",
+        "rssom": ("e3b573c8843a1fc7500436b169d26b938f45bbb9952a9b1377ec1c05a91169e4",
                   "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
         "lin": ("6a41430590c889deea0376f672e2cd85295b7f4c3b959c9f4a6bb89c39429081",
                 "d51467825d3820c63bcdecc48c0e110f2961718aa978d47f60b352e432c7265c"),
@@ -347,7 +347,7 @@ class TestModelBytes:
         "som": DIGESTS["som"],
         "ssom": ("23569afa59dbc32e3e77eb67e66c0857cbb283b21466726f5b0666bcca0901e2",
                  "e123cf69413c94b625208173d0cf8a2786c57efd6fff7f1e4edcb70e042252cd"),
-        "rssom": ("385496621bb35a9f7dc004f105f16c89028d18d259153c378fc9b86548bf2051",
+        "rssom": ("e3b573c8843a1fc7500436b169d26b938f45bbb9952a9b1377ec1c05a91169e4",
                   "e1412a215b77cdf9e9c16c872290a888bb46f547171659d85452a0913ce6e367"),
         "lin": ("663f59b1ed9b0a126bd5673505344ea1e583d3fcbe03e36daf362fcb44dcb533",
                 "666139ea7e100aa6b984e8bfba640d9d93c1146df07bfd795e5203ebfd1f31c9"),

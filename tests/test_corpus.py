@@ -1,3 +1,4 @@
+import hashlib
 import time
 from unittest.mock import patch
 
@@ -346,6 +347,29 @@ class TestDatasetCsv:
         setattr(samples[2], field, text)
         with pytest.raises(ValueError, match="cannot hold a comma or a line break"):
             write_dataset_csv(samples, tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("bad", ["label", "shape"])
+    def test_a_bad_sample_writes_nothing(self, tmp_path, bad):
+        # the check runs before the file is opened: no truncated file that
+        # reads back as a shorter dataset, and a file already there keeps its bytes
+        samples = synth_generate(2, 2, dim=2, frames=2, seed=1)
+        if bad == "label":
+            samples[2].label = "a,b"
+        else:
+            samples[2] = SequenceSample(np.zeros((3, 2)), "class1")
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_bytes(b"kept\n")
+        for path in (new, old):
+            with pytest.raises(ValueError):
+                write_dataset_csv(samples, path)
+        assert not new.exists()
+        assert old.read_bytes() == b"kept\n"
+
+    def test_valid_samples_write_the_recorded_bytes(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dataset_csv(self.samples(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6f2d4bfadd17f416b4199cc3561918579761b7dd2c15a3174103ddd6d4f00e86")
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         samples = self.samples()

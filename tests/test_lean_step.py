@@ -51,7 +51,7 @@ def oracle_apply_rule_array(w, x, delta_t, rule, gain=1.0):
 
 
 def oracle_window_step(t_spike, lattice, state, idx, t_post, h, rule, lr_scale):
-    gain = (rule.eta * lr_scale * h)[:, None]
+    gain = (lr_scale * h * rule.eta)[:, None]
     dt = t_spike[None, :] - t_post[:, None]
     scale = np.abs(oracle_window(dt, rule.window))
     stepped = lattice.weights[idx] + gain * scale * state.y[idx]
@@ -144,7 +144,7 @@ class TestWindowStep:
         state = DifferenceState(y, 0.5)
 
         oracle_window_step(t_spike, want, state, idx, t_post, h, rule, lr)
-        window_step(t_spike, got, state, idx, t_post, (state.rate(lr, rule) * h)[:, None], rule)
+        window_step(t_spike, got, state, idx, t_post, (lr * h)[:, None], rule)
 
         assert same_bits(got.weights, want.weights)
 

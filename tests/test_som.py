@@ -370,7 +370,7 @@ def oracle_train_som(vectors, lattice, schedule, seed):
 def assert_trains_like_oracle(samples, model, vectors, schedule, seed):
     """train_som on the model leaves the weights and log rows, bit for bit,
     that the per-vector oracle gives on a copy of its lattice."""
-    lattice = model.lattice.copy()
+    lattice = Lattice(model.lattice.rows, model.lattice.cols, model.lattice.weights.copy())
     log = train_som(samples, model, schedule, seed)
     want = oracle_train_som(vectors, lattice, schedule, seed)
     assert np.array_equal(model.lattice.weights.view(np.int64), lattice.weights.view(np.int64))

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsom.coding import SsomConfig, encode_latency, normalize
-from pulsom.models import SsomModel
+from pulsom.corpus import synth_generate
+from pulsom.lin import train_lin
+from pulsom.models import LinModel, RssomModel, SsomModel
+from pulsom.rssom import train_rssom
 from pulsom.som import Lattice, Schedule, find_bmu, neighborhood_array
 from pulsom.ssom import (
     FiringRecord,
@@ -149,10 +152,36 @@ class TestLateralKernel:
         assert LateralKernel(excite_radius=1e-150).excite_radius == 1e-150
 
 
+class TestInhibitGain:
+    """With the auto excitation radius, the kernel's excitation radius is
+    the schedule radius, which is also the radius of the learning area:
+    every unit that can learn is pulled and none is delayed, so
+    inhibit_gain changes no weight and no log row.  An explicit radius
+    below the schedule radius lets inhibition reach learning units."""
+
+    @staticmethod
+    def trained(kind, excite_radius, inhibit_gain):
+        model_cls, train = {"ssom": (SsomModel, train_ssom), "rssom": (RssomModel, train_rssom),
+                            "lin": (LinModel, train_lin)}[kind]
+        data = synth_generate(3, 10, 6, 5, 2.0, False, 5)
+        model = model_cls(normalized_init(5, 5, data, 3), *feature_ranges(data),
+                          kernel=LateralKernel(excite_radius, inhibit_gain=inhibit_gain))
+        log = train(data, model, Schedule.for_lattice(5, 5, epochs=4), 3)
+        return model.lattice.weights.tobytes(), log.rows
+
+    @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
+    def test_no_effect_at_the_auto_radius(self, kind):
+        assert self.trained(kind, None, 0.1) == self.trained(kind, None, 5.0)
+
+    @pytest.mark.parametrize("kind", ["ssom", "rssom", "lin"])
+    def test_an_explicit_radius_below_the_schedule_radius_feels_it(self, kind):
+        assert self.trained(kind, 1.0, 0.1)[0] != self.trained(kind, 1.0, 5.0)[0]
+
+
 class TestAreaStep:
     """``area_step`` on the winner's ``area_rows`` entry gives the bytes of
     ``lateral_step``, ``learning_gate`` and the neighborhood row times the
-    epoch's rate on the whole lattice, which the trainer ran per
+    epoch's lr on the whole lattice, which the trainer ran per
     presentation before, with the silent mask times > t_ref; a NaN time
     stays silent through the kernel.  At t_ref = t_max, a unit that inhibition pushes to
     the t_max cap still learns."""
@@ -162,9 +191,9 @@ class TestAreaStep:
            radius=st.floats(0.05, 8.0), t_ref=st.one_of(st.just(20.0), st.floats(0.5, 20.0)),
            excite=st.sampled_from(["below", "equal", "above", "auto"]),
            excite_gain=st.floats(0.01, 5.0), inhibit_gain=st.floats(0.01, 5.0),
-           rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+           lr=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
     def test_matches_the_whole_lattice(self, data, rows, cols, radius, t_ref, excite,
-                                       excite_gain, inhibit_gain, rate):
+                                       excite_gain, inhibit_gain, lr):
         n = rows * cols
         lattice = Lattice(rows, cols, np.zeros((n, 1)))
         cfg = SsomConfig(t_max=20.0, t_ref=t_ref)
@@ -179,7 +208,7 @@ class TestAreaStep:
             kernel = replace(kernel, excite_radius=radius)
         dist = lattice.distance_table()
 
-        idx, t_post, gain = area_step(times, w, area_rows(dist, radius, kernel, rate)[w], cfg)
+        idx, t_post, gain = area_step(times, w, area_rows(dist, radius, kernel, lr)[w], cfg)
 
         silent = times > cfg.t_ref
         t_all, s_all = lateral_step(times, silent, w, *lateral_tables(dist[w], kernel), cfg)
@@ -187,7 +216,7 @@ class TestAreaStep:
         assert idx.tobytes() == want.tobytes()
         assert t_post.tobytes() == t_all[want].tobytes()
         assert gain.shape == (len(want), 1)
-        assert gain.tobytes() == (rate * neighborhood_array(dist[w], radius))[want].tobytes()
+        assert gain.tobytes() == (lr * neighborhood_array(dist[w], radius))[want].tobytes()
 
 
 class TestSsomLearn:

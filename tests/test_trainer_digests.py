@@ -83,7 +83,7 @@ SPIKING = {
         ("input", "fixed"): "a561a77ee3141ff5",
         ("input", "auto"): "213cca45c36e29a1",
     },
-    "rssom": {"fixed": "ea03ad0258cfde20", "auto": "c68fb1bb4c3d0e0c"},
+    "rssom": {"fixed": "495a5e5dc3218805", "auto": "10d94569b229c3b4"},
 }
 
 SPIKING_LIBM = {
@@ -107,7 +107,7 @@ SPIKING_LIBM = {
         ("input", "fixed"): "ddc423aeeb3e6490",
         ("input", "auto"): "ba2d673bebd31a57",
     },
-    "rssom": {"fixed": "ea03ad0258cfde20", "auto": "c68fb1bb4c3d0e0c"},
+    "rssom": {"fixed": "495a5e5dc3218805", "auto": "10d94569b229c3b4"},
 }
 
 SPIKING_TIGHT = {
@@ -131,7 +131,7 @@ SPIKING_TIGHT = {
         ("input", "fixed"): "0ff738021b9a4cca",
         ("input", "auto"): "f6ded755607c109e",
     },
-    "rssom": {"fixed": "855df4f8c7750529", "auto": "beacca0a5b829722"},
+    "rssom": {"fixed": "43fa9ea31f0afabc", "auto": "4440770dd9876a8d"},
 }
 
 SPIKING_TIGHT_LIBM = {
@@ -155,7 +155,7 @@ SPIKING_TIGHT_LIBM = {
         ("input", "fixed"): "907fe3654be7fffb",
         ("input", "auto"): "7c80650ad8f3261d",
     },
-    "rssom": {"fixed": "ba07bf1c8ba3fd20", "auto": "beacca0a5b829722"},
+    "rssom": {"fixed": "d37322acfdfa8108", "auto": "4440770dd9876a8d"},
 }
 
 # RULES entry -> digests of SSOM and LIN (kind, variant) at the fixed
@@ -173,8 +173,8 @@ SPIKING_RULES = {
         ("lin", "panchev"): "fbea375973a35594",
         ("lin", "soula"): "ecdcc87d5a9e27ee",
         ("lin", "input"): "c2e92ecba45a4e37",
-        ("rssom", "fixed"): "94d337b8512b0b6e",
-        ("rssom", "auto"): "a2d6d359abb9220a",
+        ("rssom", "fixed"): "5e52ec3a6f184a9f",
+        ("rssom", "auto"): "0c4b29715035b2ce",
     },
     "w_max_0.8": {
         ("ssom", "additive"): "c64821e0a7ddae2b",
@@ -185,8 +185,8 @@ SPIKING_RULES = {
         ("lin", "panchev"): "b14411c75eead9dd",
         ("lin", "soula"): "17f98214ffc0d59b",
         ("lin", "input"): "3170d03a7186afd1",
-        ("rssom", "fixed"): "5a6b30cb2a079615",
-        ("rssom", "auto"): "42740f2480814d7a",
+        ("rssom", "fixed"): "0cbf23dbb10086c7",
+        ("rssom", "auto"): "a62f26e236f78144",
     },
     "w_max_1.5": {
         ("ssom", "additive"): "0902d46bebae9119",
@@ -197,8 +197,8 @@ SPIKING_RULES = {
         ("lin", "panchev"): "b14411c75eead9dd",
         ("lin", "soula"): "b4ffb370323490bc",
         ("lin", "input"): "a561a77ee3141ff5",
-        ("rssom", "fixed"): "ea03ad0258cfde20",
-        ("rssom", "auto"): "c68fb1bb4c3d0e0c",
+        ("rssom", "fixed"): "495a5e5dc3218805",
+        ("rssom", "auto"): "10d94569b229c3b4",
     },
 }
 
@@ -212,8 +212,8 @@ SPIKING_RULES_LIBM = {
         ("lin", "panchev"): "0b7a7d374a96e607",
         ("lin", "soula"): "fbc9c7a8b128663d",
         ("lin", "input"): "e71c9fbe89b6706c",
-        ("rssom", "fixed"): "94d337b8512b0b6e",
-        ("rssom", "auto"): "00fb5cb081857fb4",
+        ("rssom", "fixed"): "5e52ec3a6f184a9f",
+        ("rssom", "auto"): "0c4b29715035b2ce",
     },
     "w_max_0.8": {
         ("ssom", "additive"): "0e0e5ea76a1dbf59",
@@ -224,8 +224,8 @@ SPIKING_RULES_LIBM = {
         ("lin", "panchev"): "c2b18cdcc1b626e6",
         ("lin", "soula"): "b0e90125929abe8c",
         ("lin", "input"): "4957f092e830b61c",
-        ("rssom", "fixed"): "bd7670f1854af45b",
-        ("rssom", "auto"): "ca73283181157cf5",
+        ("rssom", "fixed"): "72155f92343c88a8",
+        ("rssom", "auto"): "a62f26e236f78144",
     },
     "w_max_1.5": {
         ("ssom", "additive"): "079d8a1d71ea5a3e",
@@ -236,8 +236,8 @@ SPIKING_RULES_LIBM = {
         ("lin", "panchev"): "c2b18cdcc1b626e6",
         ("lin", "soula"): "bd6be1598dd944c1",
         ("lin", "input"): "ddc423aeeb3e6490",
-        ("rssom", "fixed"): "ea03ad0258cfde20",
-        ("rssom", "auto"): "c68fb1bb4c3d0e0c",
+        ("rssom", "fixed"): "495a5e5dc3218805",
+        ("rssom", "auto"): "10d94569b229c3b4",
     },
 }
 

@@ -265,6 +265,10 @@ def main(argv=None) -> int:
     except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # e.g. lattice.rows = 10^12 in train, synth.samples_per_class = 10^15
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -4,6 +4,14 @@ squared mismatch over the frames of a sequence.
 The potential a_i decays geometrically (memory depth lambda) while each
 frame subtracts half its squared distance to the unit's weights, so the
 most-excited unit is the one with the best recent cumulative match.
+
+What the map computes: from a reset, -2 a_i = q - 2 z·w_i + c ||w_i||²,
+where z = sum_k lambda^k x_{t-k}, q = sum_k lambda^k ||x_{t-k}||² and c =
+sum_k lambda^k.  That is c ||m - w_i||² plus a term the same for every
+unit, m = z / c being the lambda-weighted mean of the frames so far, so
+the most-excited unit is the unit nearest that mean.  Learning, though,
+moves units toward the current frame (the temporal Kohonen map analysis:
+Chappell & Taylor 1993; Varsta et al. 2001).
 """
 
 from __future__ import annotations
@@ -45,14 +53,10 @@ class PotentialState:
         """Zero all potentials (sequence boundary); idempotent."""
         self.a[...] = 0.0
 
-    def advance(self, codes: EncodedFrames, i: int, lattice: Lattice) -> None:
-        """Step the potentials with the normalized values of frame i
-        (``[..., i, :]``)."""
-        update_potential(codes.normalized[..., i, :], lattice, self)
-
     def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
-        """``advance`` by frame i and return ``potential_winners``."""
-        self.advance(codes, i, lattice)
+        """Step the potentials with the normalized values of frame i
+        (``[..., i, :]``) and return ``potential_winners``."""
+        update_potential(codes.normalized[..., i, :], lattice, self)
         return potential_winners(self, lattice, cfg)
 
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
@@ -70,18 +74,25 @@ def update_potential(x, lattice: Lattice, state: PotentialState) -> None:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1:] != (lattice.dim,):
         raise DimensionMismatchError(lattice.dim, x.shape[0] if x.ndim == 1 else x.shape)
-    state.a *= state.lam
-    state.a -= 0.5 * squared_distances(x, lattice.weights)
+    potential_step(state.a, squared_distances(x, lattice.weights), state.lam)
 
 
-def potential_latencies(state: PotentialState, dim: int, t_max: float) -> np.ndarray:
-    """Firing latencies from potentials.
+def potential_step(a: np.ndarray, d2: np.ndarray, lam: float) -> None:
+    """a <- lam * a - d2 / 2 in place, for squared distances d2: the
+    arithmetic of ``update_potential``, which inference also runs on
+    gathered (sample, unit) pairs."""
+    a *= lam
+    a -= 0.5 * d2
+
+
+def potential_latencies(a: np.ndarray, lam: float, dim: int, t_max: float) -> np.ndarray:
+    """Firing latencies from potentials a under memory depth lam.
 
     The accumulated potential is rescaled by (1 - lambda) to estimate the
     effective per-frame penalty, then normalized by the worst single-frame
     penalty (dim/2 on normalized data) so a perfect steady match fires at 0.
     """
-    eff = (1.0 - state.lam) * (-state.a)
+    eff = (1.0 - lam) * (-a)
     return t_max * (eff / (dim / 2.0)).clip(0.0, 1.0)
 
 
@@ -94,7 +105,7 @@ def potential_winners(state: PotentialState, lattice: Lattice,
     Latency falls monotonically as potential rises, so the most-excited
     unit fires first: it is silent exactly when every unit is.
     """
-    times = potential_latencies(state, lattice.dim, cfg.t_max)
+    times = potential_latencies(state.a, state.lam, lattice.dim, cfg.t_max)
     return times, winner_or_none(state.a.argmax(axis=-1), times, cfg.t_ref)
 
 

@@ -9,6 +9,7 @@ repr for exact round-trips, so rewriting a model is byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 
@@ -17,9 +18,18 @@ import numpy as np
 from .coding import SsomConfig, encode_frames
 from .config import KEYS, RunConfig, format_value, parse_value
 from .errors import ConfigError, CorpusFormatError, read_utf8
-from .lin import PotentialState
-from .rssom import DifferenceState
-from .som import QE_CHUNK_ELEMENTS, Lattice, UnitIndex, find_bmus, frames_of, sample_vectors
+from .lin import PotentialState, potential_latencies, potential_step
+from .rssom import DifferenceState, difference_latencies, difference_step
+from .som import (
+    QE_CHUNK_ELEMENTS,
+    Lattice,
+    UnitIndex,
+    candidates,
+    find_bmus,
+    frames_of,
+    sample_vectors,
+    winner_or_none,
+)
 from .ssom import FiringStep, LateralKernel
 from .stdp import StdpRule
 
@@ -70,18 +80,18 @@ class _Inference:
 
     A kind provides ``_block_winners(frames, terminal)``: the winner table
     of a (block, n_frames, dim) stack of samples, or of its last frame
-    alone if terminal.  The spiking kinds step the step object their
-    trainer drives (``state(batch)``) one frame at a time, and run the
-    winner rule only on the frames whose winners the table holds.  Each
-    kind binds ``frame_winners`` in its own class body, so per-class
-    profiles and traces (perfbench/layers.py) count the kinds apart.
-    ``_sample_cost`` is the number of elements one sample adds to a
-    block's pass per frame.
+    alone if terminal.  The SSOM runs its trainer's step object on the
+    frames whose winners the table holds; RSSOM and LIN search pruned
+    candidates (``_MeanSearch``).  Each kind binds ``frame_winners`` in its
+    own class body, so per-class profiles and traces (perfbench/layers.py)
+    count the kinds apart.  ``_sample_cost`` is the number of elements one
+    sample adds to a block's pass per frame, at most.
     """
 
     @property
     def _sample_cost(self) -> int:
-        # the spiking step objects hold a units x dim difference per sample
+        # a units x dim difference per sample: the SSOM's distances, and the
+        # recurrent maps' exact pass when every unit stays a candidate
         return self.lattice.weights.size
 
     def winner_table(self, samples, terminal: bool = False) -> np.ndarray:
@@ -92,10 +102,10 @@ class _Inference:
         work.
 
         There must be at least one sample, and all share one (n_frames,
-        dim) shape.  They are coded and stepped a block at a time, with at
+        dim) shape.  They are coded and searched a block at a time, with at
         most QE_CHUNK_ELEMENTS elements per frame in a block's pass: block
         x units distance estimates for the SOM (``som.nearest_units``),
-        block x units x dim differences for the spiking kinds.
+        block x units x dim differences, at most, for the spiking kinds.
         """
         frames = [frames_of(s) for s in samples]
         if not frames:
@@ -157,17 +167,123 @@ class SsomModel(_Inference):
         return FiringStep(self.lattice)
 
     def _block_winners(self, frames: np.ndarray, terminal: bool) -> np.ndarray:
+        # every frame is coded, and so checked, as the whole table would be;
+        # the step object keeps no state, so only the table's frames step
         codes = encode_frames(frames, self.lo, self.hi, self.cfg.t_max, self.lattice.dim)
         state = self.state(frames.shape[:1])
         first = frames.shape[1] - 1 if terminal else 0
-        for i in range(first):
-            state.advance(codes, i, self.lattice)
         return np.stack([state.present(codes, i, self.lattice, self.cfg)[1]
                          for i in range(first, frames.shape[1])], axis=1)
 
 
+@lru_cache(maxsize=16)
+def _frame_weights(decay: float, gain: float, n_frames: int,
+                   first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights of ``mean_candidates``: row t - first holds
+    gain * decay**(t - k) for frames k <= t, as repeated products, and 0
+    for later frames; and the column of the rows' sums."""
+    powers = [gain]
+    for _ in range(n_frames - 1):
+        powers.append(powers[-1] * decay)
+    lag = np.arange(first, n_frames)[:, None] - np.arange(n_frames)
+    coef = np.where(lag >= 0, np.array(powers)[lag.clip(0)], 0.0)
+    sums = coef.sum(axis=1)[:, None]
+    coef.setflags(write=False)
+    sums.setflags(write=False)
+    return coef, sums
+
+
+def mean_candidates(v: np.ndarray, weights: np.ndarray, decay: float, gain: float,
+                    first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (sample, unit) pairs, in row-major order, that can hold the
+    winner of a recurrent map (RSSOM or LIN) on some frame from ``first``
+    on, for a block of normalized frames v, shape (n, n_frames, dim), with
+    values in [0, 1].
+
+    From a reset both maps rank units by their distance to the weighted
+    mean m = z / c of the frames so far, where frame k of t frames weighs
+    gain * decay**(t - 1 - k) in z and in c (see the rssom and lin module
+    docstrings).  The means are estimated against every unit as
+    ``som.nearest_units`` does, and ``som.candidates`` keeps the units
+    within the slack of the least.
+    """
+    n, n_frames, dim = v.shape
+    ww = np.einsum("ij,ij->i", weights, weights)
+    # Slack.  Let u = 2**-53, T = n_frames, D = dim and R = D + ||w||², and
+    # let z*, c* and m* = z*/c* be the real sums and mean for the map's own
+    # float coefficients (decay is the 1.0 - alpha the step computes), so
+    # m* lies in [0, 1]^D.  Each exact value divided by a per-frame
+    # constant (c² for RSSOM; c, less a shift the same for every unit, for
+    # LIN) is ||m* - w||² plus rounding error:
+    # - RSSOM's y = z - c w: each step rounds x - w, its product with
+    #   alpha, (1 - alpha) y and their sum, so |y - y*| <= 3Tu (z* + c*|w|)
+    #   componentwise, and the norm einsum adds γ_D: ||y||²/c² is within
+    #   (20T + 2D) u R of ||m* - w||², the rounding of c included.
+    # - LIN's -2a sums non-negative terms, each squared distance within
+    #   γ_{D+2} and each step rounding twice, so it is within γ_{2T+D+2} of
+    #   c* (||m* - w||² + r), with 0 <= r <= D the same for every unit:
+    #   -2a/c - r c*/c is within (10T + 3D + 6) u R of ||m* - w||².
+    # - Each coefficient is within γ_T of its real value (repeated
+    #   products), and z and c sum T non-negative terms, so m = z / c is
+    #   within (4T + 2) u m* of m*, which moves ||m - w||² by at most
+    #   3 (4T + 2) u R; the estimate of ||m - w||² rounds by (2D + 5) u R,
+    #   as in nearest_units.
+    # In all at most (32T + 5D + 17) u R plus O(u²) terms, which the slack
+    # (T + D + 8) 2**-44 R = 512 (T + D + 8) u R covers 16 times.  Under
+    # gradual underflow a product may also lose 2**-1075 absolutely; scaled
+    # by 1/c² <= 1/gain² (c >= gain), with the cross terms split by
+    # 2ab <= u a² + b²/u, that stays below the floor
+    # (T + 1)(D + 2) 2**-1064 (1 + 1/gain²), which is inf where gain²
+    # underflows.  Where 4T R overflows an exact value may overflow too,
+    # and the slack is inf, so ``candidates`` keeps the unit; elsewhere
+    # every value is finite.
+    coef, c = _frame_weights(decay, gain, n_frames, first)
+    means = np.einsum("tk,nkd->ntd", coef, v)
+    means /= c
+    keep = np.zeros((n, weights.shape[0]), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slack = (ww + dim) * (4.0 * n_frames)
+        slack *= (n_frames + dim + 8) * 2.0 ** -46 / n_frames
+        slack += (n_frames + 1) * (dim + 2) * 2.0 ** -1064 * (1.0 + 1.0 / np.float64(gain) ** 2)
+        for lo in range(0, coef.shape[0], dim):     # n x units x dim elements a pass
+            m = means[:, lo:lo + dim].reshape(-1, dim)
+            est = np.einsum("ik,jk->ij", m, weights)
+            est *= -2.0
+            est += np.einsum("ij,ij->i", m, m)[:, None]
+            est += ww
+            keep |= candidates(est, slack).reshape(n, -1, weights.shape[0]).any(axis=1)
+    return np.nonzero(keep)
+
+
+class _MeanSearch(SsomModel):
+    """Winner tables of the recurrent maps.  ``mean_candidates`` picks the
+    (sample, unit) pairs that can win, and only those run the map's exact
+    arithmetic: ``_pair_values(x, w, first)`` gives, for the frames from
+    first on, each pair's value that the winner minimizes, in the bits of
+    the step object, shape (frames, pairs).  The winner is the lowest
+    index of least value, gated on its latency (``_latencies``) as
+    ``winner_or_none`` gates it."""
+
+    def _block_winners(self, frames: np.ndarray, terminal: bool) -> np.ndarray:
+        v = encode_frames(frames, self.lo, self.hi, self.cfg.t_max, self.lattice.dim).normalized
+        first = v.shape[1] - 1 if terminal else 0
+        rows, cols = mean_candidates(v, self.lattice.weights, *self._mean_weights, first)
+        # A unit left out reads inf, above its row's least value (its exact
+        # value is finite, see mean_candidates), so it never wins.
+        table = np.full((v.shape[0], self.lattice.n_units), np.inf)
+        best, least = [], []
+        for got in self._pair_values(v[rows], self.lattice.weights[cols], first):
+            table[rows, cols] = got
+            best.append(table.argmin(axis=1))
+            least.append(table[np.arange(v.shape[0]), best[-1]])
+        # latencies rise with the value, so the winner fires first and its
+        # time alone decides (a NaN value is the argmin's, and NaN)
+        times = self._latencies(np.stack(least, axis=1))
+        return winner_or_none(np.stack(best, axis=1), times[..., None], self.cfg.t_ref)
+
+
 @dataclass
-class RssomModel(SsomModel):
+class RssomModel(_MeanSearch):
     """Recurrent spiking map; winners come from the leaky difference vectors."""
 
     alpha: float = KEYS["rssom.alpha"].default
@@ -178,9 +294,25 @@ class RssomModel(SsomModel):
     def state(self, batch: tuple) -> DifferenceState:
         return DifferenceState.zeros(self.lattice, self.alpha, batch)
 
+    @property
+    def _mean_weights(self) -> tuple[float, float]:
+        return 1.0 - self.alpha, self.alpha
+
+    def _pair_values(self, x: np.ndarray, w: np.ndarray, first: int):
+        """||y||² of each pair: ``update_difference`` and
+        ``difference_winners`` on the pairs' rows."""
+        y = np.zeros_like(w)
+        for i in range(x.shape[1]):
+            difference_step(y, x[:, i], w, self.alpha)
+            if i >= first:
+                yield np.einsum("ij,ij->i", y, y)
+
+    def _latencies(self, n2: np.ndarray) -> np.ndarray:
+        return difference_latencies(n2, self.lattice.dim, self.cfg.t_max)
+
 
 @dataclass
-class LinModel(SsomModel):
+class LinModel(_MeanSearch):
     """Leaky-integrator map; winners come from the accumulated potentials."""
 
     lam: float = KEYS["lin.lambda"].default
@@ -190,6 +322,23 @@ class LinModel(SsomModel):
 
     def state(self, batch: tuple) -> PotentialState:
         return PotentialState.zeros(self.lattice, self.lam, batch)
+
+    @property
+    def _mean_weights(self) -> tuple[float, float]:
+        return self.lam, 1.0
+
+    def _pair_values(self, x: np.ndarray, w: np.ndarray, first: int):
+        """-a of each pair (the winner is the most excited): the
+        ``update_potential`` step on the pairs' rows."""
+        a = np.zeros(w.shape[0])
+        for i in range(x.shape[1]):
+            delta = w - x[:, i]
+            potential_step(a, np.einsum("ij,ij->i", delta, delta), self.lam)
+            if i >= first:
+                yield -a
+
+    def _latencies(self, neg_a: np.ndarray) -> np.ndarray:
+        return potential_latencies(-neg_a, self.lam, self.lattice.dim, self.cfg.t_max)
 
 
 def model_of(kind: str, lattice: Lattice, cfg: RunConfig, lo=None, hi=None):

@@ -4,6 +4,14 @@ frames of a sequence.
 Each unit keeps y_i, an exponentially smoothed history of (input - weight);
 winner selection and learning operate on y_i instead of the instantaneous
 mismatch, so the map becomes sensitive to the order of recent frames.
+
+What the map computes: from a reset, y_i = z - c w_i, where z = alpha
+sum_k (1 - alpha)^k x_{t-k} and c = alpha sum_k (1 - alpha)^k, summed over
+the frames so far.  So y_i = c (m - w_i) points from w_i to the
+alpha-weighted mean m = z / c of the frames, the winner (smallest
+||y_i||) is the unit nearest that mean, and learning steps each unit
+along y_i, toward the mean it is ranked by (the temporal Kohonen map /
+recurrent SOM analysis: Chappell & Taylor 1993; Varsta et al. 2001).
 """
 
 from __future__ import annotations
@@ -40,13 +48,10 @@ class DifferenceState:
         """Clear all difference vectors (sequence boundary)."""
         self.y[...] = 0.0
 
-    def advance(self, codes: EncodedFrames, i: int, lattice: Lattice) -> None:
-        """Step y_i with the normalized values of frame i (``[..., i, :]``)."""
-        update_difference(codes.normalized[..., i, :], lattice, self)
-
     def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
-        """``advance`` by frame i and return ``difference_winners``."""
-        self.advance(codes, i, lattice)
+        """Step y_i with the normalized values of frame i (``[..., i, :]``)
+        and return ``difference_winners``."""
+        update_difference(codes.normalized[..., i, :], lattice, self)
         return difference_winners(self, lattice, cfg)
 
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
@@ -64,10 +69,23 @@ def update_difference(x, lattice: Lattice, state: DifferenceState) -> None:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1:] != (lattice.dim,):
         raise DimensionMismatchError(lattice.dim, x.shape[0] if x.ndim == 1 else x.shape)
-    step = x[..., None, :] - lattice.weights
-    step *= state.alpha
-    state.y *= 1.0 - state.alpha
-    state.y += step
+    difference_step(state.y, x[..., None, :], lattice.weights, state.alpha)
+
+
+def difference_step(y: np.ndarray, x: np.ndarray, w: np.ndarray, alpha: float) -> None:
+    """y <- (1 - alpha) * y + alpha * (x - w) in place, elementwise over
+    broadcast x and w: the arithmetic of ``update_difference``, which
+    inference also runs on gathered (sample, unit) rows."""
+    step = x - w
+    step *= alpha
+    y *= 1.0 - alpha
+    y += step
+
+
+def difference_latencies(n2: np.ndarray, dim: int, t_max: float) -> np.ndarray:
+    """Firing latencies from squared difference norms n2: t_max * n2 / dim,
+    capped at t_max."""
+    return t_max * np.minimum(n2 / dim, 1.0)
 
 
 def difference_winners(state: DifferenceState, lattice: Lattice,
@@ -81,7 +99,7 @@ def difference_winners(state: DifferenceState, lattice: Lattice,
     smallest-norm unit fires first."""
     flat = state.y.reshape(-1, state.y.shape[-1])
     n2 = np.einsum("ij,ij->i", flat, flat).reshape(state.y.shape[:-1])
-    times = cfg.t_max * np.minimum(n2 / lattice.dim, 1.0)
+    times = difference_latencies(n2, lattice.dim, cfg.t_max)
     return times, winner_or_none(n2.argmin(axis=-1), times, cfg.t_ref)
 
 

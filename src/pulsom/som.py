@@ -213,6 +213,23 @@ def squared_distances(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat).reshape(delta.shape[:-1])
 
 
+def candidates(est: np.ndarray, slack) -> np.ndarray:
+    """Mask of the entries of each row of est that can hold their row's
+    least exact value (or tie with it), given that every exact value lies
+    within slack (broadcast against est) of its estimate.  est is
+    overwritten.
+
+    Where est - slack > hi, the least est + slack of the row, the exact
+    value exceeds that of the entry giving hi.  An inf slack gives est -
+    slack NaN or -inf, never above hi, so its entry stays; a NaN in a row's
+    est + slack makes hi NaN and keeps the whole row.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = (est + slack).min(axis=1)
+        est -= slack
+        return ~(est > hi[:, None])
+
+
 def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest weight row of each vector of a block x, shape (n, dim), and
     its squared distance: the bits of ``squared_distances(x, weights)``'s
@@ -235,11 +252,7 @@ def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     # every product may also lose up to 2**-1075 absolutely (sums and
     # differences with subnormal results are exact), 5 dim times in all;
     # the floor (dim + 1) 2**-1068 covers that 25 times.  Where S
-    # overflows, the slack is inf and est - slack NaN or -inf, never above
-    # hi, so such units stay; a row holding NaN has a NaN hi and keeps
-    # every unit.  A unit left out thus has est - slack > hi, so its
-    # exact distance exceeds that of the unit giving hi: it can neither
-    # hold the minimum nor tie with it.
+    # overflows, the slack is inf, so ``candidates`` keeps such units.
     xx = np.einsum("ij,ij->i", x, x)
     ww = np.einsum("ij,ij->i", weights, weights)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -250,14 +263,11 @@ def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
         slack = norms
         slack *= (dim + 4) * 2.0 ** -50
         slack += (dim + 1) * 2.0 ** -1068
-        hi = (est + slack).min(axis=1)
-        est -= slack
-        keep = ~(est > hi[:, None])
-    rows, cols = np.nonzero(keep)
+    rows, cols = np.nonzero(candidates(est, slack))
     delta = weights[cols] - x[rows]
     # A unit left out reads inf, above its row's minimum, which is finite
     # then; NaN distances occur only in rows that keep every unit.
-    d2 = np.full(keep.shape, np.inf)
+    d2 = np.full(est.shape, np.inf)
     d2[rows, cols] = np.einsum("ij,ij->i", delta, delta)
     return d2.argmin(axis=1), d2.min(axis=1)
 

@@ -247,16 +247,16 @@ def ssom_learn(v: np.ndarray, spike_times: np.ndarray, lattice: Lattice,
 class FiringStep:
     """The spiking map's step object, which keeps no state between frames.
 
-    A step object is what ``train_spiking`` and the models' winner tables
-    drive: reset() at each sequence start, present(codes, i, lattice, cfg)
-    to step frame i of one sequence's ``EncodedFrames`` (or of a stacked
-    block, through ``[..., i, :]``) to (times, winners), advance(codes, i,
-    lattice) to step it without the winner rule (present is advance plus
-    the rule), and learn(codes, i, lattice, idx, t_post, gain, rule) for
-    the learning step of the gated units idx, with gains ``lr * h`` (see
-    ``area_rows``; the learning kernels apply eta).  ``rssom.DifferenceState``
-    and ``lin.PotentialState`` are the recurrent maps' step objects.  This
-    one keeps the ``clamped`` copy of its lattice, whose rows learn refreshes.
+    A step object is what ``train_spiking`` drives: reset() at each
+    sequence start, present(codes, i, lattice, cfg) to step frame i of one
+    sequence's ``EncodedFrames`` (or of a stacked block, through
+    ``[..., i, :]``) to (times, winners), and learn(codes, i, lattice, idx,
+    t_post, gain, rule) for the learning step of the gated units idx, with
+    gains ``lr * h`` (see ``area_rows``; the learning kernels apply eta).
+    ``rssom.DifferenceState`` and ``lin.PotentialState`` are the recurrent
+    maps' step objects, and the test oracle of their inference.  This one
+    keeps the ``clamped`` copy of its lattice, whose rows learn refreshes,
+    and is also the SSOM's winner rule at inference.
     """
 
     def __init__(self, lattice: Lattice):
@@ -264,9 +264,6 @@ class FiringStep:
 
     def reset(self) -> None:
         """Sequence boundary: nothing to clear."""
-
-    def advance(self, codes: EncodedFrames, i: int, lattice: Lattice) -> None:
-        """No state to step: a frame's winner depends on that frame alone."""
 
     def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
         """``firing_winners`` of the normalized values of frame i."""

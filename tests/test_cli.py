@@ -326,6 +326,35 @@ class TestTrainCommand:
         assert "epoch 3" in capsys.readouterr().err
 
 
+class TestOutOfMemory:
+    """A size that cannot be allocated, such as lattice.rows = 10^12 in
+    train or synth.samples_per_class = 10^15 in synth, ends in exit 3 and
+    one line, not a traceback.  The command is patched to raise the
+    MemoryError, so the test allocates nothing."""
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 175. TiB for an array with shape "
+                      "(1000000000000, 12) and data type float64"),
+         "out of memory: Unable to allocate 175. TiB for an array with shape "
+         "(1000000000000, 12) and data type float64\n"),
+        (MemoryError(), "out of memory: an allocation failed\n"),
+    ], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("command", ["features", "synth", "train", "eval"])
+    def test_memory_error_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys, command,
+                                                error, line):
+        import pulsom.cli
+
+        def out_of_memory(*args):
+            raise error
+
+        monkeypatch.setattr(pulsom.cli, f"cmd_{command}", out_of_memory)
+        cfg = write_cfg(tmp_path / "run.cfg", f"run.outdir = {tmp_path / 'run'}\n")
+        model = ["--model", str(tmp_path / "model.txt")] if command == "eval" else []
+        assert main([command, "--config", cfg, *model]) == 3
+        out = capsys.readouterr()
+        assert out.err == line and out.out == ""
+
+
 class TestModelBytes:
     """Trained model files and logs are pinned to recorded SHA-256 digests,
     so a speed-up that changes a single bit of any trainer's result fails.

@@ -469,10 +469,11 @@ def test_digests_hold_without_avx512():
     whose numpy dispatches no AVX-512 kernel, pass against the libm set:
     both sets stay checked on an AVX-512 host.  The MFCC tests ride along,
     so the DCT's batched bits are checked against its per-row bits there
-    too."""
+    too, and so do the inference tests, so the recurrent maps' pruned
+    search is checked against their step objects' bits on those kernels."""
     out = run_child("AVX512_SPR AVX512_ICL X86_V4",
                     "tests/test_trainer_digests.py", "tests/test_cli.py::TestModelBytes",
-                    FEATURE_PIN, "tests/test_mfcc.py",
+                    FEATURE_PIN, "tests/test_mfcc.py", "tests/test_inference.py",
                     "--deselect", "tests/test_trainer_digests.py::test_digests_hold_without_avx512",
                     "--deselect", "tests/test_trainer_digests.py::test_feature_pin_holds_without_avx2")
     assert "pinned digests: the libm exp set" in out

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .config import RunConfig, registry_help
+from .config import RunConfig, check_elements, registry_help
 from .errors import ConfigError, CorpusFormatError, DivergenceError
 from .evaluate import calibrate, render_text, report, write_confusion_csv, write_report_csv
 from .lin import train_lin
@@ -115,6 +115,8 @@ def synth_dataset(cfg: RunConfig):
     """The configured synthetic sequences; a bad value raises ConfigError
     naming where it was set."""
     with cfg.config_errors("synth.", "run.seed"):
+        check_elements(**{k: cfg[f"synth.{k}"]
+                          for k in ("classes", "samples_per_class", "frames", "dim")})
         return corpus_mod.synth_generate(
             cfg["synth.classes"], cfg["synth.samples_per_class"], cfg["synth.dim"],
             cfg["synth.frames"], cfg["synth.separation"], cfg["synth.order_task"],
@@ -135,6 +137,8 @@ def build_model(cfg: RunConfig, data):
     kind = cfg.require("run.model")
     rows, cols, seed = cfg["lattice.rows"], cfg["lattice.cols"], cfg["run.seed"]
     with cfg.config_errors("lattice.", f"{kind}."):
+        check_elements(rows=rows, cols=cols,
+                       dim=sample_vectors(data[:1], kind == "som" and cfg["som.concat"]).shape[1])
         if kind == "som":
             vectors = sample_vectors(data, cfg["som.concat"])
             return model_of(kind, Lattice.random_init(rows, cols, vectors, seed), cfg)
@@ -266,7 +270,8 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:
-        # e.g. lattice.rows = 10^12 in train, synth.samples_per_class = 10^15
+        # one that config.MAX_ELEMENTS does not bound, such as the n_units²
+        # distance table of a large lattice
         print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_IO
 

@@ -6,6 +6,7 @@ the domain objects a run needs.
 from __future__ import annotations
 
 import inspect
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -20,6 +21,11 @@ from .ssom import LateralKernel
 from .stdp import StdpRule, StdpWindow
 
 AUTO = "auto"
+
+# The most elements one array that a config sizes may hold (8 GiB of
+# float64): a larger lattice or synthetic set exits 2 before anything is
+# allocated, where numpy would fail at once or exhaust the host's memory.
+MAX_ELEMENTS = 2 ** 30
 
 
 @dataclass
@@ -107,6 +113,15 @@ REGISTRY = [
 ]
 
 KEYS = {k.name: k for k in REGISTRY}
+
+
+def check_elements(**sizes: int) -> None:
+    """Raise ValueError, naming every size, if they are all positive and
+    their product exceeds MAX_ELEMENTS (a non-positive size is left to
+    its own check)."""
+    if min(sizes.values()) > 0 and math.prod(sizes.values()) > MAX_ELEMENTS:
+        raise ValueError(f"{' x '.join(sizes)} = {' x '.join(map(str, sizes.values()))} "
+                         f"exceeds {MAX_ELEMENTS} elements")
 
 
 def parse_value(key: Key, raw: str, at: str):

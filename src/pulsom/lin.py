@@ -30,8 +30,8 @@ from .stdp import StdpRule
 @dataclass
 class PotentialState:
     """The leaky-integrator map's step object (see ``ssom.FiringStep``):
-    per-unit potentials (always <= 0), shape batch + (n_units,), and the
-    memory depth constant.
+    per-unit potentials (always <= 0), shape (n_units,), and the memory
+    depth constant.
 
     lam is the discrete counterpart of a continuous exponential leak: a
     membrane decaying at rate r < 0 sampled every dt corresponds to
@@ -46,17 +46,16 @@ class PotentialState:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
 
     @staticmethod
-    def zeros(lattice: Lattice, lam: float, batch: tuple = ()) -> "PotentialState":
-        return PotentialState(np.zeros(tuple(batch) + (lattice.n_units,)), lam)
+    def zeros(lattice: Lattice, lam: float) -> "PotentialState":
+        return PotentialState(np.zeros(lattice.n_units), lam)
 
     def reset(self) -> None:
         """Zero all potentials (sequence boundary); idempotent."""
         self.a[...] = 0.0
 
     def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
-        """Step the potentials with the normalized values of frame i
-        (``[..., i, :]``) and return ``potential_winners``."""
-        update_potential(codes.normalized[..., i, :], lattice, self)
+        """``update_potential`` with frame i, then ``potential_winners``."""
+        update_potential(codes.normalized[i], lattice, self)
         return potential_winners(self, lattice, cfg)
 
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
@@ -66,13 +65,10 @@ class PotentialState:
 
 
 def update_potential(x, lattice: Lattice, state: PotentialState) -> None:
-    """a_i <- lambda * a_i - (1/2) * ||x - w_i||^2 for every unit.
-
-    x is one vector, or a stack of them, shape (batch, dim), that steps
-    potentials of shape (batch, n_units).
-    """
+    """a_i <- lambda * a_i - (1/2) * ||x - w_i||^2 for every unit, x one
+    vector of shape (dim,)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1:] != (lattice.dim,):
+    if x.shape != (lattice.dim,):
         raise DimensionMismatchError(lattice.dim, x.shape[0] if x.ndim == 1 else x.shape)
     potential_step(state.a, squared_distances(x, lattice.weights), state.lam)
 
@@ -98,7 +94,7 @@ def potential_latencies(a: np.ndarray, lam: float, dim: int, t_max: float) -> np
 
 def potential_winners(state: PotentialState, lattice: Lattice,
                       cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Latencies and winners over potentials for every leading batch row:
+    """Latencies and winners over potentials, of shape (..., n_units):
     the winner is the most-excited unit (lowest flat index on ties)
     provided it fires within t_ref, otherwise -1.
 
@@ -111,7 +107,7 @@ def potential_winners(state: PotentialState, lattice: Lattice,
 
 def potential_record(state: PotentialState, lattice: Lattice,
                      cfg: SsomConfig) -> FiringRecord:
-    """``potential_winners`` of unbatched potentials, as a record whose
+    """``potential_winners`` of a step object's potentials, as a record whose
     winner is None when the most-excited unit is silent."""
     return FiringRecord.of(lattice, *potential_winners(state, lattice, cfg), cfg.t_ref)
 

@@ -80,18 +80,16 @@ class _Inference:
 
     A kind provides ``_block_winners(frames, terminal)``: the winner table
     of a (block, n_frames, dim) stack of samples, or of its last frame
-    alone if terminal.  The SSOM runs its trainer's step object on the
-    frames whose winners the table holds; RSSOM and LIN search pruned
-    candidates (``_MeanSearch``).  Each kind binds ``frame_winners`` in its
-    own class body, so per-class profiles and traces (perfbench/layers.py)
-    count the kinds apart.  ``_sample_cost`` is the number of elements one
-    sample adds to a block's pass per frame, at most.
+    alone if terminal: the SOM's nearest units (``som.find_bmus``), or a
+    pruned search around the spiking maps' weighted frame mean.  Each kind
+    binds ``frame_winners`` in its own class body, so per-class profiles
+    and traces (perfbench/layers.py) count the kinds apart.  ``_sample_cost``
+    is the number of elements one sample adds to a block's pass per frame.
     """
 
     @property
     def _sample_cost(self) -> int:
-        # a units x dim difference per sample: the SSOM's distances, and the
-        # recurrent maps' exact pass when every unit stays a candidate
+        # units x dim differences: a spiking map's exact pass keeping every unit
         return self.lattice.weights.size
 
     def winner_table(self, samples, terminal: bool = False) -> np.ndarray:
@@ -105,7 +103,7 @@ class _Inference:
         dim) shape.  They are coded and searched a block at a time, with at
         most QE_CHUNK_ELEMENTS elements per frame in a block's pass: block
         x units distance estimates for the SOM (``som.nearest_units``),
-        block x units x dim differences, at most, for the spiking kinds.
+        block x units x dim differences, at most, for the spiking maps.
         """
         frames = [frames_of(s) for s in samples]
         if not frames:
@@ -146,7 +144,13 @@ class SomModel(_Inference):
 
 @dataclass
 class SsomModel(_Inference):
-    """Spiking map: weights in normalized space plus the encoding ranges."""
+    """Spiking map: weights in normalized space plus the encoding ranges.
+
+    Its winner table is every spiking map's: ``mean_candidates`` picks the
+    (sample, unit) pairs that can win, and only those run ``_pair_values(x,
+    w, first)``, each pair's value from frame first on in the step object's
+    bits, shape (frames, pairs).  The lowest index of least value wins,
+    gated on its latency (``_latencies``) as in ``winner_or_none``."""
 
     lattice: Lattice
     lo: np.ndarray
@@ -157,23 +161,48 @@ class SsomModel(_Inference):
     kind: str = field(default="SSOM", init=False)
 
     frame_winners = _Inference.frame_winners
+    _mean_weights = (0.0, 1.0)  # mean_candidates' decay and gain: the mean is the frame
 
     def __post_init__(self):
-        self.state(())  # the step object checks the variant's own values (alpha, lambda)
+        self.state()  # the step object checks the variant's own values (alpha, lambda)
 
-    def state(self, batch: tuple) -> FiringStep:
-        """A cleared step object for a block of samples of batch shape
-        ``batch`` (``ssom.FiringStep`` keeps only the clamped weights)."""
+    def state(self) -> FiringStep:
+        """A cleared step object (``ssom.FiringStep`` keeps none between frames)."""
         return FiringStep(self.lattice)
 
+    def _match(self) -> tuple[np.ndarray, float]:
+        """The weights the map matches against, clamped, and the floor of
+        ``mean_candidates`` for distinct d² that round to one firing time."""
+        return (self.lattice.weights.clip(0.0, 1.0),
+                self.lattice.dim * 2.0 ** -1072 / self.cfg.t_max)
+
     def _block_winners(self, frames: np.ndarray, terminal: bool) -> np.ndarray:
-        # every frame is coded, and so checked, as the whole table would be;
-        # the step object keeps no state, so only the table's frames step
-        codes = encode_frames(frames, self.lo, self.hi, self.cfg.t_max, self.lattice.dim)
-        state = self.state(frames.shape[:1])
-        first = frames.shape[1] - 1 if terminal else 0
-        return np.stack([state.present(codes, i, self.lattice, self.cfg)[1]
-                         for i in range(first, frames.shape[1])], axis=1)
+        v = encode_frames(frames, self.lo, self.hi, self.cfg.t_max, self.lattice.dim).normalized
+        first = v.shape[1] - 1 if terminal else 0
+        weights, floor = self._match()
+        rows, cols = mean_candidates(v, weights, *self._mean_weights, first, floor)
+        # A unit left out reads inf, above its row's least value (its exact
+        # value is finite, see mean_candidates), so it never wins.
+        table = np.full((v.shape[0], self.lattice.n_units), np.inf)
+        best, least = [], []
+        for got in self._pair_values(v[rows], weights[cols], first):
+            table[rows, cols] = got
+            best.append(table.argmin(axis=1))
+            least.append(table[np.arange(v.shape[0]), best[-1]])
+        # latencies rise with the value, so the winner fires first and its
+        # time alone decides (a NaN value is the argmin's, and NaN)
+        times = self._latencies(np.stack(least, axis=1))
+        return winner_or_none(np.stack(best, axis=1), times[..., None], self.cfg.t_ref)
+
+    def _pair_values(self, x: np.ndarray, w: np.ndarray, first: int):
+        """The firing time of each pair, ``mismatch_latencies`` on the pairs'
+        rows: distinct d² may round to one time, where the lower index wins."""
+        for i in range(first, x.shape[1]):
+            delta = w - x[:, i]
+            yield self.cfg.t_max * (np.einsum("ij,ij->i", delta, delta) / self.lattice.dim)
+
+    def _latencies(self, times: np.ndarray) -> np.ndarray:
+        return times
 
 
 @lru_cache(maxsize=16)
@@ -194,18 +223,17 @@ def _frame_weights(decay: float, gain: float, n_frames: int,
 
 
 def mean_candidates(v: np.ndarray, weights: np.ndarray, decay: float, gain: float,
-                    first: int) -> tuple[np.ndarray, np.ndarray]:
+                    first: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """The (sample, unit) pairs, in row-major order, that can hold the
-    winner of a recurrent map (RSSOM or LIN) on some frame from ``first``
-    on, for a block of normalized frames v, shape (n, n_frames, dim), with
-    values in [0, 1].
+    winner of a spiking map on some frame from ``first`` on, for a block of
+    normalized frames v, shape (n, n_frames, dim), with values in [0, 1].
 
-    From a reset both maps rank units by their distance to the weighted
-    mean m = z / c of the frames so far, where frame k of t frames weighs
-    gain * decay**(t - 1 - k) in z and in c (see the rssom and lin module
-    docstrings).  The means are estimated against every unit as
-    ``som.nearest_units`` does, and ``som.candidates`` keeps the units
-    within the slack of the least.
+    From a reset every spiking map ranks units by their distance to the
+    weighted mean m = z / c of the frames so far, where frame k of t frames
+    weighs gain * decay**(t - 1 - k) in z and in c (see the rssom and lin
+    module docstrings; the SSOM's decay 0 and gain 1 give the frame).  The
+    means are estimated against every unit as ``som.nearest_units`` does,
+    and ``som.candidates`` keeps the units within slack + floor of the least.
     """
     n, n_frames, dim = v.shape
     ww = np.einsum("ij,ij->i", weights, weights)
@@ -214,7 +242,7 @@ def mean_candidates(v: np.ndarray, weights: np.ndarray, decay: float, gain: floa
     # float coefficients (decay is the 1.0 - alpha the step computes), so
     # m* lies in [0, 1]^D.  Each exact value divided by a per-frame
     # constant (c² for RSSOM; c, less a shift the same for every unit, for
-    # LIN) is ||m* - w||² plus rounding error:
+    # LIN; t_max / D for the SSOM) is ||m* - w||² plus rounding error:
     # - RSSOM's y = z - c w: each step rounds x - w, its product with
     #   alpha, (1 - alpha) y and their sum, so |y - y*| <= 3Tu (z* + c*|w|)
     #   componentwise, and the norm einsum adds γ_D: ||y||²/c² is within
@@ -223,6 +251,11 @@ def mean_candidates(v: np.ndarray, weights: np.ndarray, decay: float, gain: floa
     #   γ_{D+2} and each step rounding twice, so it is within γ_{2T+D+2} of
     #   c* (||m* - w||² + r), with 0 <= r <= D the same for every unit:
     #   -2a/c - r c*/c is within (10T + 3D + 6) u R of ||m* - w||².
+    # - The SSOM's m is the frame, bit for bit, and its value the time
+    #   t = t_max (d² / D) on clamped weights, with d² <= 2R within (D + 3) u
+    #   d² (nearest_units): t D / t_max is within (2D + 10) u R, also where
+    #   distinct d² round to one time.  Where t underflows it may lose
+    #   2**-1075, D 2**-1075 / t_max once divided: its floor is 8 times that.
     # - Each coefficient is within γ_T of its real value (repeated
     #   products), and z and c sum T non-negative terms, so m = z / c is
     #   within (4T + 2) u m* of m*, which moves ||m - w||² by at most
@@ -245,6 +278,7 @@ def mean_candidates(v: np.ndarray, weights: np.ndarray, decay: float, gain: floa
         slack = (ww + dim) * (4.0 * n_frames)
         slack *= (n_frames + dim + 8) * 2.0 ** -46 / n_frames
         slack += (n_frames + 1) * (dim + 2) * 2.0 ** -1064 * (1.0 + 1.0 / np.float64(gain) ** 2)
+        slack += floor
         for lo in range(0, coef.shape[0], dim):     # n x units x dim elements a pass
             m = means[:, lo:lo + dim].reshape(-1, dim)
             est = np.einsum("ik,jk->ij", m, weights)
@@ -255,35 +289,8 @@ def mean_candidates(v: np.ndarray, weights: np.ndarray, decay: float, gain: floa
     return np.nonzero(keep)
 
 
-class _MeanSearch(SsomModel):
-    """Winner tables of the recurrent maps.  ``mean_candidates`` picks the
-    (sample, unit) pairs that can win, and only those run the map's exact
-    arithmetic: ``_pair_values(x, w, first)`` gives, for the frames from
-    first on, each pair's value that the winner minimizes, in the bits of
-    the step object, shape (frames, pairs).  The winner is the lowest
-    index of least value, gated on its latency (``_latencies``) as
-    ``winner_or_none`` gates it."""
-
-    def _block_winners(self, frames: np.ndarray, terminal: bool) -> np.ndarray:
-        v = encode_frames(frames, self.lo, self.hi, self.cfg.t_max, self.lattice.dim).normalized
-        first = v.shape[1] - 1 if terminal else 0
-        rows, cols = mean_candidates(v, self.lattice.weights, *self._mean_weights, first)
-        # A unit left out reads inf, above its row's least value (its exact
-        # value is finite, see mean_candidates), so it never wins.
-        table = np.full((v.shape[0], self.lattice.n_units), np.inf)
-        best, least = [], []
-        for got in self._pair_values(v[rows], self.lattice.weights[cols], first):
-            table[rows, cols] = got
-            best.append(table.argmin(axis=1))
-            least.append(table[np.arange(v.shape[0]), best[-1]])
-        # latencies rise with the value, so the winner fires first and its
-        # time alone decides (a NaN value is the argmin's, and NaN)
-        times = self._latencies(np.stack(least, axis=1))
-        return winner_or_none(np.stack(best, axis=1), times[..., None], self.cfg.t_ref)
-
-
 @dataclass
-class RssomModel(_MeanSearch):
+class RssomModel(SsomModel):
     """Recurrent spiking map; winners come from the leaky difference vectors."""
 
     alpha: float = KEYS["rssom.alpha"].default
@@ -291,8 +298,11 @@ class RssomModel(_MeanSearch):
 
     frame_winners = _Inference.frame_winners
 
-    def state(self, batch: tuple) -> DifferenceState:
-        return DifferenceState.zeros(self.lattice, self.alpha, batch)
+    def state(self) -> DifferenceState:
+        return DifferenceState.zeros(self.lattice, self.alpha)
+
+    def _match(self) -> tuple[np.ndarray, float]:
+        return self.lattice.weights, 0.0
 
     @property
     def _mean_weights(self) -> tuple[float, float]:
@@ -312,7 +322,7 @@ class RssomModel(_MeanSearch):
 
 
 @dataclass
-class LinModel(_MeanSearch):
+class LinModel(SsomModel):
     """Leaky-integrator map; winners come from the accumulated potentials."""
 
     lam: float = KEYS["lin.lambda"].default
@@ -320,8 +330,11 @@ class LinModel(_MeanSearch):
 
     frame_winners = _Inference.frame_winners
 
-    def state(self, batch: tuple) -> PotentialState:
-        return PotentialState.zeros(self.lattice, self.lam, batch)
+    def state(self) -> PotentialState:
+        return PotentialState.zeros(self.lattice, self.lam)
+
+    def _match(self) -> tuple[np.ndarray, float]:
+        return self.lattice.weights, 0.0
 
     @property
     def _mean_weights(self) -> tuple[float, float]:

@@ -30,8 +30,8 @@ from .stdp import StdpRule, window_magnitude
 @dataclass
 class DifferenceState:
     """The recurrent map's step object (see ``ssom.FiringStep``): per-unit
-    leaked difference vectors y_i, shape batch + (n_units, dim), and the
-    leaking coefficient."""
+    leaked difference vectors y_i, shape (n_units, dim), and the leaking
+    coefficient."""
 
     y: np.ndarray
     alpha: float
@@ -41,17 +41,16 @@ class DifferenceState:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
 
     @staticmethod
-    def zeros(lattice: Lattice, alpha: float, batch: tuple = ()) -> "DifferenceState":
-        return DifferenceState(np.zeros(tuple(batch) + lattice.weights.shape), alpha)
+    def zeros(lattice: Lattice, alpha: float) -> "DifferenceState":
+        return DifferenceState(np.zeros(lattice.weights.shape), alpha)
 
     def reset(self) -> None:
         """Clear all difference vectors (sequence boundary)."""
         self.y[...] = 0.0
 
     def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
-        """Step y_i with the normalized values of frame i (``[..., i, :]``)
-        and return ``difference_winners``."""
-        update_difference(codes.normalized[..., i, :], lattice, self)
+        """``update_difference`` with frame i, then ``difference_winners``."""
+        update_difference(codes.normalized[i], lattice, self)
         return difference_winners(self, lattice, cfg)
 
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
@@ -61,15 +60,12 @@ class DifferenceState:
 
 
 def update_difference(x, lattice: Lattice, state: DifferenceState) -> None:
-    """y_i <- (1 - alpha) * y_i + alpha * (x - m_i) for every unit.
-
-    x is one vector, or a stack of them, shape (batch, dim), that steps a
-    state of shape (batch, n_units, dim).
-    """
+    """y_i <- (1 - alpha) * y_i + alpha * (x - m_i) for every unit, x one
+    vector of shape (dim,)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1:] != (lattice.dim,):
+    if x.shape != (lattice.dim,):
         raise DimensionMismatchError(lattice.dim, x.shape[0] if x.ndim == 1 else x.shape)
-    difference_step(state.y, x[..., None, :], lattice.weights, state.alpha)
+    difference_step(state.y, x, lattice.weights, state.alpha)
 
 
 def difference_step(y: np.ndarray, x: np.ndarray, w: np.ndarray, alpha: float) -> None:
@@ -90,7 +86,7 @@ def difference_latencies(n2: np.ndarray, dim: int, t_max: float) -> np.ndarray:
 
 def difference_winners(state: DifferenceState, lattice: Lattice,
                        cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Latencies and winners over y_i for every leading batch row: the
+    """Latencies and winners over y_i, of shape (..., n_units, dim): the
     winner is the smallest-norm unit (lowest flat index on ties) if it
     fires within t_ref, otherwise -1 and the whole map counts as silent.
     Latencies scale the squared difference norms (one einsum over the flat
@@ -105,7 +101,7 @@ def difference_winners(state: DifferenceState, lattice: Lattice,
 
 def difference_record(state: DifferenceState, lattice: Lattice,
                       cfg: SsomConfig) -> FiringRecord:
-    """``difference_winners`` of an unbatched state, as a record whose
+    """``difference_winners`` of a step object, as a record whose
     winner is None when the whole map is silent."""
     return FiringRecord.of(lattice, *difference_winners(state, lattice, cfg), cfg.t_ref)
 

@@ -19,9 +19,9 @@ NEIGHBORHOOD_CUTOFF_SIGMA = 3.0
 
 # Largest block of per-pass elements: the (vectors x units) distance
 # estimates of one nearest_units pass (quantization_error, find_bmus), or
-# the (samples x units x dim) differences of one spiking step object's
-# frame.  It bounds the memory that the per-epoch error adds to training
-# and that inference takes per block.
+# the (samples x units x dim) differences, at most, of one spiking map's
+# exact pass over a frame at inference.  It bounds the memory that the
+# per-epoch error adds to training and that inference takes per block.
 QE_CHUNK_ELEMENTS = 32_768
 
 

@@ -94,13 +94,9 @@ def clamped(lattice: Lattice) -> Lattice:
 
 
 def mismatch_latencies(v: np.ndarray, match: Lattice, t_max: float) -> np.ndarray:
-    """Candidate firing times: t_max times the per-dimension mean squared
-    mismatch between the normalized input and the weights of ``match``, a
-    ``clamped`` lattice.
-
-    v is one vector or a stack of them, shape (..., dim); the times have
-    shape v.shape[:-1] + (n_units,).
-    """
+    """Candidate firing times, shape v.shape[:-1] + (n_units,): t_max times
+    the per-dimension mean squared mismatch between the normalized inputs v,
+    shape (..., dim), and the weights of ``match``, a ``clamped`` lattice."""
     return t_max * (squared_distances(np.asarray(v, dtype=np.float64), match.weights) / match.dim)
 
 
@@ -249,15 +245,14 @@ class FiringStep:
 
     A step object is what ``train_spiking`` drives: reset() at each
     sequence start, present(codes, i, lattice, cfg) to step frame i of one
-    sequence's ``EncodedFrames`` (or of a stacked block, through
-    ``[..., i, :]``) to (times, winners), and learn(codes, i, lattice, idx,
-    t_post, gain, rule) for the learning step of the gated units idx, with
-    gains ``lr * h`` (see ``area_rows``; the learning kernels apply eta).
-    ``rssom.DifferenceState`` and ``lin.PotentialState`` are the recurrent
-    maps' step objects, and the test oracle of their inference.  This one
-    keeps the ``clamped`` copy of its lattice, whose rows learn refreshes,
-    and is also the SSOM's winner rule at inference.
-    """
+    sequence's ``EncodedFrames`` to (times, winner), and learn(codes, i,
+    lattice, idx, t_post, gain, rule) for the learning step of the gated
+    units idx, with gains ``lr * h`` (see ``area_rows``; the learning
+    kernels apply eta).  ``rssom.DifferenceState`` and
+    ``lin.PotentialState`` are the recurrent maps' step objects, and each is
+    the test oracle of its map's pruned inference (``models.SsomModel``).
+    This one keeps the ``clamped`` copy of its lattice, whose rows learn
+    refreshes."""
 
     def __init__(self, lattice: Lattice):
         self.match = clamped(lattice)
@@ -267,7 +262,7 @@ class FiringStep:
 
     def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
         """``firing_winners`` of the normalized values of frame i."""
-        return firing_winners(codes.normalized[..., i, :], self.match, cfg)
+        return firing_winners(codes.normalized[i], self.match, cfg)
 
     def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
               t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
@@ -279,7 +274,7 @@ class FiringStep:
 
 def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     """Train a spiking model in place: the epoch loop of the spiking
-    trainers, driving the model's step object ``model.state(())`` (see
+    trainers, driving the model's step object ``model.state()`` (see
     ``FiringStep``) with the model's lattice, encoding ranges, cfg, lateral
     kernel and STDP rule.
 
@@ -295,7 +290,7 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     """
     lattice, lo, hi = model.lattice, model.lo, model.hi
     cfg, kernel, rule = model.cfg, model.kernel, model.rule
-    state = model.state(())
+    state = model.state()
     sequences = [frames_of(s) for s in data]
     all_frames = sample_vectors(sequences, concat=False)
     codes = [encode_frames(s, lo, hi, cfg.t_max, lattice.dim) for s in sequences]

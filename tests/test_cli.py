@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import pulsom
 from pulsom import corpus as corpus_mod
 from pulsom.cli import main
-from pulsom.config import REGISTRY, RunConfig
+from pulsom.config import MAX_ELEMENTS, REGISTRY, RunConfig
 from pulsom.coding import SsomConfig
 from pulsom.corpus import (
     build_corpus_dataset,
@@ -115,6 +115,19 @@ synth.samples_per_class = 50
         line = list(counts).index(key) + 1
         assert (f"config error: {cfg}:{line} (synth.{key}): {key} must be a positive count, "
                 "got 0\n") == capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("samples_per_class", 10 ** 15),
+                                            ("frames", 10 ** 15), ("dim", 10 ** 15)])
+    def test_oversized_set_exits_2_naming_its_key(self, tmp_path, capsys, key, value):
+        # checked before synth_generate allocates anything
+        counts = {"classes": 3, "samples_per_class": 50, "frames": 9, "dim": 12, key: value}
+        cfg = write_cfg(tmp_path / "big.cfg", f"run.outdir = {tmp_path / 'o'}\n"
+                        f"synth.{key} = {value}\n")
+        assert main(["synth", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:2 (synth.{key}): classes x samples_per_class x frames x dim"
+            f" = {' x '.join(map(str, counts.values()))} exceeds {MAX_ELEMENTS} elements\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_separation_exits_2(self, tmp_path, capsys, value):
@@ -293,6 +306,20 @@ class TestTrainCommand:
         assert (f"{cfg}:3 (lattice.rows), {cfg}:4 (lattice.cols): "
                 f"lattice shape must be positive, got {rows}x{cols}") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["som", "som-concat", "ssom", "rssom", "lin"])
+    def test_oversized_lattice_exits_2_naming_its_key(self, tmp_path, dataset, capsys, model):
+        # checked before the lattice is allocated; the dataset has 4 frames of 5
+        concat = model == "som-concat"
+        cfg = write_cfg(tmp_path / "big.cfg",
+                        f"run.model = {model.removesuffix('-concat')}\n"
+                        f"run.outdir = {tmp_path / 'o'}\nlattice.rows = {10 ** 12}\n"
+                        f"data.train_csv = {dataset}\nsom.concat = {str(concat).lower()}\n")
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:3 (lattice.rows): rows x cols x dim = {10 ** 12} x 8 x "
+            f"{20 if concat else 5} exceeds {MAX_ELEMENTS} elements\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("model, line, message", [
         ("rssom", "rssom.alpha = 2.0", "alpha must be in (0, 1], got 2.0"),
         ("lin", "lin.lambda = 1.5", "lambda must be in [0, 1], got 1.5"),
@@ -327,10 +354,9 @@ class TestTrainCommand:
 
 
 class TestOutOfMemory:
-    """A size that cannot be allocated, such as lattice.rows = 10^12 in
-    train or synth.samples_per_class = 10^15 in synth, ends in exit 3 and
-    one line, not a traceback.  The command is patched to raise the
-    MemoryError, so the test allocates nothing."""
+    """An allocation that fails, such as one that config.MAX_ELEMENTS does
+    not bound, ends in exit 3 and one line, not a traceback.  The command
+    is patched to raise the MemoryError, so the test allocates nothing."""
 
     @pytest.mark.parametrize("error, line", [
         (MemoryError("Unable to allocate 175. TiB for an array with shape "

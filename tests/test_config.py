@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 from pulsom.cli import build_model, synth_dataset
 from pulsom.coding import SsomConfig
-from pulsom.config import AUTO, KEYS, REGISTRY, RunConfig, parse_config_text, registry_help
+from pulsom.config import (
+    AUTO,
+    KEYS,
+    MAX_ELEMENTS,
+    REGISTRY,
+    RunConfig,
+    check_elements,
+    parse_config_text,
+    registry_help,
+)
 from pulsom.corpus import build_corpus_dataset, synth_generate
 from pulsom.errors import ConfigError
 from pulsom.mfcc import MfccConfig
@@ -118,6 +127,20 @@ class TestRunConfig:
 
 def default_of(fn, name):
     return inspect.signature(fn).parameters[name].default
+
+
+class TestSizeBound:
+    """The size checks compare counts only, so these tests allocate nothing."""
+
+    def test_bound_itself_passes_and_one_more_fails(self):
+        check_elements(rows=2, cols=MAX_ELEMENTS // 2)
+        with pytest.raises(ValueError, match=rf"^a x b = {MAX_ELEMENTS + 1} x 1 exceeds "
+                                             rf"{MAX_ELEMENTS} elements$"):
+            check_elements(a=MAX_ELEMENTS + 1, b=1)
+
+    def test_non_positive_sizes_are_left_to_their_own_checks(self):
+        check_elements(classes=-2, samples_per_class=-(10 ** 15))
+        check_elements(rows=0, cols=10 ** 20)
 
 
 class TestDefaultOwners:

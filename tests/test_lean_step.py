@@ -161,7 +161,7 @@ class TestClampedCopy:
                           LateralKernel(), StdpRule(variant, w_max=1.5))
         steps = []
         build = model.state
-        model.state = lambda batch: steps.append(build(batch)) or steps[-1]
+        model.state = lambda: steps.append(build()) or steps[-1]
         train_ssom(data, model, Schedule.for_lattice(3, 5, epochs=3), 3)
         del model.state
 

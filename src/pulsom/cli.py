@@ -16,11 +16,13 @@ import hashlib
 import io
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .config import RunConfig, check_elements, registry_help
+from .config import RunConfig, check_elements, check_lattice, registry_help
 from .errors import ConfigError, CorpusFormatError, DivergenceError
 from .evaluate import calibrate, render_text, report, write_confusion_csv, write_report_csv
 from .lin import train_lin
@@ -35,6 +37,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_CORPUS = 4
 EXIT_DIVERGED = 5
+
+# The most items one task of an _ordered_map pool takes: enough to share a
+# task's round trip between processes, few enough to balance the workers.
+CHUNK_ITEMS = 4
 
 
 @contextmanager
@@ -79,30 +85,75 @@ def _read_dataset(cfg: RunConfig, key: str, model=None):
     return data
 
 
+def _utterance_rows(utterance, mfcc_cfg, unit: str, k: int):
+    """One utterance's counts, frames.csv lines and dataset.csv rows: its
+    numbers are formatted once, for both files."""
+    feats, picks, counts = corpus_mod.read_utterance(utterance, mfcc_cfg, unit, k)
+    if feats is None:
+        return counts, "", ""
+    utt_id = utterance[0]
+    texts = row_texts(feats)
+    return counts, frames_csv_lines(utt_id, texts), "".join(
+        corpus_mod.dataset_csv_line(utt_id, seg.label, macro, [texts[i] for i in idx])
+        for seg, macro, idx in picks)
+
+
+@contextmanager
+def _ordered_map(n_items: int):
+    """A map that keeps its input order, over worker processes forked from
+    this one, one per CPU this process may run on but no more than
+    n_items.  With one worker, or where fork does not exist, it is the
+    built-in map and forks nothing.  However the block ends, the workers
+    have exited when it does."""
+    import multiprocessing   # here, so that only `pulsom features` loads it
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, n_items)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        yield map
+        return
+    # fork, not spawn: a spawned worker imports numpy and pulsom again, which
+    # costs more than it can save here.  The command starts no thread of its
+    # own, so the workers are forked from a process with one Python thread.
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    chunksize = max(1, min(CHUNK_ITEMS, n_items // workers))
+    try:
+        yield partial(pool.imap, chunksize=chunksize)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+
+
 def cmd_features(cfg: RunConfig) -> int:
     root = Path(cfg.require("corpus.root"))
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} does not exist")
     dialects = [d for d in cfg["corpus.dialects"].split(",") if d]
     speakers = [s for s in cfg["corpus.speakers"].split(",") if s]
-    mfcc_cfg, k = cfg.mfcc_config(), cfg["corpus.frames"]
-    stats = {}
+    mfcc_cfg, unit, k = cfg.mfcc_config(), cfg["corpus.unit"], cfg["corpus.frames"]
+    stats = Counter()
     with _outputs(cfg, "dataset.csv", "frames.csv") as (out, frames_out), \
             open(out, "w", encoding="utf-8") as data_f, \
             open(frames_out, "w", encoding="utf-8") as frames_f:
         data_f.write(",".join(corpus_mod.dataset_header(k, mfcc_cfg.n_coeffs)) + "\n")
         frames_f.write(frames_csv_header(mfcc_cfg.n_coeffs))
-        # Each utterance's numbers are formatted once, for both files.  The
-        # walk's ValueErrors are settings (too many mel filters, no frames).
+        # The walk's ValueErrors are settings (too many mel filters, no
+        # frames).  The utterances run as walk_corpus runs them, on worker
+        # processes; the first error in corpus order is the one raised.
         with cfg.config_errors("mfcc.", "corpus."):
-            for utt_id, feats, picks in corpus_mod.walk_corpus(
-                    root, mfcc_cfg, cfg["corpus.unit"], k, dialects, speakers, stats):
-                texts = row_texts(feats)
-                frames_f.write(frames_csv_lines(utt_id, texts))
-                data_f.write("".join(
-                    corpus_mod.dataset_csv_line(utt_id, seg.label, macro,
-                                                [texts[i] for i in idx])
-                    for seg, macro, idx in picks))
+            corpus_mod.check_frames(k)
+            utterances, late_error = corpus_mod.list_utterances(root, unit, dialects,
+                                                                speakers)
+            rows = partial(_utterance_rows, mfcc_cfg=mfcc_cfg, unit=unit, k=k)
+            with _ordered_map(len(utterances)) as ordered_map:
+                for counts, frame_lines, data_rows in ordered_map(rows, utterances):
+                    stats.update(counts)
+                    frames_f.write(frame_lines)
+                    data_f.write(data_rows)
+            if late_error is not None:
+                raise late_error
         if stats["segments"] == stats["skipped_segments"]:
             raise FileNotFoundError(f"no labeled segments found under {root}")
     print(f"utterances: {stats['utterances']} ({stats['skipped_utterances']} skipped)")
@@ -137,8 +188,8 @@ def build_model(cfg: RunConfig, data):
     kind = cfg.require("run.model")
     rows, cols, seed = cfg["lattice.rows"], cfg["lattice.cols"], cfg["run.seed"]
     with cfg.config_errors("lattice.", f"{kind}."):
-        check_elements(rows=rows, cols=cols,
-                       dim=sample_vectors(data[:1], kind == "som" and cfg["som.concat"]).shape[1])
+        check_lattice(rows, cols,
+                      sample_vectors(data[:1], kind == "som" and cfg["som.concat"]).shape[1])
         if kind == "som":
             vectors = sample_vectors(data, cfg["som.concat"])
             return model_of(kind, Lattice.random_init(rows, cols, vectors, seed), cfg)
@@ -147,8 +198,11 @@ def build_model(cfg: RunConfig, data):
 
 
 def _build_and_train(cfg: RunConfig, data):
-    schedule = cfg.schedule()
+    # The model first: its size check names the lattice keys, where the auto
+    # schedule radius of a lattice too large to build fails in the
+    # schedule's terms.
     model = build_model(cfg, data)
+    schedule = cfg.schedule()
     trainer = {"som": train_som, "ssom": train_ssom, "rssom": train_rssom, "lin": train_lin}
     return model, trainer[cfg["run.model"]](data, model, schedule, cfg["run.seed"])
 
@@ -270,8 +324,8 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:
-        # one that config.MAX_ELEMENTS does not bound, such as the n_units²
-        # distance table of a large lattice
+        # an allocation that the size checks (config.MAX_ELEMENTS) allow but
+        # this host cannot make
         print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_IO
 

@@ -124,6 +124,16 @@ def check_elements(**sizes: int) -> None:
                          f"exceeds {MAX_ELEMENTS} elements")
 
 
+def check_lattice(rows: int, cols: int, dim: int) -> None:
+    """check_elements for a lattice's weights, and a ValueError naming rows
+    and cols if its table of unit-to-unit distances, (rows x cols)^2
+    elements that every trainer builds, would exceed MAX_ELEMENTS."""
+    check_elements(rows=rows, cols=cols, dim=dim)
+    if min(rows, cols) > 0 and (rows * cols) ** 2 > MAX_ELEMENTS:
+        raise ValueError(f"the unit distance table, (rows x cols)^2 = ({rows} x {cols})^2, "
+                         f"exceeds {MAX_ELEMENTS} elements")
+
+
 def parse_value(key: Key, raw: str, at: str):
     """The value of ``raw`` as ``key``'s kind; a bad value raises ConfigError
     naming ``at`` (the ``file:line`` that set it)."""

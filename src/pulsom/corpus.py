@@ -500,43 +500,83 @@ def iter_utterances(root, dialects=None, speakers=None):
                     yield wav.with_suffix(""), speaker
 
 
+def list_utterances(root, unit: str, dialects=None, speakers=None):
+    """The utterances under root with a `unit` alignment, in corpus order,
+    as (utt_id, audio path, alignment path) triples, and the
+    CorpusFormatError of the first name in corpus order that is not UTF-8
+    or that a dataset CSV cannot hold, where the listing stopped (None if
+    there is none).  A caller raises it once the utterances listed before it
+    are done, so that the first error in corpus order is the one reported."""
+    dialects = {d.lower() for d in dialects} if dialects else None
+    speakers = {s.lower() for s in speakers} if speakers else None
+    utterances = []
+    try:
+        for stem, speaker in iter_utterances(root, dialects, speakers):
+            wav = _sibling(stem, ".wav")
+            ali = _sibling(stem, f".{unit}")
+            if ali is None:
+                continue
+            utt = utf8_name(stem)
+            for path, name in ((stem.parent, speaker), (wav, utt)):
+                if _CSV_BREAKS.search(name):
+                    raise CorpusFormatError(path, "name holds a comma or a line break")
+            utterances.append((f"{speaker}/{utt}", wav, ali))
+    except CorpusFormatError as exc:
+        return utterances, exc
+    return utterances, None
+
+
+def check_frames(k: int) -> None:
+    """Raise ValueError unless k, the frames per segment, is at least 1.  A
+    walk checks it once, so that it is not counted as a skip per segment."""
+    if k < 1:
+        raise ValueError(f"frames per segment must be at least 1, got {k}")
+
+
+def read_utterance(utterance, mfcc_cfg: MfccConfig, unit: str, k: int):
+    """The coefficient rows of one listed utterance, its picks, and its
+    counts for a walk's stats.  The picks hold (segment, macro class or
+    None, middle_frame_index) for each segment that overlaps a frame.  An
+    utterance shorter than one frame has no rows (None) and no picks, and
+    its alignment is not read.  Every argument pickles, so a worker process
+    can run it."""
+    _, wav, ali = utterance
+    buf = read_sphere(wav)
+    counts = dict(utterances=1, skipped_utterances=0, segments=0, skipped_segments=0)
+    if buf.samples.shape[0] < mfcc_cfg.frame_len:
+        counts["skipped_utterances"] = 1
+        return None, [], counts
+    feats = mfcc_pipeline(buf, mfcc_cfg)
+    picks = []
+    for seg in read_alignment(ali, phones=unit == "phn"):
+        counts["segments"] += 1
+        try:
+            idx = middle_frame_index(seg, len(feats), mfcc_cfg.hop, mfcc_cfg.frame_len, k)
+        except ValueError:
+            counts["skipped_segments"] += 1
+            continue
+        picks.append((seg, macro_class(seg.label) if unit == "phn" else None, idx))
+    return feats, picks, counts
+
+
 def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speakers,
                 stats: dict):
     """Yield (utt_id, coefficient rows, picks) for each utterance with a
-    `unit` alignment and at least one analysis frame; picks holds (segment,
-    macro class or None, middle_frame_index) for each segment that overlaps
-    a frame.  stats counts utterances, utterances skipped for being shorter
-    than one frame, segments and segments skipped for overlapping none."""
-    if k < 1:   # checked once here, so that it is not counted as a skip per segment
-        raise ValueError(f"frames per segment must be at least 1, got {k}")
-    dialects = {d.lower() for d in dialects} if dialects else None
-    speakers = {s.lower() for s in speakers} if speakers else None
+    `unit` alignment and at least one analysis frame, in corpus order
+    (``read_utterance`` over ``list_utterances``).  stats counts utterances,
+    utterances skipped for being shorter than one frame, segments and
+    segments skipped for overlapping none."""
+    check_frames(k)
     stats.update(utterances=0, skipped_utterances=0, segments=0, skipped_segments=0)
-    for stem, speaker in iter_utterances(root, dialects, speakers):
-        wav = _sibling(stem, ".wav")
-        ali = _sibling(stem, f".{unit}")
-        if ali is None:
-            continue
-        utt = utf8_name(stem)
-        for path, name in ((stem.parent, speaker), (wav, utt)):
-            if _CSV_BREAKS.search(name):
-                raise CorpusFormatError(path, "name holds a comma or a line break")
-        buf = read_sphere(wav)
-        stats["utterances"] += 1
-        if buf.samples.shape[0] < mfcc_cfg.frame_len:
-            stats["skipped_utterances"] += 1
-            continue
-        feats = mfcc_pipeline(buf, mfcc_cfg)
-        picks = []
-        for seg in read_alignment(ali, phones=unit == "phn"):
-            stats["segments"] += 1
-            try:
-                idx = middle_frame_index(seg, len(feats), mfcc_cfg.hop, mfcc_cfg.frame_len, k)
-            except ValueError:
-                stats["skipped_segments"] += 1
-                continue
-            picks.append((seg, macro_class(seg.label) if unit == "phn" else None, idx))
-        yield f"{speaker}/{utt}", feats, picks
+    utterances, late_error = list_utterances(root, unit, dialects, speakers)
+    for utterance in utterances:
+        feats, picks, counts = read_utterance(utterance, mfcc_cfg, unit, k)
+        for key, n in counts.items():
+            stats[key] += n
+        if feats is not None:
+            yield utterance[0], feats, picks
+    if late_error is not None:
+        raise late_error
 
 
 def build_corpus_dataset(root, mfcc_cfg: MfccConfig | None = None, unit: str = "phn",

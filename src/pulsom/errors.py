@@ -1,5 +1,9 @@
 """Exception types shared across the package, the shared range check, and
-the reader of input files that must be UTF-8 text."""
+the reader of input files that must be UTF-8 text.
+
+An exception whose ``__init__`` takes other arguments than its message
+rebuilds from them when unpickled (``__reduce__``), so that it crosses the
+process boundary of `pulsom features`' worker pool intact."""
 
 import math
 from pathlib import Path
@@ -17,6 +21,9 @@ class DimensionMismatchError(PulsomError):
         self.actual = actual
         super().__init__(f"dimension mismatch: expected {expected}, got {actual}")
 
+    def __reduce__(self):
+        return type(self), (self.expected, self.actual)
+
 
 class ConfigError(PulsomError):
     """Invalid run configuration (unknown key, bad value, missing file)."""
@@ -27,9 +34,13 @@ class CorpusFormatError(PulsomError):
 
     def __init__(self, path, message, line=None):
         self.path = str(path)
+        self.message = message
         self.line = line
         where = f"{path}:{line}" if line is not None else str(path)
         super().__init__(f"{where}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.path, self.message, self.line)
 
 
 def read_utf8(path) -> str:
@@ -52,6 +63,9 @@ class DivergenceError(PulsomError):
     def __init__(self, epoch):
         self.epoch = epoch
         super().__init__(f"non-finite weight detected at epoch {epoch}")
+
+    def __reduce__(self):
+        return type(self), (self.epoch,)
 
 
 def check_positive(obj, *names) -> None:

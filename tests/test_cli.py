@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import os
 import re
 import shutil
@@ -26,6 +27,7 @@ from pulsom.corpus import (
     write_dataset_csv,
     write_sphere,
 )
+from pulsom.errors import CorpusFormatError
 from pulsom.lin import train_lin
 from pulsom.mfcc import mfcc_pipeline, write_frames_csv
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel, save_model
@@ -318,6 +320,45 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (
             f"config error: {cfg}:3 (lattice.rows): rows x cols x dim = {10 ** 12} x 8 x "
             f"{20 if concat else 5} exceeds {MAX_ELEMENTS} elements\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.fixture
+    def no_lattice(self, monkeypatch):
+        """Building a lattice fails the test, so a size check that comes too
+        late allocates nothing."""
+        def allocated(*args):
+            raise AssertionError("a lattice was allocated")
+
+        monkeypatch.setattr(pulsom.cli, "normalized_init", allocated)
+        monkeypatch.setattr(Lattice, "random_init", allocated)
+
+    @pytest.mark.parametrize("model", ["som", "ssom", "rssom", "lin"])
+    def test_lattice_too_large_for_the_auto_radius_exits_2_naming_its_key(
+            self, tmp_path, dataset, capsys, no_lattice, model):
+        # the schedule's auto radius at 10^20 rows decays to a last radius of
+        # 0.0; the size check comes first and names the key that set it
+        cfg = write_cfg(tmp_path / "big.cfg",
+                        f"run.model = {model}\nrun.outdir = {tmp_path / 'o'}\n"
+                        f"lattice.rows = {10 ** 20}\ndata.train_csv = {dataset}\n")
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:3 (lattice.rows): rows x cols x dim = {10 ** 20} x 8 x 5 "
+            f"exceeds {MAX_ELEMENTS} elements\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("model", ["som", "som-concat", "ssom", "rssom", "lin"])
+    def test_distance_table_over_the_bound_exits_2_naming_both_keys(
+            self, tmp_path, dataset, capsys, no_lattice, model):
+        # 2000 x 2000 x 20 weights pass the bound; their 1.6e13 unit distances do not
+        cfg = write_cfg(tmp_path / "big.cfg",
+                        f"run.model = {model.removesuffix('-concat')}\n"
+                        f"run.outdir = {tmp_path / 'o'}\nlattice.rows = 2000\n"
+                        f"lattice.cols = 2000\ndata.train_csv = {dataset}\n"
+                        f"som.concat = {str(model == 'som-concat').lower()}\n")
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:3 (lattice.rows), {cfg}:4 (lattice.cols): the unit distance "
+            f"table, (rows x cols)^2 = (2000 x 2000)^2, exceeds {MAX_ELEMENTS} elements\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("model, line, message", [
@@ -976,6 +1017,18 @@ def no_csvs_in(outdir):
                                        if p.name.startswith(("dataset.csv", "frames.csv"))]
 
 
+# CPU counts for `pulsom features`: one runs the utterances in this process,
+# two runs them on a pool, and 64 on a pool of one worker per utterance.
+CPU_COUNTS = (1, 2, 64)
+
+
+def features_on(monkeypatch, cpus, cfg):
+    """The exit code of `pulsom features` on a host where this process may
+    run on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return main(["features", "--config", cfg])
+
+
 @pytest.fixture(scope="module")
 def fuzz_corpus(tmp_path_factory):
     """The fixture corpus, a features config for it, and its outdir."""
@@ -1000,29 +1053,40 @@ class TestFeaturesBytes:
     DIGESTS_LIBM = ("422c0d4526d4d442f19d8496adab6cc5434bad7fede8c1cb0884fc46063b9632",
                     "b6067a482f24126c6dffbe3262c04ef7ae831d4248435e41aa27c51397e4d083")
 
-    def test_fixture_corpus_bytes_match_recorded_digests(self, tmp_path):
+    def test_fixture_corpus_bytes_match_recorded_digests(self, tmp_path, monkeypatch):
+        # in this process and on a pool of two workers, one utterance each
         root = make_fixture_corpus(tmp_path / "corpus")
         cfg = write_cfg(tmp_path / "f.cfg",
                         f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
-        assert main(["features", "--config", cfg]) == 0
-        got = tuple(hashlib.sha256((tmp_path / "feat" / name).read_bytes()).hexdigest()
-                    for name in ("dataset.csv", "frames.csv"))
-        assert got == pinned(self.DIGESTS, self.DIGESTS_LIBM)
+        for cpus in (1, 2):
+            assert features_on(monkeypatch, cpus, cfg) == 0
+            got = tuple(hashlib.sha256((tmp_path / "feat" / name).read_bytes()).hexdigest()
+                        for name in ("dataset.csv", "frames.csv"))
+            assert got == pinned(self.DIGESTS, self.DIGESTS_LIBM), f"{cpus} CPUs"
 
     @pytest.mark.parametrize("case", list(FEATURE_CASES))
-    def test_cli_bytes_equal_library(self, tmp_path, capsys, case):
+    def test_cli_bytes_equal_library(self, tmp_path, capsys, monkeypatch, case):
+        # the same outputs and lines in this process, on a pool of two
+        # workers, and on a pool of one worker per utterance
         edit, settings, printed = FEATURE_CASES[case]
         root = make_fixture_corpus(tmp_path / "corpus")
         if edit:
             edit(root)
         cfg = write_cfg(tmp_path / "f.cfg", f"run.outdir = {tmp_path / 'feat'}\n"
                                             f"corpus.root = {root}\n{settings}")
-        assert main(["features", "--config", cfg]) == 0
-        assert printed in capsys.readouterr().out
         (tmp_path / "lib").mkdir()
         library_csvs(RunConfig.load(cfg), tmp_path / "lib")
-        for name in ("dataset.csv", "frames.csv"):
-            assert (tmp_path / "feat" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+        want = [(tmp_path / "lib" / name).read_bytes() for name in ("dataset.csv", "frames.csv")]
+        runs = []
+        for cpus in CPU_COUNTS:
+            assert features_on(monkeypatch, cpus, cfg) == 0
+            assert multiprocessing.active_children() == []
+            out = capsys.readouterr().out
+            assert printed in out
+            got = [(tmp_path / "feat" / name).read_bytes() for name in ("dataset.csv", "frames.csv")]
+            assert got == want, f"{cpus} CPUs"
+            runs.append((out, (tmp_path / "feat" / "run-manifest.txt").read_bytes()))
+        assert runs == runs[:1] * len(CPU_COUNTS)
 
     @pytest.mark.parametrize("phn, message", [
         (b"0 1600 h#\n1600 3200 \xad\xff\n", "utt1.phn:2: not UTF-8 text: byte 0xad"),
@@ -1083,6 +1147,7 @@ class TestFeaturesBytes:
 
     def test_io_error_after_the_first_utterance_leaves_no_csvs(self, tmp_path, capsys,
                                                                monkeypatch):
+        # in this process, which counts the reads
         root = make_fixture_corpus(tmp_path / "corpus")
         calls = []
 
@@ -1095,10 +1160,63 @@ class TestFeaturesBytes:
         monkeypatch.setattr(corpus_mod, "read_sphere", read_once)
         cfg = write_cfg(tmp_path / "f.cfg",
                         f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
-        assert main(["features", "--config", cfg]) == 3
+        assert features_on(monkeypatch, 1, cfg) == 3
         assert "cannot read" in capsys.readouterr().err
         assert len(calls) == 2
         assert no_csvs_in(tmp_path / "feat")
+
+
+def failing_reads(bad, error):
+    """A read_sphere that raises ``error`` on the paths ``bad``; a worker
+    process forked from this one runs it too."""
+    def read(path):
+        if path in bad:
+            raise (CorpusFormatError(path, "cannot use it") if error is CorpusFormatError
+                   else error(f"cannot use {path}"))
+        return read_sphere(path)
+    return read
+
+
+class TestFeaturesPool:
+    """`pulsom features` runs the utterances on worker processes: the first
+    error in corpus order decides the exit, and no worker outlives the
+    command."""
+
+    def test_io_error_after_the_first_utterance_on_the_pool_leaves_no_csvs(
+            self, tmp_path, capsys, monkeypatch):
+        # the workers read one utterance each, and the second one fails
+        root = make_fixture_corpus(tmp_path / "corpus")
+        bad = root / "dr1" / "spk1" / "utt1.wav"
+        monkeypatch.setattr(corpus_mod, "read_sphere", failing_reads([bad], OSError))
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        assert features_on(monkeypatch, 2, cfg) == 3
+        assert capsys.readouterr().err == f"i/o error: cannot use {bad}\n"
+        assert no_csvs_in(tmp_path / "feat")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error, code, printed", [
+        (ValueError, 2, "config error: {cfg}:2 (corpus.root): cannot use {bad}"),
+        (CorpusFormatError, 4, "corpus error: {bad}: cannot use it"),
+        (OSError, 3, "i/o error: cannot use {bad}"),
+        (MemoryError, 3, "out of memory: cannot use {bad}"),
+    ], ids=["config", "corpus", "io", "memory"])
+    def test_first_bad_utterance_in_corpus_order_decides_the_error(
+            self, tmp_path, capsys, monkeypatch, error, code, printed):
+        # eight utterances, of which the third and the sixth fail; on a pool
+        # they are in different tasks, and the later one may fail first
+        root = make_fixture_corpus(tmp_path / "corpus")
+        more_speaker_dirs(root)
+        wavs = [stem.with_suffix(".wav") for stem, _ in iter_utterances(root)]
+        assert len(wavs) == 8
+        monkeypatch.setattr(corpus_mod, "read_sphere", failing_reads(wavs[2::3], error))
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        for cpus in CPU_COUNTS:
+            assert features_on(monkeypatch, cpus, cfg) == code, f"{cpus} CPUs"
+            assert capsys.readouterr().err == printed.format(cfg=cfg, bad=wavs[2]) + "\n"
+            assert no_csvs_in(tmp_path / "feat")
+            assert multiprocessing.active_children() == []
 
 
 # The outputs of each command; a clean run adds effective-config.txt and

@@ -14,6 +14,7 @@ from pulsom.config import (
     REGISTRY,
     RunConfig,
     check_elements,
+    check_lattice,
     parse_config_text,
     registry_help,
 )
@@ -141,6 +142,19 @@ class TestSizeBound:
     def test_non_positive_sizes_are_left_to_their_own_checks(self):
         check_elements(classes=-2, samples_per_class=-(10 ** 15))
         check_elements(rows=0, cols=10 ** 20)
+        check_lattice(0, 10 ** 20, 12)
+
+    def test_distance_table_at_the_bound_passes_and_one_more_unit_fails(self):
+        # 128 x 256 = 2^15 units give exactly MAX_ELEMENTS distances; 99 x 331 is one unit more
+        check_lattice(128, 256, 12)
+        with pytest.raises(ValueError, match=rf"^the unit distance table, \(rows x cols\)\^2 = "
+                                             rf"\(99 x 331\)\^2, exceeds {MAX_ELEMENTS} "
+                                             rf"elements$"):
+            check_lattice(99, 331, 12)
+
+    def test_weights_are_checked_before_the_table(self):
+        with pytest.raises(ValueError, match=r"^rows x cols x dim = "):
+            check_lattice(10 ** 20, 8, 12)
 
 
 class TestDefaultOwners:

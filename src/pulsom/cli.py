@@ -16,8 +16,7 @@ import hashlib
 import io
 import os
 import sys
-from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -88,10 +87,9 @@ def _read_dataset(cfg: RunConfig, key: str, model=None):
 def _utterance_rows(utterance, mfcc_cfg, unit: str, k: int):
     """One utterance's counts, frames.csv lines and dataset.csv rows: its
     numbers are formatted once, for both files."""
-    feats, picks, counts = corpus_mod.read_utterance(utterance, mfcc_cfg, unit, k)
+    counts, utt_id, feats, picks = corpus_mod.read_utterance(utterance, mfcc_cfg, unit, k)
     if feats is None:
         return counts, "", ""
-    utt_id = utterance[0]
     texts = row_texts(feats)
     return counts, frames_csv_lines(utt_id, texts), "".join(
         corpus_mod.dataset_csv_line(utt_id, seg.label, macro, [texts[i] for i in idx])
@@ -105,7 +103,8 @@ def _ordered_map(n_items: int):
     n_items.  With one worker, or where fork does not exist, it is the
     built-in map and forks nothing.  However the block ends, the workers
     have exited when it does."""
-    import multiprocessing   # here, so that only `pulsom features` loads it
+    import multiprocessing   # here, so that only `pulsom features` loads these
+    from concurrent.futures import ProcessPoolExecutor
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, n_items)
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
@@ -114,16 +113,16 @@ def _ordered_map(n_items: int):
     # fork, not spawn: a spawned worker imports numpy and pulsom again, which
     # costs more than it can save here.  The command starts no thread of its
     # own, so the workers are forked from a process with one Python thread.
-    pool = multiprocessing.get_context("fork").Pool(workers)
+    # Not multiprocessing.Pool, whose terminate() can kill a worker holding
+    # the result queue's lock and then wait for it forever: on an error the
+    # executor drops the work not yet started and lets the rest finish.
     chunksize = max(1, min(CHUNK_ITEMS, n_items // workers))
-    try:
-        yield partial(pool.imap, chunksize=chunksize)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        try:
+            yield partial(pool.map, chunksize=chunksize)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def cmd_features(cfg: RunConfig) -> int:
@@ -133,27 +132,21 @@ def cmd_features(cfg: RunConfig) -> int:
     dialects = [d for d in cfg["corpus.dialects"].split(",") if d]
     speakers = [s for s in cfg["corpus.speakers"].split(",") if s]
     mfcc_cfg, unit, k = cfg.mfcc_config(), cfg["corpus.unit"], cfg["corpus.frames"]
-    stats = Counter()
+    stats = {}
     with _outputs(cfg, "dataset.csv", "frames.csv") as (out, frames_out), \
             open(out, "w", encoding="utf-8") as data_f, \
             open(frames_out, "w", encoding="utf-8") as frames_f:
         data_f.write(",".join(corpus_mod.dataset_header(k, mfcc_cfg.n_coeffs)) + "\n")
         frames_f.write(frames_csv_header(mfcc_cfg.n_coeffs))
         # The walk's ValueErrors are settings (too many mel filters, no
-        # frames).  The utterances run as walk_corpus runs them, on worker
-        # processes; the first error in corpus order is the one raised.
-        with cfg.config_errors("mfcc.", "corpus."):
-            corpus_mod.check_frames(k)
-            utterances, late_error = corpus_mod.list_utterances(root, unit, dialects,
-                                                                speakers)
-            rows = partial(_utterance_rows, mfcc_cfg=mfcc_cfg, unit=unit, k=k)
-            with _ordered_map(len(utterances)) as ordered_map:
-                for counts, frame_lines, data_rows in ordered_map(rows, utterances):
-                    stats.update(counts)
-                    frames_f.write(frame_lines)
-                    data_f.write(data_rows)
-            if late_error is not None:
-                raise late_error
+        # frames).  closing(): a write that fails ends the walk, and so its
+        # pool, before _outputs deletes the files.
+        rows = partial(_utterance_rows, mfcc_cfg=mfcc_cfg, unit=unit, k=k)
+        with cfg.config_errors("mfcc.", "corpus."), closing(corpus_mod.walk_corpus(
+                root, unit, k, dialects, speakers, stats, rows, _ordered_map)) as walk:
+            for frame_lines, data_rows in walk:
+                frames_f.write(frame_lines)
+                data_f.write(data_rows)
         if stats["segments"] == stats["skipped_segments"]:
             raise FileNotFoundError(f"no labeled segments found under {root}")
     print(f"utterances: {stats['utterances']} ({stats['skipped_utterances']} skipped)")

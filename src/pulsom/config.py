@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .coding import SsomConfig
 from .corpus import build_corpus_dataset, synth_generate
-from .errors import ConfigError, CorpusFormatError, read_utf8
+from .errors import ConfigError, CorpusFormatError, read_utf8, text_lines
 from .mfcc import MfccConfig
 from .som import Schedule
 from .ssom import LateralKernel
@@ -177,7 +177,7 @@ def format_value(key: Key, value) -> str:
 def parse_config_text(text: str, source: str = "<config>", where: dict | None = None) -> dict:
     """The values of a config text; ``where`` (if given) gets each key's ``source:line``."""
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         at = f"{source}:{lineno}"
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

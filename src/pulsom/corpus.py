@@ -8,13 +8,15 @@ from __future__ import annotations
 import math
 import os
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorpusFormatError, read_utf8
+from .errors import CorpusFormatError, read_utf8, text_lines
 from .mfcc import AudioBuffer, MfccConfig, mfcc_pipeline, row_texts
 
 SPHERE_MAGIC = "NIST_1A"
@@ -180,14 +182,8 @@ def read_alignment(path, phones: bool = False) -> list[Segment]:
     is a TIMIT phone symbol."""
     path = Path(path)
     utt_id = path.stem
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except UnicodeDecodeError:
-        read_utf8(path)
-        raise
     segments: list[Segment] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text_lines(read_utf8(path)), start=1):
         line = line.strip()
         if not line:
             continue
@@ -482,8 +478,9 @@ def utf8_name(path: Path) -> str:
 
 
 def iter_utterances(root, dialects=None, speakers=None):
-    """Yield (utt_path_without_suffix, speaker) in sorted path order; the
-    dialect and speaker names are ``utf8_name``s."""
+    """Yield (audio path, speaker) for each file whose suffix is ``.wav`` in
+    any case, in sorted path order; the dialect and speaker names are
+    ``utf8_name``s."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} does not exist")
@@ -497,7 +494,7 @@ def iter_utterances(root, dialects=None, speakers=None):
                 continue
             for wav in sorted(speaker_dir.iterdir()):
                 if wav.suffix.lower() == ".wav":
-                    yield wav.with_suffix(""), speaker
+                    yield wav, speaker
 
 
 def list_utterances(root, unit: str, dialects=None, speakers=None):
@@ -505,19 +502,20 @@ def list_utterances(root, unit: str, dialects=None, speakers=None):
     as (utt_id, audio path, alignment path) triples, and the
     CorpusFormatError of the first name in corpus order that is not UTF-8
     or that a dataset CSV cannot hold, where the listing stopped (None if
-    there is none).  A caller raises it once the utterances listed before it
-    are done, so that the first error in corpus order is the one reported."""
+    there is none; raise it once the utterances listed before it are done).
+    An utterance is an audio file named ``<name>`` plus ``.wav``, with a
+    ``<name>.<unit>`` or else a ``<name>.<UNIT>`` beside it."""
     dialects = {d.lower() for d in dialects} if dialects else None
     speakers = {s.lower() for s in speakers} if speakers else None
     utterances = []
     try:
-        for stem, speaker in iter_utterances(root, dialects, speakers):
-            wav = _sibling(stem, ".wav")
-            ali = _sibling(stem, f".{unit}")
+        for wav, speaker in iter_utterances(root, dialects, speakers):
+            alignments = [wav.with_name(f"{wav.name[:-4]}.{u}") for u in (unit, unit.upper())]
+            ali = next((p for p in alignments if p.exists()), None)
             if ali is None:
                 continue
-            utt = utf8_name(stem)
-            for path, name in ((stem.parent, speaker), (wav, utt)):
+            utt = utf8_name(wav)[:-4]
+            for path, name in ((wav.parent, speaker), (wav, utt)):
                 if _CSV_BREAKS.search(name):
                     raise CorpusFormatError(path, "name holds a comma or a line break")
             utterances.append((f"{speaker}/{utt}", wav, ali))
@@ -526,26 +524,18 @@ def list_utterances(root, unit: str, dialects=None, speakers=None):
     return utterances, None
 
 
-def check_frames(k: int) -> None:
-    """Raise ValueError unless k, the frames per segment, is at least 1.  A
-    walk checks it once, so that it is not counted as a skip per segment."""
-    if k < 1:
-        raise ValueError(f"frames per segment must be at least 1, got {k}")
-
-
 def read_utterance(utterance, mfcc_cfg: MfccConfig, unit: str, k: int):
-    """The coefficient rows of one listed utterance, its picks, and its
-    counts for a walk's stats.  The picks hold (segment, macro class or
-    None, middle_frame_index) for each segment that overlaps a frame.  An
+    """The counts of one listed utterance for a walk's stats, its utt_id,
+    coefficient rows and picks: (segment, macro class or None,
+    middle_frame_index) for each segment that overlaps a frame.  An
     utterance shorter than one frame has no rows (None) and no picks, and
-    its alignment is not read.  Every argument pickles, so a worker process
-    can run it."""
-    _, wav, ali = utterance
+    its alignment is not read.  Every argument pickles."""
+    utt_id, wav, ali = utterance
     buf = read_sphere(wav)
     counts = dict(utterances=1, skipped_utterances=0, segments=0, skipped_segments=0)
     if buf.samples.shape[0] < mfcc_cfg.frame_len:
         counts["skipped_utterances"] = 1
-        return None, [], counts
+        return counts, utt_id, None, []
     feats = mfcc_pipeline(buf, mfcc_cfg)
     picks = []
     for seg in read_alignment(ali, phones=unit == "phn"):
@@ -556,25 +546,27 @@ def read_utterance(utterance, mfcc_cfg: MfccConfig, unit: str, k: int):
             counts["skipped_segments"] += 1
             continue
         picks.append((seg, macro_class(seg.label) if unit == "phn" else None, idx))
-    return feats, picks, counts
+    return counts, utt_id, feats, picks
 
 
-def walk_corpus(root, mfcc_cfg: MfccConfig, unit: str, k: int, dialects, speakers,
-                stats: dict):
-    """Yield (utt_id, coefficient rows, picks) for each utterance with a
-    `unit` alignment and at least one analysis frame, in corpus order
-    (``read_utterance`` over ``list_utterances``).  stats counts utterances,
-    utterances skipped for being shorter than one frame, segments and
-    segments skipped for overlapping none."""
-    check_frames(k)
+def walk_corpus(root, unit: str, k: int, dialects, speakers, stats: dict, work,
+                ordered_map=None):
+    """Map ``work`` (as ``read_utterance``: utterance -> (counts, ...)) over
+    ``list_utterances`` in corpus order, with the map that the context
+    manager ``ordered_map(number of utterances)`` gives or else the
+    built-in one, and yield what it returns after the counts.  stats counts
+    utterances, those shorter than one frame, segments and those that
+    overlap no frame.  k is checked once, not counted as a skip per
+    segment."""
+    if k < 1:
+        raise ValueError(f"frames per segment must be at least 1, got {k}")
     stats.update(utterances=0, skipped_utterances=0, segments=0, skipped_segments=0)
     utterances, late_error = list_utterances(root, unit, dialects, speakers)
-    for utterance in utterances:
-        feats, picks, counts = read_utterance(utterance, mfcc_cfg, unit, k)
-        for key, n in counts.items():
-            stats[key] += n
-        if feats is not None:
-            yield utterance[0], feats, picks
+    with ordered_map(len(utterances)) if ordered_map else nullcontext(map) as mapped:
+        for result in mapped(work, utterances):
+            for key, n in result[0].items():
+                stats[key] += n
+            yield result[1:]
     if late_error is not None:
         raise late_error
 
@@ -586,15 +578,9 @@ def build_corpus_dataset(root, mfcc_cfg: MfccConfig | None = None, unit: str = "
     Returns (samples, stats), with stats as counted by walk_corpus.
     """
     stats: dict = {}
+    work = partial(read_utterance, mfcc_cfg=mfcc_cfg or MfccConfig(), unit=unit, k=k)
     samples = [SequenceSample(feats[idx], seg.label, macro, utt_id)
                for utt_id, feats, picks in walk_corpus(
-                   root, mfcc_cfg or MfccConfig(), unit, k, dialects, speakers, stats)
+                   root, unit, k, dialects, speakers, stats, work)
                for seg, macro, idx in picks]
     return samples, stats
-
-
-def _sibling(stem: Path, suffix: str):
-    for candidate in (stem.with_suffix(suffix), stem.with_suffix(suffix.upper())):
-        if candidate.exists():
-            return candidate
-    return None

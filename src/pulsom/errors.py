@@ -1,11 +1,12 @@
 """Exception types shared across the package, the shared range check, and
-the reader of input files that must be UTF-8 text.
+the reader and line splitter of input files that must be UTF-8 text.
 
 An exception whose ``__init__`` takes other arguments than its message
 rebuilds from them when unpickled (``__reduce__``), so that it crosses the
 process boundary of `pulsom features`' worker pool intact."""
 
 import math
+import re
 from pathlib import Path
 
 
@@ -55,6 +56,17 @@ def read_utf8(path) -> str:
         line = len((raw[:exc.start] + b"x").splitlines())
         raise CorpusFormatError(path, f"not UTF-8 text: byte 0x{raw[exc.start]:02x} "
                                       f"({exc.reason})", line=line) from None
+
+
+_LINE_BREAK = re.compile("\r\n|\r|\n")
+
+
+def text_lines(text: str) -> list[str]:
+    r"""The lines of a text, broken at \n, \r and \r\n only, as a text file
+    and read_utf8's line count break them (str.splitlines also breaks at
+    \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029)."""
+    lines = _LINE_BREAK.split(text)
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 class DivergenceError(PulsomError):

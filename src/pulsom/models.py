@@ -17,7 +17,7 @@ import numpy as np
 
 from .coding import SsomConfig, encode_frames
 from .config import KEYS, RunConfig, format_value, parse_value
-from .errors import ConfigError, CorpusFormatError, read_utf8
+from .errors import ConfigError, CorpusFormatError, read_utf8, text_lines
 from .lin import PotentialState, potential_latencies, potential_step
 from .rssom import DifferenceState, difference_latencies, difference_step
 from .som import (
@@ -409,7 +409,7 @@ def load_model(path):
     the path."""
     path = Path(path)
     try:
-        return _parse_model(read_utf8(path).splitlines())
+        return _parse_model(text_lines(read_utf8(path)))
     except CorpusFormatError as exc:
         raise ValueError(str(exc)) from None
     except (ValueError, ConfigError) as exc:

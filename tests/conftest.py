@@ -25,6 +25,11 @@ def pinned(avx512, libm):
     return libm if EXP_IS_LIBM else avx512
 
 
+# The characters that str.splitlines breaks a line at and a text file does
+# not: a parser that split at them would name the wrong line.
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def pytest_report_header():
     return f"pinned digests: the {'libm' if EXP_IS_LIBM else 'AVX-512'} exp set"
 

@@ -1,12 +1,16 @@
 import hashlib
+import io
 import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -1005,8 +1009,9 @@ def library_csvs(cfg: RunConfig, outdir):
                                       dialects, speakers)
     write_dataset_csv(samples, outdir / "dataset.csv")
     utterances = []
-    for stem, _ in iter_utterances(root, dialects, speakers):
-        buf = read_sphere(stem.with_suffix(".wav"))
+    for wav, _ in iter_utterances(root, dialects, speakers):
+        buf = read_sphere(wav)
+        stem = wav.with_suffix("")
         if stem.with_suffix(f".{unit}").exists() and buf.samples.size >= mfcc_cfg.frame_len:
             utterances.append((f"{stem.parent.name}/{stem.name}", mfcc_pipeline(buf, mfcc_cfg)))
     write_frames_csv(utterances, outdir / "frames.csv")
@@ -1177,6 +1182,25 @@ def failing_reads(bad, error):
     return read
 
 
+class FailingWrites:
+    """A text file whose writes after the first ``allowed`` raise OSError."""
+
+    def __init__(self, f, allowed):
+        self.f, self.allowed = f, allowed
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        if self.allowed == 0:
+            raise OSError("disk full")
+        self.allowed -= 1
+        return self.f.write(text)
+
+
 class TestFeaturesPool:
     """`pulsom features` runs the utterances on worker processes: the first
     error in corpus order decides the exit, and no worker outlives the
@@ -1207,7 +1231,7 @@ class TestFeaturesPool:
         # they are in different tasks, and the later one may fail first
         root = make_fixture_corpus(tmp_path / "corpus")
         more_speaker_dirs(root)
-        wavs = [stem.with_suffix(".wav") for stem, _ in iter_utterances(root)]
+        wavs = [wav for wav, _ in iter_utterances(root)]
         assert len(wavs) == 8
         monkeypatch.setattr(corpus_mod, "read_sphere", failing_reads(wavs[2::3], error))
         cfg = write_cfg(tmp_path / "f.cfg",
@@ -1217,6 +1241,204 @@ class TestFeaturesPool:
             assert capsys.readouterr().err == printed.format(cfg=cfg, bad=wavs[2]) + "\n"
             assert no_csvs_in(tmp_path / "feat")
             assert multiprocessing.active_children() == []
+
+    def test_write_error_stops_the_workers_before_the_csvs_are_deleted(
+            self, tmp_path, capsys, monkeypatch):
+        # frames.csv takes its header and the first utterance's lines, and
+        # the next write fails while the pool still holds later utterances
+        root = make_fixture_corpus(tmp_path / "corpus")
+        more_speaker_dirs(root)
+
+        def failing_open(path, *args, **kwargs):
+            f = open(path, *args, **kwargs)
+            return FailingWrites(f, 2) if Path(path).name == "frames.csv.part" else f
+
+        children_at_delete = []
+        unlink = Path.unlink
+
+        def recording_unlink(path, *args, **kwargs):
+            children_at_delete.append(multiprocessing.active_children())
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(pulsom.cli, "open", failing_open, raising=False)
+        monkeypatch.setattr(Path, "unlink", recording_unlink)
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        assert features_on(monkeypatch, 2, cfg) == 3
+        assert capsys.readouterr().err == "i/o error: disk full\n"
+        assert no_csvs_in(tmp_path / "feat")
+        assert children_at_delete == [[], []]
+        assert multiprocessing.active_children() == []
+
+
+def renamed_utt1(*moves):
+    """The corpus edit that renames utt1's files in dr1/spk1 (each move is
+    an (old name, new name) pair)."""
+    def edit(speaker):
+        for old, new in moves:
+            (speaker / old).rename(speaker / new)
+    return edit
+
+
+def with_converted_copy(speaker):
+    renamed_utt1(("utt1.wav", "utt1.WAV"), ("utt1.phn", "utt1.PHN"))(speaker)
+    shutil.copy(speaker / "utt1.WAV", speaker / "utt1.WAV.wav")
+
+
+def with_an_alignment_only_stem(speaker):
+    renamed_utt1(("utt1.wav", "utt1.v2.wav"), ("utt1.phn", "utt1.v2.phn"))(speaker)
+    (speaker / "utt1.phn").write_text("0 6400 h#\n")
+
+
+# Name shapes of the fixture corpus's second utterance: the edit of
+# dr1/spk1, and the name the utterance then has.
+LAYOUTS = {
+    "mixed-case-suffix": (renamed_utt1(("utt1.wav", "utt1.Wav")), "utt1"),
+    "dots-in-the-name": (
+        renamed_utt1(("utt1.wav", "utt1.v2.wav"), ("utt1.phn", "utt1.v2.phn")), "utt1.v2"),
+    "dots-in-the-name-beside-an-alignment-only-stem": (
+        with_an_alignment_only_stem, "utt1.v2"),
+    "converted-copy": (with_converted_copy, "utt1"),
+}
+
+
+class TestCorpusLayouts:
+    """Each utterance is found from its own audio file, and is written once."""
+
+    @pytest.fixture(scope="class")
+    def plain(self, tmp_path_factory):
+        """dataset.csv and frames.csv of the fixture corpus as it is made."""
+        tmp = tmp_path_factory.mktemp("plain")
+        root = make_fixture_corpus(tmp / "corpus")
+        cfg = write_cfg(tmp / "f.cfg", f"run.outdir = {tmp / 'feat'}\ncorpus.root = {root}\n")
+        assert main(["features", "--config", cfg]) == 0
+        return [(tmp / "feat" / name).read_text() for name in ("dataset.csv", "frames.csv")]
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_each_utterance_is_written_once_from_its_own_files(
+            self, tmp_path, capsys, monkeypatch, plain, layout):
+        edit, name = LAYOUTS[layout]
+        root = make_fixture_corpus(tmp_path / "corpus")
+        edit(root / "dr1" / "spk1")
+        want = [re.sub("^spk1/utt1,", f"spk1/{name},", text, flags=re.M) for text in plain]
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        for cpus in (1, 2):
+            assert features_on(monkeypatch, cpus, cfg) == 0
+            assert "utterances: 2 (0 skipped)" in capsys.readouterr().out
+            got = [(tmp_path / "feat" / n).read_text() for n in ("dataset.csv", "frames.csv")]
+            assert got == want, f"{cpus} CPUs"
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised by time_limit.  Not an Exception, so that Hypothesis stops at
+    once instead of shrinking the example that ran out of time."""
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, a block that runs longer than ``seconds``: the
+    alarm raises TimeLimitExceeded then, and again each second until the
+    block has ended, in case a wait catches it and waits again."""
+    def expire(signum, frame):
+        signal.alarm(1)
+        raise TimeLimitExceeded(f"the block ran longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def layout_names(alphabet):
+    """Names of up to five characters; one in five ends in a comma."""
+    return st.tuples(st.text(alphabet=alphabet, min_size=1, max_size=5),
+                     st.sampled_from(["", "", "", "", ","])).map("".join)
+
+
+# A stem's files: its audio suffix (None for none), whether a converted
+# ``<stem><suffix>.wav`` copy sits beside the audio, its alignment suffix
+# (None for none), and which of two recordings and two alignments they hold.
+STEM_FILES = st.tuples(st.sampled_from([None, ".wav", ".WAV", ".Wav"]), st.booleans(),
+                       st.sampled_from([None, ".phn", ".PHN"]), st.integers(0, 1),
+                       st.integers(0, 1))
+LAYOUT_CORPORA = st.dictionaries(layout_names("s1"),
+                                 st.dictionaries(layout_names("aWV."), STEM_FILES, max_size=5),
+                                 max_size=2)
+LAYOUT_ALIGNMENTS = (PHN, "0 3200 h#\n3200 4800 iy\n4800 6400 h#\n")
+
+
+def layout_utterances(root):
+    """(utt_id, audio path, alignment text) of each utterance under a
+    one-dialect corpus by the pairing rule: a file named ``<name>.wav``,
+    the suffix in any case, with a ``<name>.phn`` or else a ``<name>.PHN``
+    beside it."""
+    found = []
+    for speaker in sorted((root / "dr1").iterdir()):
+        names = sorted(p.name for p in speaker.iterdir())
+        for wav in names:
+            stem = wav[:-4]
+            ali = [a for a in (f"{stem}.phn", f"{stem}.PHN") if a in names]
+            if len(wav) > 4 and wav[-4:].lower() == ".wav" and ali:
+                found.append((f"{speaker.name}/{stem}", speaker / wav,
+                              (speaker / ali[0]).read_text()))
+    return found
+
+
+class TestFuzzedCorpusLayout:
+    def test_features_exits_0_or_4_and_writes_each_utterance_once(self, tmp_path):
+        recordings, feats = [], {}
+        for seed in (0, 1):
+            path = tmp_path / f"recording{seed}.wav"
+            write_sphere(path, 0.1 * np.random.default_rng(seed).standard_normal(6400))
+            recordings.append(path.read_bytes())
+            feats[recordings[-1]] = mfcc_pipeline(read_sphere(path))
+        root, outdir = tmp_path / "corpus", tmp_path / "feat"
+        cfg = write_cfg(tmp_path / "f.cfg", f"run.outdir = {outdir}\ncorpus.root = {root}\n")
+
+        @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+        @given(layout=LAYOUT_CORPORA, cpus=st.sampled_from([1, 2]))
+        def check(layout, cpus):
+            shutil.rmtree(root, ignore_errors=True)
+            shutil.rmtree(outdir, ignore_errors=True)
+            layout = {"spk": {"u": (".wav", False, ".phn", 0, 0)}, **layout}
+            for speaker, stems in layout.items():
+                directory = root / "dr1" / speaker
+                directory.mkdir(parents=True)
+                for stem, (audio, copy, ali, recording, text) in stems.items():
+                    if audio:
+                        for name in [f"{stem}{audio}"] + [f"{stem}{audio}.wav"] * copy:
+                            (directory / name).write_bytes(recordings[recording])
+                    if ali:
+                        (directory / f"{stem}{ali}").write_text(LAYOUT_ALIGNMENTS[text])
+            listed = layout_utterances(root)
+            out, err = io.StringIO(), io.StringIO()
+            with patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+                    redirect_stdout(out), redirect_stderr(err):
+                code = main(["features", "--config", cfg])
+            if any("," in utt_id for utt_id, _, _ in listed):
+                assert code == 4
+                assert re.fullmatch("corpus error: [^\n]*: name holds a comma or a line "
+                                    "break\n", err.getvalue())
+                assert no_csvs_in(outdir)
+                return
+            assert (code, err.getvalue()) == (0, "")
+            dataset = (outdir / "dataset.csv").read_text()
+            rows = [line.split(",")[:2] for line in dataset.splitlines()[1:]]
+            assert rows == [[utt_id, line.split()[2]] for utt_id, _, text in listed
+                            for line in text.splitlines()]
+            samples, _ = build_corpus_dataset(root)
+            write_dataset_csv(samples, tmp_path / "dataset.csv")
+            assert dataset == (tmp_path / "dataset.csv").read_text()
+            write_frames_csv([(utt_id, feats[wav.read_bytes()]) for utt_id, wav, _ in listed],
+                             tmp_path / "frames.csv")
+            assert (outdir / "frames.csv").read_bytes() == (tmp_path / "frames.csv").read_bytes()
+            assert multiprocessing.active_children() == []
+
+        with time_limit(30):
+            check()
 
 
 # The outputs of each command; a clean run adds effective-config.txt and

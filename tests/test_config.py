@@ -25,6 +25,7 @@ from pulsom.models import LinModel, RssomModel, SomModel
 from pulsom.som import Schedule
 from pulsom.ssom import LateralKernel
 from pulsom.stdp import StdpRule, StdpWindow
+from conftest import SPLITLINES_ONLY
 
 
 class TestParsing:
@@ -72,6 +73,13 @@ class TestParsing:
                                    "lateral.excite_radius = 2.5\n")
         assert values["schedule.radius_start"] == AUTO
         assert values["lateral.excite_radius"] == 2.5
+
+    @pytest.mark.parametrize("sep", SPLITLINES_ONLY)
+    def test_error_names_the_file_line(self, sep):
+        # a line ending in a character that only str.splitlines breaks at
+        # is one line of the file, and the bad value is on the next one
+        with pytest.raises(ConfigError, match=r"^c\.cfg:2: bad value 'x' for lattice\.rows"):
+            parse_config_text(f"run.seed = 1{sep}\nlattice.rows = x\n", "c.cfg")
 
 
 class TestRunConfig:

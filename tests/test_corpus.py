@@ -1,4 +1,5 @@
 import hashlib
+import os
 import time
 from unittest.mock import patch
 
@@ -13,6 +14,7 @@ from pulsom.corpus import (
     Segment,
     SequenceSample,
     build_corpus_dataset,
+    list_utterances,
     macro_class,
     middle_frame_index,
     middle_frames,
@@ -25,6 +27,7 @@ from pulsom.corpus import (
     write_sphere,
 )
 from pulsom.errors import CorpusFormatError
+from conftest import SPLITLINES_ONLY
 
 
 class TestReadSphere:
@@ -175,6 +178,16 @@ class TestReadAlignment:
         with pytest.raises(CorpusFormatError) as exc:
             read_alignment(path, phones=phones)
         assert str(exc.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("sep", SPLITLINES_ONLY)
+    def test_error_names_the_file_line(self, tmp_path, sep):
+        # a line ending in a character that only str.splitlines breaks at
+        # is one line of the file, and the bad span is on the next one
+        path = tmp_path / "x.phn"
+        path.write_text(f"0 1600 h#{sep}\n1600 1500 sh\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as exc:
+            read_alignment(path)
+        assert str(exc.value) == f"{path}:2: invalid span 1600..1500"
 
 
 class TestMiddleFrames:
@@ -685,6 +698,15 @@ class TestBuildCorpusDataset:
     def test_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             build_corpus_dataset(tmp_path / "nope")
+
+    def test_utterance_name_that_is_not_utf8_names_its_audio_file(self, tmp_path):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        speaker = os.fsencode(root / "dr1" / "spk1")
+        for suffix in (b".wav", b".phn"):
+            os.rename(speaker + b"/utt1" + suffix, speaker + b"/ut\xe91" + suffix)
+        utterances, error = list_utterances(root, "phn")
+        assert [utt_id for utt_id, _, _ in utterances] == ["spk1/utt0"]
+        assert str(error) == f"{root}/dr1/spk1/ut\udce91.wav: name is not UTF-8"
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,7 @@ from pulsom.som import Lattice, Schedule, find_bmu
 from pulsom.ssom import (LateralKernel, compute_firing_times, feature_ranges, normalized_init,
                          train_ssom)
 from pulsom.stdp import StdpRule, StdpWindow
+from conftest import SPLITLINES_ONLY
 
 
 def random_lattice(seed=0, rows=2, cols=3, dim=4):
@@ -185,6 +186,19 @@ class TestErrors:
         path.write_text("\n".join(lines + ["t_ref_ms 3.0"]) + "\n")
         with pytest.raises(ValueError, match=rf"m\.txt: line {len(lines) + 1}: repeated "
                                              rf"'t_ref_ms' line \(first on line {first}\)"):
+            load_model(path)
+
+    @pytest.mark.parametrize("sep", SPLITLINES_ONLY)
+    def test_error_names_the_file_line(self, tmp_path, sep):
+        # a weight row (line 3 of a 1x2 SOM) ending in a character that only
+        # str.splitlines breaks at is one line of the file
+        path = tmp_path / "m.txt"
+        save_model(SomModel(random_lattice(rows=1, cols=2, dim=2)), path)
+        lines = path.read_text().splitlines()
+        lines[2] += sep
+        path.write_text("\n".join(lines + ["concat true"]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"m\.txt: line 6: repeated 'concat' line "
+                                             r"\(first on line 5\)"):
             load_model(path)
 
     def test_range_line_of_wrong_length_named(self, tmp_path):

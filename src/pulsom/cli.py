@@ -105,6 +105,7 @@ def _ordered_map(n_items: int):
     have exited when it does."""
     import multiprocessing   # here, so that only `pulsom features` loads these
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, n_items)
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
@@ -115,11 +116,16 @@ def _ordered_map(n_items: int):
     # own, so the workers are forked from a process with one Python thread.
     # Not multiprocessing.Pool, whose terminate() can kill a worker holding
     # the result queue's lock and then wait for it forever: on an error the
-    # executor drops the work not yet started and lets the rest finish.
+    # executor drops the work not yet started and lets the rest finish.  A
+    # worker that dies (as by the out-of-memory killer) breaks the pool,
+    # which then ends the other workers too: an OSError, so main exits 3.
     chunksize = max(1, min(CHUNK_ITEMS, n_items // workers))
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
         try:
             yield partial(pool.map, chunksize=chunksize)
+        except BrokenProcessPool:
+            raise ChildProcessError("a worker process ended abruptly, as when it is killed "
+                                    "or runs out of memory") from None
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -256,9 +262,13 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
     if class_of is not None:    # predictions carry training labels: check both files
         for key, data in datasets.items():
             _check_classes(Path(cfg[key]), data, class_of)
-    labels = calibrate(model, train_data, frame_vote=cfg["eval.frame_vote"])
+    frame_vote = cfg["eval.frame_vote"]
+    table = None    # one file named twice is also searched once, for both steps
+    if test_data is train_data:
+        table = model.winner_table(train_data, terminal=not frame_vote)
+    labels = calibrate(model, train_data, frame_vote, table)
     rep, confusion = report(model, labels, test_data, class_of=class_of,
-                            expected_classes=expected)
+                            expected_classes=expected, table=table)
     text = render_text(rep, title=f"Recognition rates ({model.kind})")
     with _outputs(cfg, "report.txt", "report.csv", "confusion.csv") as (txt, csv, conf):
         txt.write_text(text, encoding="utf-8")

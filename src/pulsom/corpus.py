@@ -500,14 +500,15 @@ def iter_utterances(root, dialects=None, speakers=None):
 def list_utterances(root, unit: str, dialects=None, speakers=None):
     """The utterances under root with a `unit` alignment, in corpus order,
     as (utt_id, audio path, alignment path) triples, and the
-    CorpusFormatError of the first name in corpus order that is not UTF-8
-    or that a dataset CSV cannot hold, where the listing stopped (None if
-    there is none; raise it once the utterances listed before it are done).
-    An utterance is an audio file named ``<name>`` plus ``.wav``, with a
-    ``<name>.<unit>`` or else a ``<name>.<UNIT>`` beside it."""
+    CorpusFormatError of the first name in corpus order that is not UTF-8,
+    that a dataset CSV cannot hold or that a second audio file beside it
+    also has, where the listing stopped (None if there is none; raise it
+    once the utterances listed before it are done).  An utterance is an
+    audio file named ``<name>`` plus ``.wav``, with a ``<name>.<unit>`` or
+    else a ``<name>.<UNIT>`` beside it."""
     dialects = {d.lower() for d in dialects} if dialects else None
     speakers = {s.lower() for s in speakers} if speakers else None
-    utterances = []
+    utterances, named = [], set()
     try:
         for wav, speaker in iter_utterances(root, dialects, speakers):
             alignments = [wav.with_name(f"{wav.name[:-4]}.{u}") for u in (unit, unit.upper())]
@@ -518,6 +519,9 @@ def list_utterances(root, unit: str, dialects=None, speakers=None):
             for path, name in ((wav.parent, speaker), (wav, utt)):
                 if _CSV_BREAKS.search(name):
                     raise CorpusFormatError(path, "name holds a comma or a line break")
+            if (wav.parent, utt) in named:     # utt1.WAV, then utt1.wav
+                raise CorpusFormatError(wav, f"a second audio file of utterance {speaker}/{utt}")
+            named.add((wav.parent, utt))
             utterances.append((f"{speaker}/{utt}", wav, ali))
     except CorpusFormatError as exc:
         return utterances, exc

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .som import QE_CHUNK_ELEMENTS
+
 REJECTED = "rejected"
 
 
@@ -64,18 +66,20 @@ def _mode_label(histogram: Counter):
     return min(lbl for lbl, count in histogram.items() if count == best)
 
 
-def calibrate(model, train_data, frame_vote: bool = False) -> UnitLabelMap:
+def calibrate(model, train_data, frame_vote: bool = False, table=None) -> UnitLabelMap:
     """Label each unit by the majority vote of the training winners it gets.
 
     By default a sample contributes its terminal winner; with frame_vote
     every frame's winner contributes, and ``classify`` and ``report``, which
     read the mode from the map, vote over every frame too.  Ties go to the
-    lexicographically smallest label; unhit units stay unlabeled.
+    lexicographically smallest label; unhit units stay unlabeled.  table is
+    the data's winner table in that mode, if the caller already has it.
     """
     train_data = list(train_data)
     if not train_data:
         raise ValueError("calibration data must be non-empty")
-    table = model.winner_table(train_data, terminal=not frame_vote)
+    if table is None:
+        table = model.winner_table(train_data, terminal=not frame_vote)
     hists = [Counter() for _ in range(model.lattice.n_units)]
     for sample, winners in zip(train_data, table.tolist()):
         for w in winners:
@@ -85,19 +89,29 @@ def calibrate(model, train_data, frame_vote: bool = False) -> UnitLabelMap:
     return UnitLabelMap(labels, hists, resolve_labels(labels, model.lattice), frame_vote)
 
 
-def _predictions(model, labels: UnitLabelMap, data) -> list[str]:
-    """Predicted label of every sample, from one winner table (of terminal
-    winners only, without the map's frame_vote) and its unit predictions."""
-    table = model.winner_table(data, terminal=not labels.frame_vote)
-    unit_label = labels.predictions
-    if not labels.frame_vote:
-        return [unit_label[w] if w >= 0 and unit_label[w] is not None else REJECTED
-                for w in table[:, 0].tolist()]
+def _predictions(model, labels: UnitLabelMap, data, table=None) -> list[str]:
+    """Predicted label of every sample: the most frequent unit prediction
+    over its row of the winner table (of terminal winners only, without
+    the map's frame_vote), the lexicographically smallest on ties, as
+    ``_mode_label`` picks."""
+    if table is None:
+        table = model.winner_table(data, terminal=not labels.frame_vote)
+    # Each unit's prediction coded as 1 + its rank among the sorted labels,
+    # so that the first largest count is the smallest label, and 0 for
+    # none; the entry appended last is what winner -1 reads.
+    names = sorted({lbl for lbl in labels.predictions if lbl is not None})
+    code = {lbl: i for i, lbl in enumerate(names, start=1)}
+    unit_code = np.array([code.get(lbl, 0) for lbl in labels.predictions] + [0])
+    choices = [REJECTED, *names]
+    slots = len(choices)
+    rows = max(1, QE_CHUNK_ELEMENTS // slots)   # the counts of a block of rows
     preds = []
-    for winners in table.tolist():
-        votes = Counter(unit_label[w] for w in winners
-                        if w >= 0 and unit_label[w] is not None)
-        preds.append(_mode_label(votes) if votes else REJECTED)
+    for lo in range(0, len(table), rows):
+        votes = unit_code[table[lo:lo + rows]]
+        votes += slots * np.arange(len(votes))[:, None]
+        counts = np.bincount(votes.ravel(), minlength=len(votes) * slots).reshape(-1, slots)
+        counts[:, 0] = 0    # slot 0 wins only where no label has a vote
+        preds += [choices[c] for c in counts.argmax(axis=1).tolist()]
     return preds
 
 
@@ -112,13 +126,15 @@ def classify(model, labels: UnitLabelMap, sample) -> str:
 
 
 def report(model, labels: UnitLabelMap, data, class_of=None,
-           expected_classes=None) -> tuple[EvalReport, Counter]:
+           expected_classes=None, table=None) -> tuple[EvalReport, Counter]:
     """Evaluate a dataset and build the per-class rate table.
 
     Every sample is classified as by ``classify``.  class_of maps a label to
     its reporting class (identity by default).  Returns the report plus a
     (true, predicted) confusion counter.  Classes from expected_classes that
     received no samples are listed separately and excluded from the average.
+    table is the data's winner table in the map's mode, if the caller
+    already has it.
     """
     data = list(data)
     if not data:
@@ -128,7 +144,7 @@ def report(model, labels: UnitLabelMap, data, class_of=None,
     correct = Counter()
     total = Counter()
     confusion = Counter()
-    for sample, pred in zip(data, _predictions(model, labels, data)):
+    for sample, pred in zip(data, _predictions(model, labels, data, table)):
         true_class = class_of(sample.label)
         pred_class = class_of(pred) if pred != REJECTED else REJECTED
         total[true_class] += 1

@@ -83,14 +83,22 @@ class _Inference:
     alone if terminal: the SOM's nearest units (``som.find_bmus``), or a
     pruned search around the spiking maps' weighted frame mean.  Each kind
     binds ``frame_winners`` in its own class body, so per-class profiles
-    and traces (perfbench/layers.py) count the kinds apart.  ``_sample_cost``
-    is the number of elements one sample adds to a block's pass per frame.
+    and traces (perfbench/layers.py) count the kinds apart.
+    ``_sample_cost(n_frames, terminal)`` is the number of elements one
+    sample adds to the arrays of a block's search.
     """
 
-    @property
-    def _sample_cost(self) -> int:
-        # units x dim differences: a spiking map's exact pass keeping every unit
-        return self.lattice.weights.size
+    def _sample_cost(self, n_frames: int, terminal: bool) -> int:
+        # a spiking map's estimate pass (mean_candidates) holds units x
+        # min(frames searched, dim), and its frames and their codes 2 x
+        # frames x dim
+        searched = 1 if terminal else n_frames
+        dim = self.lattice.dim
+        return self.lattice.n_units * min(searched, dim) + 2 * n_frames * dim
+
+    def _block_rows(self, n_frames: int, terminal: bool) -> int:
+        """The samples of one block of a winner table."""
+        return max(1, QE_CHUNK_ELEMENTS // self._sample_cost(n_frames, terminal))
 
     def winner_table(self, samples, terminal: bool = False) -> np.ndarray:
         """Flat index of every frame's winning unit, -1 where no unit wins:
@@ -100,15 +108,17 @@ class _Inference:
         work.
 
         There must be at least one sample, and all share one (n_frames,
-        dim) shape.  They are coded and searched a block at a time, with at
-        most QE_CHUNK_ELEMENTS elements per frame in a block's pass: block
-        x units distance estimates for the SOM (``som.nearest_units``),
-        block x units x dim differences, at most, for the spiking maps.
+        dim) shape.  They are coded and searched a block at a time, of as
+        many samples as keep their ``_sample_cost`` within
+        QE_CHUNK_ELEMENTS: units distance estimates a frame for the SOM
+        (``som.nearest_units``); for the spiking maps, units estimates a
+        frame searched, at most dim frames a pass, plus the frames and
+        their codes.
         """
         frames = [frames_of(s) for s in samples]
         if not frames:
             raise ValueError("samples must be non-empty")
-        rows = max(1, QE_CHUNK_ELEMENTS // self._sample_cost)
+        rows = self._block_rows(frames[0].shape[0], terminal)
         return np.concatenate([self._block_winners(np.array(frames[i:i + rows]), terminal)
                                for i in range(0, len(frames), rows)])
 
@@ -127,8 +137,7 @@ class SomModel(_Inference):
 
     frame_winners = _Inference.frame_winners
 
-    @property
-    def _sample_cost(self) -> int:
+    def _sample_cost(self, n_frames: int, terminal: bool) -> int:
         # one distance estimate per unit and frame (som.nearest_units)
         return self.lattice.n_units
 
@@ -260,7 +269,7 @@ def mean_candidates(v: np.ndarray, weights: np.ndarray, decay: float, gain: floa
     #   products), and z and c sum T non-negative terms, so m = z / c is
     #   within (4T + 2) u m* of m*, which moves ||m - w||² by at most
     #   3 (4T + 2) u R; the estimate of ||m - w||² rounds by (2D + 5) u R,
-    #   as in nearest_units.
+    #   as in nearest_units, whatever order its dot products sum in.
     # In all at most (32T + 5D + 17) u R plus O(u²) terms, which the slack
     # (T + D + 8) 2**-44 R = 512 (T + D + 8) u R covers 16 times.  Under
     # gradual underflow a product may also lose 2**-1075 absolutely; scaled
@@ -273,6 +282,7 @@ def mean_candidates(v: np.ndarray, weights: np.ndarray, decay: float, gain: floa
     coef, c = _frame_weights(decay, gain, n_frames, first)
     means = np.einsum("tk,nkd->ntd", coef, v)
     means /= c
+    wt = np.ascontiguousarray(weights.T)    # the einsum's inner loop runs along units
     keep = np.zeros((n, weights.shape[0]), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         slack = (ww + dim) * (4.0 * n_frames)
@@ -281,7 +291,7 @@ def mean_candidates(v: np.ndarray, weights: np.ndarray, decay: float, gain: floa
         slack += floor
         for lo in range(0, coef.shape[0], dim):     # n x units x dim elements a pass
             m = means[:, lo:lo + dim].reshape(-1, dim)
-            est = np.einsum("ik,jk->ij", m, weights)
+            est = np.einsum("ik,kj->ij", m, wt)
             est *= -2.0
             est += np.einsum("ij,ij->i", m, m)[:, None]
             est += ww

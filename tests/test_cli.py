@@ -670,6 +670,35 @@ eval.class_map = timit_macro
                             for name in ("report.csv", "confusion.csv")])
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("model", ["som", "ssom"])
+    @pytest.mark.parametrize("vote", ["false", "true"])
+    def test_one_file_named_twice_is_searched_once(self, tmp_path, monkeypatch, model, vote):
+        # calibration and the report share one winner table, and the bytes
+        # are those of a run that searches a copy of the file again
+        assert main(["synth", "--config", synth_cfg(tmp_path)]) == 0
+        dataset = tmp_path / "out" / "synth.csv"
+        shutil.copy(dataset, tmp_path / "copy.csv")
+        assert main(["train", "--config", train_cfg(tmp_path, dataset, model)]) == 0
+        searches = []
+        kind = {"som": SomModel, "ssom": SsomModel}[model]
+        table = kind.winner_table
+        monkeypatch.setattr(kind, "winner_table", lambda self, samples, terminal=False: (
+            searches.append((len(samples), terminal)) or table(self, samples, terminal)))
+        reports = []
+        for test in (dataset, tmp_path / "copy.csv"):
+            searches.clear()
+            out = tmp_path / "eval" / test.name
+            cfg = write_cfg(tmp_path / "eval.cfg", f"run.model = {model}\nrun.outdir = {out}\n"
+                                                   f"data.train_csv = {dataset}\n"
+                                                   f"data.test_csv = {test}\n"
+                                                   f"eval.frame_vote = {vote}\n")
+            assert main(["eval", "--config", cfg,
+                         "--model", str(tmp_path / "train-out" / "model.txt")]) == 0
+            reports.append([(out / name).read_bytes()
+                            for name in ("report.txt", "report.csv", "confusion.csv")])
+            assert searches == [(12, vote == "false")] * (1 if test == dataset else 2)
+        assert reports[0] == reports[1]
+
     def test_model_kind_mismatch_exits_2(self, tmp_path, trained):
         dataset, model_path = trained
         cfg = self.eval_cfg(tmp_path, dataset, model="lin")
@@ -1270,6 +1299,30 @@ class TestFeaturesPool:
         assert children_at_delete == [[], []]
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_that_dies_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the worker that reads the third of eight utterances kills itself,
+        # as the out-of-memory killer would
+        root = make_fixture_corpus(tmp_path / "corpus")
+        more_speaker_dirs(root)
+        wavs = [wav for wav, _ in iter_utterances(root)]
+        parent = os.getpid()
+
+        def read(path):
+            if path == wavs[2]:
+                assert os.getpid() != parent, "the utterance was read in this process"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read_sphere(path)
+
+        monkeypatch.setattr(corpus_mod, "read_sphere", read)
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        with time_limit(60):
+            assert features_on(monkeypatch, 2, cfg) == 3
+        assert capsys.readouterr().err == ("i/o error: a worker process ended abruptly, as "
+                                           "when it is killed or runs out of memory\n")
+        assert no_csvs_in(tmp_path / "feat")
+        assert multiprocessing.active_children() == []
+
 
 def renamed_utt1(*moves):
     """The corpus edit that renames utt1's files in dr1/spk1 (each move is
@@ -1329,6 +1382,19 @@ class TestCorpusLayouts:
             got = [(tmp_path / "feat" / n).read_text() for n in ("dataset.csv", "frames.csv")]
             assert got == want, f"{cpus} CPUs"
 
+    def test_audio_names_that_differ_only_in_suffix_case_exit_4(self, tmp_path, capsys,
+                                                                monkeypatch):
+        root = make_fixture_corpus(tmp_path / "corpus")
+        speaker = root / "dr1" / "spk1"
+        shutil.copy(speaker / "utt1.wav", speaker / "utt1.WAV")
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        f"run.outdir = {tmp_path / 'feat'}\ncorpus.root = {root}\n")
+        for cpus in (1, 2):
+            assert features_on(monkeypatch, cpus, cfg) == 4
+            assert capsys.readouterr().err == (f"corpus error: {speaker}/utt1.wav: a second "
+                                               "audio file of utterance spk1/utt1\n")
+            assert no_csvs_in(tmp_path / "feat")
+
 
 class TimeLimitExceeded(BaseException):
     """Raised by time_limit.  Not an Exception, so that Hypothesis stops at
@@ -1358,12 +1424,14 @@ def layout_names(alphabet):
                      st.sampled_from(["", "", "", "", ","])).map("".join)
 
 
-# A stem's files: its audio suffix (None for none), whether a converted
-# ``<stem><suffix>.wav`` copy sits beside the audio, its alignment suffix
-# (None for none), and which of two recordings and two alignments they hold.
+# A stem's files: its audio suffix (None for none), whether a copy whose
+# suffix differs only in case (``.wav`` -> ``.WAV``) and whether a
+# converted ``<stem><suffix>.wav`` copy sit beside the audio, its alignment
+# suffix (None for none), and which of two recordings and two alignments
+# they hold.
 STEM_FILES = st.tuples(st.sampled_from([None, ".wav", ".WAV", ".Wav"]), st.booleans(),
-                       st.sampled_from([None, ".phn", ".PHN"]), st.integers(0, 1),
-                       st.integers(0, 1))
+                       st.booleans(), st.sampled_from([None, ".phn", ".PHN"]),
+                       st.integers(0, 1), st.integers(0, 1))
 LAYOUT_CORPORA = st.dictionaries(layout_names("s1"),
                                  st.dictionaries(layout_names("aWV."), STEM_FILES, max_size=5),
                                  max_size=2)
@@ -1374,7 +1442,7 @@ def layout_utterances(root):
     """(utt_id, audio path, alignment text) of each utterance under a
     one-dialect corpus by the pairing rule: a file named ``<name>.wav``,
     the suffix in any case, with a ``<name>.phn`` or else a ``<name>.PHN``
-    beside it."""
+    beside it.  A name whose suffix has two spellings is found twice."""
     found = []
     for speaker in sorted((root / "dr1").iterdir()):
         names = sorted(p.name for p in speaker.iterdir())
@@ -1385,6 +1453,20 @@ def layout_utterances(root):
                 found.append((f"{speaker.name}/{stem}", speaker / wav,
                               (speaker / ali[0]).read_text()))
     return found
+
+
+def layout_error(listed):
+    """The pattern of the error line of the first utterance in corpus order
+    that the listing stops at, or None: a name that holds a comma, or a
+    name found a second time."""
+    seen = set()
+    for utt_id, wav, _ in listed:
+        if "," in utt_id:
+            return "corpus error: [^\n]*: name holds a comma or a line break\n"
+        if utt_id in seen:
+            return re.escape(f"corpus error: {wav}: a second audio file of utterance {utt_id}\n")
+        seen.add(utt_id)
+    return None
 
 
 class TestFuzzedCorpusLayout:
@@ -1398,18 +1480,19 @@ class TestFuzzedCorpusLayout:
         root, outdir = tmp_path / "corpus", tmp_path / "feat"
         cfg = write_cfg(tmp_path / "f.cfg", f"run.outdir = {outdir}\ncorpus.root = {root}\n")
 
-        @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
         @given(layout=LAYOUT_CORPORA, cpus=st.sampled_from([1, 2]))
         def check(layout, cpus):
             shutil.rmtree(root, ignore_errors=True)
             shutil.rmtree(outdir, ignore_errors=True)
-            layout = {"spk": {"u": (".wav", False, ".phn", 0, 0)}, **layout}
+            layout = {"spk": {"u": (".wav", False, False, ".phn", 0, 0)}, **layout}
             for speaker, stems in layout.items():
                 directory = root / "dr1" / speaker
                 directory.mkdir(parents=True)
-                for stem, (audio, copy, ali, recording, text) in stems.items():
+                for stem, (audio, twin, copy, ali, recording, text) in stems.items():
                     if audio:
-                        for name in [f"{stem}{audio}"] + [f"{stem}{audio}.wav"] * copy:
+                        names = [f"{stem}{audio}"] + [f"{stem}{audio.swapcase()}"] * twin
+                        for name in names + [f"{stem}{audio}.wav"] * copy:
                             (directory / name).write_bytes(recordings[recording])
                     if ali:
                         (directory / f"{stem}{ali}").write_text(LAYOUT_ALIGNMENTS[text])
@@ -1418,10 +1501,10 @@ class TestFuzzedCorpusLayout:
             with patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
                     redirect_stdout(out), redirect_stderr(err):
                 code = main(["features", "--config", cfg])
-            if any("," in utt_id for utt_id, _, _ in listed):
+            error = layout_error(listed)
+            if error is not None:
                 assert code == 4
-                assert re.fullmatch("corpus error: [^\n]*: name holds a comma or a line "
-                                    "break\n", err.getvalue())
+                assert re.fullmatch(error, err.getvalue())
                 assert no_csvs_in(outdir)
                 return
             assert (code, err.getvalue()) == (0, "")
@@ -1610,6 +1693,31 @@ class TestNoCommandLoadsScipy:
         assert proc.stdout.decode().splitlines()[-1] == str(
             {"import pulsom": False, "import pulsom.cli": False, "features": False,
              "synth": False, "train": False, "eval": False})
+
+
+class TestTrainAndEvalLoadNoPool:
+    def test_synth_train_and_eval_leave_the_pool_modules_unloaded(self, tmp_path):
+        # only `pulsom features` runs a worker pool; the other commands, run
+        # in one process as a benchmark does, load neither of its modules
+        dataset = tmp_path / "out" / "synth.csv"
+        argvs = [["synth", "--config", synth_cfg(tmp_path)]]
+        for model in ("som", "ssom"):
+            eval_cfg = write_cfg(tmp_path / f"eval-{model}.cfg",
+                                 f"run.model = {model}\nrun.outdir = {tmp_path / 'eval-out'}\n"
+                                 f"data.train_csv = {dataset}\ndata.test_csv = {dataset}\n")
+            argvs += [["train", "--config", train_cfg(tmp_path, dataset, model, f"{model}-out")],
+                      ["eval", "--config", eval_cfg, "--model",
+                       str(tmp_path / f"{model}-out" / "model.txt")]]
+        script = ("import sys\n"
+                  "from pulsom.cli import main\n"
+                  "pools = ('multiprocessing', 'concurrent.futures')\n"
+                  f"for argv in {argvs!r}:\n"
+                  "    assert main(argv) == 0, argv\n"
+                  "    print(argv[0], [m for m in pools if m in sys.modules])\n")
+        proc = run_python(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert [line for line in proc.stdout.decode().splitlines() if line.endswith("]")] == [
+            "synth []", "train []", "eval []", "train []", "eval []"]
 
 
 class TestHelp:

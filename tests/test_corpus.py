@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 import time
 from unittest.mock import patch
 
@@ -707,6 +708,20 @@ class TestBuildCorpusDataset:
         utterances, error = list_utterances(root, "phn")
         assert [utt_id for utt_id, _, _ in utterances] == ["spk1/utt0"]
         assert str(error) == f"{root}/dr1/spk1/ut\udce91.wav: name is not UTF-8"
+
+    def test_audio_names_that_differ_only_in_suffix_case_raise(self, tmp_path):
+        # utt1.WAV sorts first and is listed; utt1.wav names utt1 again
+        root = make_fixture_corpus(tmp_path / "corpus")
+        speaker = root / "dr1" / "spk1"
+        shutil.copy(speaker / "utt1.wav", speaker / "utt1.WAV")
+        utterances, error = list_utterances(root, "phn")
+        assert [(utt_id, wav.name) for utt_id, wav, _ in utterances] == [
+            ("spk1/utt0", "utt0.wav"), ("spk1/utt1", "utt1.WAV")]
+        message = f"{speaker}/utt1.wav: a second audio file of utterance spk1/utt1"
+        assert str(error) == message
+        with pytest.raises(CorpusFormatError) as raised:
+            build_corpus_dataset(root)
+        assert str(raised.value) == message
 
 
 @pytest.fixture(scope="module")

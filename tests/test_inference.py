@@ -6,16 +6,26 @@ winner table, label map and report must equal theirs exactly.
 """
 
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pulsom.coding import SsomConfig, encode_frames, encode_latency
+from pulsom import evaluate
 from pulsom.corpus import SequenceSample, synth_generate
-from pulsom.evaluate import REJECTED, UnitLabelMap, calibrate, classify, report, resolve_labels
+from pulsom.evaluate import (
+    REJECTED,
+    UnitLabelMap,
+    _predictions,
+    calibrate,
+    classify,
+    report,
+    resolve_labels,
+)
 from pulsom.lin import PotentialState, potential_winners, train_lin
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel, mean_candidates
 from pulsom.rssom import DifferenceState, difference_winners, train_rssom
@@ -144,8 +154,9 @@ def make_samples(n, dim=12, seed=1, labels="AB"):
 KINDS = ["som", "som-concat", "ssom", "rssom", "lin"]
 
 
-def block_of(model):
-    return max(1, QE_CHUNK_ELEMENTS // model._sample_cost)
+def block_of(model, terminal=False):
+    """The samples of one block of the model's winner tables in a mode."""
+    return model._block_rows(N_FRAMES, terminal)
 
 
 class TestWinnerTable:
@@ -163,7 +174,7 @@ class TestWinnerTable:
     @pytest.mark.parametrize("kind", KINDS)
     def test_terminal_table_is_the_last_column(self, kind):
         model = make_model(kind)
-        samples = make_samples(2 * block_of(model) + 3)
+        samples = make_samples(2 * block_of(model, terminal=True) + 3)
         full = model.winner_table(samples)
         terminal = model.winner_table(samples, terminal=True)
         assert terminal.shape == (len(samples), 1) and terminal.dtype == full.dtype
@@ -178,9 +189,18 @@ class TestWinnerTable:
             make_model(kind).winner_table([])
 
     def test_som_blocks_bound_vectors_times_units(self):
-        assert block_of(make_model("som")) == QE_CHUNK_ELEMENTS // 144
-        assert block_of(make_model("som-concat")) == QE_CHUNK_ELEMENTS // 144
-        assert block_of(make_model("ssom")) == QE_CHUNK_ELEMENTS // (144 * 12)
+        # the SOM's units a frame in either mode; a spiking map's estimate
+        # pass, units x frames searched (fewer than dim here), plus the
+        # frames and their codes, 2 x frames x dim
+        for terminal in (False, True):
+            assert block_of(make_model("som"), terminal) == QE_CHUNK_ELEMENTS // 144
+            assert block_of(make_model("som-concat"), terminal) == QE_CHUNK_ELEMENTS // 144
+        for kind in ("ssom", "rssom", "lin"):
+            model = make_model(kind)
+            assert block_of(model) == QE_CHUNK_ELEMENTS // (144 * N_FRAMES + 2 * N_FRAMES * 12)
+            assert block_of(model, True) == QE_CHUNK_ELEMENTS // (144 + 2 * N_FRAMES * 12)
+        # a map searches at most dim frames in one estimate pass
+        assert make_model("lin", dim=3)._sample_cost(N_FRAMES, False) == 144 * 3 + 2 * 5 * 3
 
     @pytest.mark.parametrize("kind", ["som", "ssom", "rssom", "lin"])
     def test_terminal_table_checks_every_frame(self, kind):
@@ -269,6 +289,54 @@ class TestLabelsAndReports:
     def test_unlabeled_map_resolves_to_none(self):
         lat = Lattice(2, 2, np.zeros((4, 2)))
         assert resolve_labels([None] * 4, lat) == [None] * 4
+
+
+# Labels whose sorted order is not the order they come in: upper case
+# before lower case, a prefix before its extensions, non-ASCII last.
+VOTE_LABELS = ["b", "a", "é", "B", "ab", "a b", "Z", "ä", "\u2028", "日"]
+
+
+def oracle_votes(predictions, table):
+    """The frame vote of every row as it was counted, one Counter a row."""
+    preds = []
+    for winners in table.tolist():
+        votes = Counter(predictions[w] for w in winners
+                        if w >= 0 and predictions[w] is not None)
+        preds.append(mode_label(votes) if votes else REJECTED)
+    return preds
+
+
+class TestFrameVoteCount:
+    """Frame votes are counted for all rows at once, on labels coded in
+    sorted order; they must equal the per-row Counter and ``_mode_label``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), units=st.integers(1, 6), rows=st.integers(1, 6),
+           frames=st.integers(1, 7), chunk=st.sampled_from([QE_CHUNK_ELEMENTS, 1, 7]))
+    @example(data=None, units=3, rows=2, frames=3, chunk=QE_CHUNK_ELEMENTS)
+    def test_equals_the_counter_oracle(self, data, units, rows, frames, chunk):
+        # few labels and units, so that counts tie and units share a label;
+        # a small chunk counts the rows a few at a time
+        if data is None:    # a map with no labeled unit
+            predictions = [None] * units
+            table = np.array([[-1, 0, 2], [1, 1, -1]])
+        else:
+            predictions = data.draw(st.lists(st.none() | st.sampled_from(VOTE_LABELS),
+                                             min_size=units, max_size=units))
+            table = data.draw(arrays(np.intp, (rows, frames),
+                                     elements=st.integers(-1, units - 1)))
+        labels = UnitLabelMap(predictions, [], predictions, frame_vote=True)
+        with patch.object(evaluate, "QE_CHUNK_ELEMENTS", chunk):
+            got = _predictions(None, labels, None, table)
+        assert got == oracle_votes(predictions, table)
+
+    def test_ties_go_to_the_smallest_label_not_the_first_seen(self):
+        predictions = ["b", "a", "é", "B", None]
+        table = np.array([[0, 1, -1], [2, 3, 4], [4, -1, 4], [2, 0, 2], [0, 0, 1]])
+        want = ["a", "B", REJECTED, "é", "b"]
+        labels = UnitLabelMap(predictions, [], predictions, frame_vote=True)
+        assert oracle_votes(predictions, table) == want
+        assert _predictions(None, labels, None, table) == want
 
 
 class TestWinnerRule:
@@ -485,7 +553,7 @@ class TestMeanSearch:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_terminal_tables_around_a_block_boundary(self, kind, offset):
         model = make_model(kind)
-        samples = make_samples(2 * block_of(model) + offset, seed=9)
+        samples = make_samples(2 * block_of(model, terminal=True) + offset, seed=9)
         want = [oracle_frame_winners(model, s)[-1:] for s in samples]
         assert model.winner_table(samples, terminal=True).tolist() == want
 

@@ -39,7 +39,7 @@ from pulsom.errors import DivergenceError
 from pulsom.lin import train_lin
 from pulsom.models import LinModel, RssomModel, SomModel, SsomModel, load_model
 from pulsom.rssom import train_rssom
-from pulsom.som import QE_CHUNK_ELEMENTS, Lattice, Schedule, sample_vectors, train_som
+from pulsom.som import Lattice, Schedule, sample_vectors, train_som
 from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
 from pulsom.stdp import VARIANTS, StdpRule, StdpWindow
 from conftest import pinned
@@ -372,18 +372,18 @@ def test_eval_reports_with_macro_classes(tmp_path, kind):
 
 
 # kind -> (terminal, frame-vote) report digests of an eval whose test set
-# spans more than two of the kind's own winner-table blocks and more than one
-# block of the dataset-CSV reader (128 rows).  The SOM's blocks hold about
-# twelve times the samples of the spiking kinds' on the same map, so it gets
-# a larger data set (SAMPLES_PER_CLASS).  Recorded under both exp sets, which
+# spans more than two of the kind's own winner-table blocks in each mode and
+# more than one block of the dataset-CSV reader (128 rows).  The SOM's blocks
+# hold more samples than the spiking kinds' on the same map, so it gets a
+# larger data set (SAMPLES_PER_CLASS).  Recorded under both exp sets, which
 # agree.
 EVAL_BLOCKS = {
     "som": ("ebccc1ecb02868cc", "7e4f563a45e7754f"),
-    "ssom": ("b25b50ed98fc595a", "f7df63d2dd098970"),
-    "rssom": ("428871d6a80073ae", "48f797dc02521d31"),
-    "lin": ("bab0c521245d7a25", "4e03b84ad6476859"),
+    "ssom": ("66ba9642c8897596", "7670707d08eefa40"),
+    "rssom": ("e849aa11f4b12b91", "fbdf8494594e5675"),
+    "lin": ("55777ba223b32599", "db53d7816ae4ecfa"),
 }
-SAMPLES_PER_CLASS = {"som": 720, "ssom": 70, "rssom": 70, "lin": 70}
+SAMPLES_PER_CLASS = {"som": 720, "ssom": 200, "rssom": 200, "lin": 200}
 
 
 def eval_block_digests(tmp_path, kind) -> tuple:
@@ -399,10 +399,10 @@ def eval_block_digests(tmp_path, kind) -> tuple:
     cfg = tmp_path / "train.cfg"
     cfg.write_text(base + f"run.outdir = {tmp_path / 'model'}\n")
     assert main(["train", "--config", str(cfg)]) == 0
-    block = QE_CHUNK_ELEMENTS // load_model(tmp_path / "model" / "model.txt")._sample_cost
-    assert len(test) > 2 * block and len(test) > 128
+    model = load_model(tmp_path / "model" / "model.txt")
     got = []
     for vote in ("false", "true"):
+        assert len(test) > 2 * model._block_rows(5, vote == "false") and len(test) > 128
         out = tmp_path / vote
         cfg.write_text(base + f"run.outdir = {out}\neval.frame_vote = {vote}\n")
         assert main(["eval", "--config", str(cfg),

@@ -24,9 +24,9 @@ from .som import (
     QE_CHUNK_ELEMENTS,
     Lattice,
     UnitIndex,
-    candidates,
     find_bmus,
     frames_of,
+    pruned_candidates,
     sample_vectors,
     winner_or_none,
 )
@@ -80,8 +80,9 @@ class _Inference:
 
     A kind provides ``_block_winners(frames, terminal)``: the winner table
     of a (block, n_frames, dim) stack of samples, or of its last frame
-    alone if terminal: the SOM's nearest units (``som.find_bmus``), or a
-    pruned search around the spiking maps' weighted frame mean.  Each kind
+    alone if terminal.  Every kind searches with ``som.pruned_candidates``:
+    the SOM around each input vector (``som.find_bmus``), the spiking maps
+    around their weighted frame means (``mean_candidates``).  Each kind
     binds ``frame_winners`` in its own class body, so per-class profiles
     and traces (perfbench/layers.py) count the kinds apart.
     ``_sample_cost(n_frames, terminal)`` is the number of elements one
@@ -89,9 +90,9 @@ class _Inference:
     """
 
     def _sample_cost(self, n_frames: int, terminal: bool) -> int:
-        # a spiking map's estimate pass (mean_candidates) holds units x
-        # min(frames searched, dim), and its frames and their codes 2 x
-        # frames x dim
+        # the estimate pass (som.pruned_candidates) holds units x
+        # min(frames searched, dim) frame means, and the frames and their
+        # codes 2 x frames x dim
         searched = 1 if terminal else n_frames
         dim = self.lattice.dim
         return self.lattice.n_units * min(searched, dim) + 2 * n_frames * dim
@@ -110,10 +111,10 @@ class _Inference:
         There must be at least one sample, and all share one (n_frames,
         dim) shape.  They are coded and searched a block at a time, of as
         many samples as keep their ``_sample_cost`` within
-        QE_CHUNK_ELEMENTS: units distance estimates a frame for the SOM
-        (``som.nearest_units``); for the spiking maps, units estimates a
-        frame searched, at most dim frames a pass, plus the frames and
-        their codes.
+        QE_CHUNK_ELEMENTS: units estimates of ``som.pruned_candidates`` a
+        vector searched (one a frame for the SOM; for the spiking maps, one
+        a frame searched, at most dim frames a pass, plus the frames and
+        their codes).
         """
         frames = [frames_of(s) for s in samples]
         if not frames:
@@ -138,7 +139,7 @@ class SomModel(_Inference):
     frame_winners = _Inference.frame_winners
 
     def _sample_cost(self, n_frames: int, terminal: bool) -> int:
-        # one distance estimate per unit and frame (som.nearest_units)
+        # one estimate per unit and vector (som.pruned_candidates)
         return self.lattice.n_units
 
     def _block_winners(self, frames: np.ndarray, terminal: bool) -> np.ndarray:
@@ -156,8 +157,9 @@ class SsomModel(_Inference):
     """Spiking map: weights in normalized space plus the encoding ranges.
 
     Its winner table is every spiking map's: ``mean_candidates`` picks the
-    (sample, unit) pairs that can win, and only those run ``_pair_values(x,
-    w, first)``, each pair's value from frame first on in the step object's
+    (sample, unit) pairs that can win, through the SOM's search
+    (``som.pruned_candidates``), and only those run ``_pair_values(x, w,
+    first)``, each pair's value from frame first on in the step object's
     bits, shape (frames, pairs).  The lowest index of least value wins,
     gated on its latency (``_latencies``) as in ``winner_or_none``."""
 
@@ -240,62 +242,21 @@ def mean_candidates(v: np.ndarray, weights: np.ndarray, decay: float, gain: floa
     From a reset every spiking map ranks units by their distance to the
     weighted mean m = z / c of the frames so far, where frame k of t frames
     weighs gain * decay**(t - 1 - k) in z and in c (see the rssom and lin
-    module docstrings; the SSOM's decay 0 and gain 1 give the frame).  The
-    means are estimated against every unit as ``som.nearest_units`` does,
-    and ``som.candidates`` keeps the units within slack + floor of the least.
+    module docstrings; the SSOM's decay 0 and gain 1 give the frame).
+    ``som.pruned_candidates`` keeps the units near each mean, with ||m||²
+    <= dim, and floor plus the gain term of its underflow bound.
     """
     n, n_frames, dim = v.shape
-    ww = np.einsum("ij,ij->i", weights, weights)
-    # Slack.  Let u = 2**-53, T = n_frames, D = dim and R = D + ||w||², and
-    # let z*, c* and m* = z*/c* be the real sums and mean for the map's own
-    # float coefficients (decay is the 1.0 - alpha the step computes), so
-    # m* lies in [0, 1]^D.  Each exact value divided by a per-frame
-    # constant (c² for RSSOM; c, less a shift the same for every unit, for
-    # LIN; t_max / D for the SSOM) is ||m* - w||² plus rounding error:
-    # - RSSOM's y = z - c w: each step rounds x - w, its product with
-    #   alpha, (1 - alpha) y and their sum, so |y - y*| <= 3Tu (z* + c*|w|)
-    #   componentwise, and the norm einsum adds γ_D: ||y||²/c² is within
-    #   (20T + 2D) u R of ||m* - w||², the rounding of c included.
-    # - LIN's -2a sums non-negative terms, each squared distance within
-    #   γ_{D+2} and each step rounding twice, so it is within γ_{2T+D+2} of
-    #   c* (||m* - w||² + r), with 0 <= r <= D the same for every unit:
-    #   -2a/c - r c*/c is within (10T + 3D + 6) u R of ||m* - w||².
-    # - The SSOM's m is the frame, bit for bit, and its value the time
-    #   t = t_max (d² / D) on clamped weights, with d² <= 2R within (D + 3) u
-    #   d² (nearest_units): t D / t_max is within (2D + 10) u R, also where
-    #   distinct d² round to one time.  Where t underflows it may lose
-    #   2**-1075, D 2**-1075 / t_max once divided: its floor is 8 times that.
-    # - Each coefficient is within γ_T of its real value (repeated
-    #   products), and z and c sum T non-negative terms, so m = z / c is
-    #   within (4T + 2) u m* of m*, which moves ||m - w||² by at most
-    #   3 (4T + 2) u R; the estimate of ||m - w||² rounds by (2D + 5) u R,
-    #   as in nearest_units, whatever order its dot products sum in.
-    # In all at most (32T + 5D + 17) u R plus O(u²) terms, which the slack
-    # (T + D + 8) 2**-44 R = 512 (T + D + 8) u R covers 16 times.  Under
-    # gradual underflow a product may also lose 2**-1075 absolutely; scaled
-    # by 1/c² <= 1/gain² (c >= gain), with the cross terms split by
-    # 2ab <= u a² + b²/u, that stays below the floor
-    # (T + 1)(D + 2) 2**-1064 (1 + 1/gain²), which is inf where gain²
-    # underflows.  Where 4T R overflows an exact value may overflow too,
-    # and the slack is inf, so ``candidates`` keeps the unit; elsewhere
-    # every value is finite.
     coef, c = _frame_weights(decay, gain, n_frames, first)
     means = np.einsum("tk,nkd->ntd", coef, v)
     means /= c
-    wt = np.ascontiguousarray(weights.T)    # the einsum's inner loop runs along units
+    with np.errstate(over="ignore", divide="ignore"):
+        floor += (n_frames + 1) * (dim + 2) * 2.0 ** -1064 * (1.0 + 1.0 / np.float64(gain) ** 2)
     keep = np.zeros((n, weights.shape[0]), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slack = (ww + dim) * (4.0 * n_frames)
-        slack *= (n_frames + dim + 8) * 2.0 ** -46 / n_frames
-        slack += (n_frames + 1) * (dim + 2) * 2.0 ** -1064 * (1.0 + 1.0 / np.float64(gain) ** 2)
-        slack += floor
-        for lo in range(0, coef.shape[0], dim):     # n x units x dim elements a pass
-            m = means[:, lo:lo + dim].reshape(-1, dim)
-            est = np.einsum("ik,kj->ij", m, wt)
-            est *= -2.0
-            est += np.einsum("ij,ij->i", m, m)[:, None]
-            est += ww
-            keep |= candidates(est, slack).reshape(n, -1, weights.shape[0]).any(axis=1)
+    for lo in range(0, coef.shape[0], dim):     # n x units x dim elements a pass
+        m = means[:, lo:lo + dim].reshape(-1, dim)
+        keep |= pruned_candidates(m, weights, dim, n_frames, floor).reshape(
+            n, -1, weights.shape[0]).any(axis=1)
     return np.nonzero(keep)
 
 

@@ -17,11 +17,12 @@ from .errors import DimensionMismatchError, DivergenceError, check_positive
 # Neighborhood influence is treated as zero beyond this many radii.
 NEIGHBORHOOD_CUTOFF_SIGMA = 3.0
 
-# Largest block of per-pass elements: the (vectors x units) distance
-# estimates of one nearest_units pass (quantization_error, find_bmus), or
-# the (samples x units x dim) differences, at most, of one spiking map's
-# exact pass over a frame at inference.  It bounds the memory that the
-# per-epoch error adds to training and that inference takes per block.
+# Largest block of per-pass elements: the (vectors x units) estimates of
+# one pruned_candidates pass, the search of every map.  quantization_error
+# and find_bmus pass one vector a row, and a spiking map's winner table up
+# to dim frame means a sample, counting its frames and codes too.  It
+# bounds the memory that the per-epoch error adds to training and that
+# inference takes per block.
 QE_CHUNK_ELEMENTS = 32_768
 
 
@@ -213,21 +214,81 @@ def squared_distances(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat).reshape(delta.shape[:-1])
 
 
-def candidates(est: np.ndarray, slack) -> np.ndarray:
-    """Mask of the entries of each row of est that can hold their row's
-    least exact value (or tie with it), given that every exact value lies
-    within slack (broadcast against est) of its estimate.  est is
-    overwritten.
+def pruned_candidates(m: np.ndarray, weights: np.ndarray, mm, n_frames: int,
+                      floor: float) -> np.ndarray:
+    """Mask, shape (vectors, units), of the units that can hold the least
+    exact value of each vector of m, shape (vectors, dim), or tie with it:
+    the one estimate-and-prune step of every map's winner search.  mm
+    bounds ||m||² (one number per vector, or one for all); n_frames and
+    floor are the caller's terms of the slack s below.
 
-    Where est - slack > hi, the least est + slack of the row, the exact
-    value exceeds that of the entry giving hi.  An inf slack gives est -
-    slack NaN or -inf, never above hi, so its entry stays; a NaN in a row's
-    est + slack makes hi NaN and keeps the whole row.
+    Each unit's estimate is ||w||² - 2 m·w, its squared distance to m less
+    the ||m||² that the row shares: one BLAS-free einsum against a
+    contiguous transposed copy of the weights times -2, so that the inner
+    loop runs along units.  A unit is kept where its estimate is at most
+    the row's least, lo, plus 2 s.
     """
+    dim = weights.shape[1]
+    ww = np.einsum("ij,ij->i", weights, weights)
+    wt = np.multiply(weights.T, -2.0, order="C")
+    # Slack.  Let u = 2**-53, T = n_frames, D = dim and r = mm + max ||w||²
+    # >= ||m||² + ||w||² for every unit.  The SOM's m is its input x (T =
+    # 1, mm = ||x||²); a spiking map's is the weighted mean m = z / c of T
+    # frames in [0, 1]^D (mm = D), where frame k of t weighs gain *
+    # decay**(t - 1 - k) in z and in c (see the rssom and lin module
+    # docstrings).  Let z*, c* and m* = z*/c* be their real values for the
+    # map's own float coefficients (decay is the 1.0 - alpha the step
+    # computes), so m* lies in [0, 1]^D; the SOM's m* is x.  If each unit's
+    # exact value, divided by a positive constant and less a shift that the
+    # row shares, lies within s_v of ||m* - w||², and each estimate within
+    # s_e of ||w||² - 2 m*·w, then a unit whose estimate exceeds lo by more
+    # than 2 (s_v + s_e) has an exact value above that of the unit giving
+    # lo, so it can neither win nor tie.  The constant is 1 for the SOM, c²
+    # for RSSOM, t_max / D for the SSOM, and c for LIN, whose shift is
+    # r' c*/c with 0 <= r' <= D:
+    # - The SOM's exact sum_k fl(w_k - x_k)² rounds each difference and sums
+    #   D squares in some order: within ((1 + u)²(1 + γ_D) - 1) d <= (D + 3)
+    #   u d of the real distance d <= 2r, so s_v <= (2D + 6) u r.
+    # - RSSOM's y = z - c w: each step rounds x - w, its product with
+    #   alpha, (1 - alpha) y and their sum, so |y - y*| <= 3Tu (z* + c*|w|)
+    #   componentwise, and the norm einsum adds γ_D: ||y||²/c² is within
+    #   (20T + 2D) u r of ||m* - w||², the rounding of c included.
+    # - LIN's -2a sums non-negative terms, each squared distance within
+    #   γ_{D+2} and each step rounding twice, so it is within γ_{2T+D+2} of
+    #   c* (||m* - w||² + r'): -2a/c - r' c*/c is within (10T + 3D + 6) u r.
+    # - The SSOM's m is the frame, bit for bit, and its value the time
+    #   t = t_max (d² / D) on clamped weights, with d² as the SOM's: t D /
+    #   t_max is within (2D + 10) u r, also where distinct d² round to one
+    #   time.  Where t underflows it may lose 2**-1075, D 2**-1075 / t_max
+    #   once divided: the SSOM adds 8 times that to its floor.
+    # - The estimate's einsums are within γ_D ||w||² and 2 γ_D |m|·|w| <=
+    #   γ_D r (Higham 2002, §3.1) whatever order they sum in, the factor
+    #   -2 is exact, and their sum rounds by 2u r.  Each coefficient is
+    #   within γ_T of its real value (repeated products), and z and c sum
+    #   T non-negative terms, so a spiking map's m is within (4T + 2) u m*
+    #   of m*, which moves 2 m·w by at most 3 (4T + 2) u r: s_e <= (12T +
+    #   2D + 9) u r.
+    # In all s_v + s_e <= (32T + 5D + 19) u r plus O(u²) terms, which s =
+    # (T + D + 8) 2**-44 r = 512 (T + D + 8) u r covers 16 times, rounding
+    # of r and of s included.  Under gradual underflow a product may also
+    # lose 2**-1075 absolutely (sums and differences with subnormal results
+    # are exact): 3D times for the SOM, which its floor (D + 1) 2**-1068
+    # covers 40 times; for a spiking map, scaled by 1/c² <= 1/gain² (c >=
+    # gain), with the cross terms split by 2ab <= u a² + b²/u, that stays
+    # below (T + 1)(D + 2) 2**-1064 (1 + 1/gain²), which the spiking maps
+    # add to their floor (inf where gain² underflows).  s is computed as 4T
+    # r times the rest, so it is inf where 4T r overflows, and an exact
+    # value or estimate may overflow only there; lo + 2s is then inf, or
+    # NaN where lo is -inf, and a NaN in a row's estimates makes lo NaN:
+    # no estimate exceeds a NaN or inf bound, so such rows keep every unit.
     with np.errstate(over="ignore", invalid="ignore"):
-        hi = (est + slack).min(axis=1)
-        est -= slack
-        return ~(est > hi[:, None])
+        s = (mm + ww.max()) * (4.0 * n_frames)
+        s *= (n_frames + dim + 8) * 2.0 ** -46 / n_frames
+        s += floor
+        est = np.einsum("ik,kj->ij", m, wt)
+        est += ww
+        bound = est.min(axis=1) + 2.0 * s
+        return ~(est > bound[:, None])
 
 
 def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,39 +296,16 @@ def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     its squared distance: the bits of ``squared_distances(x, weights)``'s
     ``argmin(axis=1)`` (lowest flat index on ties) and ``min(axis=1)``.
 
-    A cheap estimate ||x||² + ||w||² - 2 x·w of every distance rules out
-    the units that cannot hold a row's minimum, and only the rest get the
-    exact ``squared_distances`` einsum.
+    ``pruned_candidates`` rules out the units that cannot hold a row's
+    minimum, and only the rest get the exact ``squared_distances`` einsum.
     """
-    dim = x.shape[1]
-    # Slack.  With u = 2**-53 and S = ||x||² + ||w||², the exact form
-    # sum_k fl(w_k - x_k)² rounds each difference and then sums dim
-    # squares in some order: it is within ((1 + u)²(1 + γ_dim) - 1) d <=
-    # (dim + 3) u d of the real distance d <= 2S.  The estimate's three
-    # einsums are within γ_dim ||x||², γ_dim ||w||² and 2 γ_dim |x|·|w| <=
-    # γ_dim S (Higham 2002, §3.1), and its sum and difference round by u S
-    # and 2u S.  The two forms thus differ by at most (4 dim + 9) u S plus
-    # O(u²) terms, which the slack (8 dim + 32) u S covers twice, rounding
-    # of S and of the slack itself included.  Under gradual underflow
-    # every product may also lose up to 2**-1075 absolutely (sums and
-    # differences with subnormal results are exact), 5 dim times in all;
-    # the floor (dim + 1) 2**-1068 covers that 25 times.  Where S
-    # overflows, the slack is inf, so ``candidates`` keeps such units.
-    xx = np.einsum("ij,ij->i", x, x)
-    ww = np.einsum("ij,ij->i", weights, weights)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = xx[:, None] + ww
-        est = np.einsum("ik,jk->ij", x, weights)
-        est *= -2.0
-        est += norms
-        slack = norms
-        slack *= (dim + 4) * 2.0 ** -50
-        slack += (dim + 1) * 2.0 ** -1068
-    rows, cols = np.nonzero(candidates(est, slack))
+    floor = (x.shape[1] + 1) * 2.0 ** -1068
+    keep = pruned_candidates(x, weights, np.einsum("ij,ij->i", x, x), 1, floor)
+    rows, cols = np.nonzero(keep)
     delta = weights[cols] - x[rows]
     # A unit left out reads inf, above its row's minimum, which is finite
     # then; NaN distances occur only in rows that keep every unit.
-    d2 = np.full(est.shape, np.inf)
+    d2 = np.full(keep.shape, np.inf)
     d2[rows, cols] = np.einsum("ij,ij->i", delta, delta)
     return d2.argmin(axis=1), d2.min(axis=1)
 

@@ -1,11 +1,13 @@
 import math
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pulsom import som
 from pulsom.corpus import synth_generate
 from pulsom.errors import DimensionMismatchError
 from pulsom.models import SomModel
@@ -20,6 +22,7 @@ from pulsom.som import (
     linear_decay,
     nearest_units,
     neighborhood_array,
+    pruned_candidates,
     quantization_error,
     sample_vectors,
     som_update,
@@ -328,6 +331,91 @@ class TestNearestUnits:
         assert len(frames) > QE_CHUNK_ELEMENTS // lattice.n_units
         assert model.winner_table(frames)[:, 0].tolist() == want
         assert want[5] == 7 and want[11] == 9
+
+
+def caller_terms(caller, m, n_frames):
+    """The terms that each caller of ``pruned_candidates`` passes: ||m||²
+    bound, frames and floor (the spiking maps' at gain 1)."""
+    dim = m.shape[1]
+    if caller == "som":
+        return np.einsum("ij,ij->i", m, m), 1, (dim + 1) * 2.0 ** -1068
+    return dim, n_frames, (n_frames + 1) * (dim + 2) * 2.0 ** -1064 * 2.0
+
+
+class TestPrunedCandidates:
+    """The one estimate-and-prune step of every map's search must keep
+    every unit whose exact squared distance ties its row's least, with the
+    SOM's terms (||x||² a row, one frame) and the spiking maps' (dim for
+    the whole block, means in [0, 1]^dim, several frames)."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(caller=st.sampled_from(["som", "spiking"]), dim=st.integers(1, 24),
+           n=st.integers(1, 8), units=st.integers(1, 30), n_frames=st.integers(1, 9),
+           exponent=st.sampled_from([0.0, -155.0, -160.0, -162.0, -170.0, -320.0, 150.0])
+           | st.floats(-170.0, 155.0), spread=st.sampled_from([0.0, 1.0, 8.0]),
+           offset=st.sampled_from([0.0, 1e4, 1e7]), seed=st.integers(0, 2**32 - 1),
+           ties=st.sets(st.sampled_from(["duplicate", "ulp", "on_weight", "nan", "overflow"])))
+    def test_keeps_every_unit_that_ties_the_least(self, caller, dim, n, units, n_frames,
+                                                  exponent, spread, offset, seed, ties):
+        # entries' magnitudes spread around 10**exponent, down to subnormal
+        # squares and products; the SOM's vectors may sit far from the
+        # origin, where the estimate cancels, and a spiking map's means lie
+        # in [0, 1]
+        rng = np.random.default_rng(seed)
+        centre = offset * rng.normal(size=dim)
+
+        def block(rows):
+            scale = 10.0 ** np.clip(exponent + spread * rng.normal(size=(rows, dim)), -320, 300)
+            if caller == "som":
+                return (centre + rng.normal(size=(rows, dim))) * scale
+            return rng.uniform(size=(rows, dim)) * np.minimum(scale, 1.0)
+
+        m, weights = block(n), block(units)
+        with np.errstate(over="ignore", invalid="ignore"):
+            near = int(squared_distances(m[0], weights).argmin())
+        other = int(rng.integers(units))
+        if "duplicate" in ties:     # an exact tie with the nearest unit
+            weights[other] = weights[near]
+        if "ulp" in ties:           # a 1-ulp near-tie with it
+            weights[other] = np.nextafter(weights[near], rng.choice([-np.inf, np.inf], dim))
+        if "on_weight" in ties:
+            m[-1] = weights[int(rng.integers(units))]
+            if caller == "spiking":
+                m[-1] = m[-1].clip(0.0, 1.0)
+        if "overflow" in ties:      # ||w||² overflows: the slack is inf
+            weights[other] = 1e200
+        if "nan" in ties:
+            m[int(rng.integers(n)), int(rng.integers(dim))] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keep = pruned_candidates(m, weights, *caller_terms(caller, m, n_frames))
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = squared_distances(m, weights)
+        assert keep.shape == d2.shape == (n, units)
+        assert not (d2 == d2.min(axis=1, keepdims=True))[~keep].any()
+        assert keep[np.isnan(m).any(axis=1)].all()
+        if "overflow" in ties:
+            assert keep.all()
+
+    @pytest.mark.parametrize("units, dim", [(144, 12), (256, 108)])
+    def test_one_candidate_a_vector_on_spread_units(self, units, dim):
+        # the SOM's slack takes the largest ||w||² of the map, and still
+        # keeps about one unit a vector when no two units are near-tied,
+        # at the frame dim and at the concat map's 9 x 12
+        rng = np.random.default_rng(dim)
+        centre = 10.0 * rng.normal(size=dim)
+        lattice = Lattice(units // 16, 16, centre + 3.0 * rng.normal(size=(units, dim)))
+        x = centre + 3.0 * rng.normal(size=(1500, dim))
+        kept = []
+
+        def counted(*args):
+            keep = pruned_candidates(*args)
+            kept.append(int(keep.sum()))
+            return keep
+
+        with patch.object(som, "pruned_candidates", counted):
+            quantization_error(x, lattice)
+        assert len(kept) > 1 and sum(kept) <= 1.1 * len(x)
 
 
 class TestGridDistances:

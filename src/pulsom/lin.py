@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import EncodedFrames, SsomConfig
+from .coding import SsomConfig
 from .errors import DimensionMismatchError
 from .som import Lattice, Schedule, TrainingLog, squared_distances, winner_or_none
-from .ssom import FiringRecord, stdp_step, train_spiking
+from .ssom import FiringRecord, area_step, stdp_step, train_spiking
 from .stdp import StdpRule
 
 
@@ -53,15 +53,20 @@ class PotentialState:
         """Zero all potentials (sequence boundary); idempotent."""
         self.a[...] = 0.0
 
-    def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
-        """``update_potential`` with frame i, then ``potential_winners``."""
-        update_potential(codes.normalized[i], lattice, self)
-        return potential_winners(self, lattice, cfg)
-
-    def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
-              t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
-        """The spiking map's ``stdp_step`` toward frame i of one sequence's codes."""
-        stdp_step(codes.normalized[i], codes.spike_times[i], lattice, idx, t_post, gain, rule)
+    def train_frame(self, v: np.ndarray, spikes: np.ndarray, lattice: Lattice, rows: list,
+                    cfg: SsomConfig, rule: StdpRule) -> bool:
+        """``potential_step`` with the normalized frame v, the winner of
+        ``potential_winners``, ``area_step`` and the spiking map's
+        ``stdp_step`` toward v."""
+        delta = lattice.weights - v
+        potential_step(self.a, np.einsum("ij,ij->i", delta, delta), self.lam)
+        w = self.a.argmax()
+        times = potential_latencies(self.a, self.lam, v.shape[0], cfg.t_max)
+        if times.item(w) > cfg.t_ref:   # as ``winner_or_none``: the first unit is silent
+            return False
+        idx, t_post, gain = area_step(times, w, rows[w], cfg)
+        stdp_step(v, spikes, lattice, idx, t_post, gain, rule)
+        return True
 
 
 def update_potential(x, lattice: Lattice, state: PotentialState) -> None:
@@ -88,8 +93,14 @@ def potential_latencies(a: np.ndarray, lam: float, dim: int, t_max: float) -> np
     effective per-frame penalty, then normalized by the worst single-frame
     penalty (dim/2 on normalized data) so a perfect steady match fires at 0.
     """
-    eff = (1.0 - lam) * (-a)
-    return t_max * (eff / (dim / 2.0)).clip(0.0, 1.0)
+    # in place on one new array, with the bits of
+    # t_max * ((1 - lam) * (-a) / (dim / 2)).clip(0, 1)
+    t = np.negative(a)
+    t *= 1.0 - lam
+    t /= dim / 2.0
+    t.clip(0.0, 1.0, out=t)
+    t *= t_max
+    return t
 
 
 def potential_winners(state: PotentialState, lattice: Lattice,

@@ -179,7 +179,7 @@ class SsomModel(_Inference):
 
     def state(self) -> FiringStep:
         """A cleared step object (``ssom.FiringStep`` keeps none between frames)."""
-        return FiringStep(self.lattice)
+        return FiringStep(self.lattice, self.rule)
 
     def _match(self) -> tuple[np.ndarray, float]:
         """The weights the map matches against, clamped, and the floor of

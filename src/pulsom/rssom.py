@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import EncodedFrames, SsomConfig
+from .coding import SsomConfig
 from .errors import DimensionMismatchError
 from .som import Lattice, Schedule, TrainingLog, neighborhood_array, winner_or_none
-from .ssom import FiringRecord, learning_gate, train_spiking
-from .stdp import StdpRule, window_magnitude
+from .ssom import FiringRecord, area_step, learning_gate, train_spiking
+from .stdp import StdpRule, lead_magnitude
 
 
 @dataclass
@@ -48,15 +48,20 @@ class DifferenceState:
         """Clear all difference vectors (sequence boundary)."""
         self.y[...] = 0.0
 
-    def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
-        """``update_difference`` with frame i, then ``difference_winners``."""
-        update_difference(codes.normalized[i], lattice, self)
-        return difference_winners(self, lattice, cfg)
-
-    def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
-              t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
-        """``window_step`` with the spike times of frame i of one sequence."""
-        window_step(codes.spike_times[i], lattice, self, idx, t_post, gain, rule)
+    def train_frame(self, v: np.ndarray, spikes: np.ndarray, lattice: Lattice, rows: list,
+                    cfg: SsomConfig, rule: StdpRule) -> bool:
+        """``difference_step`` with the normalized frame v, the winner of
+        ``difference_winners``, ``area_step`` and ``window_step`` with the
+        frame's spike times."""
+        difference_step(self.y, v, lattice.weights, self.alpha)
+        n2 = np.einsum("ij,ij->i", self.y, self.y)
+        w = n2.argmin()
+        times = difference_latencies(n2, v.shape[0], cfg.t_max)
+        if times.item(w) > cfg.t_ref:   # as ``winner_or_none``: the first unit is silent
+            return False
+        idx, t_post, gain = area_step(times, w, rows[w], cfg)
+        window_step(spikes, lattice, self, idx, t_post, gain, rule)
+        return True
 
 
 def update_difference(x, lattice: Lattice, state: DifferenceState) -> None:
@@ -80,8 +85,11 @@ def difference_step(y: np.ndarray, x: np.ndarray, w: np.ndarray, alpha: float) -
 
 def difference_latencies(n2: np.ndarray, dim: int, t_max: float) -> np.ndarray:
     """Firing latencies from squared difference norms n2: t_max * n2 / dim,
-    capped at t_max."""
-    return t_max * np.minimum(n2 / dim, 1.0)
+    capped at t_max, computed in place on n2, which it returns."""
+    n2 /= dim
+    np.minimum(n2, 1.0, out=n2)
+    n2 *= t_max
+    return n2
 
 
 def difference_winners(state: DifferenceState, lattice: Lattice,
@@ -95,8 +103,9 @@ def difference_winners(state: DifferenceState, lattice: Lattice,
     smallest-norm unit fires first."""
     flat = state.y.reshape(-1, state.y.shape[-1])
     n2 = np.einsum("ij,ij->i", flat, flat).reshape(state.y.shape[:-1])
+    best = n2.argmin(axis=-1)
     times = difference_latencies(n2, lattice.dim, cfg.t_max)
-    return times, winner_or_none(n2.argmin(axis=-1), times, cfg.t_ref)
+    return times, winner_or_none(best, times, cfg.t_ref)
 
 
 def difference_record(state: DifferenceState, lattice: Lattice,
@@ -111,13 +120,17 @@ def window_step(t_spike: np.ndarray, lattice: Lattice, state: DifferenceState,
                 rule: StdpRule) -> None:
     """``rssom_learn`` of the gated units idx, which fired at t_post and have
     learning gains gain (one column, see ``ssom.area_rows``): each steps
-    by gain * eta * |window| along its y_i, eta applied to the gain column."""
-    dt = t_spike - t_post[:, None]
-    scale = window_magnitude(dt, rule.window)
-    scale[dt == 0] = 0.0    # |window|, which is 0 at coincidence
-    stepped = (lattice.weights.take(idx, axis=0)
-               + gain * rule.eta * scale * state.y.take(idx, axis=0))
-    lattice.weights[idx] = stepped.clip(0.0, rule.w_max)
+    by gain * eta * |window| along its y_i, eta applied to the gain column.
+    The in-place products keep the bits of w + gain * eta * |window| * y."""
+    lead = np.subtract.outer(t_post, t_spike)
+    step = lead_magnitude(lead, rule.window)
+    if np.count_nonzero(lead) < lead.size:     # |window| is 0 at coincidence
+        step[lead == 0] = 0.0
+    step *= gain * rule.eta
+    step *= state.y.take(idx, axis=0)
+    stepped = lattice.weights.take(idx, axis=0)
+    stepped += step
+    lattice.weights[idx] = stepped.clip(0.0, rule.w_max, out=stepped)
 
 
 def rssom_learn(e_spike_times: np.ndarray, lattice: Lattice, state: DifferenceState,

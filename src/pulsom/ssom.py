@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding import EncodedFrames, SsomConfig, encode_frames, normalize
+from .coding import SsomConfig, encode_frames, normalize
 from .errors import DimensionMismatchError, check_positive
 from .som import (
     EpochStats,
@@ -31,7 +31,7 @@ from .som import (
     squared_distances,
     winner_or_none,
 )
-from .stdp import StdpRule, apply_rule_array
+from .stdp import StdpRule, rule_step
 
 
 @dataclass
@@ -193,20 +193,28 @@ def area_step(times: np.ndarray, w: int, rows: tuple,
               cfg: SsomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``lateral_step`` and ``learning_gate`` of a win by flat unit w, given
     the presentation's firing times, on w's ``area_rows`` entry: the
-    learning units, their times and gains."""
-    # The same bits as on the whole lattice: present recomputes every time,
+    learning units, their times and gains.  Where every unit of the area
+    learns, the units and gains are the entry's own arrays, which callers
+    only read."""
+    # The same bits as on the whole lattice: each presentation recomputes
+    # every time,
     # so the kernel's result outside the area is never read; the winner lies
     # in its own spatial and excitation areas, so its pull t + f * 0 leaves
     # it unchanged (f is finite, as both radii have positive squares);
     # t <= t_ref already drops a unit inhibition silences; and a unit was
     # silent before the kernel exactly where its time is not <= t_ref, as
     # a NaN time stays NaN through the kernel and fails the gate either way.
+    # The in-place steps keep the bits of t0 + factor * (times[w] - t0).
     area, near, factor, delay, gain = rows
     t0 = times[area]
-    t = t0 + factor * (times[w] - t0)
+    t = times.item(w) - t0
+    t *= factor
+    t += t0
     if near is not None:
         t = np.where(near, t, np.minimum(t0 + delay, cfg.t_max))
-    g = np.maximum(t, t0) <= cfg.t_ref
+    g = np.maximum(t, t0, out=t0) <= cfg.t_ref
+    if np.count_nonzero(g) == len(g):   # every unit learns: no gather
+        return area, t, gain
     return area[g], t[g], gain[g]
 
 
@@ -214,9 +222,10 @@ def stdp_step(v: np.ndarray, t_spike: np.ndarray, lattice: Lattice, idx: np.ndar
               t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> np.ndarray:
     """STDP toward the normalized input v, with spike times t_spike, of the
     gated units idx that fired at t_post, with learning gains gain (one
-    column, see ``area_rows``).  Returns the rows it wrote."""
-    new = apply_rule_array(lattice.weights.take(idx, axis=0), v, t_spike - t_post[:, None],
-                           rule, gain)
+    column, see ``area_rows``): ``stdp.rule_step`` on their gathered rows.
+    Returns the rows it wrote."""
+    new = rule_step(lattice.weights.take(idx, axis=0), v, np.subtract.outer(t_post, t_spike),
+                    rule, gain)
     lattice.weights[idx] = new
     return new
 
@@ -244,32 +253,48 @@ class FiringStep:
     """The spiking map's step object, which keeps no state between frames.
 
     A step object is what ``train_spiking`` drives: reset() at each
-    sequence start, present(codes, i, lattice, cfg) to step frame i of one
-    sequence's ``EncodedFrames`` to (times, winner), and learn(codes, i,
-    lattice, idx, t_post, gain, rule) for the learning step of the gated
-    units idx, with gains ``lr * h`` (see ``area_rows``; the learning
-    kernels apply eta).  ``rssom.DifferenceState`` and
-    ``lin.PotentialState`` are the recurrent maps' step objects, and each is
-    the test oracle of its map's pruned inference (``models.SsomModel``).
-    This one keeps the ``clamped`` copy of its lattice, whose rows learn
-    refreshes."""
+    sequence start, and train_frame(v, spikes, lattice, rows, cfg, rule)
+    once per frame, which presents the normalized frame v, with its spike
+    times, and learns from it.  It returns False where the whole map stays
+    silent; otherwise ``area_step`` applies the lateral kernel and the
+    learning gate on the winner's entry of the epoch's ``area_rows``, and
+    the gated units learn (the learning kernels apply eta).
+    ``rssom.DifferenceState`` and ``lin.PotentialState`` are the recurrent
+    maps' step objects.
 
-    def __init__(self, lattice: Lattice):
-        self.match = clamped(lattice)
+    This one matches against the weights clamped to [0, 1] (``clamped``).
+    Where the clamp is the identity, it matches against the lattice's own
+    weights: the additive and input rules clip each learned weight to [0,
+    w_max], so with w_max <= 1 and initial weights in [0, 1] every weight
+    stays in [0, 1].  Otherwise (soula, panchev, w_max > 1, or initial
+    weights outside [0, 1]) it keeps a clamped copy, whose learned rows
+    ``train_frame`` refreshes, so it serves that lattice only."""
+
+    def __init__(self, lattice: Lattice, rule: StdpRule):
+        w = lattice.weights
+        bounded = (rule.variant in ("additive", "input") and rule.w_max <= 1.0
+                   and ((0.0 <= w) & (w <= 1.0)).all())
+        self.match = w if bounded else w.clip(0.0, 1.0)
 
     def reset(self) -> None:
         """Sequence boundary: nothing to clear."""
 
-    def present(self, codes: EncodedFrames, i: int, lattice: Lattice, cfg: SsomConfig):
-        """``firing_winners`` of the normalized values of frame i."""
-        return firing_winners(codes.normalized[i], self.match, cfg)
-
-    def learn(self, codes: EncodedFrames, i: int, lattice: Lattice, idx: np.ndarray,
-              t_post: np.ndarray, gain: np.ndarray, rule: StdpRule) -> None:
-        """``stdp_step`` toward frame i of one sequence's codes."""
-        new = stdp_step(codes.normalized[i], codes.spike_times[i], lattice, idx, t_post, gain,
-                        rule)
-        self.match.weights[idx] = new.clip(0.0, 1.0, out=new)
+    def train_frame(self, v: np.ndarray, spikes: np.ndarray, lattice: Lattice, rows: list,
+                    cfg: SsomConfig, rule: StdpRule) -> bool:
+        """``mismatch_latencies`` of v, its earliest-firing winner (lowest
+        flat index on ties), ``area_step`` and ``stdp_step``."""
+        delta = self.match - v
+        times = np.einsum("ij,ij->i", delta, delta)
+        times /= v.shape[0]
+        times *= cfg.t_max
+        w = times.argmin()
+        if times.item(w) > cfg.t_ref:   # as ``winner_or_none``: the first unit is silent
+            return False
+        idx, t_post, gain = area_step(times, w, rows[w], cfg)
+        new = stdp_step(v, spikes, lattice, idx, t_post, gain, rule)
+        if self.match is not lattice.weights:
+            self.match[idx] = new.clip(0.0, 1.0, out=new)
+        return True
 
 
 def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
@@ -278,13 +303,12 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     ``FiringStep``) with the model's lattice, encoding ranges, cfg, lateral
     kernel and STDP rule.
 
-    Every frame is coded once per run and the ``area_rows`` tables, with
-    the epoch's learning gains, are gathered once per epoch.  Sequence
-    order is reshuffled each epoch from the seed, and the state is reset at
-    each sequence start.  Presentations where every unit stays silent
-    (winner -1) are skipped and counted; otherwise ``area_step`` applies
-    the lateral kernel on the flat winner's spatial area, and the units
-    inside its learning gate learn.
+    Every frame of the run is coded in one ``encode_frames`` call, and the
+    ``area_rows`` tables, with the epoch's learning gains, are gathered
+    once per epoch.  Sequence order is reshuffled each epoch from the seed,
+    and the state is reset at each sequence start.  Each frame is one
+    ``train_frame`` call; presentations where every unit stays silent are
+    skipped and counted.
     Quantization error is logged per epoch on the decoded (de-normalized)
     weights against the raw frames.
     """
@@ -293,7 +317,9 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
     state = model.state()
     sequences = [frames_of(s) for s in data]
     all_frames = sample_vectors(sequences, concat=False)
-    codes = [encode_frames(s, lo, hi, cfg.t_max, lattice.dim) for s in sequences]
+    coded = encode_frames(all_frames, lo, hi, cfg.t_max, lattice.dim)
+    cuts = np.cumsum([len(s) for s in sequences])[:-1]
+    codes = list(zip(np.split(coded.normalized, cuts), np.split(coded.spike_times, cuts)))
     span = hi - lo
     rng = np.random.default_rng(seed)
     log = TrainingLog()
@@ -304,14 +330,9 @@ def train_spiking(data, model, schedule: Schedule, seed: int) -> TrainingLog:
         skipped = 0
         for si in rng.permutation(len(sequences)):
             state.reset()
-            seq = codes[si]
-            for i in range(seq.spike_times.shape[0]):
-                times, w = state.present(seq, i, lattice, cfg)
-                if w < 0:
+            for v, spikes in zip(*codes[si]):
+                if not state.train_frame(v, spikes, lattice, rows, cfg, rule):
                     skipped += 1
-                    continue
-                idx, t_post, gain = area_step(times, w, rows[w], cfg)
-                state.learn(seq, i, lattice, idx, t_post, gain, rule)
         del rows    # freed before the next epoch gathers its own: a lower peak
         check_finite(lattice, t)
         decoded = Lattice(lattice.rows, lattice.cols,

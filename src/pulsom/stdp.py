@@ -73,19 +73,24 @@ def window_value(delta_t: float, window: StdpWindow) -> float:
     return 0.0
 
 
-def window_magnitude(dt: np.ndarray, window: StdpWindow) -> np.ndarray:
-    """a * exp(-|dt| / tau) of float64 dt, with the lead side's a_plus and
-    tau_plus where dt < 0 and a_minus and tau_minus elsewhere: the window's
-    magnitude wherever dt is not 0 (at coincidence the window is 0)."""
+def lead_magnitude(lead: np.ndarray, window: StdpWindow) -> np.ndarray:
+    """a * exp(-|dt| / tau) of float64 lead = -delta_t = t_post - t_pre, as
+    a new array, with the lead side's a_plus and tau_plus where lead > 0
+    (the presynaptic spike leads) and a_minus and tau_minus elsewhere: the
+    window's magnitude wherever lead is not 0 (at coincidence the window
+    is 0)."""
     # Scalars when both sides agree give the bits of per-element values;
     # only an asymmetric window picks them with np.where.
     tau, amp = window.tau_plus, window.a_plus
     if tau != window.tau_minus:
-        tau = np.where(dt < 0, tau, window.tau_minus)
+        tau = np.where(lead > 0, tau, window.tau_minus)
+    m = np.abs(lead)
+    m /= -tau   # -(|dt| / tau) has the bits of |dt| / -tau
+    np.exp(m, out=m)
     if amp != window.a_minus:
-        amp = np.where(dt < 0, amp, window.a_minus)
-    m = np.exp(np.abs(dt) / -tau)   # -(|dt| / tau) has the bits of -|dt| / tau
-    m *= amp
+        m *= np.where(lead > 0, amp, window.a_minus)
+    elif amp != 1.0:
+        m *= amp
     return m
 
 
@@ -124,9 +129,38 @@ def input_update(w: float, x_i: float, delta_t: float, rule: StdpRule) -> float:
     return min(max(w, 0.0), rule.w_max)
 
 
+def rule_step(w: np.ndarray, x: np.ndarray, lead: np.ndarray, rule: StdpRule,
+              gain: np.ndarray | float) -> np.ndarray:
+    """The rule's step of the float64 weights w toward the inputs x, in
+    place on w, which it returns: the kernel of ``apply_rule_array``, with
+    lead = -delta_t (``lead_magnitude``) of w's shape, into which x and
+    gain broadcast."""
+    f = lead_magnitude(lead, rule.window)
+    # The window: sign(lead) is +1 on the lead side, -1 on the lag side and
+    # +0.0 at coincidence (of either sign), so f is +0.0 there, as
+    # ``window_value`` is.  Each in-place product keeps the operand order's
+    # bits: a * b and b * a round alike.
+    f *= np.sign(lead)
+    if rule.variant == "soula":     # w + gain * f * w * (1 - w / w_max)
+        f *= gain
+        f *= w
+        sat = w / rule.w_max
+        np.subtract(1.0, sat, out=sat)
+        f *= sat
+        w += f
+        return w
+    f *= gain * rule.eta
+    if rule.variant != "additive":
+        f *= np.where(lead > 0, 1.0 - w if rule.variant == "panchev" else x - w, w)
+    w += f
+    if rule.variant == "panchev":
+        return w
+    return w.clip(0.0, rule.w_max, out=w)    # np.clip's ufunc, without its wrapper
+
+
 def apply_rule_array(w: np.ndarray, x: np.ndarray, delta_t: np.ndarray,
                      rule: StdpRule, gain: np.ndarray | float = 1.0) -> np.ndarray:
-    """Vectorized dispatcher used by the trainers.
+    """Vectorized dispatcher: ``rule_step`` on a new array.
 
     ``gain`` is the per-synapse schedule factor (learning-rate decay times
     neighborhood kernel).  The step is gain * eta * window times the rule's
@@ -134,18 +168,7 @@ def apply_rule_array(w: np.ndarray, x: np.ndarray, delta_t: np.ndarray,
     factor for soula, which has no eta.  Shapes of w, x, delta_t and gain
     broadcast together; a NaN delta_t gives a NaN weight.
     """
-    w = np.asarray(w, dtype=np.float64)
     dt = np.asarray(delta_t, dtype=np.float64)
-    # The window: sign(-dt) is +1 on the lead side, -1 on the lag side and
-    # +0.0 at coincidence, so f is +0.0 there, as ``window_value`` is.
-    f = window_magnitude(dt, rule.window)
-    f *= np.sign(-dt)
-    if rule.variant == "soula":
-        return w + gain * f * w * (1.0 - w / rule.w_max)
-    step = gain * rule.eta * f
-    if rule.variant != "additive":
-        step = step * np.where(dt < 0, 1.0 - w if rule.variant == "panchev" else x - w, w)
-    w = w + step
-    if rule.variant == "panchev":
-        return w
-    return w.clip(0.0, rule.w_max)    # np.clip's ufunc, without its wrapper
+    shape = np.broadcast_shapes(np.shape(w), np.shape(x), dt.shape, np.shape(gain))
+    w = np.array(np.broadcast_to(w, shape), dtype=np.float64)
+    return rule_step(w, x, np.negative(np.broadcast_to(dt, shape)), rule, gain)

@@ -7,9 +7,17 @@ np.clip.  The kernels must give their bits for every input the trainers can
 pass: weights at 0 and at w_max, delta_t at exact coincidence, zero gains,
 asymmetric windows and all four variants.  The SSOM's
 clamped weight copy must follow the weights through training.
+
+``oracle_train_spiking`` is the epoch loop of ``ssom.train_spiking`` as it
+was before each step object fused its presentation into one
+``train_frame``: every sequence coded on its own, and each frame stepped
+through present, then ``oracle_area_step`` (the lateral kernel and the
+learning gate on the winner's area), then learn, with the winner rules'
+and the kernels' earlier formulas.  The fused trainers must give its bits.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +25,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pulsom.coding import SsomConfig
+from pulsom.coding import SsomConfig, encode_frames
 from pulsom.corpus import synth_generate
-from pulsom.models import SsomModel
-from pulsom.rssom import DifferenceState, window_step
-from pulsom.som import Lattice, Schedule
-from pulsom.ssom import LateralKernel, feature_ranges, normalized_init, train_ssom
+from pulsom.errors import DivergenceError
+from pulsom.lin import potential_step, train_lin
+from pulsom.models import LinModel, RssomModel, SsomModel
+from pulsom.rssom import DifferenceState, difference_step, train_rssom, window_step
+from pulsom.som import (
+    EpochStats,
+    Lattice,
+    Schedule,
+    TrainingLog,
+    check_finite,
+    frames_of,
+    linear_decay,
+    quantization_error,
+    sample_vectors,
+    winner_or_none,
+)
+from pulsom.ssom import (
+    LateralKernel,
+    area_rows,
+    feature_ranges,
+    normalized_init,
+    train_ssom,
+)
 from pulsom.stdp import VARIANTS, StdpRule, StdpWindow, apply_rule_array
 from test_inference import oracle_frame_winners
 
@@ -56,6 +83,129 @@ def oracle_window_step(t_spike, lattice, state, idx, t_post, h, rule, lr_scale):
     scale = np.abs(oracle_window(dt, rule.window))
     stepped = lattice.weights[idx] + gain * scale * state.y[idx]
     lattice.weights[idx] = np.clip(stepped, 0.0, rule.w_max)
+
+
+def oracle_area_step(times, w, rows, cfg):
+    """The lateral kernel and the learning gate of a win by flat unit w on
+    w's ``area_rows`` entry, as ``ssom.area_step`` computed them before it
+    worked in place: the learning units, their times and gains."""
+    area, near, factor, delay, gain = rows
+    t0 = times[area]
+    t = t0 + factor * (times[w] - t0)
+    if near is not None:
+        t = np.where(near, t, np.minimum(t0 + delay, cfg.t_max))
+    g = np.maximum(t, t0) <= cfg.t_ref
+    return area[g], t[g], gain[g]
+
+
+class OracleFiring:
+    """The SSOM's presentation and learning step: its winner against an
+    always clamped copy of the weights, which learn refreshes row by row."""
+
+    def __init__(self, model):
+        self.lattice, self.cfg, self.rule = model.lattice, model.cfg, model.rule
+        self.match = np.clip(model.lattice.weights, 0.0, 1.0)
+
+    def reset(self):
+        pass
+
+    def present(self, v):
+        delta = self.match - v[None, :]
+        times = self.cfg.t_max * (np.einsum("ij,ij->i", delta, delta) / self.lattice.dim)
+        return times, winner_or_none(times.argmin(), times, self.cfg.t_ref)
+
+    def learn(self, v, spikes, idx, t_post, gain):
+        new = oracle_apply_rule_array(self.lattice.weights[idx], v[None, :],
+                                      spikes - t_post[:, None], self.rule, gain)
+        self.lattice.weights[idx] = new
+        self.match[idx] = np.clip(new, 0.0, 1.0)
+
+
+class OraclePotential(OracleFiring):
+    """LIN's: leaky potentials, the most excited unit wins, and the SSOM's
+    learning step without a clamped copy."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.lam = model.lam
+        self.a = np.zeros(model.lattice.n_units)
+
+    def reset(self):
+        self.a[...] = 0.0
+
+    def present(self, v):
+        delta = self.lattice.weights - v[None, :]
+        potential_step(self.a, np.einsum("ij,ij->i", delta, delta), self.lam)
+        eff = (1.0 - self.lam) * (-self.a)
+        times = self.cfg.t_max * (eff / (self.lattice.dim / 2.0)).clip(0.0, 1.0)
+        return times, winner_or_none(self.a.argmax(), times, self.cfg.t_ref)
+
+    def learn(self, v, spikes, idx, t_post, gain):
+        self.lattice.weights[idx] = oracle_apply_rule_array(
+            self.lattice.weights[idx], v[None, :], spikes - t_post[:, None], self.rule, gain)
+
+
+class OracleDifference(OracleFiring):
+    """RSSOM's: leaky difference vectors, the smallest-norm unit wins, and
+    each gated unit steps along its vector."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.state = DifferenceState.zeros(model.lattice, model.alpha)
+
+    def reset(self):
+        self.state.y[...] = 0.0
+
+    def present(self, v):
+        difference_step(self.state.y, v, self.lattice.weights, self.state.alpha)
+        n2 = np.einsum("ij,ij->i", self.state.y, self.state.y)
+        times = self.cfg.t_max * np.minimum(n2 / self.lattice.dim, 1.0)
+        return times, winner_or_none(n2.argmin(), times, self.cfg.t_ref)
+
+    def learn(self, v, spikes, idx, t_post, gain):
+        oracle_window_step(spikes, self.lattice, self.state, idx, t_post, gain[:, 0],
+                           self.rule, 1.0)
+
+
+ORACLE_STEPS = {"SSOM": OracleFiring, "RSSOM": OracleDifference, "LIN": OraclePotential}
+
+
+def oracle_train_spiking(data, model, schedule, seed, gate_counts=None):
+    """``ssom.train_spiking`` through present, ``oracle_area_step`` and
+    learn.  gate_counts, a dict, counts the presentations whose gate left
+    out some unit of the winner's area ("gated") and all of it ("none")."""
+    lattice, lo, hi = model.lattice, model.lo, model.hi
+    cfg, kernel = model.cfg, model.kernel
+    step = ORACLE_STEPS[model.kind](model)
+    sequences = [frames_of(s) for s in data]
+    all_frames = sample_vectors(sequences, concat=False)
+    codes = [encode_frames(s, lo, hi, cfg.t_max, lattice.dim) for s in sequences]
+    rng = np.random.default_rng(seed)
+    log = TrainingLog()
+    for t in range(schedule.epochs):
+        lr, radius = linear_decay(t, schedule)
+        kernel_t = kernel if kernel.excite_radius is not None else replace(kernel, excite_radius=radius)
+        rows = area_rows(lattice.distance_table(), radius, kernel_t, lr)
+        skipped = 0
+        for si in rng.permutation(len(sequences)):
+            step.reset()
+            seq = codes[si]
+            for i in range(seq.spike_times.shape[0]):
+                times, w = step.present(seq.normalized[i])
+                if w < 0:
+                    skipped += 1
+                    continue
+                idx, t_post, gain = oracle_area_step(times, w, rows[w], cfg)
+                if gate_counts is not None:
+                    gate_counts["gated"] += len(idx) < len(rows[w][0])
+                    gate_counts["none"] += len(idx) == 0
+                step.learn(seq.normalized[i], seq.spike_times[i], idx, t_post, gain)
+        check_finite(lattice, t)
+        decoded = Lattice(lattice.rows, lattice.cols,
+                          lo + np.clip(lattice.weights, 0.0, 1.0) * (hi - lo), lattice.rng_seed)
+        log.rows.append(EpochStats(t, lr, radius, quantization_error(all_frames, decoded),
+                                   skipped))
+    return log
 
 
 def same_bits(a, b) -> bool:
@@ -150,9 +300,25 @@ class TestWindowStep:
 
 
 class TestClampedCopy:
-    """The SSOM matches against a clamped copy of its weights that learn
+    """The SSOM matches against a clamped copy of its weights that training
     refreshes row by row; with w_max = 1.5 the soula rule drives weights
-    above 1, where the copy and the weights differ."""
+    above 1, where the copy and the weights differ.  Where the additive or
+    input rule keeps every weight in [0, 1], it matches against the
+    weights themselves."""
+
+    @pytest.mark.parametrize("variant, w_max, spread, shared", [
+        ("additive", 1.0, False, True), ("input", 0.8, False, True),
+        ("input", 1.5, False, False), ("additive", 1.0, True, False),
+        ("soula", 1.0, False, False), ("panchev", 1.0, False, False)])
+    def test_the_weights_are_matched_where_the_clamp_is_the_identity(self, variant, w_max,
+                                                                     spread, shared):
+        lattice = Lattice(2, 2, np.linspace(0.0, 1.0, 12).reshape(4, 3))
+        if spread:
+            lattice.weights[0, 0] = -0.25
+        model = SsomModel(lattice, np.zeros(3), np.ones(3), rule=StdpRule(variant, w_max=w_max))
+        step = model.state()
+        assert (step.match is lattice.weights) == shared
+        assert step.match.tobytes() == np.clip(lattice.weights, 0.0, 1.0).tobytes()
 
     @pytest.mark.parametrize("variant", ["soula", "panchev"])
     def test_copy_follows_training_and_winner_tables_hold(self, variant):
@@ -166,9 +332,91 @@ class TestClampedCopy:
         del model.state
 
         (step,) = steps
-        assert step.match.weights.tobytes() == np.clip(model.lattice.weights, 0.0, 1.0).tobytes()
+        assert step.match.tobytes() == np.clip(model.lattice.weights, 0.0, 1.0).tobytes()
         if variant == "soula":
             assert (model.lattice.weights > 1.0).any()
         samples = synth_generate(2, 6, 6, 5, 2.0, True, 12)
         assert model.winner_table(samples).tolist() == [oracle_frame_winners(model, s)
                                                         for s in samples]
+
+
+MODELS = {"ssom": (SsomModel, train_ssom, {}),
+          "rssom": (RssomModel, train_rssom, {"alpha": 0.5}),
+          "lin": (LinModel, train_lin, {"lam": 0.5})}
+# the default window, a symmetric one whose amplitude is not 1, and an
+# asymmetric one
+WINDOWS = [StdpWindow(), StdpWindow(0.7, 0.7, 6.0, 6.0), StdpWindow(0.8, 1.3, 7.0, 13.0)]
+
+
+def fused_and_oracle(kind, variant, window, w_max, excite_radius, t_ref, dim, spread, seed,
+                     gate_counts=None):
+    """The (weights, log or divergence epoch) of the fused trainer and of
+    the oracle on one tiny map, from one initial lattice.  spread maps the
+    initial weights to [-0.25, 1.25]."""
+    data = synth_generate(2, 4, dim, 4, 2.0, True, seed)
+    lo, hi = feature_ranges(data)
+    model_cls, train, extra = MODELS[kind]
+    init = normalized_init(3, 4, data, seed).weights
+    if spread:
+        init = init * 1.5 - 0.25
+    schedule = Schedule.for_lattice(3, 4, epochs=2)
+    out = []
+    for run in (train, lambda *args: oracle_train_spiking(*args, gate_counts=gate_counts)):
+        model = model_cls(Lattice(3, 4, init.copy()), lo, hi, SsomConfig(t_ref=t_ref),
+                          LateralKernel(excite_radius, inhibit_gain=2.0),
+                          StdpRule(variant, w_max=w_max, window=window), **extra)
+        with np.errstate(all="ignore"):
+            try:
+                log = run(data, model, schedule, seed)
+            except DivergenceError as e:
+                log = e.epoch
+        out.append((model.lattice.weights, log))
+    return out
+
+
+def assert_same_training(fused, oracle):
+    (w_fused, log_fused), (w_oracle, log_oracle) = fused, oracle
+    if isinstance(log_oracle, int):     # both diverge in the same epoch
+        assert log_fused == log_oracle
+        return
+    assert same_bits(w_fused.view(np.uint64), w_oracle.view(np.uint64))
+    assert len(log_fused.rows) == len(log_oracle.rows)
+    for got, want in zip(log_fused.rows, log_oracle.rows):
+        assert same_bits(got.qe, want.qe)
+        assert (got.lr, got.radius, got.skipped) == (want.lr, want.radius, want.skipped)
+
+
+class TestFusedTrainer:
+    """Each step object's ``train_frame`` trains the bits of the chain it
+    replaced (``oracle_train_spiking``): weights, every logged qe and every
+    skipped count, for every variant, window and weight ceiling, at the auto
+    excitation radius and below the schedule radius (the inhibition
+    branch), at reference times that silence frames and gate area units
+    out, and from SSOM initial weights outside [0, 1], which keep the
+    clamped copy."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(list(MODELS)), variant=st.sampled_from(VARIANTS),
+           window=st.sampled_from(WINDOWS), w_max=st.sampled_from([0.8, 1.0, 1.5]),
+           excite_radius=st.sampled_from([None, 0.6]),
+           t_ref=st.sampled_from([15.0, 2.0, 0.5]) | st.floats(0.2, 20.0),
+           dim=st.integers(3, 5), spread=st.booleans(), seed=st.integers(0, 2**16))
+    def test_bits_equal_the_present_area_step_learn_chain(self, kind, variant, window, w_max,
+                                                          excite_radius, t_ref, dim, spread,
+                                                          seed):
+        assert_same_training(*fused_and_oracle(kind, variant, window, w_max, excite_radius,
+                                                t_ref, dim, spread, seed))
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_a_low_reference_time_skips_frames_and_gates_units(self, kind):
+        """At t_ref = 2 (SSOM, LIN) or 1 (RSSOM) with inhibition, some
+        presentations leave area units out of learning, and the SSOM and
+        LIN skip silent frames."""
+        gate_counts = {"gated": 0, "none": 0}
+        fused, oracle = fused_and_oracle(kind, "input", WINDOWS[2], 1.0, 0.6,
+                                         1.0 if kind == "rssom" else 2.0, 4, False, 5,
+                                         gate_counts)
+        assert_same_training(fused, oracle)
+        assert gate_counts["gated"] > 0
+        if kind != "rssom":
+            assert fused[1].total_skipped > 0

@@ -9,18 +9,18 @@ from pulsom.stdp import (
     additive_update,
     apply_rule_array,
     input_update,
+    lead_magnitude,
     panchev_update,
     soula_update,
-    window_magnitude,
     window_value,
 )
 
 
 def window_value_array(delta_t, window: StdpWindow) -> np.ndarray:
     """Oracle: ``window_value`` over an array, as sign(-delta_t) times
-    ``window_magnitude`` (0 at coincidence and for NaN)."""
+    ``lead_magnitude`` of -delta_t (0 at coincidence and for NaN)."""
     dt = np.asarray(delta_t, dtype=np.float64)
-    return np.where(np.isnan(dt), 0.0, np.sign(-dt) * window_magnitude(dt, window))
+    return np.where(np.isnan(dt), 0.0, np.sign(-dt) * lead_magnitude(-dt, window))
 
 
 def rule_with(a_plus=1.0, a_minus=1.0, tau=10.0, eta=0.1, w_max=1.0, variant="input"):

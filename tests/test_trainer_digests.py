@@ -471,10 +471,12 @@ def test_digests_hold_without_avx512():
     so the DCT's batched bits are checked against its per-row bits there
     too, and so do the inference tests and the SOM's search tests, so the
     pruned search is checked against the step objects' bits and the
-    exhaustive search's on those kernels."""
+    exhaustive search's on those kernels, and the lean-step tests, so the
+    fused training step is checked against its oracle on libm's exp."""
     out = run_child("AVX512_SPR AVX512_ICL X86_V4",
                     "tests/test_trainer_digests.py", "tests/test_cli.py::TestModelBytes",
                     FEATURE_PIN, "tests/test_mfcc.py", "tests/test_inference.py",
+                    "tests/test_lean_step.py",
                     "tests/test_som.py::TestNearestUnits", "tests/test_som.py::TestPrunedCandidates",
                     "--deselect", "tests/test_trainer_digests.py::test_digests_hold_without_avx512",
                     "--deselect", "tests/test_trainer_digests.py::test_feature_pin_holds_without_avx2")

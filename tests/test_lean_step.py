@@ -98,12 +98,27 @@ def oracle_area_step(times, w, rows, cfg):
     return area[g], t[g], gain[g]
 
 
-class OracleFiring:
-    """The SSOM's presentation and learning step: its winner against an
-    always clamped copy of the weights, which learn refreshes row by row."""
+class OracleStep:
+    """A map's presentation (present: times and winner) and learning step
+    (learn), as separate calls."""
 
     def __init__(self, model):
         self.lattice, self.cfg, self.rule = model.lattice, model.cfg, model.rule
+
+    def learn(self, v, spikes, idx, t_post, gain):
+        """The spiking map's STDP step toward v."""
+        new = oracle_apply_rule_array(self.lattice.weights[idx], v[None, :],
+                                      spikes - t_post[:, None], self.rule, gain)
+        self.lattice.weights[idx] = new
+        return new
+
+
+class OracleFiring(OracleStep):
+    """The SSOM's: its winner against an always clamped copy of the
+    weights, which learn refreshes row by row."""
+
+    def __init__(self, model):
+        super().__init__(model)
         self.match = np.clip(model.lattice.weights, 0.0, 1.0)
 
     def reset(self):
@@ -115,15 +130,12 @@ class OracleFiring:
         return times, winner_or_none(times.argmin(), times, self.cfg.t_ref)
 
     def learn(self, v, spikes, idx, t_post, gain):
-        new = oracle_apply_rule_array(self.lattice.weights[idx], v[None, :],
-                                      spikes - t_post[:, None], self.rule, gain)
-        self.lattice.weights[idx] = new
-        self.match[idx] = np.clip(new, 0.0, 1.0)
+        self.match[idx] = np.clip(super().learn(v, spikes, idx, t_post, gain), 0.0, 1.0)
 
 
-class OraclePotential(OracleFiring):
-    """LIN's: leaky potentials, the most excited unit wins, and the SSOM's
-    learning step without a clamped copy."""
+class OraclePotential(OracleStep):
+    """LIN's: leaky potentials, the most excited unit wins, and the
+    spiking map's learning step."""
 
     def __init__(self, model):
         super().__init__(model)
@@ -140,12 +152,8 @@ class OraclePotential(OracleFiring):
         times = self.cfg.t_max * (eff / (self.lattice.dim / 2.0)).clip(0.0, 1.0)
         return times, winner_or_none(self.a.argmax(), times, self.cfg.t_ref)
 
-    def learn(self, v, spikes, idx, t_post, gain):
-        self.lattice.weights[idx] = oracle_apply_rule_array(
-            self.lattice.weights[idx], v[None, :], spikes - t_post[:, None], self.rule, gain)
 
-
-class OracleDifference(OracleFiring):
+class OracleDifference(OracleStep):
     """RSSOM's: leaky difference vectors, the smallest-norm unit wins, and
     each gated unit steps along its vector."""
 
@@ -172,8 +180,8 @@ ORACLE_STEPS = {"SSOM": OracleFiring, "RSSOM": OracleDifference, "LIN": OraclePo
 
 def oracle_train_spiking(data, model, schedule, seed, gate_counts=None):
     """``ssom.train_spiking`` through present, ``oracle_area_step`` and
-    learn.  gate_counts, a dict, counts the presentations whose gate left
-    out some unit of the winner's area ("gated") and all of it ("none")."""
+    learn.  gate_counts, a dict, counts in "gated" the presentations whose
+    gate left out some unit of the winner's area."""
     lattice, lo, hi = model.lattice, model.lo, model.hi
     cfg, kernel = model.cfg, model.kernel
     step = ORACLE_STEPS[model.kind](model)
@@ -198,7 +206,6 @@ def oracle_train_spiking(data, model, schedule, seed, gate_counts=None):
                 idx, t_post, gain = oracle_area_step(times, w, rows[w], cfg)
                 if gate_counts is not None:
                     gate_counts["gated"] += len(idx) < len(rows[w][0])
-                    gate_counts["none"] += len(idx) == 0
                 step.learn(seq.normalized[i], seq.spike_times[i], idx, t_post, gain)
         check_finite(lattice, t)
         decoded = Lattice(lattice.rows, lattice.cols,
@@ -412,7 +419,7 @@ class TestFusedTrainer:
         """At t_ref = 2 (SSOM, LIN) or 1 (RSSOM) with inhibition, some
         presentations leave area units out of learning, and the SSOM and
         LIN skip silent frames."""
-        gate_counts = {"gated": 0, "none": 0}
+        gate_counts = {"gated": 0}
         fused, oracle = fused_and_oracle(kind, "input", WINDOWS[2], 1.0, 0.6,
                                          1.0 if kind == "rssom" else 2.0, 4, False, 5,
                                          gate_counts)
